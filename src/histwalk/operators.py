@@ -7,6 +7,13 @@ column encoding used by :mod:`histwalk.state` (most recent result = MSB) the
 oldest entry is the least significant bit, so the retoss mixes adjacent column
 pairs, the shift moves odd columns right and even columns left, and the
 rotation is a bit rotate on the column index.
+
+:func:`apply_conditional_flip`, :func:`apply_shift`, :func:`apply_reorder`
+and :func:`toss` are the specification layer: each builds a new full-grid
+state and reads like the definition above.  The walker's loops run on
+:class:`_Kernel` instead, which does the same step in place on the occupied
+rows only and never moves columns for the rotation; its tests compare it with
+these functions.
 """
 
 from __future__ import annotations
@@ -146,19 +153,6 @@ class BrunCoinList:
         return self.rhos[index]
 
 
-def _flipped(amplitudes: np.ndarray, keep: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    # keep/flip hold sqrt(rho) and sqrt(1 - rho) per history, indexed like the
-    # leading num_coins - 1 bits of the column index.
-    rows, cols = amplitudes.shape
-    psi = amplitudes.reshape(rows, cols // 2, 2)
-    oldest_l = psi[..., 0]
-    oldest_r = psi[..., 1]
-    out = np.empty_like(psi)
-    out[..., 0] = keep * oldest_l + 1j * flip * oldest_r
-    out[..., 1] = 1j * flip * oldest_l + keep * oldest_r
-    return out.reshape(rows, cols)
-
-
 def apply_conditional_flip(state: WalkState, table: HistoryRhoTable) -> WalkState:
     """Retoss the oldest register entry, conditioned on the newer results.
 
@@ -171,8 +165,19 @@ def apply_conditional_flip(state: WalkState, table: HistoryRhoTable) -> WalkStat
             f"table is for {table.num_coins} coins, state has {state.num_coins}"
         )
     rho = table.retention_array()
-    amplitudes = _flipped(state.amplitudes, np.sqrt(rho), np.sqrt(1.0 - rho))
+    keep, flip = np.sqrt(rho), np.sqrt(1.0 - rho)
+    rows, cols = state.amplitudes.shape
+    psi = state.amplitudes.reshape(rows, cols // 2, 2)
+    oldest_l = psi[..., 0]
+    oldest_r = psi[..., 1]
+    out = np.empty_like(psi)
+    out[..., 0] = keep * oldest_l + 1j * flip * oldest_r
+    out[..., 1] = 1j * flip * oldest_l + keep * oldest_r
+    amplitudes = out.reshape(rows, cols)
     return WalkState(state.num_coins, state.t_max, amplitudes, state.steps_taken)
+
+
+_HORIZON_MESSAGE = "a shift would move amplitude beyond t_max; allocate a larger horizon"
 
 
 def apply_shift(state: WalkState) -> WalkState:
@@ -184,9 +189,7 @@ def apply_shift(state: WalkState) -> WalkState:
     """
     amps = state.amplitudes
     if np.any(amps[-1, 1::2]) or np.any(amps[0, 0::2]):
-        raise HorizonError(
-            "a shift would move amplitude beyond t_max; allocate a larger horizon"
-        )
+        raise HorizonError(_HORIZON_MESSAGE)
     out = np.zeros_like(amps)
     out[1:, 1::2] = amps[:-1, 1::2]
     out[:-1, 0::2] = amps[1:, 0::2]
@@ -226,20 +229,125 @@ def brun_toss(
     """One step tossing with cycle entry ``step % len(coins)``, ignoring history.
 
     ``step`` counts completed steps from 0, so a fresh walk uses the first
-    list entry on its first toss.  With all cycle entries equal this is
-    exactly :func:`toss` with a uniform table.
+    list entry on its first toss.  This is :func:`toss` with a uniform table.
     """
     rhos = tuple(coins)
     if len(rhos) != state.num_coins:
         raise ValueError(
             f"coin cycle has {len(rhos)} entries, state has {state.num_coins} coins"
         )
-    rho = _check_probability(rhos[step % len(rhos)], "rho")
-    half = 1 << (state.num_coins - 1)
-    keep = np.full(half, np.sqrt(rho))
-    flip = np.full(half, np.sqrt(1.0 - rho))
-    amplitudes = _flipped(state.amplitudes, keep, flip)
-    flipped = WalkState(state.num_coins, state.t_max, amplitudes, state.steps_taken)
-    out = apply_reorder(apply_shift(flipped))
-    out.steps_taken = state.steps_taken + 1
-    return out
+    return toss(state, HistoryRhoTable.uniform(state.num_coins, rhos[step % len(rhos)]))
+
+
+class _Kernel:
+    """Repeated :func:`toss` on a private copy of a state, through a cyclic schedule.
+
+    Step ``t`` (counted from construction) plays ``schedule[t % len(schedule)]``.
+    Each amplitude goes through the same multiplications and additions as in
+    :func:`toss`; three things make a step cheaper:
+
+    * The register rotation is a relabeling.  ``perm[c]`` is the physical
+      column that holds logical column ``c``; each step composes it with
+      :func:`_reorder_source` instead of moving data, so the retossed entry
+      sits in physical bit ``t mod num_coins`` and the retention coefficients
+      are permuted to match (cached per retossed bit and table).
+    * Only the occupied band of rows ``[lo, hi)`` is touched.  It starts at the
+      initial state's occupied rows and grows by one row on each side per
+      step, clipped to the grid; :class:`HorizonError` is raised exactly when
+      :func:`apply_shift` would raise it.
+    * Flip and shift are one write into a second buffer, and the two buffers
+      swap roles each step.  Rows outside the band stay zero.
+
+    The buffers are stored transposed, one contiguous run of positions per
+    register column, so a step's inner loops run along the band.  Each run has
+    one spare zero row below and above the grid, where amplitude shifted off
+    the grid lands to be checked.  After a :class:`HorizonError` the buffers
+    hold a partial step.
+    """
+
+    def __init__(self, state: WalkState, schedule: Sequence[HistoryRhoTable]):
+        for table in schedule:
+            if table.num_coins != state.num_coins:
+                raise ValueError(
+                    f"table is for {table.num_coins} coins, state has {state.num_coins}"
+                )
+        self.num_coins = state.num_coins
+        self.t_max = state.t_max
+        self.start = state.steps_taken
+        self.steps = 0
+        self.schedule = list(schedule)  # also keeps the ids in the cache keys valid
+        self.coefficients: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        amplitudes = state.amplitudes
+        self.rows, size = amplitudes.shape
+        occupied = np.flatnonzero(np.any(amplitudes, axis=1))
+        self.lo, self.hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
+        # Grid row g is buffer row g + 1.
+        self.psi = np.zeros((size, self.rows + 2), complex)
+        self.psi[:, self.lo + 1 : self.hi + 1] = amplitudes[self.lo : self.hi].T
+        self.spare = np.zeros_like(self.psi)
+        self.scratch = np.empty(self.psi.size // 2, complex)  # one half, one product
+        self.perm = np.arange(size)
+
+    def _coefficients(self, table: HistoryRhoTable, retossed: int):
+        # sqrt(rho) and i sqrt(1 - rho) for each physical column pair, shaped
+        # (high, low, 1) like the pair axes of the step's view.
+        key = (retossed, id(table))
+        if key not in self.coefficients:
+            size = 1 << self.num_coins
+            logical = np.argsort(self.perm)
+            pairs = np.arange(size).reshape(-1, 2, 1 << retossed)[:, 0, :]
+            rho = table.retention_array()[logical[pairs] >> 1][..., None]
+            self.coefficients[key] = np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)
+        return self.coefficients[key]
+
+    def step(self) -> None:
+        """Play the next table of the schedule: retoss, move, relabel."""
+        table = self.schedule[self.steps % len(self.schedule)]
+        retossed = self.steps % self.num_coins
+        keep, flip = self._coefficients(table, retossed)
+        lo, hi = self.lo, self.hi
+        if lo < hi:
+            # Axes: high column bits, the retossed bit, low column bits, rows.
+            shape = (-1, 2, 1 << retossed, self.rows + 2)
+            src = self.psi.reshape(shape)
+            dst = self.spare.reshape(shape)
+            old_l, old_r = src[:, 0, :, lo + 1 : hi + 1], src[:, 1, :, lo + 1 : hi + 1]
+            # The retossed L half moves one row down, the R half one row up.
+            new_l, new_r = dst[:, 0, :, lo:hi], dst[:, 1, :, lo + 2 : hi + 2]
+            tmp = self.scratch[: old_l.size].reshape(old_l.shape)
+            np.multiply(keep, old_l, out=new_l)
+            np.multiply(flip, old_r, out=tmp)
+            np.add(new_l, tmp, out=new_l)
+            np.multiply(flip, old_l, out=new_r)
+            np.multiply(keep, old_r, out=tmp)
+            np.add(new_r, tmp, out=new_r)
+            if (lo == 0 and dst[:, 0, :, 0].any()) or (
+                hi == self.rows and dst[:, 1, :, -1].any()
+            ):
+                raise HorizonError(_HORIZON_MESSAGE)
+            # Clear the two rows at the far side of each half that were not written.
+            dst[:, 0, :, hi : hi + 2] = 0
+            dst[:, 1, :, lo : lo + 2] = 0
+            self.lo, self.hi = max(lo - 1, 0), min(hi + 1, self.rows)
+            self.psi, self.spare = self.spare, self.psi
+        self.perm = self.perm[_reorder_source(self.num_coins)]
+        self.steps += 1
+
+    def probabilities(self) -> tuple[int, np.ndarray]:
+        """First band row and the register-traced probability of every band row.
+
+        Each row's terms are added one logical column after the other, the
+        order in which :func:`position_distribution` adds them for the
+        column-major arrays that :func:`toss` returns.
+        """
+        weights = np.abs(self.psi[:, self.lo + 1 : self.hi + 1])[self.perm]
+        np.square(weights, out=weights)
+        return self.lo, weights.sum(axis=0)
+
+    def state(self) -> WalkState:
+        """The current state in logical column order, as a new full-grid array.
+
+        The array is column-major, like the arrays :func:`toss` returns.
+        """
+        amplitudes = self.psi[self.perm, 1:-1].T
+        return WalkState(self.num_coins, self.t_max, amplitudes, self.start + self.steps)

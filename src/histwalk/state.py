@@ -11,6 +11,7 @@ encodes the string with the most recent result as the most significant bit
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ __all__ = [
     "index_to_coins",
     "complement",
     "WalkState",
+    "working_bytes",
+    "physical_memory_bytes",
+    "check_memory",
     "new_state",
     "norm",
     "fidelity",
@@ -134,12 +138,41 @@ class WalkState:
         return np.arange(-self.t_max, self.t_max + 1)
 
 
+def working_bytes(num_coins: int, t_max: int) -> int:
+    """Bytes of one state plus the evolution kernel's second buffer of the same size."""
+    return 2 * (2 * t_max + 1) * (1 << num_coins) * np.dtype(np.complex128).itemsize
+
+
+def physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def check_memory(num_coins: int, t_max: int) -> None:
+    """Raise ValueError if a walk on this grid cannot fit in physical memory."""
+    needed = working_bytes(num_coins, t_max)
+    available = physical_memory_bytes()
+    if available is not None and needed > available:
+        raise ValueError(
+            f"M = {num_coins} with horizon {t_max} needs {needed / 2**30:.1f} GiB "
+            f"for the state and its working buffer, more than the "
+            f"{available / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def new_state(num_coins: int, t_max: int) -> WalkState:
-    """Allocate an all-zero state; inject an initial state before evolving."""
+    """Allocate an all-zero state; inject an initial state before evolving.
+
+    Raises ValueError before allocating when :func:`check_memory` fails.
+    """
     if num_coins < 1:
         raise ValueError(f"num_coins must be >= 1, got {num_coins}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_memory(num_coins, t_max)
     shape = (2 * t_max + 1, 1 << num_coins)
     return WalkState(num_coins, t_max, np.zeros(shape, dtype=np.complex128))
 

@@ -8,13 +8,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .operators import BrunCoinList, HistoryRhoTable, brun_toss, toss
+from .operators import BrunCoinList, HistoryRhoTable, _Kernel
 from .state import (
     HorizonError,
     Moments,
+    NormalizationError,
     ProbabilityDistribution,
     WalkState,
-    moments,
     new_state,
     position_distribution,
 )
@@ -141,14 +141,42 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
 
 @dataclass
 class Trajectory:
-    """Per-step position statistics; entry 0 describes the initial state."""
+    """Per-step position statistics; entry 0 describes the initial state.
+
+    ``norm_drift[t]`` is ``|sum |psi|^2 - 1|`` after step ``t``.
+    """
 
     means: np.ndarray
     stds: np.ndarray
     snapshots: dict[int, ProbabilityDistribution] = field(default_factory=dict)
+    norm_drift: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __len__(self) -> int:
         return len(self.means)
+
+
+def _readout(first_row: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
+    """Mean, std and norm drift from the row probabilities ``p`` of the occupied band.
+
+    ``x`` and ``x2`` hold every grid position and its square.  The norm and
+    variance checks are those of :func:`position_distribution` and
+    :func:`moments`, and the dot products run over the same rows they use.
+    """
+    total = float(p.sum())
+    norm = np.sqrt(total)
+    if abs(norm - 1.0) > 1e-9:
+        raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9")
+    occupied = p.nonzero()[0]
+    lo, hi = int(occupied[0]), int(occupied[-1]) + 1
+    rows = slice(lo, hi, 1 if ((occupied - lo) & 1).any() else 2)
+    # Contiguous copies, so the dot products take the same path as in moments().
+    prob = np.ascontiguousarray(p[rows])
+    positions = slice(first_row + rows.start, first_row + rows.stop, rows.step)
+    mean = float(np.dot(prob, np.ascontiguousarray(x[positions])))
+    var = float(np.dot(prob, np.ascontiguousarray(x2[positions])) - mean * mean)
+    if var < -1e-10:
+        raise ValueError(f"variance {var} is negative beyond rounding tolerance")
+    return mean, float(np.sqrt(max(var, 0.0))), abs(total - 1.0)
 
 
 def _check_pattern(pattern: str, tables: Mapping[str, HistoryRhoTable]) -> None:
@@ -192,41 +220,48 @@ def run_sequence(
     out_of_range = {s for s in wanted if not 0 <= s <= steps}
     if out_of_range:
         raise ValueError(f"snapshot steps {sorted(out_of_range)} outside [0, {steps}]")
-    means = np.zeros(steps + 1)
-    stds = np.zeros(steps + 1)
+    x = initial.positions.astype(float)
+    x2 = x * x
+    means, stds, drift = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
     snapshots: dict[int, ProbabilityDistribution] = {}
-    state = initial.copy()
-    dist = position_distribution(state)
-    stat = moments(dist)
-    means[0], stds[0] = stat.mean, stat.std
-    if 0 in wanted:
-        snapshots[0] = dist
-    for t in range(steps):
-        state = toss(state, tables[pattern[t % len(pattern)]])
-        dist = position_distribution(state)
-        stat = moments(dist)
-        means[t + 1], stds[t + 1] = stat.mean, stat.std
-        if t + 1 in wanted:
-            snapshots[t + 1] = dist
-    return Trajectory(means, stds, snapshots)
+    kernel = _Kernel(initial, [tables[letter] for letter in pattern])
+    for t in range(steps + 1):
+        if t:
+            kernel.step()
+        means[t], stds[t], drift[t] = _readout(*kernel.probabilities(), x, x2)
+        if t in wanted:
+            snapshots[t] = position_distribution(kernel.state())
+    return Trajectory(means, stds, snapshots, drift)
 
 
 def evolve(initial: WalkState, table: HistoryRhoTable, steps: int) -> WalkState:
     """Apply ``steps`` tosses with one fixed table; returns the final state."""
-    state = initial.copy()
-    for _ in range(steps):
-        state = toss(state, table)
-    return state
+    return _evolve(initial, [table], steps)
 
 
 def evolve_brun(
     initial: WalkState, coins: BrunCoinList | Sequence[float], steps: int
 ) -> WalkState:
-    """Apply ``steps`` cycled tosses; the cycle position follows ``steps_taken``."""
-    state = initial.copy()
+    """Apply ``steps`` cycled tosses; the cycle position follows ``steps_taken``.
+
+    Each cycle entry is a uniform table, so this plays one uniform table per
+    step, starting from entry ``initial.steps_taken % len(coins)``.
+    """
+    rhos = tuple(coins)
+    if len(rhos) != initial.num_coins:
+        raise ValueError(
+            f"coin cycle has {len(rhos)} entries, state has {initial.num_coins} coins"
+        )
+    cycle = [HistoryRhoTable.uniform(initial.num_coins, rho) for rho in rhos]
+    offset = initial.steps_taken % len(cycle)
+    return _evolve(initial, cycle[offset:] + cycle[:offset], steps)
+
+
+def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps: int) -> WalkState:
+    kernel = _Kernel(initial, schedule)
     for _ in range(steps):
-        state = brun_toss(state, coins, state.steps_taken)
-    return state
+        kernel.step()
+    return kernel.state()
 
 
 def scan_sequences(

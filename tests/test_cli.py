@@ -2,9 +2,11 @@
 
 import shutil
 import subprocess
+import time
 
 import pytest
 
+import histwalk.state
 from histwalk.analysis import analyze_peaks
 from histwalk.cli import main
 from histwalk.operators import HistoryRhoTable
@@ -299,6 +301,20 @@ class TestExitCodes:
             "T = 5\npattern = A\nclassical.A.kind = biased\nclassical.A.p = 0.5\n",
         )
         assert main(["walk", "run", "--config", cfg]) == 1
+
+    def test_walk_too_large_for_memory_exits_one_before_allocating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # M = 20 with T = 1000 needs two 34 GB arrays; the machine size is
+        # pinned so the outcome does not depend on the host.
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        cfg = config_file(tmp_path, "M = 20\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n")
+        out = tmp_path / "run.csv"
+        start = time.perf_counter()
+        assert main(["walk", "run", "--config", cfg, "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 2.0
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_write_failures_return_two(self, tmp_path):
         cfg = config_file(tmp_path, SINGLE_COIN.format(steps=0))

@@ -2,6 +2,7 @@
 
 import pytest
 
+import histwalk.state
 from histwalk.classical import BiasedCoin, CapitalMod3, HistoryCoins
 from histwalk.config import ConfigError, parse_config
 
@@ -125,6 +126,12 @@ class TestValueErrors:
         bad = GAME_RUN.replace("games.B.rho.RR = 0.55", "games.B.rho.RR = 1.5")
         with pytest.raises(ConfigError, match=r"games\.B\.rho\.RR = 1\.5 must lie in \[0, 1\]"):
             parse_config(bad)
+
+    def test_walk_grid_larger_than_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        with pytest.raises(ConfigError, match="62.5 GiB .* more than the 16.0 GiB"):
+            parse_config("M = 20\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n")
+        parse_config("M = 12\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n")
 
     def test_missing_pattern(self):
         with pytest.raises(ConfigError, match="pattern is required"):

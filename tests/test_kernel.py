@@ -1,0 +1,285 @@
+"""The fused evolution kernel against the specification layer.
+
+The kernel relabels the register instead of rotating it, works only on the
+occupied band of rows and reads moments straight from the band.  Every test
+here compares it with the readable per-step functions (:func:`toss`,
+:func:`position_distribution`, :func:`moments`) or the dense oracle: moments
+within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.
+"""
+
+import numpy as np
+import pytest
+
+from histwalk.cli import main
+from histwalk.operators import (
+    HistoryRhoTable,
+    _Kernel,
+    _reorder_source,
+    all_histories,
+    brun_toss,
+    toss,
+)
+from histwalk.output import write_csv
+from histwalk.state import HorizonError, index_to_coins, moments, position_distribution
+from histwalk.walker import (
+    ALL_R,
+    ANTISYMMETRIC,
+    build_initial_state,
+    evolve,
+    evolve_brun,
+    run_sequence,
+)
+
+from reference import dense_evolve
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+MOMENT_TOL = 1e-10
+AMPLITUDE_TOL = 1e-12
+
+
+def spec_walk(initial, tables, pattern, steps):
+    """States after 0..steps tosses by the specification step, or up to a HorizonError.
+
+    Returns the states and the step that raised (None if none did).
+    """
+    states = [initial.copy()]
+    for t in range(steps):
+        try:
+            states.append(toss(states[-1], tables[pattern[t % len(pattern)]]))
+        except HorizonError:
+            return states, t + 1
+    return states, None
+
+
+def spec_csv(path, header, rows):
+    write_csv(header, rows, path)
+    return path.read_bytes()
+
+
+@st.composite
+def walks(draw, max_coins=6, max_horizon=8):
+    """Register size, 1-3 random tables, a pattern over them, an initial state, steps."""
+    num_coins = draw(st.integers(1, max_coins))
+    half = 1 << (num_coins - 1)
+    letters = "ABC"[: draw(st.integers(1, 3))]
+    rho = st.lists(st.floats(0.0, 1.0), min_size=half, max_size=half)
+    tables = {
+        letter: HistoryRhoTable(num_coins, dict(zip(all_histories(num_coins), draw(rho))))
+        for letter in letters
+    }
+    pattern = draw(st.text(alphabet=letters, min_size=1, max_size=4))
+    t_max = draw(st.integers(1, max_horizon))
+    kind = draw(st.sampled_from([ANTISYMMETRIC, ALL_R, "custom"]))
+    if kind == "custom":
+        # Off-origin entries anywhere on the grid, the edges included.
+        part = st.floats(-1.0, 1.0, allow_subnormal=False)
+        entries = draw(st.lists(
+            st.tuples(
+                st.integers(-t_max, t_max),
+                st.integers(0, (1 << num_coins) - 1),
+                st.builds(complex, part, part),
+            ),
+            min_size=1, max_size=4,
+        ))
+        assume(sum(abs(a) ** 2 for _, _, a in entries) > 1e-6)
+        kind = [(x, index_to_coins(c, num_coins), a) for x, c, a in entries]
+    initial = build_initial_state(num_coins, kind, t_max)
+    steps = draw(st.integers(0, t_max))
+    return initial, tables, pattern, steps
+
+
+class TestAgainstTheTossLoop:
+    @given(walks())
+    @settings(deadline=None, max_examples=60)
+    def test_run_sequence_matches_moments_snapshots_and_horizon(self, walk):
+        initial, tables, pattern, steps = walk
+        states, raised_at = spec_walk(initial, tables, pattern, steps)
+        snapshot_at = range(steps + 1)
+        if raised_at is not None:
+            with pytest.raises(HorizonError):
+                run_sequence(initial, tables, pattern, steps, snapshot_at)
+            return
+        trajectory = run_sequence(initial, tables, pattern, steps, snapshot_at)
+        dists = [position_distribution(state) for state in states]
+        stats = [moments(dist) for dist in dists]
+        assert np.max(np.abs(trajectory.means - [s.mean for s in stats])) <= MOMENT_TOL
+        assert np.max(np.abs(trajectory.stds - [s.std for s in stats])) <= MOMENT_TOL
+        for t, dist in enumerate(dists):
+            got = trajectory.snapshots[t]
+            assert np.array_equal(got.positions, dist.positions)
+            assert np.max(np.abs(got.probabilities - dist.probabilities)) <= AMPLITUDE_TOL
+        assert trajectory.norm_drift.shape == (steps + 1,)
+        assert np.all(trajectory.norm_drift <= 1e-12)
+
+    @given(walks(), st.integers(0, 3))
+    @settings(deadline=None, max_examples=60)
+    def test_every_step_matches_and_the_horizon_error_comes_at_the_same_step(
+        self, walk, extra
+    ):
+        initial, tables, pattern, steps = walk
+        steps = initial.t_max + extra  # far enough to reach the grid edge
+        states, raised_at = spec_walk(initial, tables, pattern, steps)
+        kernel = _Kernel(initial, [tables[letter] for letter in pattern])
+        for t in range(1, steps + 1):
+            if t == raised_at:
+                with pytest.raises(HorizonError):
+                    kernel.step()
+                return
+            kernel.step()
+            got = kernel.state()
+            assert got.steps_taken == t
+            assert np.max(np.abs(got.amplitudes - states[t].amplitudes)) <= AMPLITUDE_TOL
+        assert raised_at is None
+
+    @given(walks())
+    @settings(deadline=None, max_examples=40)
+    def test_evolve_matches_the_toss_loop_for_each_table(self, walk):
+        initial, tables, _, steps = walk
+        for letter, table in tables.items():
+            states, raised_at = spec_walk(initial, tables, letter, steps)
+            if raised_at is not None:
+                with pytest.raises(HorizonError):
+                    evolve(initial, table, steps)
+                continue
+            got = evolve(initial, table, steps)
+            assert got.steps_taken == initial.steps_taken + steps
+            assert np.max(np.abs(got.amplitudes - states[-1].amplitudes)) <= AMPLITUDE_TOL
+
+    def test_input_state_is_left_alone(self):
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=6)
+        before = initial.amplitudes.copy()
+        evolve(initial, HistoryRhoTable.uniform(3, 0.3), 6)
+        run_sequence(initial, {"A": HistoryRhoTable.uniform(3, 0.3)}, "A", 6)
+        assert np.array_equal(initial.amplitudes, before)
+        assert initial.steps_taken == 0
+
+
+class TestAgainstTheDenseOracle:
+    @given(walks(max_coins=4, max_horizon=5))
+    @settings(deadline=None, max_examples=30)
+    def test_final_amplitudes_match_dense_steps(self, walk):
+        initial, tables, pattern, steps = walk
+        _, raised_at = spec_walk(initial, tables, pattern, steps)
+        assume(raised_at is None)
+        kernel = _Kernel(initial, [tables[letter] for letter in pattern])
+        expected = initial.amplitudes
+        for t in range(steps):
+            kernel.step()
+            rho = tables[pattern[t % len(pattern)]].retention_array()
+            expected = dense_evolve(expected, initial.num_coins, rho, 1)
+        assert np.max(np.abs(kernel.state().amplitudes - expected)) <= AMPLITUDE_TOL
+
+
+class TestRelabeling:
+    def test_single_coin_relabeling_is_the_identity(self):
+        assert _reorder_source(1).tolist() == [0, 1]
+        initial = build_initial_state(1, ANTISYMMETRIC, t_max=12)
+        kernel = _Kernel(initial, [HistoryRhoTable.uniform(1, 0.3)])
+        for _ in range(12):
+            kernel.step()
+            assert kernel.perm.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("num_coins", [2, 3, 5])
+    def test_column_map_cycles_with_the_register_length(self, num_coins):
+        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=2 * num_coins)
+        kernel = _Kernel(initial, [HistoryRhoTable.uniform(num_coins)])
+        maps = []
+        for _ in range(2 * num_coins):
+            maps.append(kernel.perm.tolist())
+            kernel.step()
+        assert maps[0] == list(range(1 << num_coins))
+        assert maps[1] != maps[0]
+        assert maps[num_coins:] == maps[:num_coins]
+
+    def test_band_grows_one_row_per_side_and_stops_at_the_grid(self):
+        initial = build_initial_state(2, [(2, "LR", 1.0)], t_max=4)
+        kernel = _Kernel(initial, [HistoryRhoTable.uniform(2)])
+        bands = [(kernel.lo, kernel.hi)]
+        for _ in range(2):
+            kernel.step()
+            bands.append((kernel.lo, kernel.hi))
+        assert bands == [(6, 7), (5, 8), (4, 9)]
+
+
+class TestBrunCycles:
+    def test_brun_toss_is_toss_with_a_uniform_table(self):
+        state = build_initial_state(3, ANTISYMMETRIC, t_max=2)
+        via_brun = brun_toss(state, (0.2, 0.5, 0.9), 4)
+        via_toss = toss(state, HistoryRhoTable.uniform(3, 0.5))
+        assert np.array_equal(via_brun.amplitudes, via_toss.amplitudes)
+
+    def test_evolve_brun_follows_steps_taken_like_brun_toss(self):
+        coins = (0.2, 0.7, 0.9)
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=12)
+        start = evolve(initial, HistoryRhoTable.uniform(3), 2)
+        expected = start
+        for _ in range(10):
+            expected = brun_toss(expected, coins, expected.steps_taken)
+        got = evolve_brun(start, coins, 10)
+        assert got.steps_taken == expected.steps_taken == 12
+        assert np.max(np.abs(got.amplitudes - expected.amplitudes)) <= AMPLITUDE_TOL
+
+
+class TestNormDrift:
+    def _random_games(self, num_coins, seed):
+        rho = np.random.default_rng(seed).uniform(0.3, 0.7, 1 << (num_coins - 1))
+        return {
+            "A": HistoryRhoTable.uniform(num_coins, 0.5),
+            "B": HistoryRhoTable(num_coins, dict(zip(all_histories(num_coins), rho))),
+        }
+
+    @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000)])
+    def test_stays_below_1e_12_on_long_walks(self, num_coins, steps):
+        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
+        trajectory = run_sequence(initial, self._random_games(num_coins, 7), "AAB", steps)
+        assert trajectory.norm_drift.shape == (steps + 1,)
+        assert np.max(trajectory.norm_drift) <= 1e-12
+
+    def test_stays_below_1e_12_over_a_pattern_scan(self):
+        games = self._random_games(3, 11)
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=60)
+        for pattern in ("A", "B", "AB", "AAB", "ABBA", "BBABA"):
+            trajectory = run_sequence(initial, games, pattern, 60)
+            assert np.max(trajectory.norm_drift) <= 1e-12
+
+
+class TestCliOutputIsUnchanged:
+    """The CLI's CSV bytes equal those written from the specification loop."""
+
+    CONFIG = (
+        "M = {m}\nT = {steps}\npattern = AAB\n"
+        "games.A.rho.default = 0.5\n"
+        "games.B.rho.default = 0.45\ngames.B.rho.{key} = 0.62\n"
+    )
+
+    def _setup(self, tmp_path, num_coins, steps):
+        key = "R" * (num_coins - 1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG.format(m=num_coins, steps=steps, key=key), encoding="utf-8")
+        tables = {
+            "A": HistoryRhoTable.uniform(num_coins, 0.5),
+            "B": HistoryRhoTable.with_overrides(num_coins, 0.45, {key: 0.62}),
+        }
+        initial = build_initial_state(num_coins, ANTISYMMETRIC, steps)
+        states, raised_at = spec_walk(initial, tables, "AAB", steps)
+        assert raised_at is None
+        return str(cfg), states
+
+    @pytest.mark.parametrize("num_coins, steps", [(3, 300), (5, 120)])
+    def test_walk_run_csv_is_byte_identical(self, tmp_path, num_coins, steps):
+        cfg, states = self._setup(tmp_path, num_coins, steps)
+        out = tmp_path / "run.csv"
+        assert main(["walk", "run", "--config", cfg, "--out", str(out)]) == 0
+        stats = [moments(position_distribution(state)) for state in states]
+        rows = [(t, s.mean, s.std) for t, s in enumerate(stats)]
+        assert out.read_bytes() == spec_csv(tmp_path / "spec.csv", ("t", "mean", "std"), rows)
+
+    @pytest.mark.parametrize("num_coins, steps", [(3, 300), (5, 120)])
+    def test_walk_dist_csv_is_byte_identical(self, tmp_path, num_coins, steps):
+        cfg, states = self._setup(tmp_path, num_coins, steps)
+        out = tmp_path / "dist.csv"
+        assert main(["walk", "dist", "--config", cfg, "--out", str(out)]) == 0
+        dist = position_distribution(states[-1])
+        rows = zip(dist.positions, dist.probabilities)
+        assert out.read_bytes() == spec_csv(tmp_path / "spec.csv", ("x", "p"), rows)

@@ -1,5 +1,7 @@
 """CSV and SVG writers: formatting, byte layout, and determinism."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -115,4 +117,6 @@ class TestFormattingProperties:
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_formatted_values_parse_back_within_the_last_digit(self, value):
-        assert float(format_value(value)) == pytest.approx(value, abs=5e-13)
+        # Compared exactly: parsing the text back to a float would add up to
+        # half an ulp on top of the half unit in the twelfth decimal.
+        assert abs(Decimal(format_value(value)) - Decimal(value)) <= Decimal("5e-13")

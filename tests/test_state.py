@@ -1,7 +1,11 @@
 """Register encoding, amplitude storage, distributions and moments."""
 
+import os
+
 import numpy as np
 import pytest
+
+import histwalk.state
 
 from histwalk.state import (
     HorizonError,
@@ -15,7 +19,9 @@ from histwalk.state import (
     index_to_coins,
     moments,
     new_state,
+    physical_memory_bytes,
     position_distribution,
+    working_bytes,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +63,23 @@ class TestWalkState:
         assert state.amplitudes.shape == (21, 8)
         assert state.norm() == 0.0
         assert state.steps_taken == 0
+
+    def test_working_bytes_count_the_state_and_one_more_buffer(self):
+        assert working_bytes(3, 10) == 2 * 21 * 8 * 16
+        assert working_bytes(20, 1000) == 2 * 2001 * 2**20 * 16
+
+    def test_physical_memory_comes_from_sysconf(self):
+        if not hasattr(os, "sysconf"):
+            assert physical_memory_bytes() is None
+        else:
+            expected = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            assert physical_memory_bytes() == expected > 0
+
+    def test_new_state_refuses_grids_larger_than_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        with pytest.raises(ValueError, match="physical memory"):
+            new_state(20, 1000)
+        assert new_state(12, 1000).amplitudes.shape == (2001, 4096)
 
     def test_amplitude_round_trip(self):
         state = new_state(2, 5)
