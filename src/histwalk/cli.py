@@ -27,6 +27,8 @@ from .config import ConfigError, RunConfig, parse_config
 from .output import emit_svg_plot, write_csv
 from .walker import (
     POSITIVE_MEAN_THRESHOLD,
+    _check_scan_size,
+    _check_sweep_size,
     build_initial_state,
     run_sequence,
     scan_sequences,
@@ -170,6 +172,14 @@ def _cmd_walk_dist(args) -> None:
     _maybe_plot(args, config)
 
 
+def _fits(check, *sizes) -> None:
+    """Run a size guard from :mod:`histwalk.walker`, reporting its refusal as a usage error."""
+    try:
+        check(*sizes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cmd_walk_sweep(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
@@ -186,6 +196,7 @@ def _cmd_walk_sweep(args) -> None:
     for bound in (args.sweep_from, args.sweep_to):
         if not 0.0 <= bound <= 1.0:
             raise ConfigError(f"sweep bound {bound} must lie in [0, 1]")
+    _fits(_check_sweep_size, args.grid_points)
     grid = np.linspace(args.sweep_from, args.sweep_to, args.grid_points)
     results = sweep_parameter(table, key, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
@@ -198,6 +209,7 @@ def _cmd_walk_scan(args) -> None:
     _require_quantum(config)
     if args.max_len < 1:
         raise ConfigError("--max-len must be >= 1")
+    _fits(_check_scan_size, len(config.games), args.max_len)
     results = scan_sequences(
         config.games, args.max_len, config.num_coins, config.steps, config.initial
     )

@@ -18,6 +18,7 @@ these functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -240,74 +241,101 @@ def brun_toss(
 
 
 class _Kernel:
-    """Repeated :func:`toss` on a private copy of a state, through a cyclic schedule.
+    """Repeated :func:`toss` on private copies of a state, one cyclic schedule per batch entry.
 
-    Step ``t`` (counted from construction) plays ``schedule[t % len(schedule)]``.
-    Each amplitude goes through the same multiplications and additions as in
-    :func:`toss`; three things make a step cheaper:
+    ``_Kernel(state, schedule, ...)`` starts one batch entry from ``state``
+    per schedule; at step ``t`` (counted from construction) entry ``b`` plays
+    ``schedules[b][t % len(schedules[b])]``.  Each amplitude goes through the
+    same multiplications and additions as in :func:`toss`; four things make a
+    step cheaper:
 
     * The register rotation is a relabeling.  ``perm[c]`` is the physical
       column that holds logical column ``c``; each step composes it with
       :func:`_reorder_source` instead of moving data, so the retossed entry
       sits in physical bit ``t mod num_coins`` and the retention coefficients
-      are permuted to match (cached per retossed bit and table).
+      are permuted to match.
     * Only the occupied band of rows ``[lo, hi)`` is touched.  It starts at the
       initial state's occupied rows and grows by one row on each side per
       step, clipped to the grid; :class:`HorizonError` is raised exactly when
-      :func:`apply_shift` would raise it.
+      :func:`apply_shift` would raise it for some entry.
     * Flip and shift are one write into a second buffer, and the two buffers
       swap roles each step.  Rows outside the band stay zero.
+    * The batch axis comes first.  Every entry shares the band and the column
+      map, which depend only on ``t``, so one set of NumPy calls steps every
+      entry.  Each entry's coefficients are gathered by the code of its table
+      from the permuted tables, which are cached per retossed bit; the
+      gathered coefficients repeat with ``t`` modulo ``period`` and are cached
+      per phase, so a single walk gathers only during its first period.  At
+      most one phase per step is cached; within the horizon that is less than
+      half a buffer.
 
-    The buffers are stored transposed, one contiguous run of positions per
-    register column, so a step's inner loops run along the band.  Each run has
-    one spare zero row below and above the grid, where amplitude shifted off
-    the grid lands to be checked.  After a :class:`HorizonError` the buffers
-    hold a partial step.
+    The buffers have shape ``(entries, 2**num_coins, rows + 2)``: transposed,
+    one contiguous run of positions per register column, so a step's inner
+    loops run along the band.  Each run has one spare zero row below and above
+    the grid, where amplitude shifted off the grid lands to be checked.  After
+    a :class:`HorizonError` the buffers hold a partial step.
     """
 
-    def __init__(self, state: WalkState, schedule: Sequence[HistoryRhoTable]):
-        for table in schedule:
-            if table.num_coins != state.num_coins:
-                raise ValueError(
-                    f"table is for {table.num_coins} coins, state has {state.num_coins}"
-                )
+    def __init__(self, state: WalkState, *schedules: Sequence[HistoryRhoTable]):
         self.num_coins = state.num_coins
         self.t_max = state.t_max
         self.start = state.steps_taken
         self.steps = 0
-        self.schedule = list(schedule)  # also keeps the ids in the cache keys valid
-        self.coefficients: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # Distinct tables by identity, and each schedule as codes into them.
+        tables = {id(table): table for schedule in schedules for table in schedule}
+        for table in tables.values():
+            if table.num_coins != state.num_coins:
+                raise ValueError(
+                    f"table is for {table.num_coins} coins, state has {state.num_coins}"
+                )
+        code = {key: index for index, key in enumerate(tables)}
+        self.rho = np.array([table.retention_array() for table in tables.values()])
+        self.lengths = np.array([len(schedule) for schedule in schedules])
+        self.codes = np.zeros((len(schedules), self.lengths.max()), int)
+        for entry, schedule in enumerate(schedules):
+            self.codes[entry, : len(schedule)] = [code[id(table)] for table in schedule]
+        self.entries = np.arange(len(schedules))
+        self.period = math.lcm(self.num_coins, *self.lengths.tolist())
+        self.permuted: dict[int, np.ndarray] = {}
+        self.coefficients: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         amplitudes = state.amplitudes
         self.rows, size = amplitudes.shape
         occupied = np.flatnonzero(np.any(amplitudes, axis=1))
         self.lo, self.hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
         # Grid row g is buffer row g + 1.
-        self.psi = np.zeros((size, self.rows + 2), complex)
-        self.psi[:, self.lo + 1 : self.hi + 1] = amplitudes[self.lo : self.hi].T
+        self.psi = np.zeros((len(schedules), size, self.rows + 2), complex)
+        self.psi[:, :, self.lo + 1 : self.hi + 1] = amplitudes[self.lo : self.hi].T
         self.spare = np.zeros_like(self.psi)
         self.scratch = np.empty(self.psi.size // 2, complex)  # one half, one product
         self.perm = np.arange(size)
 
-    def _coefficients(self, table: HistoryRhoTable, retossed: int):
-        # sqrt(rho) and i sqrt(1 - rho) for each physical column pair, shaped
-        # (high, low, 1) like the pair axes of the step's view.
-        key = (retossed, id(table))
-        if key not in self.coefficients:
-            size = 1 << self.num_coins
-            logical = np.argsort(self.perm)
-            pairs = np.arange(size).reshape(-1, 2, 1 << retossed)[:, 0, :]
-            rho = table.retention_array()[logical[pairs] >> 1][..., None]
-            self.coefficients[key] = np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)
-        return self.coefficients[key]
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        # sqrt(rho) and i sqrt(1 - rho) of every entry's table at this step,
+        # for each physical column pair, shaped (entries * high, low, 1) like
+        # the pair axes of the step's view.
+        phase = self.steps % self.period
+        if phase not in self.coefficients:
+            retossed = phase % self.num_coins
+            if retossed not in self.permuted:
+                logical = np.argsort(self.perm)
+                pairs = np.arange(1 << self.num_coins).reshape(-1, 2, 1 << retossed)[:, 0, :]
+                rho = self.rho[:, logical[pairs] >> 1, None]
+                self.permuted[retossed] = np.stack(
+                    [np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)]
+                )
+            games = self.codes[self.entries, phase % self.lengths]
+            pair_shape = (-1, 1 << retossed, 1)  # entries and high bits share an axis
+            keep, flip = self.permuted[retossed][:, games]
+            self.coefficients[phase] = keep.reshape(pair_shape), flip.reshape(pair_shape)
+        return self.coefficients[phase]
 
     def step(self) -> None:
-        """Play the next table of the schedule: retoss, move, relabel."""
-        table = self.schedule[self.steps % len(self.schedule)]
+        """Play every entry's next table: retoss, move, relabel."""
         retossed = self.steps % self.num_coins
-        keep, flip = self._coefficients(table, retossed)
+        keep, flip = self._coefficients()
         lo, hi = self.lo, self.hi
         if lo < hi:
-            # Axes: high column bits, the retossed bit, low column bits, rows.
+            # Axes: entries and high column bits, the retossed bit, low column bits, rows.
             shape = (-1, 2, 1 << retossed, self.rows + 2)
             src = self.psi.reshape(shape)
             dst = self.spare.reshape(shape)
@@ -333,21 +361,27 @@ class _Kernel:
         self.perm = self.perm[_reorder_source(self.num_coins)]
         self.steps += 1
 
+    def norms(self) -> np.ndarray:
+        """Squared norm of every entry, summed over the band in no set order."""
+        band = self.psi[:, :, self.lo + 1 : self.hi + 1].view(float)
+        return np.einsum("bcr,bcr->b", band, band)
+
     def probabilities(self) -> tuple[int, np.ndarray]:
-        """First band row and the register-traced probability of every band row.
+        """First band row and the register-traced probability of every entry's band rows.
 
-        Each row's terms are added one logical column after the other, the
-        order in which :func:`position_distribution` adds them for the
-        column-major arrays that :func:`toss` returns.
+        The result has one row per entry.  Each position's terms are added one
+        logical column after the other, the order in which
+        :func:`position_distribution` adds them for the column-major arrays
+        that :func:`toss` returns.
         """
-        weights = np.abs(self.psi[:, self.lo + 1 : self.hi + 1])[self.perm]
+        weights = np.abs(self.psi[:, :, self.lo + 1 : self.hi + 1])[:, self.perm]
         np.square(weights, out=weights)
-        return self.lo, weights.sum(axis=0)
+        return self.lo, weights.sum(axis=1)
 
-    def state(self) -> WalkState:
-        """The current state in logical column order, as a new full-grid array.
+    def state(self, entry: int = 0) -> WalkState:
+        """One entry's current state in logical column order, as a new full-grid array.
 
         The array is column-major, like the arrays :func:`toss` returns.
         """
-        amplitudes = self.psi[self.perm, 1:-1].T
+        amplitudes = self.psi[entry][self.perm, 1:-1].T
         return WalkState(self.num_coins, self.t_max, amplitudes, self.start + self.steps)

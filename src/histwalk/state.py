@@ -151,16 +151,26 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def check_memory(num_coins: int, t_max: int) -> None:
-    """Raise ValueError if a walk on this grid cannot fit in physical memory."""
-    needed = working_bytes(num_coins, t_max)
+def _check_fits(needed: int, what: str, use: str) -> None:
+    """Raise ValueError if ``needed`` bytes exceed physical memory.
+
+    The message says that ``what`` needs them ``use`` (what they hold).
+    """
     available = physical_memory_bytes()
     if available is not None and needed > available:
         raise ValueError(
-            f"M = {num_coins} with horizon {t_max} needs {needed / 2**30:.1f} GiB "
-            f"for the state and its working buffer, more than the "
+            f"{what} needs {needed / 2**30:.1f} GiB {use}, more than the "
             f"{available / 2**30:.1f} GiB of physical memory"
         )
+
+
+def check_memory(num_coins: int, t_max: int) -> None:
+    """Raise ValueError if a walk on this grid cannot fit in physical memory."""
+    _check_fits(
+        working_bytes(num_coins, t_max),
+        f"M = {num_coins} with horizon {t_max}",
+        "for the state and its working buffer",
+    )
 
 
 def new_state(num_coins: int, t_max: int) -> WalkState:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -15,6 +15,7 @@ from .state import (
     NormalizationError,
     ProbabilityDistribution,
     WalkState,
+    _check_fits,
     new_state,
     position_distribution,
 )
@@ -40,6 +41,14 @@ ALL_R = "allR"
 #: Means above this count as genuinely positive in pattern scans; smaller
 #: values are rounding dust from patterns with no net bias.
 POSITIVE_MEAN_THRESHOLD = 1e-9
+
+# Scans and sweeps step their patterns or grid points in chunks whose
+# amplitude buffers hold about this many bytes each.
+_CHUNK_BYTES = 256 * 1024
+
+# Bytes a scan pattern or sweep point holds in its results: key or grid
+# value, result objects and container slots (tracemalloc measures 120-230).
+_RESULT_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -155,6 +164,11 @@ class Trajectory:
         return len(self.means)
 
 
+def _check_norm(norm: float) -> None:
+    if abs(norm - 1.0) > 1e-9:
+        raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9")
+
+
 def _readout(first_row: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
     """Mean, std and norm drift from the row probabilities ``p`` of the occupied band.
 
@@ -163,9 +177,7 @@ def _readout(first_row: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
     :func:`moments`, and the dot products run over the same rows they use.
     """
     total = float(p.sum())
-    norm = np.sqrt(total)
-    if abs(norm - 1.0) > 1e-9:
-        raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9")
+    _check_norm(np.sqrt(total))
     occupied = p.nonzero()[0]
     lo, hi = int(occupied[0]), int(occupied[-1]) + 1
     rows = slice(lo, hi, 1 if ((occupied - lo) & 1).any() else 2)
@@ -228,7 +240,8 @@ def run_sequence(
     for t in range(steps + 1):
         if t:
             kernel.step()
-        means[t], stds[t], drift[t] = _readout(*kernel.probabilities(), x, x2)
+        first_row, p = kernel.probabilities()
+        means[t], stds[t], drift[t] = _readout(first_row, p[0], x, x2)
         if t in wanted:
             snapshots[t] = position_distribution(kernel.state())
     return Trajectory(means, stds, snapshots, drift)
@@ -264,13 +277,75 @@ def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps: int)
     return kernel.state()
 
 
+def _check_scan_size(letters: int, max_len: int) -> None:
+    """Raise ValueError before enumerating a scan whose results cannot fit in memory.
+
+    The pattern count ``sum(letters**k for k in 1..max_len)`` is taken in
+    integer arithmetic, stopping once it passes 2**64, which no memory holds.
+    Each pattern is charged :data:`_RESULT_BYTES` plus one byte per letter of
+    the longest key.
+    """
+    if letters == 1:
+        count = max_len
+    else:
+        count, power = 0, 1
+        for _ in range(max_len):
+            power *= letters
+            count += power
+            if count > 2**64:
+                break
+    what = f"a scan of {count} patterns" if count <= 2**64 else "a scan of over 2**64 patterns"
+    _check_fits(count * (_RESULT_BYTES + max_len), what, "for its results")
+
+
+def _check_sweep_size(points: int) -> None:
+    """Raise ValueError if the results of a ``points``-value sweep cannot fit in memory.
+
+    Each grid value is charged :data:`_RESULT_BYTES`.
+    """
+    _check_fits(points * _RESULT_BYTES, f"a sweep of {points} grid values", "for its results")
+
+
+def _final_moments(
+    initial: WalkState, schedules: Iterable[Sequence[HistoryRhoTable]], steps: int
+) -> list[tuple[float, float]]:
+    """Final-step mean and std of every schedule played from ``initial``.
+
+    Schedules are stepped a chunk at a time on one batched kernel whose
+    buffers hold about :data:`_CHUNK_BYTES` each.  Every step checks each
+    entry's norm on the rule of :func:`_readout`; the final step reads each
+    entry out with :func:`_readout`, so the moments equal those of
+    :func:`run_sequence` bit for bit.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    rows, size = initial.amplitudes.shape
+    per_entry = size * (rows + 2) * initial.amplitudes.itemsize
+    chunk = max(1, _CHUNK_BYTES // per_entry)
+    x = initial.positions.astype(float)
+    x2 = x * x
+    results: list[tuple[float, float]] = []
+    schedules = iter(schedules)
+    while batch := list(islice(schedules, chunk)):
+        kernel = _Kernel(initial, *batch)
+        for _ in range(steps):
+            kernel.step()
+            norms = np.sqrt(kernel.norms())
+            _check_norm(norms[np.argmax(np.abs(norms - 1.0))])
+        first_row, p = kernel.probabilities()
+        results.extend(_readout(first_row, entry, x, x2)[:2] for entry in p)
+    return results
+
+
 def scan_sequences(
     games, max_len: int, num_coins: int, steps: int, kind=ANTISYMMETRIC
 ) -> dict[str, float]:
     """Final-step mean for every non-empty pattern of up to ``max_len`` letters.
 
     Every pattern starts from the identical initial state; keys are returned
-    in lexicographic order over the sorted game alphabet.
+    in lexicographic order over the sorted game alphabet.  A scan whose
+    results cannot fit in physical memory raises ValueError before any
+    pattern is built.
     """
     tables = as_game_tables(games)
     if max_len < 1:
@@ -279,17 +354,16 @@ def scan_sequences(
     if first.num_coins != num_coins:
         raise ValueError(f"games are for {first.num_coins} coins, asked for {num_coins}")
     letters = sorted(tables)
+    _check_scan_size(len(letters), max_len)
     patterns = sorted(
         "".join(p)
         for length in range(1, max_len + 1)
         for p in product(letters, repeat=length)
     )
     initial = build_initial_state(num_coins, kind, t_max=max(steps, 1))
-    results: dict[str, float] = {}
-    for pattern in patterns:
-        trajectory = run_sequence(initial, tables, pattern, steps)
-        results[pattern] = float(trajectory.means[-1])
-    return results
+    schedules = ([tables[letter] for letter in pattern] for pattern in patterns)
+    moments = _final_moments(initial, schedules, steps)
+    return {pattern: mean for pattern, (mean, _) in zip(patterns, moments)}
 
 
 def sweep_parameter(
@@ -303,14 +377,12 @@ def sweep_parameter(
 
     Returns ``(rho, Moments)`` pairs in grid order; every run starts from the
     same initial state and plays the adjusted table for all ``steps`` tosses.
+    A grid whose results cannot fit in physical memory raises ValueError
+    before any run.
     """
     table = base.table if isinstance(base, GameSpec) else base
+    _check_sweep_size(len(grid))
     initial = build_initial_state(table.num_coins, kind, t_max=max(steps, 1))
-    results: list[tuple[float, Moments]] = []
-    for rho in grid:
-        adjusted = table.replaced(history_key, float(rho))
-        trajectory = run_sequence(initial, {"X": adjusted}, "X", steps)
-        results.append(
-            (float(rho), Moments(float(trajectory.means[-1]), float(trajectory.stds[-1])))
-        )
-    return results
+    schedules = ([table.replaced(history_key, float(rho))] for rho in grid)
+    moments = _final_moments(initial, schedules, steps)
+    return [(float(rho), Moments(mean, std)) for rho, (mean, std) in zip(grid, moments)]

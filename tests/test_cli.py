@@ -7,9 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import histwalk.state
+import histwalk.walker
 from histwalk.analysis import analyze_peaks
 from histwalk.cli import main
 from histwalk.operators import HistoryRhoTable
@@ -330,6 +332,33 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scan_too_large_for_memory_exits_one_before_enumerating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        monkeypatch.setattr(histwalk.walker, "product", self._never_called)
+        cfg = config_file(tmp_path, BIASED_THREE.format(steps=10, pattern="AB"))
+        out = tmp_path / "scan.csv"
+        assert main(["walk", "scan", "--config", cfg, "--max-len", "40", "--out", str(out)]) == 1
+        assert "2199023255550 patterns" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_too_large_for_memory_exits_one_before_building_the_grid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        monkeypatch.setattr(np, "linspace", self._never_called)
+        cfg = config_file(tmp_path, BIASED_THREE.format(steps=10, pattern="B"))
+        out = tmp_path / "sweep.csv"
+        args = ["--param", "RR", "--from", "0", "--to", "1", "--steps", str(10**9)]
+        assert main(["walk", "sweep", "--config", cfg, *args, "--out", str(out)]) == 1
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def _never_called(*args, **kwargs):
+        raise AssertionError("the size guard should have refused the run first")
 
     def test_write_failures_return_two(self, tmp_path):
         cfg = config_file(tmp_path, SINGLE_COIN.format(steps=0))

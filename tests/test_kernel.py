@@ -4,12 +4,17 @@ The kernel relabels the register instead of rotating it, works only on the
 occupied band of rows and reads moments straight from the band.  Every test
 here compares it with the readable per-step functions (:func:`toss`,
 :func:`position_distribution`, :func:`moments`) or the dense oracle: moments
-within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.
+within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Scans
+and sweeps step many walks at once on the kernel's batch axis; their results
+equal the single walks of :func:`run_sequence` bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+import histwalk.walker
 from histwalk.cli import main
 from histwalk.operators import (
     HistoryRhoTable,
@@ -20,7 +25,13 @@ from histwalk.operators import (
     toss,
 )
 from histwalk.output import write_csv
-from histwalk.state import HorizonError, index_to_coins, moments, position_distribution
+from histwalk.state import (
+    HorizonError,
+    NormalizationError,
+    index_to_coins,
+    moments,
+    position_distribution,
+)
 from histwalk.walker import (
     ALL_R,
     ANTISYMMETRIC,
@@ -28,6 +39,8 @@ from histwalk.walker import (
     evolve,
     evolve_brun,
     run_sequence,
+    scan_sequences,
+    sweep_parameter,
 )
 
 from reference import dense_evolve
@@ -285,3 +298,119 @@ class TestCliOutputIsUnchanged:
         dist = position_distribution(states[-1])
         rows = zip(dist.positions, dist.probabilities)
         assert out.read_bytes() == spec_csv(tmp_path / "spec.csv", ("x", "p"), rows)
+
+
+def entry_bytes(num_coins, steps):
+    """Bytes of one batch entry's amplitude buffer for a scan or sweep of ``steps``."""
+    return (1 << num_coins) * (2 * max(steps, 1) + 3) * 16
+
+
+def chunked(monkeypatch, num_coins, steps, per_chunk):
+    """Make scans and sweeps step ``per_chunk`` entries at a time."""
+    budget = per_chunk * entry_bytes(num_coins, steps) + entry_bytes(num_coins, steps) // 2
+    monkeypatch.setattr(histwalk.walker, "_CHUNK_BYTES", budget)
+
+
+def random_tables(num_coins, letters, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        letter: HistoryRhoTable(
+            num_coins, dict(zip(all_histories(num_coins), rng.uniform(0, 1, 1 << (num_coins - 1))))
+        )
+        for letter in letters
+    }
+
+
+class TestBatchedScansAndSweeps:
+    @given(
+        num_coins=st.integers(1, 5),
+        letters=st.sampled_from(["A", "AB", "ABC"]),
+        max_len=st.integers(1, 4),
+        steps=st.integers(0, 30),
+        per_chunk=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_scan_means_equal_single_walks_bit_for_bit(
+        self, num_coins, letters, max_len, steps, per_chunk, seed
+    ):
+        tables = random_tables(num_coins, letters, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            chunked(patch, num_coins, steps, per_chunk)
+            got = scan_sequences(tables, max_len, num_coins, steps)
+        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=max(steps, 1))
+        want = {p: run_sequence(initial, tables, p, steps).means[-1] for p in got}
+        assert len(got) == sum(len(letters) ** k for k in range(1, max_len + 1))
+        assert got == want
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 100])
+    def test_sweep_moments_equal_single_walks_bit_for_bit(self, monkeypatch, per_chunk):
+        table = random_tables(3, "B", 5)["B"]
+        grid = np.linspace(0.0, 1.0, 7)
+        chunked(monkeypatch, 3, 25, per_chunk)
+        got = sweep_parameter(table, "RL", grid, 25, ALL_R)
+        initial = build_initial_state(3, ALL_R, t_max=25)
+        for rho, (got_rho, stat) in zip(grid, got):
+            trajectory = run_sequence(initial, {"X": table.replaced("RL", rho)}, "X", 25)
+            assert got_rho == rho
+            assert (stat.mean, stat.std) == (trajectory.means[-1], trajectory.stds[-1])
+
+    def test_batched_final_amplitudes_match_dense_steps(self):
+        tables = random_tables(3, "AB", 9)
+        patterns = ["A", "AB", "BBA", "ABAB"]
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=6)
+        kernel = _Kernel(initial, *[[tables[letter] for letter in p] for p in patterns])
+        for _ in range(6):
+            kernel.step()
+        for entry, pattern in enumerate(patterns):
+            expected = initial.amplitudes
+            for t in range(6):
+                rho = tables[pattern[t % len(pattern)]].retention_array()
+                expected = dense_evolve(expected, 3, rho, 1)
+            got = kernel.state(entry)
+            assert got.steps_taken == 6
+            assert np.max(np.abs(got.amplitudes - expected)) <= AMPLITUDE_TOL
+
+    def test_a_norm_lost_mid_walk_is_caught_at_that_step(self, monkeypatch):
+        step = _Kernel.step
+        calls = []
+
+        def leaky_step(kernel):
+            step(kernel)
+            calls.append(kernel.steps)
+            if kernel.steps == 3:
+                kernel.psi[-1] *= 1.001  # only the chunk's last entry leaks
+
+        monkeypatch.setattr(_Kernel, "step", leaky_step)
+        with pytest.raises(NormalizationError, match="norm"):
+            scan_sequences(random_tables(3, "AB", 1), 2, 3, 10)
+        assert calls == [1, 2, 3]
+
+
+class TestStepCount:
+    """One kernel step serves a whole chunk, so scans make few NumPy calls."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        step = _Kernel.step
+        calls = []
+
+        def counting_step(kernel):
+            calls.append(len(kernel.entries))
+            step(kernel)
+
+        monkeypatch.setattr(_Kernel, "step", counting_step)
+        return calls
+
+    def test_a_scan_steps_once_per_chunk_and_step(self, counted):
+        scan_sequences(random_tables(3, "AB", 2), 5, 3, 60)
+        per_chunk = max(1, histwalk.walker._CHUNK_BYTES // entry_bytes(3, 60))
+        chunks = math.ceil(62 / per_chunk)
+        assert 1 < chunks < 62
+        assert len(counted) == 60 * chunks
+        assert sum(counted) == 60 * 62
+
+    def test_a_single_walk_steps_once_per_step(self, counted):
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=60)
+        run_sequence(initial, random_tables(3, "AB", 2), "AAB", 60)
+        assert counted == [1] * 60

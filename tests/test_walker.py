@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import histwalk.state
+import histwalk.walker
 from histwalk.operators import HistoryRhoTable
 from histwalk.state import HorizonError, complement, index_to_coins, fidelity
 from histwalk.walker import (
@@ -299,6 +301,56 @@ class TestScanSequences:
     def test_rejects_register_size_mismatch(self):
         with pytest.raises(ValueError, match="coins"):
             scan_sequences({"A": UNBIASED_3}, 1, 2, 1)
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("the size guard should have refused the run first")
+
+
+class TestScanAndSweepSizeGuard:
+    """Scans and sweeps too large for memory are refused before any work.
+
+    The machine size is pinned so the outcome does not depend on the host,
+    and pattern enumeration and walking are replaced by functions that fail,
+    so a missing guard fails the test instead of starting a huge run.
+    """
+
+    @pytest.fixture(autouse=True)
+    def sixteen_gib(self, monkeypatch):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(histwalk.walker, "product", never_called)
+        monkeypatch.setattr(histwalk.walker, "build_initial_state", never_called)
+
+    @pytest.mark.parametrize("letters, max_len", [("AB", 40), ("AB", 10**9), ("A", 10**12)])
+    def test_scan_too_large_is_refused_before_enumeration(self, no_work, letters, max_len):
+        games = {letter: UNBIASED_3 for letter in letters}
+        with pytest.raises(ValueError, match="physical memory"):
+            scan_sequences(games, max_len, 3, 10)
+
+    def test_sweep_too_large_is_refused_before_any_run(self, no_work):
+        with pytest.raises(ValueError, match="physical memory"):
+            sweep_parameter(UNBIASED_3, "RR", range(10**9), 10)
+
+    def test_the_pattern_count_is_exact_at_the_limit(self, monkeypatch):
+        # 2 + 4 + ... + 2**10 = 2046 patterns of (_RESULT_BYTES + 10) bytes.
+        needed = 2046 * (histwalk.walker._RESULT_BYTES + 10)
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: needed)
+        histwalk.walker._check_scan_size(2, 10)
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: needed - 1)
+        with pytest.raises(ValueError, match="2046 patterns"):
+            histwalk.walker._check_scan_size(2, 10)
+
+    def test_scans_and_sweeps_that_fit_run(self):
+        assert len(scan_sequences({"A": UNBIASED_3, "B": UNBIASED_3}, 2, 3, 4)) == 6
+        assert len(sweep_parameter(UNBIASED_3, "RR", [0.2, 0.4], 4)) == 2
+
+    def test_no_guard_where_memory_size_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: None)
+        histwalk.walker._check_scan_size(2, 10**9)
+        histwalk.walker._check_sweep_size(10**12)
 
 
 class TestSweepParameter:
