@@ -5,8 +5,10 @@ the fixed rotation AABB.  Game A is a plain biased coin.  Game B consults the
 current capital: a poor coin when the capital is a multiple of 3, a good one
 otherwise; the alternation keeps the capital off the multiples of 3 where B
 is weak.  A third game keyed on the results of the last two plays shows the
-same construction with memory in place of capital.  Everything here evolves
-full distributions exactly; a seeded Monte Carlo pass cross-checks the means.
+same construction with memory in place of capital.  Every mean here is exact:
+each game is a 12-state chain over capital mod 3 and the last two results,
+whose distribution is evolved step by step; a seeded Monte Carlo pass
+cross-checks the means.
 
 Run:  python3 demos/classical_games.py
 Writes demo_output/capital_patterns.csv (+ SVG).

@@ -6,9 +6,15 @@ written chronologically (oldest result first), and that string order is also
 the row and column order of the transition matrices built here.  Alongside
 the chain live the standard capital games used as classical baselines: a
 single biased coin, a coin keyed on capital mod 3, and a coin keyed on the
-results of the last two plays.  All trajectory functions evolve
-distributions exactly; Monte Carlo sampling is provided separately as a
-cross-check.
+results of the last two plays.
+
+Each is a small Markov chain whose states have two branches, each a +1 or -1
+step.  The walk's chain has ``2 ** num_coins`` history states; the capital
+games share 12, capital mod 3 times the last two results, since their odds
+depend on nothing else.  One exact loop propagates the state distribution
+and adds up each step's expected increment, so results carry no sampling
+error and capital games cost O(steps); a seeded sampler over the same states
+is the cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .operators import HistoryRhoTable, _check_probability
-from .state import L, R
+from .state import L, R, _check_fits
 
 __all__ = [
     "history_states",
@@ -40,12 +46,52 @@ __all__ = [
     "monte_carlo_mean",
 ]
 
+# Bytes charged per sampled trajectory: its state and position plus one
+# step's draws, odds, branch picks and moment temporaries (tracemalloc
+# measured peaks of 49-57 bytes per trajectory).
+_TRAJECTORY_BYTES = 64
+
 
 def history_states(num_coins: int) -> list[str]:
     """Chain states as chronological strings, oldest result first, in row order."""
     if num_coins < 1:
         raise ValueError(f"num_coins must be >= 1, got {num_coins}")
     return ["".join(s) for s in product((L, R), repeat=num_coins)]
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A two-branch chain: from state ``s`` branch 0 has probability ``first[s]``.
+
+    ``next[s, b]`` is the state that branch ``b`` leads to and ``step[s, b]``
+    the +1 or -1 it adds to the capital or position.
+    """
+
+    first: np.ndarray
+    next: np.ndarray
+    step: np.ndarray
+
+
+def _walk_chain(table: HistoryRhoTable) -> _Chain:
+    """The walk's classical limit, states in :func:`history_states` order.
+
+    Branch 0 keeps the oldest result, which is the high bit (L = 0, R = 1).
+    """
+    size = 1 << table.num_coins
+    oldest = np.arange(size) >> (table.num_coins - 1)
+    newer = (np.arange(size) << 1) & (size - 1)
+    first = np.array([table.rho[s[1:][::-1]] for s in history_states(table.num_coins)])
+    moves = np.stack([newer | oldest, newer | (1 - oldest)], axis=1)
+    return _Chain(first, moves, np.stack([2 * oldest - 1, 1 - 2 * oldest], axis=1))
+
+
+# The capital games' 12 states are 4 * (capital mod 3) + (last two results),
+# the older result in the high bit and 1 for a win, so the four capital-0
+# states come first.  Branch 0 is a win.
+_RESIDUE, _PAIR = np.divmod(np.arange(12), 4)
+_OLDER = (_PAIR & 1) * 2
+_GAME_MOVES = np.stack([4 * ((_RESIDUE + d) % 3) + _OLDER + (d > 0) for d in (1, -1)], axis=1)
+_GAME_STEPS = np.tile([1, -1], (12, 1))
 
 
 def history_walk_transition(table: HistoryRhoTable) -> np.ndarray:
@@ -58,27 +104,18 @@ def history_walk_transition(table: HistoryRhoTable) -> np.ndarray:
     reached with complementary probabilities, so every column also sums to
     one and the uniform distribution is always stationary.
     """
-    states = history_states(table.num_coins)
-    index = {s: k for k, s in enumerate(states)}
-    size = len(states)
-    matrix = np.zeros((size, size))
-    for k, s in enumerate(states):
-        oldest, newer = s[0], s[1:]
-        keep = table.rho[newer[::-1]]
-        matrix[k, index[newer + oldest]] += keep
-        matrix[k, index[newer + (R if oldest == L else L)]] += 1.0 - keep
+    chain = _walk_chain(table)
+    rows = np.arange(chain.first.size)
+    matrix = np.zeros((rows.size, rows.size))
+    matrix[rows, chain.next[:, 0]] = chain.first
+    matrix[rows, chain.next[:, 1]] = 1.0 - chain.first
     return matrix
 
 
 def drift_by_state(table: HistoryRhoTable) -> np.ndarray:
     """Expected step increment from each chain state (+1 for R, -1 for L)."""
-    states = history_states(table.num_coins)
-    out = np.empty(len(states))
-    for k, s in enumerate(states):
-        keep = table.rho[s[1:][::-1]]
-        prob_right = keep if s[0] == R else 1.0 - keep
-        out[k] = 2.0 * prob_right - 1.0
-    return out
+    chain = _walk_chain(table)
+    return chain.first * chain.step[:, 0] + (1.0 - chain.first) * chain.step[:, 1]
 
 
 def uniform_history_distribution(num_coins: int) -> np.ndarray:
@@ -159,34 +196,14 @@ def classical_mean_trajectory(
     exactly and the mean accumulates each step's expected increment, so
     there is no sampling error.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    size = 1 << table.num_coins
-    if initial is None:
-        pi = uniform_history_distribution(table.num_coins)
-    else:
-        if isinstance(initial, Mapping):
-            states = history_states(table.num_coins)
-            index = {s: i for i, s in enumerate(states)}
-            pi = np.zeros(size)
-            for state, weight in initial.items():
-                if state not in index:
-                    raise ValueError(f"unknown chain state {state!r}")
-                pi[index[state]] = weight
-        else:
-            pi = np.asarray(initial, dtype=float)
-        if pi.shape != (size,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("initial must be a probability vector over chain states")
-        pi = pi.copy()
-    matrix = history_walk_transition(table)
-    drift = drift_by_state(table)
-    means = np.zeros(steps + 1)
-    mean = 0.0
-    for t in range(1, steps + 1):
-        mean += float(pi @ drift)
-        means[t] = mean
-        pi = pi @ matrix
-    return means
+    if isinstance(initial, Mapping):
+        states = history_states(table.num_coins)
+        unknown = sorted(set(initial) - set(states))
+        if unknown:
+            raise ValueError(f"unknown chain state {unknown[0]!r}")
+        initial = [initial.get(state, 0.0) for state in states]
+    chains, starts = _chains(table, None, (HistoryRhoTable,), "walk")
+    return _exact_means(chains, starts, steps, initial, "chain states")
 
 
 @dataclass(frozen=True)
@@ -235,51 +252,88 @@ class HistoryCoins:
         return np.array([self.p1, self.p2, self.p3, self.p4])
 
 
-def _as_letter_games(games, pattern: str | None, allowed: tuple, label: str):
-    if isinstance(games, allowed):
-        games = {"A": games}
+def _chains(spec, pattern: str | None, kinds: tuple, label: str):
+    """The chain played at each step of one pattern period, and the start count.
+
+    ``kinds`` lists the accepted specs: a bare :class:`HistoryRhoTable` if
+    listed, a single game spec, or a letter mapping played through
+    ``pattern``.  Runs start on states ``0 .. starts - 1``: all of the walk's
+    chain, or the four capital-0 states of the games.
+    """
+    if isinstance(spec, HistoryRhoTable) and HistoryRhoTable in kinds:
+        chain = _walk_chain(spec)
+        return [chain], chain.first.size
+    if isinstance(spec, kinds):
+        spec = {"A": spec}
         pattern = pattern or "A"
-    if not isinstance(games, Mapping) or not games:
-        raise TypeError(f"games must be a non-empty letter mapping or a single spec")
+    if not isinstance(spec, Mapping) or not spec:
+        raise TypeError("games must be a non-empty letter mapping or a single spec")
     if not pattern:
         raise ValueError("pattern must be a non-empty string of game letters")
-    unknown = sorted(set(pattern) - set(games))
+    unknown = sorted(set(pattern) - set(spec))
     if unknown:
         raise ValueError(f"pattern uses undefined games {unknown}")
-    for name, spec in games.items():
-        if not isinstance(spec, allowed):
+    chains = {}
+    for name, game in spec.items():
+        if not isinstance(game, kinds) or isinstance(game, HistoryRhoTable):
             raise TypeError(f"game {name!r} is not usable in a {label} sequence")
-    return games, pattern
+        if isinstance(game, BiasedCoin):
+            first = np.full(12, game.p)
+        elif isinstance(game, CapitalMod3):
+            first = np.where(_RESIDUE == 0, game.p1, game.p2)
+        else:
+            first = game.as_array()[_PAIR]
+        chains[name] = _Chain(first, _GAME_MOVES, _GAME_STEPS)
+    return [chains[letter] for letter in pattern], 4
+
+
+def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") -> np.ndarray:
+    """Exact mean per step of the chains played cyclically from a start distribution.
+
+    ``initial`` is a probability vector over the ``starts`` start states
+    (uniform when omitted).  The distribution is kept in ``np.longdouble`` (a
+    64-bit mantissa on x86, plain double where nothing wider exists), so means
+    written to 12 decimals round as the exact ones do even next to a rounding
+    tie.  Each step's expected increment, read off the branch flows, is added
+    with compensated (Kahan) summation, so rounding does not build up.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_fits(8 * (steps + 1), f"an exact run of {steps} steps", "for its means")
+    start = np.full(starts, 1.0 / starts) if initial is None else np.asarray(initial, dtype=float)
+    if start.shape != (starts,) or np.any(start < 0) or abs(start.sum() - 1.0) > 1e-12:
+        raise ValueError(f"initial must be a probability vector over {over}")
+    pi = np.zeros(chains[0].first.size, dtype=np.longdouble)
+    pi[:starts] = start
+    plays = [(c.first, c.next.T.ravel(), c.step.T.ravel().astype(pi.dtype)) for c in chains]
+    flow = np.zeros(2 * pi.size, dtype=pi.dtype)
+    won, lost = flow[: pi.size], flow[pi.size :]
+    means = np.zeros(steps + 1)
+    total = carry = pi.dtype.type(0)
+    for t in range(steps):
+        first, moves, increments = plays[t % len(plays)]
+        np.multiply(pi, first, out=won)
+        np.subtract(pi, won, out=lost)
+        gain = flow @ increments - carry
+        updated = total + gain
+        carry = (updated - total) - gain
+        total = updated
+        means[t + 1] = total
+        pi.fill(0)
+        np.add.at(pi, moves, flow)
+    return means
 
 
 def capital_game_trajectory(games, pattern: str | None, steps: int) -> np.ndarray:
     """Exact mean capital per step for a cyclic pattern of capital-keyed games.
 
     ``games`` maps letters to :class:`BiasedCoin` or :class:`CapitalMod3`
-    specs (a bare spec plays alone).  The full distribution over capital
-    values is evolved, so results carry no sampling error.
+    specs (a bare spec plays alone).  Only capital mod 3 matters to the odds,
+    so the chain over residues is evolved, in O(steps) time and memory, and
+    results carry no sampling error.
     """
-    games, pattern = _as_letter_games(games, pattern, (BiasedCoin, CapitalMod3), "capital")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    values = np.arange(-steps, steps + 1)
-    dist = np.zeros(2 * steps + 1)
-    dist[steps] = 1.0
-    means = np.zeros(steps + 1)
-    for t in range(steps):
-        spec = games[pattern[t % len(pattern)]]
-        if isinstance(spec, BiasedCoin):
-            win = np.full(dist.shape, spec.p)
-        else:
-            win = np.where(values % 3 == 0, spec.p1, spec.p2)
-        up = dist * win
-        down = dist - up
-        nxt = np.zeros_like(dist)
-        nxt[1:] += up[:-1]
-        nxt[:-1] += down[1:]
-        dist = nxt
-        means[t + 1] = float(dist @ values)
-    return means
+    chains, starts = _chains(games, pattern, (BiasedCoin, CapitalMod3), "capital")
+    return _exact_means(chains, starts, steps)
 
 
 def history_mix_trajectory(games, pattern: str | None, steps: int, initial=None) -> np.ndarray:
@@ -291,30 +345,8 @@ def history_mix_trajectory(games, pattern: str | None, steps: int, initial=None)
     not feed back into the odds, so only that four-state distribution and the
     accumulated mean are needed.
     """
-    games, pattern = _as_letter_games(games, pattern, (BiasedCoin, HistoryCoins), "history")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if initial is None:
-        pi = np.full(4, 0.25)
-    else:
-        pi = np.asarray(initial, dtype=float)
-        if pi.shape != (4,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("initial must be a probability vector over 4 result pairs")
-        pi = pi.copy()
-    means = np.zeros(steps + 1)
-    mean = 0.0
-    for t in range(steps):
-        spec = games[pattern[t % len(pattern)]]
-        win = spec.as_array() if isinstance(spec, HistoryCoins) else np.full(4, spec.p)
-        mean += float(pi @ (2.0 * win - 1.0))
-        means[t + 1] = mean
-        nxt = np.zeros(4)
-        for s in range(4):
-            newer = s & 1
-            nxt[(newer << 1) | 1] += pi[s] * win[s]
-            nxt[newer << 1] += pi[s] * (1.0 - win[s])
-        pi = nxt
-    return means
+    chains, starts = _chains(games, pattern, (BiasedCoin, HistoryCoins), "history")
+    return _exact_means(chains, starts, steps, initial, "4 result pairs")
 
 
 def history_game_trajectory(
@@ -332,55 +364,6 @@ def history_game_trajectory(
     return history_mix_trajectory({"A": coin, "B": spec}, pattern, steps, initial)
 
 
-def _sample_stats(values: np.ndarray, out_mean, out_err, t: int) -> None:
-    out_mean[t] = values.mean()
-    if values.size > 1:
-        out_err[t] = values.std(ddof=1) / np.sqrt(values.size)
-
-
-def _monte_carlo_walk(table, steps, n_trajectories, rng):
-    num_coins = table.num_coins
-    size = 1 << num_coins
-    states = history_states(num_coins)
-    keep_prob = np.array([table.rho[s[1:][::-1]] for s in states])
-    keep_dir = np.array([1 if s[0] == R else -1 for s in states], dtype=np.int64)
-    state = rng.integers(size, size=n_trajectories)
-    position = np.zeros(n_trajectories, dtype=np.int64)
-    means = np.zeros(steps + 1)
-    errors = np.zeros(steps + 1)
-    mask = size - 1
-    for t in range(1, steps + 1):
-        kept = rng.random(n_trajectories) < keep_prob[state]
-        direction = np.where(kept, keep_dir[state], -keep_dir[state])
-        position += direction
-        new_bit = (direction > 0).astype(np.int64)
-        state = ((state << 1) & mask) | new_bit
-        _sample_stats(position, means, errors, t)
-    return means, errors
-
-
-def _monte_carlo_capital(games, pattern, steps, n_trajectories, rng):
-    capital = np.zeros(n_trajectories, dtype=np.int64)
-    # Last two results per trajectory, oldest in the high bit; games that do
-    # not read them leave them untouched in distribution.
-    pairs = rng.integers(4, size=n_trajectories)
-    means = np.zeros(steps + 1)
-    errors = np.zeros(steps + 1)
-    for t in range(steps):
-        spec = games[pattern[t % len(pattern)]]
-        if isinstance(spec, BiasedCoin):
-            win_prob = np.full(n_trajectories, spec.p)
-        elif isinstance(spec, CapitalMod3):
-            win_prob = np.where(capital % 3 == 0, spec.p1, spec.p2)
-        else:
-            win_prob = spec.as_array()[pairs]
-        won = rng.random(n_trajectories) < win_prob
-        capital += np.where(won, 1, -1)
-        pairs = ((pairs & 1) << 1) | won
-        _sample_stats(capital, means, errors, t + 1)
-    return means, errors
-
-
 def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     """Sampled mean capital or position per step, with standard errors.
 
@@ -389,20 +372,32 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     reproducible for a given seed and trajectory count.  ``spec`` may be a
     :class:`HistoryRhoTable` (the chain sampled from its uniform start), a
     single capital-game spec, or a letter mapping played cyclically through
-    ``pattern``.  Returns ``(means, standard_errors)`` arrays of length
-    ``steps + 1``.
+    ``pattern``.  Each trajectory starts on a uniform draw among the chain's
+    start states and takes branch 0 when its draw ``u < first[state]``.
+    Returns ``(means, standard_errors)`` arrays of length ``steps + 1``.
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    needed = _TRAJECTORY_BYTES * n_trajectories + 16 * (steps + 1)
+    _check_fits(needed, f"{n_trajectories} trajectories of {steps} steps", "for their states")
+    kinds = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
+    chains, starts = _chains(spec, pattern, kinds, "sampled")
     rng = np.random.default_rng(seed)
-    if isinstance(spec, HistoryRhoTable):
-        return _monte_carlo_walk(spec, steps, n_trajectories, rng)
-    games, pattern = _as_letter_games(
-        spec, pattern, (BiasedCoin, CapitalMod3, HistoryCoins), "sampled"
-    )
-    return _monte_carlo_capital(games, pattern, steps, n_trajectories, rng)
+    state = rng.integers(starts, size=n_trajectories)
+    position = np.zeros(n_trajectories, dtype=np.int64)
+    means = np.zeros(steps + 1)
+    errors = np.zeros(steps + 1)
+    for t in range(steps):
+        chain = chains[t % len(chains)]
+        pick = 2 * state + (rng.random(n_trajectories) >= chain.first[state])
+        position += chain.step.ravel()[pick]
+        state = chain.next.ravel()[pick]
+        means[t + 1] = position.mean()
+        if n_trajectories > 1:
+            errors[t + 1] = position.std(ddof=1) / np.sqrt(n_trajectories)
+    return means, errors
 
 
 def monte_carlo_mean(spec, pattern, steps, n_trajectories, seed):

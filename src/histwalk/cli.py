@@ -172,10 +172,10 @@ def _cmd_walk_dist(args) -> None:
     _maybe_plot(args, config)
 
 
-def _fits(check, *sizes) -> None:
-    """Run a size guard from :mod:`histwalk.walker`, reporting its refusal as a usage error."""
+def _fits(call, *args):
+    """Run a size-guarded call and return its result, reporting a refusal as a usage error."""
     try:
-        check(*sizes)
+        return call(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -255,18 +255,19 @@ def _cmd_classical_run(args) -> None:
             raise ConfigError("--monte-carlo must be >= 1")
         if config.seed is None:
             raise ConfigError("--monte-carlo needs a seed (flag --seed or config key)")
-        means, errors = monte_carlo_trajectory(
-            subject, config.pattern, config.steps, args.monte_carlo, config.seed
+        means, errors = _fits(
+            monte_carlo_trajectory,
+            subject, config.pattern, config.steps, args.monte_carlo, config.seed,
         )
         rows = [(t, m, e) for t, (m, e) in enumerate(zip(means, errors))]
         write_csv(("t", "mean", "stderr"), rows, config.out)
     else:
         if engine == "rho-walk":
-            means = classical_mean_trajectory(subject, config.steps)
+            means = _fits(classical_mean_trajectory, subject, config.steps)
         elif engine == "capital":
-            means = capital_game_trajectory(subject, config.pattern, config.steps)
+            means = _fits(capital_game_trajectory, subject, config.pattern, config.steps)
         else:
-            means = history_mix_trajectory(subject, config.pattern, config.steps)
+            means = _fits(history_mix_trajectory, subject, config.pattern, config.steps)
         write_csv(("t", "mean"), list(enumerate(means)), config.out)
     _maybe_plot(args, config)
 

@@ -10,6 +10,8 @@ bit, L = 0 and R = 1).
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 
 
@@ -102,3 +104,48 @@ def capital_mean_by_convolution(win_prob_at, steps: int) -> float:
             nxt[capital - 1] = nxt.get(capital - 1, 0.0) + weight * (1.0 - p)
         dist = nxt
     return sum(c * w for c, w in dist.items())
+
+
+def history_mean_by_enumeration(win_prob_at, steps: int, initial: dict) -> float:
+    """Mean capital after ``steps`` rounds of a game keyed on the last two results.
+
+    ``win_prob_at(t, older, last)`` gives the win probability for round ``t``
+    (0-based) after the results ``older`` then ``last`` (1 for a win, 0 for a
+    loss).  ``initial`` maps ``(older, last)`` pairs to weights.  The
+    distribution over result pairs is evolved exactly as a dictionary.
+    """
+    dist = dict(initial)
+    mean = 0.0
+    for t in range(steps):
+        nxt: dict = {}
+        for (older, last), weight in dist.items():
+            p = win_prob_at(t, older, last)
+            mean += weight * (2.0 * p - 1.0)
+            for result, prob in ((1, p), (0, 1.0 - p)):
+                nxt[(last, result)] = nxt.get((last, result), 0.0) + weight * prob
+        dist = nxt
+    return mean
+
+
+def chain_mean_in_decimal(win_prob_at, advance, initial: dict, steps: int, digits: int = 50):
+    """Mean capital of a +1/-1 game on a finite chain, in ``digits``-digit decimals.
+
+    ``win_prob_at(t, state)`` gives the float win probability for round ``t``
+    (converted to decimal exactly), ``advance(state, won)`` the next state,
+    and ``initial`` maps states to weights.  Rounding stays near
+    ``10**-digits``, so this is the reference for long-horizon accuracy.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        dist = {state: Decimal(weight) for state, weight in initial.items()}
+        mean = Decimal(0)
+        for t in range(steps):
+            nxt: dict = {}
+            for state, weight in dist.items():
+                p = Decimal(win_prob_at(t, state))
+                mean += weight * (2 * p - 1)
+                for won, prob in ((True, p), (False, 1 - p)):
+                    key = advance(state, won)
+                    nxt[key] = nxt.get(key, Decimal(0)) + weight * prob
+            dist = nxt
+        return mean

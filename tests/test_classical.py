@@ -1,8 +1,13 @@
 """Classical-limit chain, capital games, and Monte-Carlo cross-checks."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import histwalk.state
 from histwalk.classical import (
     BiasedCoin,
     CapitalMod3,
@@ -20,10 +25,20 @@ from histwalk.classical import (
     uniform_history_distribution,
 )
 from histwalk.operators import HistoryRhoTable, all_histories
+from histwalk.output import format_value
 
-from reference import capital_mean_by_convolution, chain_mean_by_enumeration
+from reference import (
+    capital_mean_by_convolution,
+    chain_mean_by_enumeration,
+    chain_mean_in_decimal,
+    history_mean_by_enumeration,
+)
 
 EPS = 0.005
+COIN = BiasedCoin(0.5 - EPS)
+MOD3 = CapitalMod3(0.1 - EPS, 0.75 - EPS)
+HIST = HistoryCoins(0.9 - EPS, 0.25 - EPS, 0.25 - EPS, 0.7 - EPS)
+ORACLE_TOL = 1e-12
 
 
 class TestHistoryWalkChain:
@@ -250,3 +265,244 @@ class TestMonteCarlo:
             monte_carlo_trajectory(BiasedCoin(0.5), None, 10, 0, seed=1)
         with pytest.raises(ValueError, match="steps"):
             monte_carlo_trajectory(BiasedCoin(0.5), None, -1, 10, seed=1)
+
+
+class TestFrozenDraws:
+    """Seeded samples pinned to the draw order: one start draw, then one per step."""
+
+    @pytest.mark.parametrize(
+        "spec, pattern, frozen",
+        [
+            pytest.param(
+                HistoryRhoTable(3, {"LL": 0.2, "LR": 0.9, "RL": 0.35, "RR": 0.7}),
+                None,
+                [
+                    (1, 0.015, 0.022363755694971985),
+                    (10, 0.024, 0.07169576097002203),
+                    (50, -0.069, 0.16634438592078687),
+                ],
+                id="walk-m3",
+            ),
+            pytest.param(
+                COIN,
+                None,
+                [
+                    (1, -0.014, 0.022364080040055728),
+                    (10, -0.078, 0.07081995292900464),
+                    (50, -0.574, 0.16109077291564305),
+                ],
+                id="coin",
+            ),
+            pytest.param(
+                {"A": COIN, "B": MOD3},
+                "AABB",
+                [
+                    (1, -0.014, 0.022364080040055728),
+                    (10, 0.047, 0.06442026455427377),
+                    (50, 0.56, 0.15079976884976506),
+                ],
+                id="coin-mod3-AABB",
+            ),
+            pytest.param(
+                {"B": HIST},
+                "B",
+                [
+                    (1, 0.059, 0.022327309609023398),
+                    (10, -0.044, 0.07244070560060797),
+                    (50, -0.624, 0.16656885841085706),
+                ],
+                id="history",
+            ),
+            pytest.param(
+                {"A": COIN, "B": MOD3, "C": HIST},
+                "ABCC",
+                [
+                    (1, -0.014, 0.022364080040055728),
+                    (10, 0.532, 0.07263005963636124),
+                    (50, 0.387, 0.15409733448131774),
+                ],
+                id="three-kinds-ABCC",
+            ),
+        ],
+    )
+    def test_seeded_means_and_errors_are_unchanged(self, spec, pattern, frozen):
+        means, errors = monte_carlo_trajectory(spec, pattern, 50, 2000, seed=5)
+        for t, mean, error in frozen:
+            assert means[t] == mean
+            assert errors[t] == error
+
+
+PROBS = st.floats(0.0, 1.0)
+CAPITAL_SPECS = st.one_of(st.builds(BiasedCoin, PROBS), st.builds(CapitalMod3, PROBS, PROBS))
+HISTORY_SPECS = st.one_of(
+    st.builds(BiasedCoin, PROBS), st.builds(HistoryCoins, PROBS, PROBS, PROBS, PROBS)
+)
+
+
+@st.composite
+def mixes(draw, specs):
+    """Games for every letter of a random 1-4 letter pattern, and a horizon."""
+    pattern = draw(st.text(alphabet="ABC", min_size=1, max_size=4))
+    games = {letter: draw(specs) for letter in sorted(set(pattern))}
+    return games, pattern, draw(st.integers(0, 40))
+
+
+@st.composite
+def starts(draw, states):
+    """A random probability distribution over ``states``."""
+    weights = draw(st.lists(PROBS, min_size=len(states), max_size=len(states)))
+    assume(sum(weights) > 0.1)
+    return {state: weight / sum(weights) for state, weight in zip(states, weights)}
+
+
+@st.composite
+def walk_chains(draw):
+    """A random M = 1-4 retention table, a chronological start and a horizon."""
+    num_coins = draw(st.integers(1, 4))
+    rho = draw(st.fixed_dictionaries({h: PROBS for h in all_histories(num_coins)}))
+    start = draw(starts(history_states(num_coins)))
+    return HistoryRhoTable(num_coins, rho), start, draw(st.integers(0, 40))
+
+
+def capital_win(games, pattern):
+    """Round-``t`` win probability of a capital-game pattern at a capital or its residue."""
+
+    def win_prob(t, capital):
+        spec = games[pattern[t % len(pattern)]]
+        if isinstance(spec, BiasedCoin):
+            return spec.p
+        return spec.p1 if capital % 3 == 0 else spec.p2
+
+    return win_prob
+
+
+def pair_win(games, pattern):
+    """Round-``t`` win probability of a history-game pattern after ``older``, ``last``."""
+
+    def win_prob(t, older, last):
+        spec = games[pattern[t % len(pattern)]]
+        if isinstance(spec, BiasedCoin):
+            return spec.p
+        return float(spec.as_array()[2 * older + last])
+
+    return win_prob
+
+
+class TestAgainstTheOracles:
+    @given(mixes(CAPITAL_SPECS))
+    @settings(deadline=None, max_examples=40)
+    def test_capital_mixes_match_the_convolution_oracle(self, case):
+        games, pattern, steps = case
+        means = capital_game_trajectory(games, pattern, steps)
+        win_prob = capital_win(games, pattern)
+        want = [capital_mean_by_convolution(win_prob, k) for k in range(steps + 1)]
+        assert np.max(np.abs(means - want)) <= ORACLE_TOL
+
+    @given(mixes(HISTORY_SPECS), starts([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    @settings(deadline=None, max_examples=40)
+    def test_history_mixes_match_the_enumeration_oracle(self, case, start):
+        games, pattern, steps = case
+        means = history_mix_trajectory(games, pattern, steps, initial=list(start.values()))
+        win_prob = pair_win(games, pattern)
+        want = [history_mean_by_enumeration(win_prob, k, start) for k in range(steps + 1)]
+        assert np.max(np.abs(means - want)) <= ORACLE_TOL
+
+    @given(walk_chains())
+    @settings(deadline=None, max_examples=40)
+    def test_walk_chains_match_the_enumeration_oracle(self, case):
+        table, start, steps = case
+        means = classical_mean_trajectory(table, steps, initial=start)
+        want = [chain_mean_by_enumeration(table.rho, k, start) for k in range(steps + 1)]
+        assert np.max(np.abs(means - want)) <= ORACLE_TOL
+
+
+def capital_in_decimal(games, pattern, steps):
+    """50-digit mean capital, with the capital tracked as its residue mod 3."""
+
+    def advance(residue, won):
+        return (residue + (1 if won else -1)) % 3
+
+    return chain_mean_in_decimal(capital_win(games, pattern), advance, {0: 1.0}, steps)
+
+
+def history_in_decimal(games, pattern, steps):
+    """50-digit mean capital from uniform (older, last) result pairs."""
+    win_prob = pair_win(games, pattern)
+
+    def advance(pair, won):
+        return (pair[1], int(won))
+
+    uniform = {(older, last): 0.25 for older in (0, 1) for last in (0, 1)}
+    return chain_mean_in_decimal(lambda t, pair: win_prob(t, *pair), advance, uniform, steps)
+
+
+class TestLongHorizonAccuracy:
+    """Exact means against 50-digit references of the same chains."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 30, 300])
+    def test_decimal_residue_chain_matches_the_convolution_oracle(self, steps):
+        games = {"A": COIN, "B": MOD3}
+        got = capital_in_decimal(games, "AABB", steps)
+        want = capital_mean_by_convolution(capital_win(games, "AABB"), steps)
+        assert float(got) == pytest.approx(want, abs=ORACLE_TOL)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="no floating type wider than double on this platform",
+    )
+    @pytest.mark.parametrize("pattern", ["A", "B", "AB", "AABB"])
+    def test_written_means_are_the_exact_ones_rounded(self, pattern):
+        # The demo's series; at t = 6 game B alone sits 1.8e-17 from a
+        # 12-decimal rounding tie, which double arithmetic cannot resolve.
+        games = {"A": COIN, "B": MOD3}
+        means = capital_game_trajectory(games, pattern, 100)
+        for t in range(1, 101):
+            exact = capital_in_decimal(games, pattern, t).quantize(Decimal("1e-12"))
+            assert format_value(means[t]) == f"{exact:f}"
+
+    def test_capital_game_at_ten_thousand_steps(self):
+        games = {"A": COIN, "B": MOD3}
+        means = capital_game_trajectory(games, "AABB", 10**4)
+        reference = capital_in_decimal(games, "AABB", 10**4)
+        assert abs(float(Decimal(means[-1]) - reference)) <= 2e-13
+
+    def test_last_two_results_game_at_five_thousand_steps(self):
+        games = {"A": COIN, "B": HIST}
+        means = history_mix_trajectory(games, "AB", 5000)
+        reference = history_in_decimal(games, "AB", 5000)
+        assert abs(float(Decimal(means[-1]) - reference)) <= 2e-13
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("the size guard should have refused the run first")
+
+
+class TestMemoryGuard:
+    @pytest.fixture(autouse=True)
+    def sixteen_gib(self, monkeypatch):
+        # Pinned so the outcome does not depend on the host.
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+
+    @pytest.mark.parametrize("spec", [COIN, HistoryRhoTable(2, {"L": 0.3, "R": 0.8})])
+    def test_sampler_refuses_before_drawing(self, monkeypatch, spec):
+        monkeypatch.setattr(np.random, "default_rng", never_called)
+        with pytest.raises(ValueError, match="1000000000000 trajectories .* physical memory"):
+            monte_carlo_trajectory(spec, None, 100, 10**12, seed=1)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda steps: capital_game_trajectory(COIN, None, steps),
+            lambda steps: history_mix_trajectory({"B": HIST}, "B", steps),
+            lambda steps: classical_mean_trajectory(HistoryRhoTable(1, {"": 0.4}), steps),
+        ],
+        ids=["capital", "history", "walk-chain"],
+    )
+    def test_exact_loop_refuses_before_allocating(self, monkeypatch, run):
+        monkeypatch.setattr(np, "zeros", never_called)
+        with pytest.raises(ValueError, match="1000000000000 steps .* physical memory"):
+            run(10**12)
+
+    def test_runs_that_fit_are_not_refused(self):
+        assert monte_carlo_trajectory(COIN, None, 2, 10**3, seed=1)[0].shape == (3,)
+        assert capital_game_trajectory(COIN, None, 2).shape == (3,)

@@ -356,6 +356,31 @@ class TestExitCodes:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_classical_sample_too_large_for_memory_exits_one_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        monkeypatch.setattr(np.random, "default_rng", self._never_called)
+        cfg = config_file(tmp_path, CAPITAL_PAIR.format(steps=100))
+        out = tmp_path / "sampled.csv"
+        args = ["--monte-carlo", str(10**12), "--seed", "1", "--out", str(out)]
+        assert main(["classical", "run", "--config", cfg, *args]) == 1
+        assert "1000000000000 trajectories" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["capital", "history"])
+    def test_classical_exact_run_too_large_for_memory_exits_one_before_allocating(
+        self, tmp_path, capsys, monkeypatch, engine
+    ):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        monkeypatch.setattr(np, "zeros", self._never_called)
+        text = CAPITAL_PAIR.format(steps=10**12).replace("capital", engine)
+        cfg = config_file(tmp_path, text.replace("pattern = AABB", "pattern = A"))
+        out = tmp_path / "exact.csv"
+        assert main(["classical", "run", "--config", cfg, "--out", str(out)]) == 1
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _never_called(*args, **kwargs):
         raise AssertionError("the size guard should have refused the run first")
