@@ -25,6 +25,7 @@ from .classical import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .output import emit_svg_plot, write_csv
+from .state import check_memory
 from .walker import (
     POSITIVE_MEAN_THRESHOLD,
     _check_scan_size,
@@ -145,7 +146,7 @@ def _maybe_plot(args, config: RunConfig) -> None:
 def _cmd_walk_run(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = build_initial_state(config.num_coins, config.initial, config.horizon)
+    initial = _fits(build_initial_state, config.num_coins, config.initial, config.horizon)
     trajectory = run_sequence(
         initial, config.games, config.pattern, config.steps, config.snapshots
     )
@@ -160,7 +161,7 @@ def _cmd_walk_run(args) -> None:
 def _cmd_walk_dist(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = build_initial_state(config.num_coins, config.initial, config.horizon)
+    initial = _fits(build_initial_state, config.num_coins, config.initial, config.horizon)
     trajectory = run_sequence(
         initial, config.games, config.pattern, config.steps, snapshot_at=[config.steps]
     )
@@ -197,6 +198,7 @@ def _cmd_walk_sweep(args) -> None:
         if not 0.0 <= bound <= 1.0:
             raise ConfigError(f"sweep bound {bound} must lie in [0, 1]")
     _fits(_check_sweep_size, args.grid_points)
+    _fits(check_memory, config.num_coins, max(config.steps, 1))
     grid = np.linspace(args.sweep_from, args.sweep_to, args.grid_points)
     results = sweep_parameter(table, key, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
@@ -210,6 +212,7 @@ def _cmd_walk_scan(args) -> None:
     if args.max_len < 1:
         raise ConfigError("--max-len must be >= 1")
     _fits(_check_scan_size, len(config.games), args.max_len)
+    _fits(check_memory, config.num_coins, max(config.steps, 1))
     results = scan_sequences(
         config.games, args.max_len, config.num_coins, config.steps, config.initial
     )

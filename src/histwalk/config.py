@@ -4,8 +4,9 @@ Grammar: UTF-8 text, one ``key = value`` pair per line, ``#`` starts a
 comment, blank lines are ignored.  Dotted keys express nested tables, for
 example ``games.B.rho.RR = 0.55``.  Unknown keys are rejected so a typo can
 never silently change a run; syntax errors report line numbers and range
-errors name the offending key.  A walk grid (``M`` with its horizon) too
-large for physical memory is rejected before anything is allocated.
+errors name the offending key.  Whether a walk grid (``M`` with its
+horizon) fits in memory is checked where the grid is allocated, not here:
+the classical ``rho-walk`` engine reads ``M`` but allocates no grid.
 
 Recognized keys::
 
@@ -34,7 +35,6 @@ from typing import Mapping
 
 from .classical import BiasedCoin, CapitalMod3, HistoryCoins
 from .operators import HistoryRhoTable
-from .state import check_memory
 from .walker import ALL_R, ANTISYMMETRIC
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
@@ -224,11 +224,6 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         horizon = max(steps, 1)
     elif horizon < steps:
         raise ConfigError(f"horizon = {horizon} is smaller than T = {steps}")
-    if num_coins is not None:
-        try:
-            check_memory(num_coins, horizon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     initial = raw.take("initial")
     if initial is None:

@@ -11,8 +11,11 @@ rotation is a bit rotate on the column index.
 :func:`apply_conditional_flip`, :func:`apply_shift`, :func:`apply_reorder`
 and :func:`toss` are the specification layer: each builds a new full-grid
 state and reads like the definition above.  The walker's loops run on
-:class:`_Kernel` instead, which does the same step in place on the occupied
-rows only and never moves columns for the rotation; its tests compare it with
+:class:`_Kernel` instead, which does the same arithmetic with less data.
+Every step moves the walker one site, so at any step the occupied positions
+of a walk share one parity per sublattice of the start; the kernel stores
+only those rows, in compact light-cone rows, steps only the occupied band of
+them and never moves columns for the rotation.  Its tests compare it with
 these functions.
 """
 
@@ -246,7 +249,7 @@ class _Kernel:
     ``_Kernel(state, schedule, ...)`` starts one batch entry from ``state``
     per schedule; at step ``t`` (counted from construction) entry ``b`` plays
     ``schedules[b][t % len(schedules[b])]``.  Each amplitude goes through the
-    same multiplications and additions as in :func:`toss`; four things make a
+    same multiplications and additions as in :func:`toss`; five things make a
     step cheaper:
 
     * The register rotation is a relabeling.  ``perm[c]`` is the physical
@@ -254,26 +257,37 @@ class _Kernel:
       :func:`_reorder_source` instead of moving data, so the retossed entry
       sits in physical bit ``t mod num_coins`` and the retention coefficients
       are permuted to match.
-    * Only the occupied band of rows ``[lo, hi)`` is touched.  It starts at the
-      initial state's occupied rows and grows by one row on each side per
-      step, clipped to the grid; :class:`HorizonError` is raised exactly when
-      :func:`apply_shift` would raise it for some entry.
+    * Only the rows of one parity are stored.  Every step moves the walker
+      one site, so a grid row occupied at step ``t`` has the parity of
+      ``t`` plus that of the start.  Sublattice ``sigma`` holds the grid rows
+      ``g`` with ``g + e + sigma`` even, where ``e`` (``parity``) is the
+      start's row parity plus ``t``, modulo 2, and stores row ``g`` in compact
+      row ``(g + e + sigma) / 2``.  A start whose occupied rows share one
+      parity has one sublattice; a start that occupies both has two, which
+      never interfere and are stepped by the same calls.  When ``e`` is 0 the
+      retossed L half keeps its compact row and the R half moves up one; when
+      ``e`` is 1 the L half moves down one and the R half keeps its row.  The
+      labels are bounded: grid rows ``0 .. 2 t_max`` fill compact rows
+      ``0 .. t_max + 1``, and the compact rows with no grid row behind them
+      catch amplitude that leaves the grid.
+    * Only the occupied band of grid rows ``[lo, hi)`` is touched.  It starts
+      at the initial state's occupied rows and grows by one row on each side
+      per step, clipped to the grid; :class:`HorizonError` is raised exactly
+      when :func:`apply_shift` would raise it for some entry.
     * Flip and shift are one write into a second buffer, and the two buffers
-      swap roles each step.  Rows outside the band stay zero.
+      swap roles each step.  Compact rows outside the band stay zero.
     * The batch axis comes first.  Every entry shares the band and the column
       map, which depend only on ``t``, so one set of NumPy calls steps every
       entry.  Each entry's coefficients are gathered by the code of its table
-      from the permuted tables, which are cached per retossed bit; the
-      gathered coefficients repeat with ``t`` modulo ``period`` and are cached
-      per phase, so a single walk gathers only during its first period.  At
-      most one phase per step is cached; within the horizon that is less than
-      half a buffer.
+      and permuted to the physical columns; they repeat with ``t`` modulo
+      ``period`` and are cached per phase, so a single walk gathers only
+      during its first period.  At most one phase per step is cached; within
+      the horizon that is less than one buffer.
 
-    The buffers have shape ``(entries, 2**num_coins, rows + 2)``: transposed,
-    one contiguous run of positions per register column, so a step's inner
-    loops run along the band.  Each run has one spare zero row below and above
-    the grid, where amplitude shifted off the grid lands to be checked.  After
-    a :class:`HorizonError` the buffers hold a partial step.
+    The buffers have shape ``(entries, sublattices, 2**num_coins, t_max + 2)``:
+    one contiguous run of compact rows per register column, so a step's inner
+    loops run along the band.  After a :class:`HorizonError` the buffers hold
+    a partial step.
     """
 
     def __init__(self, state: WalkState, *schedules: Sequence[HistoryRhoTable]):
@@ -296,36 +310,58 @@ class _Kernel:
             self.codes[entry, : len(schedule)] = [code[id(table)] for table in schedule]
         self.entries = np.arange(len(schedules))
         self.period = math.lcm(self.num_coins, *self.lengths.tolist())
-        self.permuted: dict[int, np.ndarray] = {}
         self.coefficients: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         amplitudes = state.amplitudes
         self.rows, size = amplitudes.shape
-        occupied = np.flatnonzero(np.any(amplitudes, axis=1))
-        self.lo, self.hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
-        # Grid row g is buffer row g + 1.
-        self.psi = np.zeros((len(schedules), size, self.rows + 2), complex)
-        self.psi[:, :, self.lo + 1 : self.hi + 1] = amplitudes[self.lo : self.hi].T
+        self.lo, self.hi, self.parity, sublattices = self._occupancy(amplitudes)
+        self.psi = np.zeros((len(schedules), sublattices, size, self.t_max + 2), complex)
+        for sigma in range(sublattices):
+            first = self.lo + ((self.lo + self.parity + sigma) & 1)
+            rows = amplitudes[first : self.hi : 2]
+            row = (first + self.parity + sigma) // 2
+            self.psi[:, sigma, :, row : row + len(rows)] = rows.T
         self.spare = np.zeros_like(self.psi)
         self.scratch = np.empty(self.psi.size // 2, complex)  # one half, one product
         self.perm = np.arange(size)
 
+    @staticmethod
+    def _occupancy(amplitudes: np.ndarray) -> tuple[int, int, int, int]:
+        # Occupied grid rows [lo, hi), the parity e at the start and the
+        # number of sublattices: one if every occupied row has parity e.
+        occupied = np.flatnonzero(np.any(amplitudes, axis=1))
+        if not occupied.size:
+            return 0, 0, 0, 1
+        odd = occupied & 1
+        mixed = bool(np.any(odd != odd[0]))
+        return int(occupied[0]), int(occupied[-1]) + 1, 0 if mixed else int(odd[0]), 1 + mixed
+
+    @classmethod
+    def entry_bytes(cls, state: WalkState) -> int:
+        """Bytes of one batch entry's buffer for a kernel started from ``state``."""
+        sublattices = cls._occupancy(state.amplitudes)[3]
+        return sublattices * (1 << state.num_coins) * (state.t_max + 2) * state.amplitudes.itemsize
+
+    def _band(self) -> tuple[int, int]:
+        # Compact rows [a, b) that hold the grid band of either sublattice:
+        # grid row g of the sublattice it belongs to is compact row (g + e + 1) // 2.
+        if self.lo == self.hi:
+            return 0, 0
+        return (self.lo + self.parity + 1) // 2, (self.hi + self.parity) // 2 + 1
+
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         # sqrt(rho) and i sqrt(1 - rho) of every entry's table at this step,
-        # for each physical column pair, shaped (entries * high, low, 1) like
-        # the pair axes of the step's view.
+        # for each physical column pair, shaped (entries * sublattices * high,
+        # low, 1) like the pair axes of the step's view.
         phase = self.steps % self.period
         if phase not in self.coefficients:
             retossed = phase % self.num_coins
-            if retossed not in self.permuted:
-                logical = np.argsort(self.perm)
-                pairs = np.arange(1 << self.num_coins).reshape(-1, 2, 1 << retossed)[:, 0, :]
-                rho = self.rho[:, logical[pairs] >> 1, None]
-                self.permuted[retossed] = np.stack(
-                    [np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)]
-                )
+            logical = np.argsort(self.perm)
+            pairs = np.arange(1 << self.num_coins).reshape(-1, 2, 1 << retossed)[:, 0, :]
             games = self.codes[self.entries, phase % self.lengths]
-            pair_shape = (-1, 1 << retossed, 1)  # entries and high bits share an axis
-            keep, flip = self.permuted[retossed][:, games]
+            rho = self.rho[games][:, logical[pairs] >> 1, None]
+            rho = np.repeat(rho, self.psi.shape[1], axis=0)
+            pair_shape = (-1, 1 << retossed, 1)  # entries, sublattices and high bits share an axis
+            keep, flip = np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)
             self.coefficients[phase] = keep.reshape(pair_shape), flip.reshape(pair_shape)
         return self.coefficients[phase]
 
@@ -333,15 +369,16 @@ class _Kernel:
         """Play every entry's next table: retoss, move, relabel."""
         retossed = self.steps % self.num_coins
         keep, flip = self._coefficients()
-        lo, hi = self.lo, self.hi
-        if lo < hi:
-            # Axes: entries and high column bits, the retossed bit, low column bits, rows.
-            shape = (-1, 2, 1 << retossed, self.rows + 2)
+        e = self.parity
+        if self.lo < self.hi:
+            a, b = self._band()
+            # Axes: entries, sublattices and high column bits, the retossed
+            # bit, low column bits, compact rows.
+            shape = (-1, 2, 1 << retossed, self.t_max + 2)
             src = self.psi.reshape(shape)
             dst = self.spare.reshape(shape)
-            old_l, old_r = src[:, 0, :, lo + 1 : hi + 1], src[:, 1, :, lo + 1 : hi + 1]
-            # The retossed L half moves one row down, the R half one row up.
-            new_l, new_r = dst[:, 0, :, lo:hi], dst[:, 1, :, lo + 2 : hi + 2]
+            old_l, old_r = src[:, 0, :, a:b], src[:, 1, :, a:b]
+            new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
             tmp = self.scratch[: old_l.size].reshape(old_l.shape)
             np.multiply(keep, old_l, out=new_l)
             np.multiply(flip, old_r, out=tmp)
@@ -349,39 +386,60 @@ class _Kernel:
             np.multiply(flip, old_l, out=new_r)
             np.multiply(keep, old_r, out=tmp)
             np.add(new_r, tmp, out=new_r)
-            if (lo == 0 and dst[:, 0, :, 0].any()) or (
-                hi == self.rows and dst[:, 1, :, -1].any()
-            ):
-                raise HorizonError(_HORIZON_MESSAGE)
-            # Clear the two rows at the far side of each half that were not written.
-            dst[:, 0, :, hi : hi + 2] = 0
-            dst[:, 1, :, lo : lo + 2] = 0
-            self.lo, self.hi = max(lo - 1, 0), min(hi + 1, self.rows)
+            # Grid rows -1 and 2 t_max + 1 at the next step are compact rows
+            # 0 and t_max + 1 of sublattice e.
+            if e < self.psi.shape[1]:
+                edge = self.spare[:, e].reshape(len(self.spare), *shape)
+                if (self.lo == 0 and edge[:, :, 0, :, 0].any()) or (
+                    self.hi == self.rows and edge[:, :, 1, :, -1].any()
+                ):
+                    raise HorizonError(_HORIZON_MESSAGE)
+            # The one row of each half inside the new band that was not written.
+            dst[:, 0, :, b - e] = 0
+            dst[:, 1, :, a - e] = 0
+            self.lo, self.hi = max(self.lo - 1, 0), min(self.hi + 1, self.rows)
             self.psi, self.spare = self.spare, self.psi
+        self.parity = 1 - e
         self.perm = self.perm[_reorder_source(self.num_coins)]
         self.steps += 1
 
     def norms(self) -> np.ndarray:
         """Squared norm of every entry, summed over the band in no set order."""
-        band = self.psi[:, :, self.lo + 1 : self.hi + 1].view(float)
-        return np.einsum("bcr,bcr->b", band, band)
+        a, b = self._band()
+        band = self.psi[..., a:b].view(float)
+        return np.einsum("bscr,bscr->b", band, band)
 
-    def probabilities(self) -> tuple[int, np.ndarray]:
-        """First band row and the register-traced probability of every entry's band rows.
+    def probabilities(self) -> tuple[int, int, np.ndarray]:
+        """Register-traced probabilities of every entry's band, with their grid rows.
 
-        The result has one row per entry.  Each position's terms are added one
-        logical column after the other, the order in which
-        :func:`position_distribution` adds them for the column-major arrays
-        that :func:`toss` returns.
+        Returns ``(first, stride, p)``: ``p[b, i]`` is entry ``b``'s
+        probability on grid row ``first + stride * i``.  One sublattice gives
+        stride 2; two are interleaved into grid order with stride 1.  Each
+        position's terms are added one logical column after the other, the
+        order in which :func:`position_distribution` adds them for the
+        column-major arrays that :func:`toss` returns.
         """
-        weights = np.abs(self.psi[:, :, self.lo + 1 : self.hi + 1])[:, self.perm]
+        a, b = self._band()
+        weights = np.abs(self.psi[..., a:b])[:, :, self.perm]
         np.square(weights, out=weights)
-        return self.lo, weights.sum(axis=1)
+        p = weights.sum(axis=2)
+        first = 2 * a - self.parity  # grid row of sublattice 0's compact row a
+        if p.shape[1] == 1:
+            return first, 2, p[:, 0]
+        # Sublattice 1's compact row j is the grid row just below sublattice 0's.
+        return first - 1, 1, p[:, ::-1].transpose(0, 2, 1).reshape(len(p), -1)
 
     def state(self, entry: int = 0) -> WalkState:
         """One entry's current state in logical column order, as a new full-grid array.
 
         The array is column-major, like the arrays :func:`toss` returns.
         """
-        amplitudes = self.psi[entry][self.perm, 1:-1].T
-        return WalkState(self.num_coins, self.t_max, amplitudes, self.start + self.steps)
+        size = 1 << self.num_coins
+        columns = np.zeros((size, self.rows), complex)
+        for sigma, rows in enumerate(self.psi[entry]):
+            # Compact row j holds grid row 2 j - e - sigma; keep those on the grid.
+            offset = self.parity + sigma
+            first = (offset + 1) // 2
+            count = (self.rows - 1 + offset) // 2 - first + 1
+            columns[:, 2 * first - offset :: 2] = rows[self.perm, first : first + count]
+        return WalkState(self.num_coins, self.t_max, columns.T, self.start + self.steps)

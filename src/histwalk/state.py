@@ -139,8 +139,21 @@ class WalkState:
 
 
 def working_bytes(num_coins: int, t_max: int) -> int:
-    """Bytes of one state plus the evolution kernel's second buffer of the same size."""
-    return 2 * (2 * t_max + 1) * (1 << num_coins) * np.dtype(np.complex128).itemsize
+    """Bytes a walk on this grid holds at its peak, the input state included.
+
+    The evolution kernel stores each of at most two parity sublattices in
+    ``t_max + 2`` rows per register column.  It holds two such buffers, a
+    scratch half buffer and cached coefficients of at most one buffer.
+    Beside them sit the input state and, when a walk returns or snapshots a
+    full-grid state, that state and the temporaries of its readout (one
+    more grid).  Positions, their squares, the per-step series and the
+    readout's arrays of one number per position are charged as sixteen
+    8-byte values per grid row.
+    """
+    rows = 2 * t_max + 1
+    columns = (1 << num_coins) * np.dtype(np.complex128).itemsize
+    buffer = 2 * (t_max + 2) * columns
+    return 3 * rows * columns + 7 * buffer // 2 + 16 * 8 * rows
 
 
 def physical_memory_bytes() -> int | None:
@@ -169,7 +182,7 @@ def check_memory(num_coins: int, t_max: int) -> None:
     _check_fits(
         working_bytes(num_coins, t_max),
         f"M = {num_coins} with horizon {t_max}",
-        "for the state and its working buffer",
+        "for the state, the evolution buffers and the readout",
     )
 
 

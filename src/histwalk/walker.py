@@ -169,8 +169,8 @@ def _check_norm(norm: float) -> None:
         raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9")
 
 
-def _readout(first_row: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
-    """Mean, std and norm drift from the row probabilities ``p`` of the occupied band.
+def _readout(first_row: int, stride: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
+    """Mean, std and norm drift from the probabilities ``p`` of grid rows ``first_row + stride * i``.
 
     ``x`` and ``x2`` hold every grid position and its square.  The norm and
     variance checks are those of :func:`position_distribution` and
@@ -180,10 +180,9 @@ def _readout(first_row: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
     _check_norm(np.sqrt(total))
     occupied = p.nonzero()[0]
     lo, hi = int(occupied[0]), int(occupied[-1]) + 1
-    rows = slice(lo, hi, 1 if ((occupied - lo) & 1).any() else 2)
+    positions = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride)
     # Contiguous copies, so the dot products take the same path as in moments().
-    prob = np.ascontiguousarray(p[rows])
-    positions = slice(first_row + rows.start, first_row + rows.stop, rows.step)
+    prob = np.ascontiguousarray(p[lo:hi])
     mean = float(np.dot(prob, np.ascontiguousarray(x[positions])))
     var = float(np.dot(prob, np.ascontiguousarray(x2[positions])) - mean * mean)
     if var < -1e-10:
@@ -240,8 +239,8 @@ def run_sequence(
     for t in range(steps + 1):
         if t:
             kernel.step()
-        first_row, p = kernel.probabilities()
-        means[t], stds[t], drift[t] = _readout(first_row, p[0], x, x2)
+        first_row, stride, p = kernel.probabilities()
+        means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], x, x2)
         if t in wanted:
             snapshots[t] = position_distribution(kernel.state())
     return Trajectory(means, stds, snapshots, drift)
@@ -319,9 +318,7 @@ def _final_moments(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    rows, size = initial.amplitudes.shape
-    per_entry = size * (rows + 2) * initial.amplitudes.itemsize
-    chunk = max(1, _CHUNK_BYTES // per_entry)
+    chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
     x = initial.positions.astype(float)
     x2 = x * x
     results: list[tuple[float, float]] = []
@@ -332,8 +329,8 @@ def _final_moments(
             kernel.step()
             norms = np.sqrt(kernel.norms())
             _check_norm(norms[np.argmax(np.abs(norms - 1.0))])
-        first_row, p = kernel.probabilities()
-        results.extend(_readout(first_row, entry, x, x2)[:2] for entry in p)
+        first_row, stride, p = kernel.probabilities()
+        results.extend(_readout(first_row, stride, entry, x, x2)[:2] for entry in p)
     return results
 
 

@@ -333,6 +333,33 @@ class TestExitCodes:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    RHO_WALK_M16 = "M = 16\nT = 50\npattern = A\ngames.A.rho.default = 0.5\n"
+
+    def test_rho_walk_chain_is_not_refused_for_the_walk_grid(self, tmp_path, monkeypatch):
+        # The walk grid at M = 16, T = 50 needs more than 64 MiB; the rho-walk
+        # engine's chain of 2**16 states does not.
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 64 * 2**20)
+        cfg = config_file(tmp_path, self.RHO_WALK_M16 + "classical.engine = rho-walk\n")
+        out = tmp_path / "chain.csv"
+        assert main(["classical", "run", "--config", cfg, "--out", str(out)]) == 0
+        assert len(rows_of(out)) == 52
+
+    @pytest.mark.parametrize("command", ["run", "dist", "scan", "sweep"])
+    def test_walk_grid_too_large_for_memory_exits_one(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 64 * 2**20)
+        monkeypatch.setattr(histwalk.walker, "_Kernel", self._never_called)
+        cfg = config_file(tmp_path, self.RHO_WALK_M16)
+        out = tmp_path / "walk.csv"
+        extra = {
+            "scan": ["--max-len", "2"],
+            "sweep": ["--param", "R" * 15, "--from", "0", "--to", "1", "--steps", "3"],
+        }.get(command, [])
+        assert main(["walk", command, "--config", cfg, *extra, "--out", str(out)]) == 1
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scan_too_large_for_memory_exits_one_before_enumerating(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -127,11 +127,14 @@ class TestValueErrors:
         with pytest.raises(ConfigError, match=r"games\.B\.rho\.RR = 1\.5 must lie in \[0, 1\]"):
             parse_config(bad)
 
-    def test_walk_grid_larger_than_physical_memory(self, monkeypatch):
+    def test_walk_grid_size_is_checked_where_the_grid_is_allocated(self, monkeypatch):
+        # M = 20 with T = 1000 is far too large a walk grid for 16 GiB, but
+        # parsing allocates no grid, and the rho-walk engine never builds one.
         monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
-        with pytest.raises(ConfigError, match="62.5 GiB .* more than the 16.0 GiB"):
-            parse_config("M = 20\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n")
-        parse_config("M = 12\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n")
+        text = "M = 20\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n"
+        assert parse_config(text).num_coins == 20
+        config = parse_config(text + "classical.engine = rho-walk\n")
+        assert config.classical_engine == "rho-walk"
 
     def test_missing_pattern(self):
         with pytest.raises(ConfigError, match="pattern is required"):

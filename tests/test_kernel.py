@@ -10,6 +10,7 @@ equal the single walks of :func:`run_sequence` bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from histwalk.state import (
     index_to_coins,
     moments,
     position_distribution,
+    working_bytes,
 )
 from histwalk.walker import (
     ALL_R,
@@ -43,7 +45,7 @@ from histwalk.walker import (
     sweep_parameter,
 )
 
-from reference import dense_evolve
+from reference import dense_evolve, dense_step_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -76,27 +78,36 @@ def walks(draw, max_coins=6, max_horizon=8):
     num_coins = draw(st.integers(1, max_coins))
     half = 1 << (num_coins - 1)
     letters = "ABC"[: draw(st.integers(1, 3))]
-    rho = st.lists(st.floats(0.0, 1.0), min_size=half, max_size=half)
+    # Retention 1 keeps a walker moving one way and 0 makes it bounce; both
+    # drive amplitude to the grid edge, so they are drawn often.
+    rho = st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        min_size=half, max_size=half,
+    )
     tables = {
         letter: HistoryRhoTable(num_coins, dict(zip(all_histories(num_coins), draw(rho))))
         for letter in letters
     }
     pattern = draw(st.text(alphabet=letters, min_size=1, max_size=4))
     t_max = draw(st.integers(1, max_horizon))
-    kind = draw(st.sampled_from([ANTISYMMETRIC, ALL_R, "custom"]))
-    if kind == "custom":
+    kind = draw(st.sampled_from([ANTISYMMETRIC, ALL_R, "custom", "both parities"]))
+    if kind != ANTISYMMETRIC and kind != ALL_R:
         # Off-origin entries anywhere on the grid, the edges included.  One
         # entry per (x, register): a later entry would overwrite an earlier
         # one, and the norm below would not be the norm of the built state.
         part = st.floats(-1.0, 1.0, allow_subnormal=False)
-        entries = draw(st.lists(
-            st.tuples(
-                st.integers(-t_max, t_max),
-                st.integers(0, (1 << num_coins) - 1),
-                st.builds(complex, part, part),
-            ),
-            min_size=1, max_size=4, unique_by=lambda entry: entry[:2],
-        ))
+        entry = st.tuples(
+            st.integers(-t_max, t_max),
+            st.integers(0, (1 << num_coins) - 1),
+            st.builds(complex, part, part),
+        )
+        entries = draw(st.lists(entry, min_size=1, max_size=4, unique_by=lambda e: e[:2]))
+        if kind == "both parities":
+            # One more entry on a site of the other parity than the first.
+            x, c, _ = entries[0]
+            shift = draw(st.sampled_from([s for s in (-1, 1) if abs(x + s) <= t_max]))
+            amplitude = draw(st.builds(complex, part, part).filter(lambda a: abs(a) > 0.1))
+            entries = [e for e in entries if e[:2] != (x + shift, c)] + [(x + shift, c, amplitude)]
         assume(sum(abs(a) ** 2 for _, _, a in entries) > 1e-6)
         kind = [(x, index_to_coins(c, num_coins), a) for x, c, a in entries]
     initial = build_initial_state(num_coins, kind, t_max)
@@ -186,6 +197,74 @@ class TestAgainstTheDenseOracle:
         assert np.max(np.abs(kernel.state().amplitudes - expected)) <= AMPLITUDE_TOL
 
 
+def edge_starts():
+    """Every single-site start for M <= 3 and t_max <= 5, with two tables over {0, 0.3, 1}.
+
+    Yields the register size, the horizon, the site, the register and the
+    tables A and B, whose entries a seeded generator draws from the three
+    values.
+    """
+    rng = np.random.default_rng(6)
+    for num_coins in (1, 2, 3):
+        histories = all_histories(num_coins)
+        for t_max in range(1, 6):
+            for x in range(-t_max, t_max + 1):
+                for column in range(1 << num_coins):
+                    tables = {
+                        letter: HistoryRhoTable(
+                            num_coins, dict(zip(histories, rng.choice([0.0, 0.3, 1.0], len(histories))))
+                        )
+                        for letter in "AB"
+                    }
+                    yield num_coins, t_max, x, index_to_coins(column, num_coins), tables
+
+
+class TestEveryEdgeStart:
+    """Walks from every site of small grids, played past the step that leaves the grid."""
+
+    def test_every_step_and_the_horizon_error_match_the_toss_loop(self):
+        raised = []
+        for num_coins, t_max, x, coins, tables in edge_starts():
+            initial = build_initial_state(num_coins, [(x, coins, 1.0)], t_max)
+            steps = t_max + 2
+            states, raised_at = spec_walk(initial, tables, "AB", steps)
+            raised.append(raised_at)
+            kernel = _Kernel(initial, [tables["A"], tables["B"]])
+            for t in range(1, (raised_at or steps + 1)):
+                kernel.step()
+                assert np.max(np.abs(kernel.state().amplitudes - states[t].amplitudes)) <= AMPLITUDE_TOL
+            if raised_at is not None:
+                with pytest.raises(HorizonError):
+                    kernel.step()
+        # The starts reach the edge at every step from the first to the last.
+        assert set(raised) == {None, *range(1, 8)}
+
+    def test_starts_on_both_parities_match_dense_steps(self):
+        for num_coins, t_max, x, coins, tables in edge_starts():
+            if x == t_max:
+                continue
+            # The site and its right neighbour, with the complemented register.
+            other = "".join("R" if letter == "L" else "L" for letter in coins)
+            initial = build_initial_state(num_coins, [(x, coins, 0.6), (x + 1, other, 0.8j)], t_max)
+            states, raised_at = spec_walk(initial, tables, "AB", t_max + 2)
+            steps = len(states) - 1
+            kernel = _Kernel(initial, [tables["A"], tables["B"]])
+            assert kernel.psi.shape[1] == 2
+            matrices = [
+                dense_step_matrix(num_coins, t_max, tables[letter].retention_array())
+                for letter in "AB"
+            ]
+            expected = initial.amplitudes.reshape(-1)
+            for t in range(steps):
+                kernel.step()
+                expected = matrices[t % 2] @ expected
+            got = kernel.state().amplitudes
+            assert np.max(np.abs(got - expected.reshape(got.shape))) <= AMPLITUDE_TOL
+            if raised_at is not None:
+                with pytest.raises(HorizonError):
+                    kernel.step()
+
+
 class TestRelabeling:
     def test_single_coin_relabeling_is_the_identity(self):
         assert _reorder_source(1).tolist() == [0, 1]
@@ -259,6 +338,34 @@ class TestNormDrift:
             assert np.max(trajectory.norm_drift) <= 1e-12
 
 
+class TestWorkingBytes:
+    """The memory guard charges at least what a walk allocates, its input state included."""
+
+    @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000), (10, 100)])
+    @pytest.mark.parametrize(
+        "call", ["run", "run with a final snapshot", "evolve", "both parities"]
+    )
+    def test_the_traced_peak_stays_within_working_bytes(self, num_coins, steps, call):
+        games = random_tables(num_coins, "AB", 7)
+        tracemalloc.start()
+        try:
+            if call == "both parities":
+                # Sites 0 and 1 reach the grid edge at step t_max, so stop one short.
+                entries = [(0, "L" * num_coins, 0.6), (1, "R" * num_coins, 0.8)]
+                initial = build_initial_state(num_coins, entries, steps)
+                run_sequence(initial, games, "AAB", steps - 1, [steps - 1])
+            else:
+                initial = build_initial_state(num_coins, ANTISYMMETRIC, steps)
+                if call == "evolve":
+                    evolve(initial, games["B"], steps)
+                else:
+                    run_sequence(initial, games, "AAB", steps, [steps] if "snapshot" in call else ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= working_bytes(num_coins, steps)
+
+
 class TestCliOutputIsUnchanged:
     """The CLI's CSV bytes equal those written from the specification loop."""
 
@@ -301,8 +408,11 @@ class TestCliOutputIsUnchanged:
 
 
 def entry_bytes(num_coins, steps):
-    """Bytes of one batch entry's amplitude buffer for a scan or sweep of ``steps``."""
-    return (1 << num_coins) * (2 * max(steps, 1) + 3) * 16
+    """Bytes of one batch entry's amplitude buffer for a scan or sweep of ``steps``.
+
+    Origin starts occupy one sublattice of ``t_max + 2`` compact rows.
+    """
+    return (1 << num_coins) * (max(steps, 1) + 2) * 16
 
 
 def chunked(monkeypatch, num_coins, steps, per_chunk):
