@@ -257,9 +257,9 @@ class _Kernel:
       :func:`_reorder_source` instead of moving data, so the retossed entry
       sits in physical bit ``t mod num_coins`` and the retention coefficients
       are permuted to match.
-    * Only the rows of one parity are stored.  Every step moves the walker
-      one site, so a grid row occupied at step ``t`` has the parity of
-      ``t`` plus that of the start.  Sublattice ``sigma`` holds the grid rows
+    * Rows that cannot be occupied are not stored.  Every step moves the
+      walker one site, so a grid row occupied at step ``t`` has the parity
+      of ``t`` plus that of the start row it came from.  Sublattice ``sigma`` holds the grid rows
       ``g`` with ``g + e + sigma`` even, where ``e`` (``parity``) is the
       start's row parity plus ``t``, modulo 2, and stores row ``g`` in compact
       row ``(g + e + sigma) / 2``.  A start whose occupied rows share one
