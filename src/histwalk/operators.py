@@ -68,7 +68,13 @@ def all_histories(num_coins: int) -> list[str]:
     """Every history string of length ``num_coins - 1``, in column-index order."""
     if num_coins < 1:
         raise ValueError(f"num_coins must be >= 1, got {num_coins}")
-    return ["".join(h) for h in product((L, R), repeat=num_coins - 1)]
+    return list(_histories(num_coins))
+
+
+@lru_cache(maxsize=2)
+def _histories(num_coins: int) -> tuple[str, ...]:
+    # Building a table lists its histories twice; at M = 20 that is 2**19 strings.
+    return tuple(map("".join, product((L, R), repeat=num_coins - 1)))
 
 
 @dataclass(frozen=True)
@@ -85,22 +91,29 @@ class HistoryRhoTable:
 
     def __post_init__(self) -> None:
         expected = all_histories(self.num_coins)
-        entries = {}
-        for key in expected:
-            if key not in self.rho:
-                raise ValueError(f"missing rho for history {key!r}")
-            entries[key] = _check_probability(self.rho[key], f"rho[{key!r}]")
-        extra = set(self.rho) - set(expected)
-        if extra:
-            raise ValueError(
-                f"unexpected history keys {sorted(extra)} for num_coins={self.num_coins}"
-            )
+        entries = None
+        if list(self.rho) == expected and all(type(v) is float for v in self.rho.values()):
+            # Every key in order and every value a float: check the range at once.
+            values = np.fromiter(self.rho.values(), float, len(expected))
+            if np.all((values >= 0.0) & (values <= 1.0)):
+                entries = dict(self.rho)
+        if entries is None:
+            entries = {}
+            for key in expected:
+                if key not in self.rho:
+                    raise ValueError(f"missing rho for history {key!r}")
+                entries[key] = _check_probability(self.rho[key], f"rho[{key!r}]")
+            extra = set(self.rho) - set(expected)
+            if extra:
+                raise ValueError(
+                    f"unexpected history keys {sorted(extra)} for num_coins={self.num_coins}"
+                )
         object.__setattr__(self, "rho", entries)
 
     @classmethod
     def uniform(cls, num_coins: int, rho: float = 0.5) -> "HistoryRhoTable":
         """The same retention parameter for every history."""
-        return cls(num_coins, {h: rho for h in all_histories(num_coins)})
+        return cls(num_coins, dict.fromkeys(all_histories(num_coins), rho))
 
     @classmethod
     def with_overrides(
@@ -110,7 +123,7 @@ class HistoryRhoTable:
         overrides: Mapping[str, float] | None = None,
     ) -> "HistoryRhoTable":
         """A uniform table with selected histories overridden."""
-        entries = {h: default for h in all_histories(num_coins)}
+        entries = dict.fromkeys(all_histories(num_coins), default)
         for key, value in (overrides or {}).items():
             if key not in entries:
                 raise ValueError(f"unknown history key {key!r} for num_coins={num_coins}")
@@ -133,7 +146,7 @@ class HistoryRhoTable:
 
     def retention_array(self) -> np.ndarray:
         """Retention parameters ordered by history index (most recent = MSB)."""
-        return np.array([self.rho[h] for h in all_histories(self.num_coins)], dtype=float)
+        return np.fromiter(self.rho.values(), float, len(self.rho))  # stored in that order
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,14 @@ class TestHistoryRhoTable:
         with pytest.raises(ValueError, match="must lie in"):
             HistoryRhoTable.uniform(2, 1.2)
 
+    def test_entries_are_stored_as_floats_in_history_order(self):
+        table = HistoryRhoTable(3, {"RR": 1, "LL": 0.5, "RL": 0, "LR": "0.25"})
+        assert list(table.rho) == all_histories(3)
+        assert all(type(value) is float for value in table.rho.values())
+        assert table.retention_array().tolist() == [0.5, 0.25, 0.0, 1.0]
+        with pytest.raises(ValueError, match=r"rho\['RL'\] = nan must lie in"):
+            HistoryRhoTable(3, dict.fromkeys(all_histories(3), 0.5) | {"RL": float("nan")})
+
     def test_with_overrides_checks_key_length(self):
         with pytest.raises(ValueError, match="unknown history key"):
             HistoryRhoTable.with_overrides(3, 0.5, {"R": 0.6})
