@@ -294,8 +294,8 @@ class _Kernel:
       entry.  Each entry's coefficients are gathered by the code of its table
       and permuted to the physical columns; they repeat with ``t`` modulo
       ``period`` and are cached per phase, so a single walk gathers only
-      during its first period.  At most one phase per step is cached; within
-      the horizon that is less than one buffer.
+      during its first period.  The cache holds at most half a buffer;
+      phases past that are gathered again each time they come round.
 
     The buffers have shape ``(entries, sublattices, 2**num_coins, t_max + 2)``:
     one contiguous run of compact rows per register column, so a step's inner
@@ -375,7 +375,11 @@ class _Kernel:
             rho = np.repeat(rho, self.psi.shape[1], axis=0)
             pair_shape = (-1, 1 << retossed, 1)  # entries, sublattices and high bits share an axis
             keep, flip = np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)
-            self.coefficients[phase] = keep.reshape(pair_shape), flip.reshape(pair_shape)
+            coefficients = keep.reshape(pair_shape), flip.reshape(pair_shape)
+            # A phase holds 1 / (t_max + 2) of a buffer; cache at most half a buffer.
+            if len(self.coefficients) < (self.t_max + 2) // 2:
+                self.coefficients[phase] = coefficients
+            return coefficients
         return self.coefficients[phase]
 
     def step(self) -> None:
