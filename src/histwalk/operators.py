@@ -11,12 +11,12 @@ rotation is a bit rotate on the column index.
 :func:`apply_conditional_flip`, :func:`apply_shift`, :func:`apply_reorder`
 and :func:`toss` are the specification layer: each builds a new full-grid
 state and reads like the definition above.  The walker's loops run on
-:class:`_Kernel` instead, which does the same arithmetic with less data.
-Every step moves the walker one site, so at any step the occupied positions
-of a walk share one parity per sublattice of the start; the kernel stores
-only those rows, in compact light-cone rows, steps only the occupied band of
-them and never moves columns for the rotation.  Its tests compare it with
-these functions.
+:class:`_Kernel` instead, which does the same arithmetic on less data.
+Every step moves the walker one site, so amplitude that starts on sites of
+one parity sits, after ``t`` steps, only on sites of that parity plus ``t``.
+The kernel stores only those rows, as compact light-cone rows, steps only
+the occupied band of them and never moves columns for the rotation.  Its
+tests compare it with these functions.
 """
 
 from __future__ import annotations
@@ -272,10 +272,11 @@ class _Kernel:
       are permuted to match.
     * Rows that cannot be occupied are not stored.  Every step moves the
       walker one site, so a grid row occupied at step ``t`` has the parity
-      of ``t`` plus that of the start row it came from.  Sublattice ``sigma`` holds the grid rows
-      ``g`` with ``g + e + sigma`` even, where ``e`` (``parity``) is the
-      start's row parity plus ``t``, modulo 2, and stores row ``g`` in compact
-      row ``(g + e + sigma) / 2``.  A start whose occupied rows share one
+      of ``t`` plus that of the start row it came from.  Sublattice
+      ``sigma`` holds the grid rows ``g`` with ``g + e + sigma`` even, where
+      ``e`` (``parity``) is ``t`` plus the parity of sublattice 0's rows at
+      the start, modulo 2, and stores row ``g`` in compact row
+      ``(g + e + sigma) / 2``.  A start whose occupied rows share one
       parity has one sublattice; a start that occupies both has two, which
       never interfere and are stepped by the same calls.  When ``e`` is 0 the
       retossed L half keeps its compact row and the R half moves up one; when
@@ -395,6 +396,7 @@ class _Kernel:
             src = self.psi.reshape(shape)
             dst = self.spare.reshape(shape)
             old_l, old_r = src[:, 0, :, a:b], src[:, 1, :, a:b]
+            # The L half moves down e rows, the R half up 1 - e rows.
             new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
             tmp = self.scratch[: old_l.size].reshape(old_l.shape)
             np.multiply(keep, old_l, out=new_l)

@@ -170,7 +170,7 @@ def _check_norm(norm: float) -> None:
 
 
 def _readout(first_row: int, stride: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
-    """Mean, std and norm drift from the probabilities ``p`` of grid rows ``first_row + stride * i``.
+    """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
 
     ``x`` and ``x2`` hold every grid position and its square.  The norm and
     variance checks are those of :func:`position_distribution` and

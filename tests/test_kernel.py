@@ -29,6 +29,7 @@ from histwalk.output import write_csv
 from histwalk.state import (
     HorizonError,
     NormalizationError,
+    complement,
     index_to_coins,
     moments,
     position_distribution,
@@ -91,7 +92,7 @@ def walks(draw, max_coins=6, max_horizon=8):
     pattern = draw(st.text(alphabet=letters, min_size=1, max_size=4))
     t_max = draw(st.integers(1, max_horizon))
     kind = draw(st.sampled_from([ANTISYMMETRIC, ALL_R, "custom", "both parities"]))
-    if kind != ANTISYMMETRIC and kind != ALL_R:
+    if kind in ("custom", "both parities"):
         # Off-origin entries anywhere on the grid, the edges included.  One
         # entry per (x, register): a later entry would overwrite an earlier
         # one, and the norm below would not be the norm of the built state.
@@ -205,6 +206,7 @@ def edge_starts():
     values.
     """
     rng = np.random.default_rng(6)
+    values = [0.0, 0.3, 1.0]
     for num_coins in (1, 2, 3):
         histories = all_histories(num_coins)
         for t_max in range(1, 6):
@@ -212,7 +214,7 @@ def edge_starts():
                 for column in range(1 << num_coins):
                     tables = {
                         letter: HistoryRhoTable(
-                            num_coins, dict(zip(histories, rng.choice([0.0, 0.3, 1.0], len(histories))))
+                            num_coins, dict(zip(histories, rng.choice(values, len(histories))))
                         )
                         for letter in "AB"
                     }
@@ -232,7 +234,8 @@ class TestEveryEdgeStart:
             kernel = _Kernel(initial, [tables["A"], tables["B"]])
             for t in range(1, (raised_at or steps + 1)):
                 kernel.step()
-                assert np.max(np.abs(kernel.state().amplitudes - states[t].amplitudes)) <= AMPLITUDE_TOL
+                got = kernel.state().amplitudes
+                assert np.max(np.abs(got - states[t].amplitudes)) <= AMPLITUDE_TOL
             if raised_at is not None:
                 with pytest.raises(HorizonError):
                     kernel.step()
@@ -244,8 +247,8 @@ class TestEveryEdgeStart:
             if x == t_max:
                 continue
             # The site and its right neighbour, with the complemented register.
-            other = "".join("R" if letter == "L" else "L" for letter in coins)
-            initial = build_initial_state(num_coins, [(x, coins, 0.6), (x + 1, other, 0.8j)], t_max)
+            entries = [(x, coins, 0.6), (x + 1, complement(coins), 0.8j)]
+            initial = build_initial_state(num_coins, entries, t_max)
             states, raised_at = spec_walk(initial, tables, "AB", t_max + 2)
             steps = len(states) - 1
             kernel = _Kernel(initial, [tables["A"], tables["B"]])
@@ -359,7 +362,8 @@ class TestWorkingBytes:
                 if call == "evolve":
                     evolve(initial, games["B"], steps)
                 else:
-                    run_sequence(initial, games, "AAB", steps, [steps] if "snapshot" in call else ())
+                    snapshot_at = [steps] if "snapshot" in call else []
+                    run_sequence(initial, games, "AAB", steps, snapshot_at)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

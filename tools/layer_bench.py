@@ -75,7 +75,8 @@ def measure(seed: int, ops: int) -> dict[str, list[float]]:
         return wrapper
 
     originals = (operators._Kernel.step, operators._Kernel.probabilities, walker._readout)
-    samples: dict[str, list[float]] = {name: [] for name in (*LAYERS, "run_sequence", "scan_sequences")}
+    names = (*LAYERS, "run_sequence", "scan_sequences")
+    samples: dict[str, list[float]] = {name: [] for name in names}
     operators._Kernel.step = timed("step", originals[0])
     operators._Kernel.probabilities = timed("probabilities", originals[1])
     walker._readout = timed("readout", originals[2])
