@@ -25,10 +25,9 @@ from .classical import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .output import emit_svg_plot, write_csv
-from .state import check_memory
+from .state import MemoryLimitError
 from .walker import (
     POSITIVE_MEAN_THRESHOLD,
-    _check_scan_size,
     _check_sweep_size,
     build_initial_state,
     run_sequence,
@@ -174,10 +173,10 @@ def _cmd_walk_dist(args) -> None:
 
 
 def _fits(call, *args):
-    """Run a size-guarded call and return its result, reporting a refusal as a usage error."""
+    """Run a size-guarded call, reporting a memory refusal as a usage error."""
     try:
         return call(*args)
-    except ValueError as exc:
+    except MemoryLimitError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -198,9 +197,8 @@ def _cmd_walk_sweep(args) -> None:
         if not 0.0 <= bound <= 1.0:
             raise ConfigError(f"sweep bound {bound} must lie in [0, 1]")
     _fits(_check_sweep_size, args.grid_points)
-    _fits(check_memory, config.num_coins, max(config.steps, 1))
     grid = np.linspace(args.sweep_from, args.sweep_to, args.grid_points)
-    results = sweep_parameter(table, key, grid, config.steps, config.initial)
+    results = _fits(sweep_parameter, table, key, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
     write_csv(("rho", "mean", "std"), rows, config.out)
     _maybe_plot(args, config)
@@ -211,10 +209,8 @@ def _cmd_walk_scan(args) -> None:
     _require_quantum(config)
     if args.max_len < 1:
         raise ConfigError("--max-len must be >= 1")
-    _fits(_check_scan_size, len(config.games), args.max_len)
-    _fits(check_memory, config.num_coins, max(config.steps, 1))
-    results = scan_sequences(
-        config.games, args.max_len, config.num_coins, config.steps, config.initial
+    results = _fits(
+        scan_sequences, config.games, args.max_len, config.num_coins, config.steps, config.initial
     )
     rows = [
         (pattern, mean, 1 if mean > POSITIVE_MEAN_THRESHOLD else 0)

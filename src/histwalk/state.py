@@ -28,6 +28,7 @@ __all__ = [
     "WalkState",
     "working_bytes",
     "physical_memory_bytes",
+    "MemoryLimitError",
     "check_memory",
     "new_state",
     "norm",
@@ -51,6 +52,10 @@ class HorizonError(RuntimeError):
 
 class NormalizationError(ValueError):
     """A unit-norm state or distribution was required but not supplied."""
+
+
+class MemoryLimitError(ValueError):
+    """A run was refused before allocating: it cannot fit in physical memory."""
 
 
 def _check_register(coins: str, num_coins: int | None = None) -> None:
@@ -166,20 +171,20 @@ def physical_memory_bytes() -> int | None:
 
 
 def _check_fits(needed: int, what: str, use: str) -> None:
-    """Raise ValueError if ``needed`` bytes exceed physical memory.
+    """Raise MemoryLimitError if ``needed`` bytes exceed physical memory.
 
     The message says that ``what`` needs them ``use`` (what they hold).
     """
     available = physical_memory_bytes()
     if available is not None and needed > available:
-        raise ValueError(
+        raise MemoryLimitError(
             f"{what} needs {needed / 2**30:.1f} GiB {use}, more than the "
             f"{available / 2**30:.1f} GiB of physical memory"
         )
 
 
 def check_memory(num_coins: int, t_max: int) -> None:
-    """Raise ValueError if a walk on this grid cannot fit in physical memory."""
+    """Raise MemoryLimitError if a walk on this grid cannot fit in physical memory."""
     _check_fits(
         working_bytes(num_coins, t_max),
         f"M = {num_coins} with horizon {t_max}",
@@ -190,7 +195,7 @@ def check_memory(num_coins: int, t_max: int) -> None:
 def new_state(num_coins: int, t_max: int) -> WalkState:
     """Allocate an all-zero state; inject an initial state before evolving.
 
-    Raises ValueError before allocating when :func:`check_memory` fails.
+    Raises MemoryLimitError before allocating when :func:`check_memory` fails.
     """
     if num_coins < 1:
         raise ValueError(f"num_coins must be >= 1, got {num_coins}")

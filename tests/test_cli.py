@@ -322,7 +322,7 @@ class TestExitCodes:
     def test_walk_too_large_for_memory_exits_one_before_allocating(
         self, tmp_path, capsys, monkeypatch
     ):
-        # M = 20 with T = 1000 needs two 34 GB arrays; the machine size is
+        # M = 20 with T = 1000 is charged about 188 GiB; the machine size is
         # pinned so the outcome does not depend on the host.
         monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
         cfg = config_file(tmp_path, "M = 20\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n")
@@ -359,6 +359,22 @@ class TestExitCodes:
         assert main(["walk", command, "--config", cfg, *extra, "--out", str(out)]) == 1
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["scan", "sweep"])
+    def test_walk_failure_that_is_not_a_memory_refusal_exits_two(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def lose_the_norm(*args):
+            raise histwalk.NormalizationError("state norm is 0.5, expected 1 within 1e-9")
+
+        monkeypatch.setattr(histwalk.walker, "_final_moments", lose_the_norm)
+        cfg = config_file(tmp_path, BIASED_THREE.format(steps=10, pattern="B"))
+        extra = {
+            "scan": ["--max-len", "2"],
+            "sweep": ["--param", "RR", "--from", "0", "--to", "1", "--steps", "3"],
+        }[command]
+        assert main(["walk", command, "--config", cfg, *extra]) == 2
+        assert "runtime error: state norm is 0.5" in capsys.readouterr().err
 
     def test_scan_too_large_for_memory_exits_one_before_enumerating(
         self, tmp_path, capsys, monkeypatch
