@@ -68,13 +68,7 @@ def all_histories(num_coins: int) -> list[str]:
     """Every history string of length ``num_coins - 1``, in column-index order."""
     if num_coins < 1:
         raise ValueError(f"num_coins must be >= 1, got {num_coins}")
-    return list(_histories(num_coins))
-
-
-@lru_cache(maxsize=2)
-def _histories(num_coins: int) -> tuple[str, ...]:
-    # Building a table lists its histories twice; at M = 20 that is 2**19 strings.
-    return tuple(map("".join, product((L, R), repeat=num_coins - 1)))
+    return list(map("".join, product((L, R), repeat=num_coins - 1)))
 
 
 @dataclass(frozen=True)
@@ -91,24 +85,23 @@ class HistoryRhoTable:
 
     def __post_init__(self) -> None:
         expected = all_histories(self.num_coins)
-        entries = None
-        if list(self.rho) == expected and all(type(v) is float for v in self.rho.values()):
-            # Every key in order and every value a float: check the range at once.
-            values = np.fromiter(self.rho.values(), float, len(expected))
-            if np.all((values >= 0.0) & (values <= 1.0)):
-                entries = dict(self.rho)
-        if entries is None:
-            entries = {}
+        try:
+            values = np.array([float(self.rho[key]) for key in expected])
+            valid = bool(np.all((values >= 0.0) & (values <= 1.0)))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            # Name the first missing or out-of-range entry.
             for key in expected:
                 if key not in self.rho:
                     raise ValueError(f"missing rho for history {key!r}")
-                entries[key] = _check_probability(self.rho[key], f"rho[{key!r}]")
+                _check_probability(self.rho[key], f"rho[{key!r}]")
+        if len(self.rho) != len(expected):  # every expected key is present
             extra = set(self.rho) - set(expected)
-            if extra:
-                raise ValueError(
-                    f"unexpected history keys {sorted(extra)} for num_coins={self.num_coins}"
-                )
-        object.__setattr__(self, "rho", entries)
+            raise ValueError(
+                f"unexpected history keys {sorted(extra)} for num_coins={self.num_coins}"
+            )
+        object.__setattr__(self, "rho", dict(zip(expected, values.tolist())))
 
     @classmethod
     def uniform(cls, num_coins: int, rho: float = 0.5) -> "HistoryRhoTable":
