@@ -149,17 +149,17 @@ def working_bytes(num_coins: int, t_max: int) -> int:
     Everything that can be live at once is added up.  The evolution kernel
     stores each of at most two parity sublattices in ``t_max + 2`` rows per
     register column.  It holds two such buffers, a scratch half buffer and
-    cached coefficients of at most half a buffer, and its readout makes
-    temporaries of up to one more buffer.  Beside them sit the input state
-    and, when a walk returns or snapshots a full-grid state, that state and
-    the temporaries of its readout (one more grid).  Positions, their
-    squares, the per-step series and the readout's arrays of one number per
-    position are charged as sixteen 8-byte values per grid row.
+    cached coefficients of at most half a buffer, and its readout, or the
+    gather of a full-grid state it returns, makes temporaries of up to one
+    more buffer.  Beside them sit the input state and the returned state.
+    Positions, their squares, the per-step series and the readout's arrays of
+    one number per position are charged as sixteen 8-byte values per grid
+    row.
     """
     rows = 2 * t_max + 1
     columns = (1 << num_coins) * np.dtype(np.complex128).itemsize
     buffer = 2 * (t_max + 2) * columns
-    return 3 * rows * columns + 4 * buffer + 16 * 8 * rows
+    return 2 * rows * columns + 4 * buffer + 16 * 8 * rows
 
 
 def physical_memory_bytes() -> int | None:

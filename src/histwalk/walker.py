@@ -17,7 +17,6 @@ from .state import (
     WalkState,
     _check_fits,
     new_state,
-    position_distribution,
 )
 
 __all__ = [
@@ -190,6 +189,22 @@ def _readout(first_row: int, stride: int, p: np.ndarray, x: np.ndarray, x2: np.n
     return mean, float(np.sqrt(max(var, 0.0))), abs(total - 1.0)
 
 
+def _distribution(
+    first_row: int, stride: int, p: np.ndarray, positions: np.ndarray
+) -> ProbabilityDistribution:
+    """Position distribution from probabilities ``p`` on grid rows ``first_row + stride * i``.
+
+    It is what :func:`position_distribution` gives for the state: the support
+    runs from the first to the last occupied position, on their sublattice
+    when they share one parity.
+    """
+    occupied = p.nonzero()[0]
+    lo, hi = int(occupied[0]), int(occupied[-1]) + 1
+    step = 2 if stride == 1 and not ((occupied - lo) & 1).any() else 1
+    rows = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride * step)
+    return ProbabilityDistribution(positions[rows].copy(), p[lo:hi:step].copy())
+
+
 def _check_pattern(pattern: str, tables: Mapping[str, HistoryRhoTable]) -> None:
     if not pattern:
         raise ValueError("pattern must be a non-empty string of game letters")
@@ -231,7 +246,8 @@ def run_sequence(
     out_of_range = {s for s in wanted if not 0 <= s <= steps}
     if out_of_range:
         raise ValueError(f"snapshot steps {sorted(out_of_range)} outside [0, {steps}]")
-    x = initial.positions.astype(float)
+    positions = initial.positions
+    x = positions.astype(float)
     x2 = x * x
     means, stds, drift = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
     snapshots: dict[int, ProbabilityDistribution] = {}
@@ -242,7 +258,7 @@ def run_sequence(
         first_row, stride, p = kernel.probabilities()
         means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], x, x2)
         if t in wanted:
-            snapshots[t] = position_distribution(kernel.state())
+            snapshots[t] = _distribution(first_row, stride, p[0], positions)
     return Trajectory(means, stds, snapshots, drift)
 
 
@@ -277,7 +293,7 @@ def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps: int)
 
 
 def _check_scan_size(letters: int, max_len: int) -> None:
-    """Raise ValueError before enumerating a scan whose results cannot fit in memory.
+    """Raise MemoryLimitError before enumerating a scan whose results cannot fit in memory.
 
     The pattern count ``sum(letters**k for k in 1..max_len)`` is taken in
     integer arithmetic, stopping once it passes 2**64, which no memory holds.
@@ -298,7 +314,7 @@ def _check_scan_size(letters: int, max_len: int) -> None:
 
 
 def _check_sweep_size(points: int) -> None:
-    """Raise ValueError if the results of a ``points``-value sweep cannot fit in memory.
+    """Raise MemoryLimitError if the results of a ``points``-value sweep cannot fit in memory.
 
     Each grid value is charged :data:`_RESULT_BYTES`.
     """
@@ -341,7 +357,7 @@ def scan_sequences(
 
     Every pattern starts from the identical initial state; keys are returned
     in lexicographic order over the sorted game alphabet.  A scan whose
-    results cannot fit in physical memory raises ValueError before any
+    results cannot fit in physical memory raises MemoryLimitError before any
     pattern is built.
     """
     tables = as_game_tables(games)
@@ -374,7 +390,7 @@ def sweep_parameter(
 
     Returns ``(rho, Moments)`` pairs in grid order; every run starts from the
     same initial state and plays the adjusted table for all ``steps`` tosses.
-    A grid whose results cannot fit in physical memory raises ValueError
+    A grid whose results cannot fit in physical memory raises MemoryLimitError
     before any run.
     """
     table = base.table if isinstance(base, GameSpec) else base

@@ -346,17 +346,21 @@ class TestWorkingBytes:
 
     @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000), (10, 100)])
     @pytest.mark.parametrize(
-        "call", ["run", "run with a final snapshot", "evolve", "both parities"]
+        "call",
+        ["run", "run with a final snapshot", "evolve", "both parities", "evolve both parities"],
     )
     def test_the_traced_peak_stays_within_working_bytes(self, num_coins, steps, call):
         games = random_tables(num_coins, "AB", 7)
         tracemalloc.start()
         try:
-            if call == "both parities":
+            if "both parities" in call:
                 # Sites 0 and 1 reach the grid edge at step t_max, so stop one short.
                 entries = [(0, "L" * num_coins, 0.6), (1, "R" * num_coins, 0.8)]
                 initial = build_initial_state(num_coins, entries, steps)
-                run_sequence(initial, games, "AAB", steps - 1, [steps - 1])
+                if call == "evolve both parities":
+                    evolve(initial, games["B"], steps - 1)
+                else:
+                    run_sequence(initial, games, "AAB", steps - 1, [steps - 1])
             else:
                 initial = build_initial_state(num_coins, ANTISYMMETRIC, steps)
                 if call == "evolve":

@@ -65,11 +65,11 @@ class TestWalkState:
         assert state.steps_taken == 0
 
     def test_working_bytes_count_grids_compact_buffers_and_per_row_arrays(self):
-        # Three full grids, four buffers of two sublattices of t_max + 2
+        # Two full grids, four buffers of two sublattices of t_max + 2
         # rows, and sixteen 8-byte values per grid row.
-        assert working_bytes(3, 10) == 3 * 21 * 8 * 16 + 4 * 2 * 12 * 8 * 16 + 128 * 21
+        assert working_bytes(3, 10) == 2 * 21 * 8 * 16 + 4 * 2 * 12 * 8 * 16 + 128 * 21
         assert working_bytes(20, 1000) == (
-            3 * 2001 * 2**20 * 16 + 4 * 2 * 1002 * 2**20 * 16 + 128 * 2001
+            2 * 2001 * 2**20 * 16 + 4 * 2 * 1002 * 2**20 * 16 + 128 * 2001
         )
 
     def test_physical_memory_comes_from_sysconf(self):
