@@ -3,13 +3,14 @@
 Usage, from the repository root::
 
     python3 tools/layer_bench.py --tree parent=../histwalk-parent --tree change=. \
-        --rounds 10 --out BENCH_6.json
+        --out BENCH_6.json
 
-Each round starts one fresh process per tree, in the order given on even
-rounds and reversed on odd rounds, so host drift hits every tree alike.  A
-process imports ``histwalk`` from ``<tree>/src`` and times, at the size of
-the benchmark's ``trajectory_m8`` workload (M=8, T=200, pattern ``AAB``, game
-A uniform at rho = 0.5, game B drawn from the seed in [0.3, 0.7]):
+Each of ``ROUNDS`` rounds starts one fresh process per tree, in the order
+given on even rounds and reversed on odd rounds, so host drift hits every
+tree alike.  A process imports ``histwalk`` from ``<tree>/src`` and times
+``OPS`` ops of each kind, at the size of the benchmark's ``trajectory_m8``
+workload (M=8, T=200, pattern ``AAB``, game A uniform at rho = 0.5, game B
+drawn from ``SEED`` in [0.3, 0.7]):
 
 * ``step``, ``probabilities`` and ``readout``: the time one ``run_sequence``
   spends in ``_Kernel.step``, ``_Kernel.probabilities`` and
@@ -39,6 +40,9 @@ import numpy as np
 TRAJECTORY = {"M": 8, "T": 200, "pattern": "AAB"}
 SCAN = {"M": 3, "T": 60, "max_len": 5}
 LAYERS = ("step", "probabilities", "readout")
+ROUNDS = 10
+OPS = 5
+SEED = 7
 
 
 def _games(hw, seed: int, num_coins: int) -> dict:
@@ -50,13 +54,13 @@ def _games(hw, seed: int, num_coins: int) -> dict:
     }
 
 
-def measure(seed: int, ops: int) -> dict[str, list[float]]:
+def measure() -> dict[str, list[float]]:
     """Per-op seconds of every layer and call in the tree ``histwalk`` imports from."""
     import histwalk as hw
     import histwalk.operators as operators
     import histwalk.walker as walker
 
-    games = _games(hw, seed, TRAJECTORY["M"])
+    games = _games(hw, SEED, TRAJECTORY["M"])
     initial = walker.build_initial_state(TRAJECTORY["M"], walker.ANTISYMMETRIC, TRAJECTORY["T"])
 
     def run():
@@ -82,7 +86,7 @@ def measure(seed: int, ops: int) -> dict[str, list[float]]:
     walker._readout = timed("readout", originals[2])
     try:
         run()  # warm caches and lazy imports
-        for _ in range(ops):
+        for _ in range(OPS):
             spent.update(dict.fromkeys(LAYERS, 0.0))
             run()
             for layer in LAYERS:
@@ -92,13 +96,13 @@ def measure(seed: int, ops: int) -> dict[str, list[float]]:
 
     def whole(name, call):
         call()
-        for _ in range(ops):
+        for _ in range(OPS):
             start = time.perf_counter()
             call()
             samples[name].append(time.perf_counter() - start)
 
     whole("run_sequence", run)
-    scan_games = _games(hw, seed, SCAN["M"])
+    scan_games = _games(hw, SEED, SCAN["M"])
     whole(
         "scan_sequences",
         lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
@@ -106,20 +110,18 @@ def measure(seed: int, ops: int) -> dict[str, list[float]]:
     return samples
 
 
-def _child(tree: str, seed: int, ops: int) -> dict[str, list[float]]:
+def _child(tree: str) -> dict[str, list[float]]:
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2]);"
         "import layer_bench;"
-        "print(json.dumps(layer_bench.measure(int(sys.argv[3]), int(sys.argv[4]))))"
+        "print(json.dumps(layer_bench.measure()))"
     )
     source = str(Path(tree, "src").resolve())
     command = [sys.executable, "-c", code, str(Path(__file__).resolve().parent), source]
     threads = str(len(os.sched_getaffinity(0)))
     env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
     env.pop("PYTHONPATH", None)
-    done = subprocess.run(
-        [*command, str(seed), str(ops)], capture_output=True, text=True, env=env, check=True
-    )
+    done = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -134,17 +136,14 @@ def main(argv=None) -> int:
         "--tree", action="append", required=True, metavar="LABEL=PATH",
         help="a source tree to time (repeat; the first is the base of the ratios)",
     )
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--ops", type=int, default=5, help="timed ops of each kind per process")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the result here as JSON (default: stdout only)")
     args = parser.parse_args(argv)
     trees = dict(item.split("=", 1) for item in args.tree)
     samples: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
-    for round_ in range(args.rounds):
+    for round_ in range(ROUNDS):
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
         for label in order:
-            for name, values in _child(trees[label], args.seed, args.ops).items():
+            for name, values in _child(trees[label]).items():
                 samples[label].setdefault(name, []).extend(values)
     base = next(iter(trees))
     result = {
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
         },
         "settings": {
-            "rounds": args.rounds, "ops_per_process": args.ops, "seed": args.seed,
+            "rounds": ROUNDS, "ops_per_process": OPS, "seed": SEED,
             "trajectory": TRAJECTORY, "scan": SCAN, "unit": "s per op",
         },
         "trees": {
