@@ -10,67 +10,35 @@ analysis (smoothing, peak detection, symmetry checks), plus a CLI that
 writes deterministic CSV and SVG artifacts.
 """
 
-from .analysis import (
-    PeakReport,
-    analyze_peaks,
-    find_peaks,
-    smooth_distribution,
-    symmetry_deviation,
-)
+from .analysis import analyze_peaks, find_peaks, smooth_distribution, symmetry_deviation
 from .classical import (
     BiasedCoin,
     CapitalMod3,
     HistoryCoins,
-    StationaryResult,
     capital_game_trajectory,
     classical_mean_trajectory,
-    drift_by_state,
     history_game_trajectory,
     history_mix_trajectory,
-    history_states,
     history_walk_transition,
     monte_carlo_mean,
     monte_carlo_trajectory,
     stationary_distribution,
-    uniform_history_distribution,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .operators import (
-    BrunCoinList,
-    HistoryRhoTable,
-    all_histories,
-    apply_conditional_flip,
-    apply_reorder,
-    apply_shift,
-    brun_toss,
-    coin_unitary,
-    toss,
-)
+from .operators import HistoryRhoTable, all_histories
 from .output import emit_svg_plot, write_csv
 from .state import (
-    L,
-    R,
-    STEP,
     HorizonError,
-    Moments,
+    MemoryLimitError,
     NormalizationError,
-    ProbabilityDistribution,
-    WalkState,
-    coins_to_index,
-    complement,
     fidelity,
-    index_to_coins,
     moments,
     new_state,
-    norm,
     position_distribution,
 )
 from .walker import (
-    ALL_R,
     ANTISYMMETRIC,
     POSITIVE_MEAN_THRESHOLD,
-    GameSpec,
-    Trajectory,
     build_initial_state,
     evolve,
     evolve_brun,
@@ -81,42 +49,27 @@ from .walker import (
 
 __version__ = "0.1.0"
 
+# What the CLI, the demos, README's examples, the benchmark and the acceptance
+# checks import, plus the exceptions public calls raise.  Everything else,
+# the step operators of the specification layer included, stays importable
+# from its module.
 __all__ = [
-    "ALL_R",
     "ANTISYMMETRIC",
     "BiasedCoin",
-    "BrunCoinList",
     "CapitalMod3",
     "ConfigError",
-    "GameSpec",
     "HistoryCoins",
     "HistoryRhoTable",
     "HorizonError",
-    "L",
-    "Moments",
+    "MemoryLimitError",
     "NormalizationError",
     "POSITIVE_MEAN_THRESHOLD",
-    "PeakReport",
-    "ProbabilityDistribution",
-    "R",
     "RunConfig",
-    "STEP",
-    "StationaryResult",
-    "Trajectory",
-    "WalkState",
     "all_histories",
     "analyze_peaks",
-    "apply_conditional_flip",
-    "apply_reorder",
-    "apply_shift",
-    "brun_toss",
     "build_initial_state",
     "capital_game_trajectory",
     "classical_mean_trajectory",
-    "coin_unitary",
-    "coins_to_index",
-    "complement",
-    "drift_by_state",
     "emit_svg_plot",
     "evolve",
     "evolve_brun",
@@ -124,14 +77,11 @@ __all__ = [
     "find_peaks",
     "history_game_trajectory",
     "history_mix_trajectory",
-    "history_states",
     "history_walk_transition",
-    "index_to_coins",
     "moments",
     "monte_carlo_mean",
     "monte_carlo_trajectory",
     "new_state",
-    "norm",
     "parse_config",
     "position_distribution",
     "run_sequence",
@@ -140,7 +90,5 @@ __all__ = [
     "stationary_distribution",
     "sweep_parameter",
     "symmetry_deviation",
-    "toss",
-    "uniform_history_distribution",
     "write_csv",
 ]

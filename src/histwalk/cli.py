@@ -49,9 +49,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser, plot_style=None):
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--window", type=int, help="override the smoothing window")
-    parser.add_argument("--prominence", type=float, help="override the peak threshold")
     if plot_style is not None:
         parser.add_argument(
             "--emit-plot",
@@ -75,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist = walk_sub.add_parser("dist", help="final position distribution")
     _add_common(dist, plot_style="scatter")
     dist.add_argument("--peaks", metavar="PATH", help="also write a peak-report CSV")
+    dist.add_argument("--window", type=int, help="override the smoothing window")
+    dist.add_argument("--prominence", type=float, help="override the peak threshold")
     dist.set_defaults(handler=_cmd_walk_dist)
 
     sweep = walk_sub.add_parser("sweep", help="final moments as one rho entry varies")
@@ -101,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--monte-carlo", dest="monte_carlo", type=int, metavar="N",
         help="sample N trajectories instead of evolving exactly; adds a stderr column",
     )
+    crun.add_argument("--seed", type=int, help="override the config seed")
     crun.set_defaults(handler=_cmd_classical_run)
 
     plot = commands.add_parser("plot", help="render existing CSV files as one SVG")
@@ -145,10 +145,8 @@ def _maybe_plot(args, config: RunConfig) -> None:
 def _cmd_walk_run(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = _fits(build_initial_state, config.num_coins, config.initial, config.horizon)
-    trajectory = run_sequence(
-        initial, config.games, config.pattern, config.steps, config.snapshots
-    )
+    initial = _fits(build_initial_state, config.num_coins, config.initial, max(config.steps, 1))
+    trajectory = run_sequence(initial, config.games, config.pattern, config.steps)
     rows = [
         (t, mean, std)
         for t, (mean, std) in enumerate(zip(trajectory.means, trajectory.stds))
@@ -160,7 +158,7 @@ def _cmd_walk_run(args) -> None:
 def _cmd_walk_dist(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = _fits(build_initial_state, config.num_coins, config.initial, config.horizon)
+    initial = _fits(build_initial_state, config.num_coins, config.initial, max(config.steps, 1))
     trajectory = run_sequence(
         initial, config.games, config.pattern, config.steps, snapshot_at=[config.steps]
     )

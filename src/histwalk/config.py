@@ -5,21 +5,20 @@ comment, blank lines are ignored.  Dotted keys express nested tables, for
 example ``games.B.rho.RR = 0.55``.  Unknown keys are rejected so a typo can
 never silently change a run; syntax errors report line numbers and range
 errors name the offending key.  Whether a walk grid (``M`` with its
-horizon) fits in memory is checked where the grid is allocated, not here:
-the classical ``rho-walk`` engine reads ``M`` but allocates no grid.
+``max(T, 1)`` positions on each side) fits in memory is checked where the
+grid is allocated, not here: the classical ``rho-walk`` engine reads ``M``
+but allocates no grid.
 
 Recognized keys::
 
     M = <int >= 1>                     register length (required with games.*)
     T = <int >= 0>                     number of steps (required)
-    horizon = <int>                    position half-width, default max(T, 1)
     initial = antisymmetric | allR     starting state, default antisymmetric
     pattern = <letters>                cyclic game sequence, e.g. AABB (required)
-    snapshots = <t1,t2,...>            steps at which to keep full distributions
-    window = <odd int >= 1>            smoothing window, default 5
-    prominence = <float in (0,1)>      peak threshold, default 0.1
+    window = <odd int >= 1>            walk dist peaks: smoothing window, default 5
+    prominence = <float in (0,1)>      walk dist peaks: peak threshold, default 0.1
     out = <path>                       default output path (stdout if absent)
-    seed = <int >= 0>                  sampling seed
+    seed = <int >= 0>                  classical run --monte-carlo: sampling seed
     games.<X>.rho.default = <float in [0,1]>
     games.<X>.rho.<H> = <float in [0,1]>   H over {L,R}, length M-1
     classical.engine = capital | history | rho-walk
@@ -58,12 +57,10 @@ class RunConfig:
     steps: int
     pattern: str
     num_coins: int | None
-    horizon: int
     initial: str
     games: dict[str, HistoryRhoTable] = field(default_factory=dict)
     classical_engine: str | None = None
     classical_games: dict = field(default_factory=dict)
-    snapshots: tuple[int, ...] = ()
     window: int = 5
     prominence: float = 0.1
     out: str | None = None
@@ -219,11 +216,6 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         raise ConfigError(f"pattern = {pattern!r} must be letters only")
 
     num_coins = raw.take_int("M", minimum=1)
-    horizon = raw.take_int("horizon", minimum=1)
-    if horizon is None:
-        horizon = max(steps, 1)
-    elif horizon < steps:
-        raise ConfigError(f"horizon = {horizon} is smaller than T = {steps}")
 
     initial = raw.take("initial")
     if initial is None:
@@ -232,17 +224,6 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         raise ConfigError(
             f"initial = {initial!r} must be {ANTISYMMETRIC!r} or {ALL_R!r}"
         )
-
-    snapshots: tuple[int, ...] = ()
-    snapshot_text = raw.take("snapshots")
-    if snapshot_text is not None:
-        try:
-            snapshots = tuple(int(part.strip()) for part in snapshot_text.split(","))
-        except ValueError:
-            raise ConfigError(f"snapshots = {snapshot_text!r} must be comma-separated integers") from None
-        bad = [s for s in snapshots if not 0 <= s <= steps]
-        if bad:
-            raise ConfigError(f"snapshots {bad} outside [0, T]")
 
     window = raw.take_int("window", minimum=1)
     if window is None:
@@ -278,12 +259,10 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         steps=steps,
         pattern=pattern,
         num_coins=num_coins,
-        horizon=horizon,
         initial=initial,
         games=games,
         classical_engine=engine,
         classical_games=classical_games,
-        snapshots=snapshots,
         window=window,
         prominence=prominence,
         out=out,

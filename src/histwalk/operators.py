@@ -35,7 +35,6 @@ __all__ = [
     "coin_unitary",
     "all_histories",
     "HistoryRhoTable",
-    "BrunCoinList",
     "apply_conditional_flip",
     "apply_shift",
     "apply_reorder",
@@ -142,25 +141,12 @@ class HistoryRhoTable:
         return np.fromiter(self.rho.values(), float, len(self.rho))  # stored in that order
 
 
-@dataclass(frozen=True)
-class BrunCoinList:
-    """A fixed cycle of retention parameters, one per register slot."""
-
-    rhos: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(
-            _check_probability(v, f"rhos[{i}]") for i, v in enumerate(self.rhos)
-        )
-        if not values:
-            raise ValueError("need at least one coin in the cycle")
-        object.__setattr__(self, "rhos", values)
-
-    def __len__(self) -> int:
-        return len(self.rhos)
-
-    def __getitem__(self, index: int) -> float:
-        return self.rhos[index]
+def _coin_cycle(coins: Sequence[float], num_coins: int) -> tuple[float, ...]:
+    """A cycle of retention parameters, one per register slot, each range-checked."""
+    rhos = tuple(_check_probability(v, f"coins[{i}]") for i, v in enumerate(coins))
+    if len(rhos) != num_coins:
+        raise ValueError(f"coin cycle has {len(rhos)} entries, state has {num_coins} coins")
+    return rhos
 
 
 def apply_conditional_flip(state: WalkState, table: HistoryRhoTable) -> WalkState:
@@ -233,19 +219,14 @@ def toss(state: WalkState, table: HistoryRhoTable) -> WalkState:
     return out
 
 
-def brun_toss(
-    state: WalkState, coins: BrunCoinList | Sequence[float], step: int
-) -> WalkState:
+def brun_toss(state: WalkState, coins: Sequence[float], step: int) -> WalkState:
     """One step tossing with cycle entry ``step % len(coins)``, ignoring history.
 
-    ``step`` counts completed steps from 0, so a fresh walk uses the first
-    list entry on its first toss.  This is :func:`toss` with a uniform table.
+    ``coins`` holds one retention parameter per register slot.  ``step``
+    counts completed steps from 0, so a fresh walk uses the first entry on
+    its first toss.  This is :func:`toss` with a uniform table.
     """
-    rhos = tuple(coins)
-    if len(rhos) != state.num_coins:
-        raise ValueError(
-            f"coin cycle has {len(rhos)} entries, state has {state.num_coins} coins"
-        )
+    rhos = _coin_cycle(coins, state.num_coins)
     return toss(state, HistoryRhoTable.uniform(state.num_coins, rhos[step % len(rhos)]))
 
 

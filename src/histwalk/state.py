@@ -31,7 +31,6 @@ __all__ = [
     "MemoryLimitError",
     "check_memory",
     "new_state",
-    "norm",
     "fidelity",
     "ProbabilityDistribution",
     "position_distribution",
@@ -130,7 +129,12 @@ class WalkState:
         return complex(self.amplitudes[self._row(x), coins_to_index(coins)])
 
     def set_amplitude(self, x: int, coins: str, value: complex) -> None:
-        """Overwrite one basis amplitude; norm is re-checked at evolution entry points."""
+        """Overwrite one basis amplitude.
+
+        The norm is not checked here: ``run_sequence``, ``evolve`` and
+        ``evolve_brun`` raise NormalizationError for a start whose norm is
+        not 1 within 1e-9.
+        """
         _check_register(coins, self.num_coins)
         self.amplitudes[self._row(x), coins_to_index(coins)] = value
 
@@ -204,11 +208,6 @@ def new_state(num_coins: int, t_max: int) -> WalkState:
     check_memory(num_coins, t_max)
     shape = (2 * t_max + 1, 1 << num_coins)
     return WalkState(num_coins, t_max, np.zeros(shape, dtype=np.complex128))
-
-
-def norm(state: WalkState) -> float:
-    """Euclidean norm of the full amplitude table."""
-    return state.norm()
 
 
 def fidelity(a: WalkState, b: WalkState) -> float:

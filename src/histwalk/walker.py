@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .operators import BrunCoinList, HistoryRhoTable, _Kernel
+from .operators import HistoryRhoTable, _coin_cycle, _Kernel
 from .state import (
     HorizonError,
     Moments,
@@ -22,7 +22,6 @@ from .state import (
 __all__ = [
     "ANTISYMMETRIC",
     "ALL_R",
-    "GameSpec",
     "Trajectory",
     "build_initial_state",
     "as_game_tables",
@@ -50,31 +49,13 @@ _CHUNK_BYTES = 256 * 1024
 _RESULT_BYTES = 256
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    """A named retention table; patterns refer to games by this letter."""
+def as_game_tables(games: Mapping[str, HistoryRhoTable]) -> dict[str, HistoryRhoTable]:
+    """Check a letter -> table mapping and return it as a dict.
 
-    name: str
-    table: HistoryRhoTable
-
-    def __post_init__(self) -> None:
-        if len(self.name) != 1 or not self.name.isalpha():
-            raise ValueError(f"game name must be a single letter, got {self.name!r}")
-
-
-def as_game_tables(games) -> dict[str, HistoryRhoTable]:
-    """Normalize a game collection to a letter -> table mapping.
-
-    Accepts a mapping of letters to tables (or to :class:`GameSpec`), or an
-    iterable of :class:`GameSpec`.  All tables must agree on ``num_coins``.
+    All tables must agree on ``num_coins``.
     """
     out: dict[str, HistoryRhoTable] = {}
-    if isinstance(games, Mapping):
-        items = games.items()
-    else:
-        items = [(spec.name, spec) for spec in games]
-    for name, value in items:
-        table = value.table if isinstance(value, GameSpec) else value
+    for name, table in games.items():
         if not isinstance(table, HistoryRhoTable):
             raise TypeError(f"game {name!r} is not a retention table")
         if len(name) != 1 or not name.isalpha():
@@ -263,29 +244,29 @@ def run_sequence(
 
 
 def evolve(initial: WalkState, table: HistoryRhoTable, steps: int) -> WalkState:
-    """Apply ``steps`` tosses with one fixed table; returns the final state."""
+    """Apply ``steps`` tosses with one fixed table; returns the final state.
+
+    Raises NormalizationError unless the start's norm is 1 within 1e-9.
+    """
     return _evolve(initial, [table], steps)
 
 
-def evolve_brun(
-    initial: WalkState, coins: BrunCoinList | Sequence[float], steps: int
-) -> WalkState:
+def evolve_brun(initial: WalkState, coins: Sequence[float], steps: int) -> WalkState:
     """Apply ``steps`` cycled tosses; the cycle position follows ``steps_taken``.
 
-    Each cycle entry is a uniform table, so this plays one uniform table per
-    step, starting from entry ``initial.steps_taken % len(coins)``.
+    ``coins`` holds one retention parameter per register slot.  Each cycle
+    entry is a uniform table, so this plays one uniform table per step,
+    starting from entry ``initial.steps_taken % len(coins)``.  Raises
+    NormalizationError unless the start's norm is 1 within 1e-9.
     """
-    rhos = tuple(coins)
-    if len(rhos) != initial.num_coins:
-        raise ValueError(
-            f"coin cycle has {len(rhos)} entries, state has {initial.num_coins} coins"
-        )
+    rhos = _coin_cycle(coins, initial.num_coins)
     cycle = [HistoryRhoTable.uniform(initial.num_coins, rho) for rho in rhos]
     offset = initial.steps_taken % len(cycle)
     return _evolve(initial, cycle[offset:] + cycle[:offset], steps)
 
 
 def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps: int) -> WalkState:
+    _check_norm(initial.norm())
     kernel = _Kernel(initial, schedule)
     for _ in range(steps):
         kernel.step()
@@ -380,7 +361,7 @@ def scan_sequences(
 
 
 def sweep_parameter(
-    base: HistoryRhoTable | GameSpec,
+    base: HistoryRhoTable,
     history_key: str,
     grid: Sequence[float],
     steps: int,
@@ -393,9 +374,8 @@ def sweep_parameter(
     A grid whose results cannot fit in physical memory raises MemoryLimitError
     before any run.
     """
-    table = base.table if isinstance(base, GameSpec) else base
     _check_sweep_size(len(grid))
-    initial = build_initial_state(table.num_coins, kind, t_max=max(steps, 1))
-    schedules = ([table.replaced(history_key, float(rho))] for rho in grid)
+    initial = build_initial_state(base.num_coins, kind, t_max=max(steps, 1))
+    schedules = ([base.replaced(history_key, float(rho))] for rho in grid)
     moments = _final_moments(initial, schedules, steps)
     return [(float(rho), Moments(mean, std)) for rho, (mean, std) in zip(grid, moments)]

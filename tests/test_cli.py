@@ -124,6 +124,37 @@ class TestWalkDist:
         ]
         assert rows_of(peaks) == expected
 
+    def test_window_and_prominence_flags_override_the_config(self, tmp_path):
+        cfg = config_file(
+            tmp_path,
+            BIASED_THREE.format(steps=100, pattern="AAB") + "window = 3\nprominence = 0.1\n",
+        )
+        games = {
+            "A": HistoryRhoTable.uniform(3, 0.5),
+            "B": HistoryRhoTable.with_overrides(3, 0.5, {"RR": 0.55}),
+        }
+        dist = run_sequence(
+            build_initial_state(3, "antisymmetric", 100), games, "AAB", 100, snapshot_at=[100]
+        ).snapshots[100]
+        written = {}
+        for flags, window, prominence in (
+            ([], 3, 0.1),
+            (["--window", "5"], 5, 0.1),
+            (["--prominence", "0.3"], 3, 0.3),
+            (["--window", "5", "--prominence", "0.3"], 5, 0.3),
+        ):
+            peaks = tmp_path / "peaks.csv"
+            code = main(["walk", "dist", "--config", cfg, "--out", str(tmp_path / "d.csv"),
+                         "--peaks", str(peaks)] + flags)
+            assert code == 0
+            report = analyze_peaks(dist, window=window, prominence=prominence)
+            assert rows_of(peaks) == ["position,height"] + [
+                f"{x},{format_value(h)}" for x, h in report.peaks
+            ]
+            written[window, prominence] = peaks.read_bytes()
+        assert len(set(written.values())) == 4
+        assert [row.split(",")[0] for row in rows_of(peaks)[1:]] == ["-22", "20"]
+
 
 class TestWalkSweep:
     def test_grid_and_moment_columns(self, tmp_path):
@@ -299,6 +330,30 @@ class TestExitCodes:
         assert main(["walk", "run"]) == 1  # missing --config
         assert main(["walk"]) == 1  # missing subcommand
         assert main(["--config", "x"]) == 1  # missing command
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["walk", "run"], ["--window", "3"]),
+            (["walk", "run"], ["--prominence", "0.2"]),
+            (["walk", "run"], ["--seed", "1"]),
+            (["walk", "dist"], ["--seed", "1"]),
+            (["walk", "scan", "--max-len", "1"], ["--seed", "1"]),
+            (["walk", "scan", "--max-len", "1"], ["--window", "3"]),
+            (["walk", "scan", "--max-len", "1"], ["--emit-plot", "x.svg"]),
+            (["walk", "sweep", "--param", "RR", "--from", "0", "--to", "1", "--steps", "2"],
+             ["--prominence", "0.2"]),
+            (["walk", "sweep", "--param", "RR", "--from", "0", "--to", "1", "--steps", "2"],
+             ["--seed", "1"]),
+            (["classical", "run"], ["--window", "3"]),
+        ],
+    )
+    def test_each_command_accepts_only_the_flags_it_reads(
+        self, tmp_path, capsys, command, flag
+    ):
+        cfg = config_file(tmp_path, BIASED_THREE.format(steps=2, pattern="B"))
+        assert main(command + ["--config", cfg] + flag) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_unreadable_config_returns_one(self, tmp_path):
         assert main(["walk", "run", "--config", str(tmp_path / "absent.cfg")]) == 1

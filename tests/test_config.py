@@ -21,13 +21,11 @@ class TestValidConfigs:
         assert config.steps == 100
         assert config.pattern == "B"
         assert config.num_coins == 3
-        assert config.horizon == 100
         assert config.initial == "antisymmetric"
         assert config.games["B"].rho["RR"] == 0.55
         assert config.games["B"].rho["LL"] == 0.5
         assert config.window == 5
         assert config.prominence == 0.1
-        assert config.snapshots == ()
         assert config.out is None
         assert config.seed is None
 
@@ -46,20 +44,14 @@ class TestValidConfigs:
     def test_optional_fields_round_trip(self):
         config = parse_config(
             GAME_RUN
-            + "horizon = 200\ninitial = allR\nsnapshots = 0, 50,100\n"
+            + "initial = allR\n"
             + "window = 7\nprominence = 0.25\nout = results.csv\nseed = 9\n"
         )
-        assert config.horizon == 200
         assert config.initial == "allR"
-        assert config.snapshots == (0, 50, 100)
         assert config.window == 7
         assert config.prominence == 0.25
         assert config.out == "results.csv"
         assert config.seed == 9
-
-    def test_horizon_defaults_to_at_least_one(self):
-        config = parse_config("M=1\nT=0\npattern=A\ngames.A.rho.default=0.5\n")
-        assert config.horizon == 1
 
     def test_overrides_win_over_file_values(self):
         config = parse_config(GAME_RUN, overrides={"T": "20", "window": "3"})
@@ -168,19 +160,16 @@ class TestValueErrors:
         with pytest.raises(ConfigError, match="games.B"):
             parse_config("M = 2\nT = 1\npattern = B\ngames.B.rho.R = 0.5\n")
 
-    def test_horizon_must_cover_the_run(self):
-        with pytest.raises(ConfigError, match="horizon = 5 is smaller than T = 10"):
-            parse_config(GAME_RUN.replace("T = 100", "T = 10") + "horizon = 5\n")
+    @pytest.mark.parametrize("line", ["horizon = 100", "snapshots = 0,50,100"])
+    def test_keys_that_change_no_output_are_unknown(self, line):
+        # GAME_RUN's first line is blank, so the appended key sits on line 7.
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' \(line 7\)"):
+            parse_config(GAME_RUN + line + "\n")
 
     def test_unknown_initial_state(self):
         with pytest.raises(ConfigError, match="initial = 'sideways'"):
             parse_config(GAME_RUN + "initial = sideways\n")
-
-    def test_snapshots_validation(self):
-        with pytest.raises(ConfigError, match="comma-separated integers"):
-            parse_config(GAME_RUN + "snapshots = 1;2\n")
-        with pytest.raises(ConfigError, match=r"snapshots \[101\] outside"):
-            parse_config(GAME_RUN + "snapshots = 101\n")
 
     def test_window_must_be_odd(self):
         with pytest.raises(ConfigError, match="window = 4 must be odd"):

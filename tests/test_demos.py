@@ -1,0 +1,96 @@
+"""The demos and README's quick start run, and the package exports only what they use.
+
+Each demo runs as a script in a fresh working directory, as a reader would
+run it, so a name it imports that the package no longer has fails here.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import histwalk
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(histwalk.__file__).resolve().parent.parent
+
+DEMO_FILES = {
+    "spreading_walk": ["spreading_dist.csv", "spreading_dist.svg"],
+    "memory_peaks": [f"dist_m{m}.csv" for m in range(1, 5)] + ["memory_peaks.svg"],
+    "losing_games_that_win": ["pattern_scan.csv", "rr_sweep.csv", "rr_sweep.svg"],
+    "classical_games": ["capital_patterns.csv", "capital_patterns.svg"],
+}
+
+
+def run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def readme_python_blocks():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_FILES))
+def test_demo_runs_and_writes_its_files(demo, tmp_path):
+    result = run_python([str(ROOT / "demos" / f"{demo}.py")], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+    written = sorted(p.name for p in (tmp_path / "demo_output").iterdir())
+    assert written == sorted(DEMO_FILES[demo])
+    assert all((tmp_path / "demo_output" / name).stat().st_size for name in written)
+
+
+def test_readme_quick_start_prints_the_losing_and_winning_means(tmp_path):
+    (block,) = readme_python_blocks()
+    result = run_python(["-c", block], tmp_path)
+    assert result.returncode == 0, result.stderr
+    alone, mixed = (float(line) for line in result.stdout.splitlines()[:2])
+    assert alone == pytest.approx(-0.714, abs=5e-4)
+    assert mixed == pytest.approx(0.228, abs=5e-4)
+
+
+def names_used_from_histwalk(source: str) -> set[str]:
+    """Names a module imports from histwalk, or reads off an imported histwalk module."""
+    tree = ast.parse(source)
+    used: set[str] = set()
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").startswith("histwalk"):
+                used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name.startswith("histwalk")
+            )
+    attributes = (node for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    used.update(
+        node.attr
+        for node in attributes
+        if isinstance(node.value, ast.Name) and node.value.id in modules
+    )
+    return used
+
+
+def test_every_export_is_used_by_a_caller_or_is_a_raised_exception():
+    sources = [ROOT / "src" / "histwalk" / "cli.py", ROOT / "tests" / "test_acceptance.py"]
+    sources += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    texts = [path.read_text(encoding="utf-8") for path in sources] + readme_python_blocks()
+    used = set().union(*map(names_used_from_histwalk, texts))
+    exceptions = {
+        name
+        for name in histwalk.__all__
+        if isinstance(getattr(histwalk, name), type)
+        and issubclass(getattr(histwalk, name), Exception)
+    }
+    assert sorted(set(histwalk.__all__) - used - exceptions) == []
+    assert len(set(histwalk.__all__)) == len(histwalk.__all__)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from histwalk.operators import (
-    BrunCoinList,
     HistoryRhoTable,
     all_histories,
     apply_conditional_flip,
@@ -15,6 +14,7 @@ from histwalk.operators import (
     toss,
 )
 from histwalk.state import HorizonError, new_state
+from histwalk.walker import evolve_brun
 
 from reference import dense_evolve
 from hypothesis import given, settings
@@ -213,7 +213,7 @@ class TestTossAgainstDenseReference:
 
 class TestBrunToss:
     def test_cycles_through_the_coin_list_by_step_index(self):
-        coins = BrunCoinList((1.0, 0.0))
+        coins = (1.0, 0.0)
         state = _origin_state(2, 3, "LL")
         first = brun_toss(state, coins, 0)
         assert abs(first.amplitude(-1, "LL")) == pytest.approx(1.0)
@@ -231,18 +231,22 @@ class TestBrunToss:
             state.amplitudes[-1, :] = 0.0
             state.amplitudes /= state.norm()
             via_table = toss(state, HistoryRhoTable.uniform(num_coins, rho))
-            via_cycle = brun_toss(state, BrunCoinList((rho,) * num_coins), 0)
+            via_cycle = brun_toss(state, [rho] * num_coins, 0)
             assert np.max(np.abs(via_table.amplitudes - via_cycle.amplitudes)) < 1e-15
 
     def test_rejects_wrong_cycle_length(self):
         with pytest.raises(ValueError):
-            brun_toss(_origin_state(2, 2, "LL"), BrunCoinList((0.5,)), 0)
+            brun_toss(_origin_state(2, 2, "LL"), (0.5,), 0)
+        with pytest.raises(ValueError, match="coin cycle has 0 entries"):
+            brun_toss(_origin_state(2, 2, "LL"), (), 0)
 
-    def test_coin_list_validates_probabilities(self):
-        with pytest.raises(ValueError):
-            BrunCoinList((0.5, 1.5))
-        with pytest.raises(ValueError):
-            BrunCoinList(())
+    def test_every_cycle_entry_is_range_checked_before_the_toss(self):
+        # Step 0 plays entry 0, which is valid; entry 1 is refused all the same.
+        state = _origin_state(2, 2, "LL")
+        with pytest.raises(ValueError, match=r"coins\[1\] = 1.5 must lie in \[0, 1\]"):
+            brun_toss(state, (0.5, 1.5), 0)
+        with pytest.raises(ValueError, match=r"coins\[1\] = -0.1 must lie in \[0, 1\]"):
+            evolve_brun(state, (0.5, -0.1), 1)
 
 
 class TestUnitarityProperty:

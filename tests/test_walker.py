@@ -6,12 +6,11 @@ import pytest
 import histwalk.state
 import histwalk.walker
 from histwalk.operators import HistoryRhoTable
-from histwalk.state import HorizonError, complement, index_to_coins, fidelity
+from histwalk.state import HorizonError, NormalizationError, complement, index_to_coins, fidelity
 from histwalk.walker import (
     ALL_R,
     ANTISYMMETRIC,
     POSITIVE_MEAN_THRESHOLD,
-    GameSpec,
     as_game_tables,
     build_initial_state,
     evolve,
@@ -82,16 +81,14 @@ class TestInitialStates:
 
 
 class TestGameTables:
-    def test_accepts_letter_mapping_and_spec_iterables(self):
-        by_mapping = as_game_tables({"A": UNBIASED_3})
-        by_specs = as_game_tables([GameSpec("A", UNBIASED_3)])
-        assert by_mapping == by_specs
+    def test_returns_the_letter_mapping_as_a_dict(self):
+        games = {"A": UNBIASED_3}
+        tables = as_game_tables(games)
+        assert tables == games and type(tables) is dict
 
     def test_rejects_multi_letter_names(self):
         with pytest.raises(ValueError, match="single letter"):
             as_game_tables({"AB": UNBIASED_3})
-        with pytest.raises(ValueError, match="single letter"):
-            GameSpec("AB", UNBIASED_3)
 
     def test_rejects_mixed_register_sizes(self):
         with pytest.raises(ValueError, match="disagree"):
@@ -237,6 +234,21 @@ class TestEvolveHelpers:
             differences.append(np.max(np.abs(p.sum(axis=1) - q.sum(axis=1))))
         assert min(differences) > 1e-3
 
+    @pytest.mark.parametrize("scale", [2.0, 0.0])
+    def test_a_start_whose_norm_is_not_one_is_rejected(self, scale):
+        initial = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        initial.amplitudes *= scale
+        with pytest.raises(NormalizationError, match=f"state norm is {scale:g},"):
+            evolve(initial, HistoryRhoTable.uniform(2, 0.5), 3)
+        with pytest.raises(NormalizationError, match=f"state norm is {scale:g},"):
+            evolve_brun(initial, (0.3, 0.9), 3)
+
+    def test_a_start_within_the_norm_tolerance_is_evolved(self):
+        initial = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        initial.amplitudes *= 1.0 + 5e-10
+        assert evolve(initial, HistoryRhoTable.uniform(2, 0.5), 3).steps_taken == 3
+        assert evolve_brun(initial, (0.3, 0.9), 3).steps_taken == 3
+
 
 class TestScanSequences:
     def test_enumerates_every_pattern_up_to_the_length_cap(self):
@@ -377,10 +389,6 @@ class TestSweepParameter:
         for (_, stat_rr), (_, stat_ll) in zip(rr, ll):
             assert stat_ll.mean == pytest.approx(-stat_rr.mean, abs=1e-10)
             assert stat_ll.std == pytest.approx(stat_rr.std, abs=1e-10)
-
-    def test_accepts_game_spec_input(self):
-        results = sweep_parameter(GameSpec("A", UNBIASED_3), "LL", [0.5], 10)
-        assert abs(results[0][1].mean) < 1e-12
 
     def test_rejects_unknown_history_key(self):
         with pytest.raises(ValueError, match="unknown history"):
