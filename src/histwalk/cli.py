@@ -123,7 +123,10 @@ def _load_config(args) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
-    return parse_config(text, overrides)
+    config = parse_config(text, overrides)
+    if getattr(args, "emit_plot", None) and not config.out:
+        raise ConfigError("--emit-plot needs --out; the plot renders the written CSV")
+    return config
 
 
 def _require_quantum(config: RunConfig) -> None:
@@ -135,11 +138,8 @@ def _require_quantum(config: RunConfig) -> None:
 
 
 def _maybe_plot(args, config: RunConfig) -> None:
-    plot_path = getattr(args, "emit_plot", None)
-    if plot_path:
-        if not config.out:
-            raise ConfigError("--emit-plot needs --out; the plot renders the written CSV")
-        emit_svg_plot([config.out], plot_path, style=args.plot_style)
+    if getattr(args, "emit_plot", None):
+        emit_svg_plot([config.out], args.emit_plot, style=args.plot_style)
 
 
 def _cmd_walk_run(args) -> None:

@@ -15,15 +15,14 @@ state and reads like the definition above.  The walker's loops run on
 Every step moves the walker one site, so amplitude that starts on sites of
 one parity sits, after ``t`` steps, only on sites of that parity plus ``t``.
 The kernel stores only those rows, as compact light-cone rows, steps only
-the occupied band of them and never moves columns for the rotation.  Its
-tests compare it with these functions.
+the occupied band of them, and does the rotation by where it writes the
+retossed, moved amplitudes.  Its tests compare it with these functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -32,14 +31,12 @@ import numpy as np
 from .state import L, R, HorizonError, WalkState, complement
 
 __all__ = [
-    "coin_unitary",
     "all_histories",
     "HistoryRhoTable",
     "apply_conditional_flip",
     "apply_shift",
     "apply_reorder",
     "toss",
-    "brun_toss",
 ]
 
 
@@ -48,19 +45,6 @@ def _check_probability(value: float, label: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{label} = {value} must lie in [0, 1]")
     return value
-
-
-def coin_unitary(rho: float) -> np.ndarray:
-    """2x2 toss matrix: retention amplitude ``sqrt(rho)``, flip ``i*sqrt(1-rho)``.
-
-    ``1 - rho`` is the classical probability that the tossed entry changes
-    value; ``rho = 1/2`` is an unbiased toss.  The matrix is unitary for every
-    ``rho`` in ``[0, 1]``.
-    """
-    rho = _check_probability(rho, "rho")
-    keep = np.sqrt(rho)
-    flip = 1j * np.sqrt(1.0 - rho)
-    return np.array([[keep, flip], [flip, keep]], dtype=np.complex128)
 
 
 def all_histories(num_coins: int) -> list[str]:
@@ -192,21 +176,14 @@ def apply_shift(state: WalkState) -> WalkState:
     return WalkState(state.num_coins, state.t_max, out, state.steps_taken)
 
 
-@lru_cache(maxsize=None)
-def _reorder_source(num_coins: int) -> np.ndarray:
-    # Column new receives old column rotl(new): relabeling the register so the
-    # oldest slot moves to the front is a rotate-right on indices, and its
-    # inverse gather map is the rotate-left.
-    size = 1 << num_coins
-    new = np.arange(size)
-    src = ((new << 1) | (new >> (num_coins - 1))) & (size - 1)
-    src.flags.writeable = False
-    return src
-
-
 def apply_reorder(state: WalkState) -> WalkState:
     """Rotate the register so the freshly retossed result is the most recent entry."""
-    src = _reorder_source(state.num_coins)
+    # Column new receives old column rotl(new): moving the oldest slot to the
+    # front is a rotate-right on indices, and its inverse gather map is the
+    # rotate-left.
+    size = 1 << state.num_coins
+    new = np.arange(size)
+    src = ((new << 1) | (new >> (state.num_coins - 1))) & (size - 1)
     return WalkState(
         state.num_coins, state.t_max, state.amplitudes[:, src], state.steps_taken
     )
@@ -219,17 +196,6 @@ def toss(state: WalkState, table: HistoryRhoTable) -> WalkState:
     return out
 
 
-def brun_toss(state: WalkState, coins: Sequence[float], step: int) -> WalkState:
-    """One step tossing with cycle entry ``step % len(coins)``, ignoring history.
-
-    ``coins`` holds one retention parameter per register slot.  ``step``
-    counts completed steps from 0, so a fresh walk uses the first entry on
-    its first toss.  This is :func:`toss` with a uniform table.
-    """
-    rhos = _coin_cycle(coins, state.num_coins)
-    return toss(state, HistoryRhoTable.uniform(state.num_coins, rhos[step % len(rhos)]))
-
-
 class _Kernel:
     """Repeated :func:`toss` on private copies of a state, one cyclic schedule per batch entry.
 
@@ -239,11 +205,11 @@ class _Kernel:
     same multiplications and additions as in :func:`toss`; five things make a
     step cheaper:
 
-    * The register rotation is a relabeling.  ``perm[c]`` is the physical
-      column that holds logical column ``c``; each step composes it with
-      :func:`_reorder_source` instead of moving data, so the retossed entry
-      sits in physical bit ``t mod num_coins`` and the retention coefficients
-      are permuted to match.
+    * The register rotation costs no pass of its own.  The step reads column
+      ``(h << 1) | r`` as history ``h`` and retossed result ``r``, and writes
+      the new result ``r'`` to column ``(r' << (num_coins - 1)) | h``, which
+      is where :func:`apply_reorder` puts it.  The buffers always hold the
+      register in the column order of :mod:`histwalk.state`.
     * Rows that cannot be occupied are not stored.  Every step moves the
       walker one site, so a grid row occupied at step ``t`` has the parity
       of ``t`` plus that of the start row it came from.  Sublattice
@@ -262,15 +228,17 @@ class _Kernel:
       at the initial state's occupied rows and grows by one row on each side
       per step, clipped to the grid; :class:`HorizonError` is raised exactly
       when :func:`apply_shift` would raise it for some entry.
-    * Flip and shift are one write into a second buffer, and the two buffers
-      swap roles each step.  Compact rows outside the band stay zero.
-    * The batch axis comes first.  Every entry shares the band and the column
-      map, which depend only on ``t``, so one set of NumPy calls steps every
-      entry.  Each entry's coefficients are gathered by the code of its table
-      and permuted to the physical columns; they repeat with ``t`` modulo
-      ``period`` and are cached per phase, so a single walk gathers only
-      during its first period.  The cache holds at most half a buffer;
-      phases past that are gathered again each time they come round.
+    * Flip, shift and rotation are one write into a second buffer, and the
+      two buffers swap roles each step.  Compact rows outside the band stay
+      zero.
+    * The batch axis comes first.  Every entry shares the band, which
+      depends only on ``t``, so one set of NumPy calls steps every entry.
+      ``sqrt(rho)`` and ``i sqrt(1 - rho)`` are computed once per table, and
+      each entry's are gathered by the code of the table it plays.  They
+      repeat with ``t`` modulo ``period``, the lcm of the schedule lengths,
+      and are cached per phase, so a single walk gathers only during its
+      first period.  The cache holds at most half a buffer; phases past that
+      are gathered again each time they come round.
 
     The buffers have shape ``(entries, sublattices, 2**num_coins, t_max + 2)``:
     one contiguous run of compact rows per register column, so a step's inner
@@ -291,13 +259,14 @@ class _Kernel:
                     f"table is for {table.num_coins} coins, state has {state.num_coins}"
                 )
         code = {key: index for index, key in enumerate(tables)}
-        self.rho = np.array([table.retention_array() for table in tables.values()])
+        rho = np.array([table.retention_array() for table in tables.values()])
+        self.keep, self.flip = np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)
         self.lengths = np.array([len(schedule) for schedule in schedules])
         self.codes = np.zeros((len(schedules), self.lengths.max()), int)
         for entry, schedule in enumerate(schedules):
             self.codes[entry, : len(schedule)] = [code[id(table)] for table in schedule]
         self.entries = np.arange(len(schedules))
-        self.period = math.lcm(self.num_coins, *self.lengths.tolist())
+        self.period = math.lcm(*self.lengths.tolist())
         self.coefficients: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         amplitudes = state.amplitudes
         self.rows, size = amplitudes.shape
@@ -310,7 +279,6 @@ class _Kernel:
             self.psi[:, sigma, :, row : row + len(rows)] = rows.T
         self.spare = np.zeros_like(self.psi)
         self.scratch = np.empty(self.psi.size // 2, complex)  # one half, one product
-        self.perm = np.arange(size)
 
     @staticmethod
     def _occupancy(amplitudes: np.ndarray) -> tuple[int, int, int, int]:
@@ -338,19 +306,13 @@ class _Kernel:
 
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         # sqrt(rho) and i sqrt(1 - rho) of every entry's table at this step,
-        # for each physical column pair, shaped (entries * sublattices * high,
-        # low, 1) like the pair axes of the step's view.
+        # for each history, shaped (entries * sublattices, histories, 1) like
+        # the pair axes of the step's views.
         phase = self.steps % self.period
         if phase not in self.coefficients:
-            retossed = phase % self.num_coins
-            logical = np.argsort(self.perm)
-            pairs = np.arange(1 << self.num_coins).reshape(-1, 2, 1 << retossed)[:, 0, :]
             games = self.codes[self.entries, phase % self.lengths]
-            rho = self.rho[games][:, logical[pairs] >> 1, None]
-            rho = np.repeat(rho, self.psi.shape[1], axis=0)
-            pair_shape = (-1, 1 << retossed, 1)  # entries, sublattices and high bits share an axis
-            keep, flip = np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)
-            coefficients = keep.reshape(pair_shape), flip.reshape(pair_shape)
+            games = np.repeat(games, self.psi.shape[1])
+            coefficients = self.keep[games, :, None], self.flip[games, :, None]
             # A phase holds 1 / (t_max + 2) of a buffer; cache at most half a buffer.
             if len(self.coefficients) < (self.t_max + 2) // 2:
                 self.coefficients[phase] = coefficients
@@ -358,18 +320,18 @@ class _Kernel:
         return self.coefficients[phase]
 
     def step(self) -> None:
-        """Play every entry's next table: retoss, move, relabel."""
-        retossed = self.steps % self.num_coins
+        """Play every entry's next table: retoss, move, rotate."""
         keep, flip = self._coefficients()
         e = self.parity
         if self.lo < self.hi:
             a, b = self._band()
-            # Axes: entries, sublattices and high column bits, the retossed
-            # bit, low column bits, compact rows.
-            shape = (-1, 2, 1 << retossed, self.t_max + 2)
-            src = self.psi.reshape(shape)
-            dst = self.spare.reshape(shape)
-            old_l, old_r = src[:, 0, :, a:b], src[:, 1, :, a:b]
+            # Source axes: entries and sublattices, history, retossed result,
+            # compact rows.  The destination puts the new result before the
+            # history, which rotates the register.
+            half, rows = 1 << (self.num_coins - 1), self.t_max + 2
+            src = self.psi.reshape(-1, half, 2, rows)
+            dst = self.spare.reshape(-1, 2, half, rows)
+            old_l, old_r = src[:, :, 0, a:b], src[:, :, 1, a:b]
             # The L half moves down e rows, the R half up 1 - e rows.
             new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
             tmp = self.scratch[: old_l.size].reshape(old_l.shape)
@@ -382,9 +344,9 @@ class _Kernel:
             # Grid rows -1 and 2 t_max + 1 at the next step are compact rows
             # 0 and t_max + 1 of sublattice e.
             if e < self.psi.shape[1]:
-                edge = self.spare[:, e].reshape(len(self.spare), *shape)
-                if (self.lo == 0 and edge[:, :, 0, :, 0].any()) or (
-                    self.hi == self.rows and edge[:, :, 1, :, -1].any()
+                edge = self.spare[:, e].reshape(len(self.spare), 2, half, rows)
+                if (self.lo == 0 and edge[:, 0, :, 0].any()) or (
+                    self.hi == self.rows and edge[:, 1, :, -1].any()
                 ):
                     raise HorizonError(_HORIZON_MESSAGE)
             # The one row of each half inside the new band that was not written.
@@ -393,7 +355,6 @@ class _Kernel:
             self.lo, self.hi = max(self.lo - 1, 0), min(self.hi + 1, self.rows)
             self.psi, self.spare = self.spare, self.psi
         self.parity = 1 - e
-        self.perm = self.perm[_reorder_source(self.num_coins)]
         self.steps += 1
 
     def norms(self) -> np.ndarray:
@@ -408,12 +369,12 @@ class _Kernel:
         Returns ``(first, stride, p)``: ``p[b, i]`` is entry ``b``'s
         probability on grid row ``first + stride * i``.  One sublattice gives
         stride 2; two are interleaved into grid order with stride 1.  Each
-        position's terms are added one logical column after the other, the
+        position's terms are added one register column after the other, the
         order in which :func:`position_distribution` adds them for the
         column-major arrays that :func:`toss` returns.
         """
         a, b = self._band()
-        weights = np.abs(self.psi[..., a:b])[:, :, self.perm]
+        weights = np.abs(self.psi[..., a:b])
         np.square(weights, out=weights)
         p = weights.sum(axis=2)
         first = 2 * a - self.parity  # grid row of sublattice 0's compact row a
@@ -423,7 +384,7 @@ class _Kernel:
         return first - 1, 1, p[:, ::-1].transpose(0, 2, 1).reshape(len(p), -1)
 
     def state(self, entry: int = 0) -> WalkState:
-        """One entry's current state in logical column order, as a new full-grid array.
+        """One entry's current state as a new full-grid array.
 
         The array is column-major, like the arrays :func:`toss` returns.
         """
@@ -434,5 +395,5 @@ class _Kernel:
             offset = self.parity + sigma
             first = (offset + 1) // 2
             count = (self.rows - 1 + offset) // 2 - first + 1
-            columns[:, 2 * first - offset :: 2] = rows[self.perm, first : first + count]
+            columns[:, 2 * first - offset :: 2] = rows[:, first : first + count]
         return WalkState(self.num_coins, self.t_max, columns.T, self.start + self.steps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Iterable, Mapping, Sequence
@@ -207,7 +208,8 @@ def run_sequence(
     the table named by ``pattern[t % len(pattern)]``, so ``"AABB"`` plays A
     twice, then B twice, then A again.  Means and standard deviations are
     recorded after every step; full distributions only at the steps listed in
-    ``snapshot_at``.  The input state is not modified.
+    ``snapshot_at``, which must be integers in ``[0, steps]``.  The input
+    state is not modified.
     """
     tables = as_game_tables(games)
     _check_pattern(pattern, tables)
@@ -223,7 +225,10 @@ def run_sequence(
             f"{steps} steps from steps_taken={initial.steps_taken} would pass "
             f"t_max={initial.t_max}"
         )
-    wanted = {int(s) for s in snapshot_at}
+    try:
+        wanted = {operator.index(s) for s in snapshot_at}
+    except TypeError as exc:
+        raise ValueError(f"snapshot steps must be integers: {exc}") from None
     out_of_range = {s for s in wanted if not 0 <= s <= steps}
     if out_of_range:
         raise ValueError(f"snapshot steps {sorted(out_of_range)} outside [0, {steps}]")

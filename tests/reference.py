@@ -15,6 +15,21 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 
+def coin_unitary(rho: float) -> np.ndarray:
+    """2x2 toss matrix: retention amplitude ``sqrt(rho)``, flip ``i*sqrt(1-rho)``.
+
+    ``1 - rho`` is the classical probability that the tossed entry changes
+    value; ``rho = 1/2`` is an unbiased toss.  The matrix is unitary for every
+    ``rho`` in ``[0, 1]``; other values raise ValueError.
+    """
+    rho = float(rho)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho = {rho} must lie in [0, 1]")
+    keep = np.sqrt(rho)
+    flip = 1j * np.sqrt(1.0 - rho)
+    return np.array([[keep, flip], [flip, keep]], dtype=np.complex128)
+
+
 def dense_step_matrix(num_coins: int, t_max: int, rho_by_history) -> np.ndarray:
     """One full evolution step as a dense unitary on the flattened state.
 
@@ -29,11 +44,7 @@ def dense_step_matrix(num_coins: int, t_max: int, rho_by_history) -> np.ndarray:
 
     retoss = np.zeros((size, size), dtype=np.complex128)
     for h in range(half):
-        rho = float(rho_by_history[h])
-        keep = np.sqrt(rho)
-        flip = 1j * np.sqrt(1.0 - rho)
-        block = np.array([[keep, flip], [flip, keep]])
-        retoss[2 * h : 2 * h + 2, 2 * h : 2 * h + 2] = block
+        retoss[2 * h : 2 * h + 2, 2 * h : 2 * h + 2] = coin_unitary(rho_by_history[h])
 
     move_up = np.diag(np.ones(n_pos - 1), -1)
     move_down = np.diag(np.ones(n_pos - 1), +1)

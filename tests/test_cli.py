@@ -294,12 +294,26 @@ class TestClassicalRun:
 
 
 class TestPlotting:
-    def test_emit_plot_requires_an_out_path(self, tmp_path):
-        cfg = config_file(tmp_path, SINGLE_COIN.format(steps=5))
-        code = main(
-            ["walk", "run", "--config", cfg, "--emit-plot", str(tmp_path / "x.svg")]
-        )
-        assert code == 1
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["walk", "run"], BIASED_THREE.format(steps=20, pattern="AAB")),
+            (["walk", "dist"], BIASED_THREE.format(steps=20, pattern="AAB")),
+            (["walk", "sweep", "--param", "RR", "--from", "0", "--to", "1", "--steps", "3"],
+             BIASED_THREE.format(steps=20, pattern="B")),
+            (["classical", "run"], CAPITAL_PAIR.format(steps=20)),
+        ],
+        ids=["walk run", "walk dist", "walk sweep", "classical run"],
+    )
+    def test_emit_plot_requires_an_out_path(self, tmp_path, capsys, command, text):
+        # Refused before anything runs: no CSV on stdout and no SVG.
+        cfg = config_file(tmp_path, text)
+        svg = tmp_path / "x.svg"
+        assert main(command + ["--config", cfg, "--emit-plot", str(svg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--emit-plot needs --out" in captured.err
+        assert not svg.exists()
 
     def test_emit_plot_renders_deterministic_svg(self, tmp_path):
         cfg = config_file(tmp_path, SINGLE_COIN.format(steps=5))

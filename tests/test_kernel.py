@@ -1,12 +1,13 @@
 """The fused evolution kernel against the specification layer.
 
-The kernel relabels the register instead of rotating it, works only on the
-occupied band of rows and reads moments straight from the band.  Every test
-here compares it with the readable per-step functions (:func:`toss`,
+The kernel rotates the register by where it writes each step, works only on
+the occupied band of rows and reads moments straight from the band.  Every
+test here compares it with the readable per-step functions (:func:`toss`,
 :func:`position_distribution`, :func:`moments`) or the dense oracle: moments
-within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Scans
-and sweeps step many walks at once on the kernel's batch axis; their results
-equal the single walks of :func:`run_sequence` bit for bit.
+within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Over a
+full rotation cycle its amplitudes equal those of :func:`toss` bit for bit.
+Scans and sweeps step many walks at once on the kernel's batch axis; their
+results equal the single walks of :func:`run_sequence` bit for bit.
 """
 
 import math
@@ -20,9 +21,7 @@ from histwalk.cli import main
 from histwalk.operators import (
     HistoryRhoTable,
     _Kernel,
-    _reorder_source,
     all_histories,
-    brun_toss,
     toss,
 )
 from histwalk.output import write_csv
@@ -269,25 +268,32 @@ class TestEveryEdgeStart:
 
 
 class TestRelabeling:
-    def test_single_coin_relabeling_is_the_identity(self):
-        assert _reorder_source(1).tolist() == [0, 1]
-        initial = build_initial_state(1, ANTISYMMETRIC, t_max=12)
-        kernel = _Kernel(initial, [HistoryRhoTable.uniform(1, 0.3)])
-        for _ in range(12):
-            kernel.step()
-            assert kernel.perm.tolist() == [0, 1]
+    """The register rotation, which each step does by where it writes, and the band."""
 
-    @pytest.mark.parametrize("num_coins", [2, 3, 5])
-    def test_column_map_cycles_with_the_register_length(self, num_coins):
-        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=2 * num_coins)
-        kernel = _Kernel(initial, [HistoryRhoTable.uniform(num_coins)])
-        maps = []
-        for _ in range(2 * num_coins):
-            maps.append(kernel.perm.tolist())
+    @pytest.mark.parametrize("num_coins", [1, 2, 3, 5])
+    @pytest.mark.parametrize("start", ["origin", "both parities"])
+    def test_every_step_of_two_rotation_cycles_equals_the_toss_loop_bit_for_bit(
+        self, num_coins, start
+    ):
+        steps = 2 * num_coins
+        tables = random_tables(num_coins, "AB", num_coins)
+        if start == "origin":
+            initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
+        else:
+            # Every register column at sites 0 and 1, with random amplitudes.
+            rng = np.random.default_rng(num_coins)
+            entries = [
+                (x, index_to_coins(column, num_coins), complex(*rng.normal(size=2)))
+                for x in (0, 1)
+                for column in range(1 << num_coins)
+            ]
+            initial = build_initial_state(num_coins, entries, t_max=steps + 1)
+        states, raised_at = spec_walk(initial, tables, "AAB", steps)
+        assert raised_at is None
+        kernel = _Kernel(initial, [tables[letter] for letter in "AAB"])
+        for t in range(1, steps + 1):
             kernel.step()
-        assert maps[0] == list(range(1 << num_coins))
-        assert maps[1] != maps[0]
-        assert maps[num_coins:] == maps[:num_coins]
+            assert np.array_equal(kernel.state().amplitudes, states[t].amplitudes)
 
     def test_band_grows_one_row_per_side_and_stops_at_the_grid(self):
         initial = build_initial_state(2, [(2, "LR", 1.0)], t_max=4)
@@ -301,8 +307,10 @@ class TestRelabeling:
 
 class TestBrunCycles:
     def test_brun_toss_is_toss_with_a_uniform_table(self):
-        state = build_initial_state(3, ANTISYMMETRIC, t_max=2)
-        via_brun = brun_toss(state, (0.2, 0.5, 0.9), 4)
+        # Four steps taken select cycle entry 4 % 3 = 1.
+        state = build_initial_state(3, ANTISYMMETRIC, t_max=5)
+        state.steps_taken = 4
+        via_brun = evolve_brun(state, (0.2, 0.5, 0.9), 1)
         via_toss = toss(state, HistoryRhoTable.uniform(3, 0.5))
         assert np.array_equal(via_brun.amplitudes, via_toss.amplitudes)
 
@@ -312,7 +320,8 @@ class TestBrunCycles:
         start = evolve(initial, HistoryRhoTable.uniform(3), 2)
         expected = start
         for _ in range(10):
-            expected = brun_toss(expected, coins, expected.steps_taken)
+            rho = coins[expected.steps_taken % len(coins)]
+            expected = toss(expected, HistoryRhoTable.uniform(3, rho))
         got = evolve_brun(start, coins, 10)
         assert got.steps_taken == expected.steps_taken == 12
         assert np.max(np.abs(got.amplitudes - expected.amplitudes)) <= AMPLITUDE_TOL

@@ -134,6 +134,18 @@ class TestRunSequence:
         assert sorted(trajectory.snapshots) == [0, 3]
         assert trajectory.snapshots[0].probability(0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("step", [2.5, 2.0, np.float64(3.0), "3"])
+    def test_rejects_a_snapshot_step_that_is_not_an_integer(self, step):
+        initial = build_initial_state(1, ANTISYMMETRIC, t_max=5)
+        with pytest.raises(ValueError, match="snapshot steps must be integers"):
+            run_sequence(initial, {"A": HistoryRhoTable.uniform(1)}, "A", 5, [0, step])
+
+    @pytest.mark.parametrize("step", [-1, 6])
+    def test_rejects_a_snapshot_step_outside_the_walk(self, step):
+        initial = build_initial_state(1, ANTISYMMETRIC, t_max=5)
+        with pytest.raises(ValueError, match=rf"snapshot steps \[{step}\] outside \[0, 5\]"):
+            run_sequence(initial, {"A": HistoryRhoTable.uniform(1)}, "A", 5, [0, step])
+
     def test_is_pure_and_deterministic(self):
         initial = build_initial_state(2, ANTISYMMETRIC, t_max=20)
         games = {"A": HistoryRhoTable.uniform(2, 0.5), "B": HistoryRhoTable.uniform(2, 0.7)}
