@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .state import ProbabilityDistribution
 
@@ -19,7 +20,7 @@ __all__ = [
 
 def _check_single_parity(dist: ProbabilityDistribution) -> None:
     positions = dist.positions
-    if positions.size > 1 and len({int(x) & 1 for x in positions}) != 1:
+    if np.any((positions ^ positions[0]) & 1):
         raise ValueError("distribution must be supported on a single parity class")
 
 
@@ -39,8 +40,11 @@ def smooth_distribution(dist: ProbabilityDistribution, window: int) -> Probabili
     n = p.size
     half = window // 2
     out = np.empty_like(p)
-    for i in range(n):
-        k = min(half, i, n - 1 - i)
+    if n >= window:
+        out[half : n - half] = sliding_window_view(p, window).mean(axis=1)
+    # The at most window - 1 points whose window is truncated by an edge.
+    for i in (*range(min(half, n)), *range(max(n - half, half), n)):
+        k = min(i, n - 1 - i)
         out[i] = p[i - k : i + k + 1].mean()
     out = out / out.sum()
     return ProbabilityDistribution(dist.positions.copy(), out)

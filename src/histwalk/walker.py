@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import islice, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "build_initial_state",
     "as_game_tables",
     "run_sequence",
+    "final_distribution",
     "evolve",
     "evolve_brun",
     "scan_sequences",
@@ -145,20 +146,37 @@ class Trajectory:
         return len(self.means)
 
 
-def _check_norm(norm: float) -> None:
+def _check_norm(norm: float, step: int | None = None, entry: int | None = None) -> None:
+    """Raise NormalizationError unless ``norm`` is 1 within 1e-9.
+
+    The message names the step at which the norm was read, and the batch
+    entry, when they are given.
+    """
     if abs(norm - 1.0) > 1e-9:
-        raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9")
+        where = "" if step is None else f" at step {step}"
+        if entry is not None:
+            where += f", batch entry {entry}"
+        raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9{where}")
 
 
-def _readout(first_row: int, stride: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray):
+def _readout(
+    first_row: int,
+    stride: int,
+    p: np.ndarray,
+    x: np.ndarray,
+    x2: np.ndarray,
+    step: int,
+    entry: int | None = None,
+):
     """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
 
     ``x`` and ``x2`` hold every grid position and its square.  The norm and
     variance checks are those of :func:`position_distribution` and
     :func:`moments`, and the dot products run over the same rows they use.
+    ``step`` and ``entry`` locate a norm error.
     """
     total = float(p.sum())
-    _check_norm(np.sqrt(total))
+    _check_norm(np.sqrt(total), step, entry)
     occupied = p.nonzero()[0]
     lo, hi = int(occupied[0]), int(occupied[-1]) + 1
     positions = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride)
@@ -195,6 +213,27 @@ def _check_pattern(pattern: str, tables: Mapping[str, HistoryRhoTable]) -> None:
         raise ValueError(f"pattern uses undefined games {unknown}")
 
 
+def _check_run(
+    initial: WalkState, games, pattern: str, steps: int
+) -> dict[str, HistoryRhoTable]:
+    """Check the arguments of a single walk and return its tables by letter."""
+    tables = as_game_tables(games)
+    _check_pattern(pattern, tables)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    first = next(iter(tables.values()))
+    if first.num_coins != initial.num_coins:
+        raise ValueError(
+            f"games are for {first.num_coins} coins, state has {initial.num_coins}"
+        )
+    if initial.steps_taken + steps > initial.t_max:
+        raise HorizonError(
+            f"{steps} steps from steps_taken={initial.steps_taken} would pass "
+            f"t_max={initial.t_max}"
+        )
+    return tables
+
+
 def run_sequence(
     initial: WalkState,
     games,
@@ -211,20 +250,7 @@ def run_sequence(
     ``snapshot_at``, which must be integers in ``[0, steps]``.  The input
     state is not modified.
     """
-    tables = as_game_tables(games)
-    _check_pattern(pattern, tables)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    first = next(iter(tables.values()))
-    if first.num_coins != initial.num_coins:
-        raise ValueError(
-            f"games are for {first.num_coins} coins, state has {initial.num_coins}"
-        )
-    if initial.steps_taken + steps > initial.t_max:
-        raise HorizonError(
-            f"{steps} steps from steps_taken={initial.steps_taken} would pass "
-            f"t_max={initial.t_max}"
-        )
+    tables = _check_run(initial, games, pattern, steps)
     try:
         wanted = {operator.index(s) for s in snapshot_at}
     except TypeError as exc:
@@ -242,10 +268,28 @@ def run_sequence(
         if t:
             kernel.step()
         first_row, stride, p = kernel.probabilities()
-        means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], x, x2)
+        means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], x, x2, t)
         if t in wanted:
             snapshots[t] = _distribution(first_row, stride, p[0], positions)
     return Trajectory(means, stds, snapshots, drift)
+
+
+def final_distribution(
+    initial: WalkState, games, pattern: str, steps: int
+) -> ProbabilityDistribution:
+    """Position distribution after ``steps`` tosses of ``initial``, cycling through ``pattern``.
+
+    It equals ``run_sequence(initial, games, pattern, steps,
+    snapshot_at=[steps]).snapshots[steps]`` bit for bit, and the arguments
+    are checked as there, but the band is read out only once, after the last
+    step.  The norm is checked at the start and after every step, as in
+    scans.  The input state is not modified.
+    """
+    tables = _check_run(initial, games, pattern, steps)
+    [(first_row, stride, p)] = _final_probabilities(
+        initial, [[tables[letter] for letter in pattern]], steps
+    )
+    return _distribution(first_row, stride, p[0], initial.positions)
 
 
 def evolve(initial: WalkState, table: HistoryRhoTable, steps: int) -> WalkState:
@@ -307,32 +351,50 @@ def _check_sweep_size(points: int) -> None:
     _check_fits(points * _RESULT_BYTES, f"a sweep of {points} grid values", "for its results")
 
 
+def _final_probabilities(
+    initial: WalkState, schedules: Iterable[Sequence[HistoryRhoTable]], steps: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Band probabilities after the last step of every schedule played from ``initial``.
+
+    Schedules are stepped a chunk at a time on one batched kernel whose
+    buffers hold about :data:`_CHUNK_BYTES` each, and each chunk yields
+    :meth:`_Kernel.probabilities` after its last step.  Every entry's norm is
+    checked at the start and after every step, on the rule of
+    :func:`_readout`; an error names the step and the entry's index among
+    all schedules.
+    """
+    chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
+    schedules = iter(schedules)
+    offset = 0
+    while batch := list(islice(schedules, chunk)):
+        kernel = _Kernel(initial, *batch)
+        for step in range(steps + 1):
+            if step:
+                kernel.step()
+            norms = np.sqrt(kernel.norms())
+            worst = int(np.argmax(np.abs(norms - 1.0)))
+            _check_norm(norms[worst], step, offset + worst)
+        yield kernel.probabilities()
+        offset += len(batch)
+
+
 def _final_moments(
     initial: WalkState, schedules: Iterable[Sequence[HistoryRhoTable]], steps: int
 ) -> list[tuple[float, float]]:
     """Final-step mean and std of every schedule played from ``initial``.
 
-    Schedules are stepped a chunk at a time on one batched kernel whose
-    buffers hold about :data:`_CHUNK_BYTES` each.  Every step checks each
-    entry's norm on the rule of :func:`_readout`; the final step reads each
-    entry out with :func:`_readout`, so the moments equal those of
+    The schedules run through :func:`_final_probabilities`, and each entry
+    is read out with :func:`_readout`, so the moments equal those of
     :func:`run_sequence` bit for bit.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
     x = initial.positions.astype(float)
     x2 = x * x
     results: list[tuple[float, float]] = []
-    schedules = iter(schedules)
-    while batch := list(islice(schedules, chunk)):
-        kernel = _Kernel(initial, *batch)
-        for _ in range(steps):
-            kernel.step()
-            norms = np.sqrt(kernel.norms())
-            _check_norm(norms[np.argmax(np.abs(norms - 1.0))])
-        first_row, stride, p = kernel.probabilities()
-        results.extend(_readout(first_row, stride, entry, x, x2)[:2] for entry in p)
+    for first_row, stride, p in _final_probabilities(initial, schedules, steps):
+        for entry in p:
+            results.append(_readout(first_row, stride, entry, x, x2, steps, len(results))[:2])
     return results
 
 

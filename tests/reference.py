@@ -160,3 +160,22 @@ def chain_mean_in_decimal(win_prob_at, advance, initial: dict, steps: int, digit
                     nxt[key] = nxt.get(key, Decimal(0)) + weight * prob
             dist = nxt
         return mean
+
+
+def smooth_by_points(probabilities: np.ndarray, window: int) -> np.ndarray:
+    """Moving average over support points, one slice mean per point, renormalized.
+
+    Each point averages the ``window`` points centered on it, truncated
+    symmetrically near the edges; ``window=1`` returns a copy of the input.
+    This is the smoother's specification, point by point.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    if window == 1:
+        return p.copy()
+    n = p.size
+    half = window // 2
+    out = np.empty_like(p)
+    for i in range(n):
+        k = min(half, i, n - 1 - i)
+        out[i] = p[i - k : i + k + 1].mean()
+    return out / out.sum()

@@ -13,6 +13,8 @@ from histwalk.state import ProbabilityDistribution
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import smooth_by_points
+
 
 def dist_of(mapping) -> ProbabilityDistribution:
     return ProbabilityDistribution.from_mapping(mapping)
@@ -166,3 +168,26 @@ class TestSmoothingProperties:
         mapping = {2 * i: w / total for i, w in enumerate(weights)}
         smoothed = smooth_distribution(dist_of(mapping), window)
         assert smoothed.total() == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.data())
+    def test_equals_the_point_by_point_oracle_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 40))
+        window = data.draw(st.sampled_from(range(1, 2 * n + 2, 2)))
+        weights = data.draw(
+            st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=n, max_size=n)
+            .filter(lambda w: sum(w) > 0.0)
+        )
+        start = data.draw(st.integers(-100, 100))
+        dist = ProbabilityDistribution(start + 2 * np.arange(n), np.array(weights))
+        smoothed = smooth_distribution(dist, window)
+        assert np.array_equal(smoothed.positions, dist.positions)
+        assert np.array_equal(smoothed.probabilities, smooth_by_points(dist.probabilities, window))
+
+    @given(st.integers(2, 40), st.sampled_from([1, 3, 5, 81]), st.data())
+    def test_any_mixed_parity_support_is_rejected(self, n, window, data):
+        odd = data.draw(st.integers(1, n - 1))
+        positions = 2 * np.arange(n)
+        positions[odd:] += 1
+        dist = ProbabilityDistribution(positions, np.full(n, 1.0 / n))
+        with pytest.raises(ValueError, match="parity"):
+            smooth_distribution(dist, window)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import histwalk.operators
 import histwalk.state
 import histwalk.walker
 from histwalk.analysis import analyze_peaks
@@ -444,6 +445,25 @@ class TestExitCodes:
         }[command]
         assert main(["walk", command, "--config", cfg, *extra]) == 2
         assert "runtime error: state norm is 0.5" in capsys.readouterr().err
+
+    def test_walk_dist_that_loses_its_norm_exits_two_and_names_the_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        step = histwalk.operators._Kernel.step
+
+        def leaky_step(kernel):
+            step(kernel)
+            if kernel.steps == 3:
+                kernel.psi *= 1.001
+
+        monkeypatch.setattr(histwalk.operators._Kernel, "step", leaky_step)
+        cfg = config_file(tmp_path, BIASED_THREE.format(steps=10, pattern="AAB"))
+        out = tmp_path / "dist.csv"
+        assert main(["walk", "dist", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime error: state norm is 1.001" in err
+        assert "at step 3, batch entry 0" in err
+        assert not out.exists()
 
     def test_scan_too_large_for_memory_exits_one_before_enumerating(
         self, tmp_path, capsys, monkeypatch

@@ -6,8 +6,9 @@ test here compares it with the readable per-step functions (:func:`toss`,
 :func:`position_distribution`, :func:`moments`) or the dense oracle: moments
 within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Over a
 full rotation cycle its amplitudes equal those of :func:`toss` bit for bit.
-Scans and sweeps step many walks at once on the kernel's batch axis; their
-results equal the single walks of :func:`run_sequence` bit for bit.
+Scans, sweeps and :func:`final_distribution` step walks on the kernel's
+batch axis and read the band out only after the last step; their results
+equal those of :func:`run_sequence` bit for bit.
 """
 
 import math
@@ -40,6 +41,7 @@ from histwalk.walker import (
     build_initial_state,
     evolve,
     evolve_brun,
+    final_distribution,
     run_sequence,
     scan_sequences,
     sweep_parameter,
@@ -541,3 +543,149 @@ class TestStepCount:
         initial = build_initial_state(3, ANTISYMMETRIC, t_max=60)
         run_sequence(initial, random_tables(3, "AB", 2), "AAB", 60)
         assert counted == [1] * 60
+
+
+def leak_at(monkeypatch, step_number, entry=-1):
+    """Make ``_Kernel.step`` scale one batch entry's amplitudes by 1.001 at ``step_number``.
+
+    Returns the list of steps taken, which grows as the kernel steps.
+    """
+    step = _Kernel.step
+    taken = []
+
+    def leaky_step(kernel):
+        step(kernel)
+        taken.append(kernel.steps)
+        if kernel.steps == step_number:
+            kernel.psi[entry] *= 1.001
+
+    monkeypatch.setattr(_Kernel, "step", leaky_step)
+    return taken
+
+
+class TestFinalDistribution:
+    """``walk dist``'s engine: one batch entry, read out once, after the last step."""
+
+    @given(walks(max_horizon=30))
+    @settings(deadline=None, max_examples=60)
+    def test_equals_the_run_sequence_snapshot_bit_for_bit(self, walk):
+        initial, tables, pattern, steps = walk
+        try:
+            want = run_sequence(initial, tables, pattern, steps, [steps]).snapshots[steps]
+        except HorizonError:
+            with pytest.raises(HorizonError):
+                final_distribution(initial, tables, pattern, steps)
+            return
+        got = final_distribution(initial, tables, pattern, steps)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.probabilities, want.probabilities)
+
+    def test_input_state_is_left_alone(self):
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=6)
+        before = initial.amplitudes.copy()
+        final_distribution(initial, {"A": HistoryRhoTable.uniform(3, 0.3)}, "A", 6)
+        assert np.array_equal(initial.amplitudes, before)
+        assert initial.steps_taken == 0
+
+    @pytest.mark.parametrize(
+        "games, pattern, steps, t_max, error",
+        [
+            ({}, "A", 3, 5, ValueError),
+            ({"A": 0.5}, "A", 3, 5, TypeError),
+            ({"AB": HistoryRhoTable.uniform(3, 0.5)}, "A", 3, 5, ValueError),
+            ({"A": HistoryRhoTable.uniform(3, 0.5)}, "", 3, 5, ValueError),
+            ({"A": HistoryRhoTable.uniform(3, 0.5)}, "AB", 3, 5, ValueError),
+            ({"A": HistoryRhoTable.uniform(3, 0.5)}, "A", -1, 5, ValueError),
+            ({"A": HistoryRhoTable.uniform(2, 0.5)}, "A", 3, 5, ValueError),
+            (
+                {"A": HistoryRhoTable.uniform(3, 0.5), "B": HistoryRhoTable.uniform(2, 0.5)},
+                "A", 3, 5, ValueError,
+            ),
+            ({"A": HistoryRhoTable.uniform(3, 0.5)}, "A", 6, 5, HorizonError),
+        ],
+    )
+    def test_bad_arguments_raise_as_in_run_sequence(self, games, pattern, steps, t_max, error):
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=t_max)
+        with pytest.raises(error) as want:
+            run_sequence(initial, games, pattern, steps)
+        with pytest.raises(error) as got:
+            final_distribution(initial, games, pattern, steps)
+        assert str(got.value) == str(want.value)
+
+    def test_steps_past_the_horizon_of_an_evolved_start_raise(self):
+        table = HistoryRhoTable.uniform(2, 0.5)
+        initial = evolve(build_initial_state(2, ANTISYMMETRIC, t_max=5), table, 3)
+        with pytest.raises(HorizonError, match="steps_taken=3"):
+            final_distribution(initial, {"A": table}, "A", 3)
+        assert final_distribution(initial, {"A": table}, "A", 2).positions.tolist() == [
+            -5, -3, -1, 1, 3, 5,
+        ]
+
+    @pytest.mark.parametrize("scale", [2.0, 0.0])
+    def test_a_start_whose_norm_is_not_one_is_rejected_at_step_0(self, scale):
+        initial = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        initial.amplitudes *= scale
+        games = {"A": HistoryRhoTable.uniform(2, 0.5)}
+        for call in (run_sequence, final_distribution):
+            with pytest.raises(NormalizationError, match=f"state norm is {scale:g},.* at step 0"):
+                call(initial, games, "A", 3)
+
+    def test_a_norm_lost_at_step_3_is_caught_at_that_step(self, monkeypatch):
+        taken = leak_at(monkeypatch, 3)
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=10)
+        message = r"state norm is 1\.001,.* at step 3, batch entry 0$"
+        with pytest.raises(NormalizationError, match=message):
+            final_distribution(initial, random_tables(3, "AB", 4), "AAB", 10)
+        assert taken == [1, 2, 3]
+
+    def test_steps_t_times_and_reads_the_band_out_once(self, monkeypatch):
+        counts = {"step": 0, "probabilities": 0, "readout": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(_Kernel, "step", counting("step", _Kernel.step))
+        monkeypatch.setattr(
+            _Kernel, "probabilities", counting("probabilities", _Kernel.probabilities)
+        )
+        monkeypatch.setattr(
+            histwalk.walker, "_readout", counting("readout", histwalk.walker._readout)
+        )
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=40)
+        final_distribution(initial, random_tables(3, "AB", 3), "AAB", 40)
+        assert counts == {"step": 40, "probabilities": 1, "readout": 0}
+
+
+class TestNormErrorsNameTheStep:
+    """A lost norm is reported with the step, and in batches with the entry."""
+
+    def test_run_sequence_names_the_step(self, monkeypatch):
+        leak_at(monkeypatch, 3)
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=10)
+        with pytest.raises(NormalizationError, match=r"state norm is 1\.001,.* at step 3$"):
+            run_sequence(initial, random_tables(3, "AB", 4), "AAB", 10)
+
+    def test_a_scan_names_the_step_and_the_pattern_index(self, monkeypatch):
+        # Six patterns (A, AA, AB, B, BA, BB) in chunks of four: leak entry 1
+        # of the second chunk, which is pattern 5, BA.
+        chunked(monkeypatch, 3, 10, 4)
+        step = _Kernel.step
+
+        def leaky_step(kernel):
+            step(kernel)
+            if kernel.steps == 3 and len(kernel.entries) == 2:
+                kernel.psi[1] *= 1.001
+
+        monkeypatch.setattr(_Kernel, "step", leaky_step)
+        with pytest.raises(NormalizationError, match=r"at step 3, batch entry 5$"):
+            scan_sequences(random_tables(3, "AB", 1), 2, 3, 10)
+
+    def test_a_sweep_names_the_step_and_the_grid_index(self, monkeypatch):
+        leak_at(monkeypatch, 7, entry=2)
+        table = random_tables(3, "B", 5)["B"]
+        with pytest.raises(NormalizationError, match=r"at step 7, batch entry 2$"):
+            sweep_parameter(table, "RL", np.linspace(0.0, 1.0, 4), 10)

@@ -1,9 +1,9 @@
 """Layer timings of the walk engine in one or more source trees, in alternating order.
 
-Usage, from the repository root::
+Usage, from the repository root, where ``<n>`` numbers the measured change::
 
     python3 tools/layer_bench.py --tree parent=../histwalk-parent --tree change=. \
-        --out BENCH_6.json
+        --out BENCH_<n>.json
 
 Each of ``ROUNDS`` rounds starts one fresh process per tree, in the order
 given on even rounds and reversed on odd rounds, so host drift hits every
@@ -17,10 +17,22 @@ drawn from ``SEED`` in [0.3, 0.7]):
   ``walker._readout``, summed over its steps, with a timer around each call;
 * ``run_sequence``: the whole call, with no timers inside;
 
-and at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
-letters) ``scan_sequences``: the whole call.  Times are wall-clock seconds
-per op.  The output gives each tree's median and quartiles over every op of
-every round, and the ratio of medians of each tree to the first one.
+at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
+letters) ``scan_sequences``: the whole call; and at the size of
+``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, the same games):
+
+* ``smooth``: the time one ``walk dist`` op spends in
+  ``analysis.smooth_distribution``;
+* ``walk_dist``: the whole ``cli.main`` call for ``walk dist`` with
+  ``--peaks`` and ``--emit-plot``, writing into a temporary directory, with
+  no timers inside.
+
+Times are wall-clock seconds per op.  The output gives each tree's median
+and quartiles over every op of every round.  For each tree after the first
+it gives the ratio of medians to the first tree, and the quartiles of the
+per-round ratios: in each round, the median of the tree's ops over the
+median of the first tree's ops.  Their spread shows how far one ratio can be
+trusted on a noisy host.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,34 +52,46 @@ import numpy as np
 
 TRAJECTORY = {"M": 8, "T": 200, "pattern": "AAB"}
 SCAN = {"M": 3, "T": 60, "max_len": 5}
-LAYERS = ("step", "probabilities", "readout")
+DIST = {"M": 3, "T": 1000, "pattern": "AAB"}
 ROUNDS = 10
 OPS = 5
 SEED = 7
 
 
-def _games(hw, seed: int, num_coins: int) -> dict:
+def _rho_b(seed: int, num_coins: int) -> np.ndarray:
     rng = np.random.default_rng([seed, num_coins])
-    rho = rng.uniform(0.3, 0.7, size=1 << (num_coins - 1))
+    return rng.uniform(0.3, 0.7, size=1 << (num_coins - 1))
+
+
+def _games(hw, seed: int, num_coins: int) -> dict:
     return {
         "A": hw.HistoryRhoTable.uniform(num_coins, 0.5),
-        "B": hw.HistoryRhoTable(num_coins, dict(zip(hw.all_histories(num_coins), rho))),
+        "B": hw.HistoryRhoTable(
+            num_coins, dict(zip(hw.all_histories(num_coins), _rho_b(seed, num_coins)))
+        ),
     }
 
 
-def measure() -> dict[str, list[float]]:
-    """Per-op seconds of every layer and call in the tree ``histwalk`` imports from."""
-    import histwalk as hw
-    import histwalk.operators as operators
-    import histwalk.walker as walker
+def _dist_config(hw, seed: int) -> str:
+    """The ``walk dist`` config file of the ``cli_dist_m3`` size, with :func:`_games`'s tables."""
+    lines = [
+        f"M = {DIST['M']}",
+        f"T = {DIST['T']}",
+        f"pattern = {DIST['pattern']}",
+        "games.A.rho.default = 0.5",
+    ]
+    for history, rho in zip(hw.all_histories(DIST["M"]), _rho_b(seed, DIST["M"])):
+        lines.append(f"games.B.rho.{history} = {float(rho)!r}")
+    return "\n".join(lines) + "\n"
 
-    games = _games(hw, SEED, TRAJECTORY["M"])
-    initial = walker.build_initial_state(TRAJECTORY["M"], walker.ANTISYMMETRIC, TRAJECTORY["T"])
 
-    def run():
-        walker.run_sequence(initial, games, TRAJECTORY["pattern"], TRAJECTORY["T"])
+def _layered(run, targets, samples: dict[str, list[float]]) -> None:
+    """Time ``OPS`` calls of ``run``, with a timer around every call of each target.
 
-    spent = dict.fromkeys(LAYERS, 0.0)
+    ``targets`` holds ``(owner, attribute, layer)`` triples; each op appends
+    its summed seconds per layer to ``samples[layer]``.
+    """
+    spent = {layer: 0.0 for _, _, layer in targets}
 
     def timed(layer, function):
         def wrapper(*args, **kwargs):
@@ -78,35 +103,74 @@ def measure() -> dict[str, list[float]]:
 
         return wrapper
 
-    originals = (operators._Kernel.step, operators._Kernel.probabilities, walker._readout)
-    names = (*LAYERS, "run_sequence", "scan_sequences")
-    samples: dict[str, list[float]] = {name: [] for name in names}
-    operators._Kernel.step = timed("step", originals[0])
-    operators._Kernel.probabilities = timed("probabilities", originals[1])
-    walker._readout = timed("readout", originals[2])
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in targets]
+    for (owner, attr, function), (_, _, layer) in zip(originals, targets):
+        setattr(owner, attr, timed(layer, function))
     try:
         run()  # warm caches and lazy imports
         for _ in range(OPS):
-            spent.update(dict.fromkeys(LAYERS, 0.0))
+            spent.update(dict.fromkeys(spent, 0.0))
             run()
-            for layer in LAYERS:
-                samples[layer].append(spent[layer])
+            for layer, seconds in spent.items():
+                samples.setdefault(layer, []).append(seconds)
     finally:
-        operators._Kernel.step, operators._Kernel.probabilities, walker._readout = originals
+        for owner, attr, function in originals:
+            setattr(owner, attr, function)
 
-    def whole(name, call):
-        call()
-        for _ in range(OPS):
-            start = time.perf_counter()
-            call()
-            samples[name].append(time.perf_counter() - start)
 
-    whole("run_sequence", run)
-    scan_games = _games(hw, SEED, SCAN["M"])
-    whole(
-        "scan_sequences",
-        lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
+def _whole(run, name: str, samples: dict[str, list[float]]) -> None:
+    """Time ``OPS`` calls of ``run`` with no timers inside."""
+    run()
+    for _ in range(OPS):
+        start = time.perf_counter()
+        run()
+        samples.setdefault(name, []).append(time.perf_counter() - start)
+
+
+def measure() -> dict[str, list[float]]:
+    """Per-op seconds of every layer and call in the tree ``histwalk`` imports from."""
+    import histwalk as hw
+    import histwalk.analysis as analysis
+    import histwalk.cli as cli
+    import histwalk.operators as operators
+    import histwalk.walker as walker
+
+    samples: dict[str, list[float]] = {}
+    games = _games(hw, SEED, TRAJECTORY["M"])
+    initial = walker.build_initial_state(TRAJECTORY["M"], walker.ANTISYMMETRIC, TRAJECTORY["T"])
+
+    def trajectory():
+        walker.run_sequence(initial, games, TRAJECTORY["pattern"], TRAJECTORY["T"])
+
+    kernel = operators._Kernel
+    _layered(
+        trajectory,
+        [(kernel, "step", "step"), (kernel, "probabilities", "probabilities"),
+         (walker, "_readout", "readout")],
+        samples,
     )
+    _whole(trajectory, "run_sequence", samples)
+    scan_games = _games(hw, SEED, SCAN["M"])
+    _whole(
+        lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
+        "scan_sequences",
+        samples,
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        folder = Path(scratch)
+        config = folder / "dist.cfg"
+        config.write_text(_dist_config(hw, SEED), encoding="utf-8")
+        argv = [
+            "walk", "dist", "--config", str(config), "--out", str(folder / "dist.csv"),
+            "--peaks", str(folder / "peaks.csv"), "--emit-plot", str(folder / "dist.svg"),
+        ]
+
+        def dist():
+            if cli.main(argv) != 0:
+                raise RuntimeError("walk dist failed")
+
+        _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples)
+        _whole(dist, "walk_dist", samples)
     return samples
 
 
@@ -139,12 +203,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the result here as JSON (default: stdout only)")
     args = parser.parse_args(argv)
     trees = dict(item.split("=", 1) for item in args.tree)
-    samples: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
+    # rounds[label][name] holds one list of op times per round.
+    rounds: dict[str, dict[str, list[list[float]]]] = {label: {} for label in trees}
     for round_ in range(ROUNDS):
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
         for label in order:
             for name, values in _child(trees[label]).items():
-                samples[label].setdefault(name, []).extend(values)
+                rounds[label].setdefault(name, []).append(values)
     base = next(iter(trees))
     result = {
         "script": "tools/layer_bench.py",
@@ -156,19 +221,31 @@ def main(argv=None) -> int:
         },
         "settings": {
             "rounds": ROUNDS, "ops_per_process": OPS, "seed": SEED,
-            "trajectory": TRAJECTORY, "scan": SCAN, "unit": "s per op",
+            "trajectory": TRAJECTORY, "scan": SCAN, "dist": DIST, "unit": "s per op",
         },
         "trees": {
-            label: {name: summary(values) for name, values in by_name.items()}
-            for label, by_name in samples.items()
+            label: {name: summary([v for ops in per_round for v in ops])
+                    for name, per_round in by_name.items()}
+            for label, by_name in rounds.items()
         },
     }
+    others = [label for label in trees if label != base]
     result["ratio_of_medians_to_" + base] = {
         label: {
             name: result["trees"][label][name]["p50"] / result["trees"][base][name]["p50"]
             for name in result["trees"][label]
         }
-        for label in trees if label != base
+        for label in others
+    }
+    result["per_round_ratio_to_" + base] = {
+        label: {
+            name: summary([
+                statistics.median(ops) / statistics.median(base_ops)
+                for ops, base_ops in zip(per_round, rounds[base][name])
+            ])
+            for name, per_round in rounds[label].items()
+        }
+        for label in others
     }
     text = json.dumps(result, indent=2)
     if args.out:
