@@ -156,8 +156,8 @@ def measure() -> dict[str, list[float]]:
         "scan_sequences",
         samples,
     )
-    with tempfile.TemporaryDirectory() as scratch:
-        folder = Path(scratch)
+    with tempfile.TemporaryDirectory() as temporary:
+        folder = Path(temporary)
         config = folder / "dist.cfg"
         config.write_text(_dist_config(hw, SEED), encoding="utf-8")
         argv = [
