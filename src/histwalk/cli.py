@@ -30,7 +30,6 @@ from .walker import (
     POSITIVE_MEAN_THRESHOLD,
     _check_sweep_size,
     build_initial_state,
-    final_distribution,
     run_sequence,
     scan_sequences,
     sweep_parameter,
@@ -160,7 +159,10 @@ def _cmd_walk_dist(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
     initial = _fits(build_initial_state, config.num_coins, config.initial, max(config.steps, 1))
-    dist = final_distribution(initial, config.games, config.pattern, config.steps)
+    trajectory = run_sequence(
+        initial, config.games, config.pattern, config.steps, snapshot_at=[config.steps]
+    )
+    dist = trajectory.snapshots[config.steps]
     write_csv(("x", "p"), zip(dist.positions, dist.probabilities), config.out)
     if args.peaks:
         report = analyze_peaks(dist, config.window, config.prominence)

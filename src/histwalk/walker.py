@@ -166,17 +166,16 @@ def _readout(
     x: np.ndarray,
     x2: np.ndarray,
     step: int,
-    entry: int | None = None,
 ):
     """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
 
     ``x`` and ``x2`` hold every grid position and its square.  The norm and
     variance checks are those of :func:`position_distribution` and
     :func:`moments`, and the dot products run over the same rows they use.
-    ``step`` and ``entry`` locate a norm error.
+    ``step`` locates a norm error.
     """
     total = float(p.sum())
-    _check_norm(np.sqrt(total), step, entry)
+    _check_norm(np.sqrt(total), step)
     occupied = p.nonzero()[0]
     lo, hi = int(occupied[0]), int(occupied[-1]) + 1
     positions = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride)
@@ -394,7 +393,7 @@ def _final_moments(
     results: list[tuple[float, float]] = []
     for first_row, stride, p in _final_probabilities(initial, schedules, steps):
         for entry in p:
-            results.append(_readout(first_row, stride, entry, x, x2, steps, len(results))[:2])
+            results.append(_readout(first_row, stride, entry, x, x2, steps)[:2])
     return results
 
 

@@ -462,7 +462,7 @@ class TestExitCodes:
         assert main(["walk", "dist", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "runtime error: state norm is 1.001" in err
-        assert "at step 3, batch entry 0" in err
+        assert "expected 1 within 1e-9 at step 3\n" in err
         assert not out.exists()
 
     def test_scan_too_large_for_memory_exits_one_before_enumerating(

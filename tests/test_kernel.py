@@ -564,7 +564,7 @@ def leak_at(monkeypatch, step_number, entry=-1):
 
 
 class TestFinalDistribution:
-    """``walk dist``'s engine: one batch entry, read out once, after the last step."""
+    """One walk as a one-entry batch, read out once, after the last step."""
 
     @given(walks(max_horizon=30))
     @settings(deadline=None, max_examples=60)

@@ -8,9 +8,10 @@ Usage, from the repository root, where ``<n>`` numbers the measured change::
 Each of ``ROUNDS`` rounds starts one fresh process per tree, in the order
 given on even rounds and reversed on odd rounds, so host drift hits every
 tree alike.  A process imports ``histwalk`` from ``<tree>/src`` and times
-``OPS`` ops of each kind, at the size of the benchmark's ``trajectory_m8``
-workload (M=8, T=200, pattern ``AAB``, game A uniform at rho = 0.5, game B
-drawn from ``SEED`` in [0.3, 0.7]):
+``OPS`` ops of each kind.  Sizes, games and the ``walk dist`` config file are
+those of the benchmark's workloads (``perfbench/workloads.py``; game A
+uniform at rho = 0.5, game B drawn from ``SEED`` in [0.3, 0.7]).  At the size
+of ``trajectory_m8`` (M=8, T=200, pattern ``AAB``):
 
 * ``step``, ``probabilities`` and ``readout``: the time one ``run_sequence``
   spends in ``_Kernel.step``, ``_Kernel.probabilities`` and
@@ -19,7 +20,7 @@ drawn from ``SEED`` in [0.3, 0.7]):
 
 at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
 letters) ``scan_sequences``: the whole call; and at the size of
-``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, the same games):
+``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config file):
 
 * ``smooth``: the time one ``walk dist`` op spends in
   ``analysis.smooth_distribution``;
@@ -50,39 +51,14 @@ from pathlib import Path
 
 import numpy as np
 
-TRAJECTORY = {"M": 8, "T": 200, "pattern": "AAB"}
-SCAN = {"M": 3, "T": 60, "max_len": 5}
-DIST = {"M": 3, "T": 1000, "pattern": "AAB"}
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import CLI, SCAN, TRAJECTORY, config_text, walk_games  # noqa: E402
+
 ROUNDS = 10
 OPS = 5
 SEED = 7
-
-
-def _rho_b(seed: int, num_coins: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, num_coins])
-    return rng.uniform(0.3, 0.7, size=1 << (num_coins - 1))
-
-
-def _games(hw, seed: int, num_coins: int) -> dict:
-    return {
-        "A": hw.HistoryRhoTable.uniform(num_coins, 0.5),
-        "B": hw.HistoryRhoTable(
-            num_coins, dict(zip(hw.all_histories(num_coins), _rho_b(seed, num_coins)))
-        ),
-    }
-
-
-def _dist_config(hw, seed: int) -> str:
-    """The ``walk dist`` config file of the ``cli_dist_m3`` size, with :func:`_games`'s tables."""
-    lines = [
-        f"M = {DIST['M']}",
-        f"T = {DIST['T']}",
-        f"pattern = {DIST['pattern']}",
-        "games.A.rho.default = 0.5",
-    ]
-    for history, rho in zip(hw.all_histories(DIST["M"]), _rho_b(seed, DIST["M"])):
-        lines.append(f"games.B.rho.{history} = {float(rho)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _layered(run, targets, samples: dict[str, list[float]]) -> None:
@@ -136,7 +112,7 @@ def measure() -> dict[str, list[float]]:
     import histwalk.walker as walker
 
     samples: dict[str, list[float]] = {}
-    games = _games(hw, SEED, TRAJECTORY["M"])
+    games = walk_games(hw, SEED, TRAJECTORY["M"])
     initial = walker.build_initial_state(TRAJECTORY["M"], walker.ANTISYMMETRIC, TRAJECTORY["T"])
 
     def trajectory():
@@ -150,7 +126,7 @@ def measure() -> dict[str, list[float]]:
         samples,
     )
     _whole(trajectory, "run_sequence", samples)
-    scan_games = _games(hw, SEED, SCAN["M"])
+    scan_games = walk_games(hw, SEED, SCAN["M"])
     _whole(
         lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
         "scan_sequences",
@@ -159,7 +135,7 @@ def measure() -> dict[str, list[float]]:
     with tempfile.TemporaryDirectory() as temporary:
         folder = Path(temporary)
         config = folder / "dist.cfg"
-        config.write_text(_dist_config(hw, SEED), encoding="utf-8")
+        config.write_text(config_text(SEED), encoding="utf-8")
         argv = [
             "walk", "dist", "--config", str(config), "--out", str(folder / "dist.csv"),
             "--peaks", str(folder / "peaks.csv"), "--emit-plot", str(folder / "dist.svg"),
@@ -221,7 +197,7 @@ def main(argv=None) -> int:
         },
         "settings": {
             "rounds": ROUNDS, "ops_per_process": OPS, "seed": SEED,
-            "trajectory": TRAJECTORY, "scan": SCAN, "dist": DIST, "unit": "s per op",
+            "trajectory": TRAJECTORY, "scan": SCAN, "dist": CLI, "unit": "s per op",
         },
         "trees": {
             label: {name: summary([v for ops in per_round for v in ops])
