@@ -196,13 +196,24 @@ def toss(state: WalkState, table: HistoryRhoTable) -> WalkState:
     return out
 
 
+# Elements per operand in NumPy's ufunc buffers while :meth:`_Kernel.step`
+# runs its ufuncs.  Their operands are strided views, which NumPy copies
+# through these buffers.  With the default of 8192 elements every call
+# allocated and streamed three 128 KiB buffers, and an M=8 step ran at half
+# the speed of the same call on contiguous operands.  On NumPy 2.4.6, sizes
+# 16 to 256 stepped that walk about twice as fast, and 512 and up were slow
+# again.  Copies change no bit of any product or sum.  NumPy 1.x requires a
+# multiple of 16.
+_STEP_BUFSIZE = 128
+
+
 class _Kernel:
     """Repeated :func:`toss` on private copies of a state, one cyclic schedule per batch entry.
 
     ``_Kernel(state, schedule, ...)`` starts one batch entry from ``state``
     per schedule; at step ``t`` (counted from construction) entry ``b`` plays
     ``schedules[b][t % len(schedules[b])]``.  Each amplitude goes through the
-    same multiplications and additions as in :func:`toss`; five things make a
+    same multiplications and additions as in :func:`toss`; six things make a
     step cheaper:
 
     * The register rotation costs no pass of its own.  The step reads column
@@ -239,6 +250,10 @@ class _Kernel:
       and are cached per phase, so a single walk gathers only during its
       first period.  The cache holds at most half a buffer; phases past that
       are gathered again each time they come round.
+    * The step's six ufunc calls run with small NumPy ufunc buffers
+      (``_STEP_BUFSIZE`` elements), which stay in cache while NumPy copies
+      the strided operands through them.  The caller's size is restored
+      when the calls return or raise; reductions keep it.
 
     The buffers have shape ``(entries, sublattices, 2**num_coins, t_max + 2)``:
     one contiguous run of compact rows per register column, so a step's inner
@@ -335,12 +350,16 @@ class _Kernel:
             # The L half moves down e rows, the R half up 1 - e rows.
             new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
             tmp = self.scratch[: old_l.size].reshape(old_l.shape)
-            np.multiply(keep, old_l, out=new_l)
-            np.multiply(flip, old_r, out=tmp)
-            np.add(new_l, tmp, out=new_l)
-            np.multiply(flip, old_l, out=new_r)
-            np.multiply(keep, old_r, out=tmp)
-            np.add(new_r, tmp, out=new_r)
+            size = np.setbufsize(_STEP_BUFSIZE)
+            try:
+                np.multiply(keep, old_l, out=new_l)
+                np.multiply(flip, old_r, out=tmp)
+                np.add(new_l, tmp, out=new_l)
+                np.multiply(flip, old_l, out=new_r)
+                np.multiply(keep, old_r, out=tmp)
+                np.add(new_r, tmp, out=new_r)
+            finally:
+                np.setbufsize(size)
             # Grid rows -1 and 2 t_max + 1 at the next step are compact rows
             # 0 and t_max + 1 of sublattice e.
             if e < self.psi.shape[1]:

@@ -8,7 +8,8 @@ within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Over a
 full rotation cycle its amplitudes equal those of :func:`toss` bit for bit.
 Scans, sweeps and :func:`final_distribution` step walks on the kernel's
 batch axis and read the band out only after the last step; their results
-equal those of :func:`run_sequence` bit for bit.
+equal those of :func:`run_sequence` bit for bit.  The step's small ufunc
+buffers change no result, allocate little and are not seen outside the step.
 """
 
 import math
@@ -17,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import histwalk.operators
 import histwalk.walker
 from histwalk.cli import main
 from histwalk.operators import (
@@ -689,3 +691,97 @@ class TestNormErrorsNameTheStep:
         table = random_tables(3, "B", 5)["B"]
         with pytest.raises(NormalizationError, match=r"at step 7, batch entry 2$"):
             sweep_parameter(table, "RL", np.linspace(0.0, 1.0, 4), 10)
+
+
+# NumPy's ufunc buffer size when nothing has set it, in NumPy 1.x and 2.x.
+NUMPY_DEFAULT_BUFSIZE = 8192
+
+
+def aab_walk(num_coins, steps, initial=None):
+    """Final amplitudes, means, stds and norm drift of an ``AAB`` walk."""
+    if initial is None:
+        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
+    tables = random_tables(num_coins, "AB", num_coins)
+    kernel = _Kernel(initial, [tables[letter] for letter in "AAB"])
+    for _ in range(steps):
+        kernel.step()
+    trajectory = run_sequence(initial, tables, "AAB", steps)
+    return kernel.state().amplitudes, trajectory.means, trajectory.stds, trajectory.norm_drift
+
+
+def two_parity_walk():
+    # Every register column at sites 0 and 1, with random amplitudes; stop
+    # one step short of the grid edge.
+    rng = np.random.default_rng(5)
+    entries = [
+        (x, index_to_coins(column, 5), complex(*rng.normal(size=2)))
+        for x in (0, 1)
+        for column in range(1 << 5)
+    ]
+    return aab_walk(5, 40, build_initial_state(5, entries, t_max=41))
+
+
+def scan_means():
+    return [np.array(list(scan_sequences(random_tables(3, "AB", 3), 5, 3, 60).values()))]
+
+
+class TestSmallStepBuffers:
+    """The step's ufuncs run with small NumPy buffers, which change no bit and stay inside it."""
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            pytest.param(lambda: aab_walk(8, 200), id="M=8, T=200"),
+            pytest.param(lambda: aab_walk(3, 1000), id="M=3, T=1000"),
+            pytest.param(two_parity_walk, id="two parities, M=5"),
+            pytest.param(scan_means, id="scan, M=3, T=60"),
+        ],
+    )
+    def test_results_equal_those_with_the_default_buffers_bit_for_bit(self, monkeypatch, walk):
+        monkeypatch.setattr(histwalk.operators, "_STEP_BUFSIZE", NUMPY_DEFAULT_BUFSIZE)
+        want = walk()
+        monkeypatch.undo()
+        assert histwalk.operators._STEP_BUFSIZE < NUMPY_DEFAULT_BUFSIZE
+        got = walk()
+        for got_values, want_values in zip(got, want, strict=True):
+            assert np.array_equal(got_values, want_values)
+
+    @pytest.mark.parametrize("size", [NUMPY_DEFAULT_BUFSIZE, 4096])
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_a_step_leaves_the_callers_buffer_size_as_it_found_it(self, outcome, size):
+        if outcome == "returns":
+            initial = build_initial_state(3, ANTISYMMETRIC, t_max=5)
+            kernel = _Kernel(initial, [HistoryRhoTable.uniform(3)])
+        else:
+            # One coin at the last site, retained as R, moves off the grid.
+            initial = build_initial_state(1, [(3, "R", 1.0)], t_max=3)
+            kernel = _Kernel(initial, [HistoryRhoTable.uniform(1, 1.0)])
+        kept = np.setbufsize(size)
+        try:
+            if outcome == "returns":
+                kernel.step()
+            else:
+                with pytest.raises(HorizonError):
+                    kernel.step()
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(kept)
+
+    @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000)])
+    def test_no_step_allocates_more_than_64_kib(self, num_coins, steps):
+        # With NumPy's default buffers a step allocated 391 KB (median) at
+        # M=8 and 194 KB (largest) at M=3; with small ones, under 13 KB.
+        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
+        tables = random_tables(num_coins, "AB", 7)
+        kernel = _Kernel(initial, [tables[letter] for letter in "AAB"])
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(steps):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                kernel.step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 64 * 1024

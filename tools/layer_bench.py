@@ -22,6 +22,8 @@ at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
 letters) ``scan_sequences``: the whole call; and at the size of
 ``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config file):
 
+* ``step_m3``: the time one ``run_sequence`` spends in ``_Kernel.step``,
+  timed like ``step``;
 * ``smooth``: the time one ``walk dist`` op spends in
   ``analysis.smooth_distribution``;
 * ``walk_dist``: the whole ``cli.main`` call for ``walk dist`` with
@@ -130,6 +132,13 @@ def measure() -> dict[str, list[float]]:
     _whole(
         lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
         "scan_sequences",
+        samples,
+    )
+    dist_games = walk_games(hw, SEED, CLI["M"])
+    dist_initial = walker.build_initial_state(CLI["M"], walker.ANTISYMMETRIC, CLI["T"])
+    _layered(
+        lambda: walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"]),
+        [(kernel, "step", "step_m3")],
         samples,
     )
     with tempfile.TemporaryDirectory() as temporary:
