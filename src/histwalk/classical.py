@@ -14,13 +14,15 @@ games share 12, capital mod 3 times the last two results, since their odds
 depend on nothing else.  One exact loop propagates the state distribution
 and adds up each step's expected increment, so results carry no sampling
 error and capital games cost O(steps); a seeded sampler over the same states
-is the cross-check.
+is the cross-check.  Once the rounded distribution repeats bit for bit, the
+loop stops stepping it and adds up the increments of the last pattern period
+again, which gives the same means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, islice, product
 from typing import Mapping
 
 import numpy as np
@@ -50,6 +52,12 @@ __all__ = [
 # step's draws, odds, branch picks and moment temporaries (tracemalloc
 # measured peaks of 49-57 bytes per trajectory).
 _TRAJECTORY_BYTES = 64
+
+# Steps between repeat checks of an exact run, rounded up to whole pattern
+# periods.  A check costs about half a 12-state step, so checking this seldom
+# adds about 5% to a run that never repeats (checking every period added
+# 33-57%), and a run that repeats steps at most this plus one period more.
+_REPEAT_CHECK_STEPS = 32
 
 
 def history_states(num_coins: int) -> list[str]:
@@ -295,33 +303,68 @@ def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") 
     64-bit mantissa on x86, plain double where nothing wider exists), so means
     written to 12 decimals round as the exact ones do even next to a rounding
     tie.  Each step's expected increment, read off the branch flows, is added
-    with compensated (Kahan) summation, so rounding does not build up.
+    with compensated (Kahan) summation, so rounding does not build up.  The
+    increments come from :func:`_increments`, which stops stepping the
+    distribution once it repeats; the sum runs over the same increments in
+    the same order, so the means are those of stepping every time.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_fits(8 * (steps + 1), f"an exact run of {steps} steps", "for its means")
     start = np.full(starts, 1.0 / starts) if initial is None else np.asarray(initial, dtype=float)
-    if start.shape != (starts,) or np.any(start < 0) or abs(start.sum() - 1.0) > 1e-12:
+    if (
+        start.shape != (starts,)
+        or not np.all(np.isfinite(start))
+        or np.any(start < 0)
+        or abs(start.sum() - 1.0) > 1e-12
+    ):
         raise ValueError(f"initial must be a probability vector over {over}")
     pi = np.zeros(chains[0].first.size, dtype=np.longdouble)
     pi[:starts] = start
-    plays = [(c.first, c.next.T.ravel(), c.step.T.ravel().astype(pi.dtype)) for c in chains]
-    flow = np.zeros(2 * pi.size, dtype=pi.dtype)
-    won, lost = flow[: pi.size], flow[pi.size :]
     means = np.zeros(steps + 1)
     total = carry = pi.dtype.type(0)
-    for t in range(steps):
-        first, moves, increments = plays[t % len(plays)]
-        np.multiply(pi, first, out=won)
-        np.subtract(pi, won, out=lost)
-        gain = flow @ increments - carry
+    for t, increment in enumerate(_increments(chains, pi, steps), 1):
+        gain = increment - carry
         updated = total + gain
         carry = (updated - total) - gain
         total = updated
-        means[t + 1] = total
+        means[t] = total
+    return means
+
+
+def _increments(chains, pi: np.ndarray, steps: int):
+    """Yield the expected increment of each step of the chains played cyclically from ``pi``.
+
+    ``pi`` is overwritten as it is stepped.  The rounded map over one period is
+    deterministic, so when ``pi`` at the start of a period equals, bit for
+    bit, its value one period earlier, every later increment repeats with the
+    pattern's period.  From there the increments of the last period are
+    yielded again and ``pi`` is no longer stepped.  The check runs every
+    :data:`_REPEAT_CHECK_STEPS` steps, rounded up to whole periods, against
+    the value kept one period before in a second buffer.
+    """
+    period = len(chains)
+    stride = -(-_REPEAT_CHECK_STEPS // period) * period
+    plays = [(c.first, c.next.T.ravel(), c.step.T.ravel().astype(pi.dtype)) for c in chains]
+    previous = np.zeros_like(pi)
+    flow = np.zeros(2 * pi.size, dtype=pi.dtype)
+    won, lost = flow[: pi.size], flow[pi.size :]
+    recent = [pi.dtype.type(0)] * period
+    for t in range(steps):
+        phase, lap = t % period, t % stride
+        if lap == 0 and t and np.array_equal(pi, previous):
+            yield from islice(cycle(recent), steps - t)
+            return
+        first, moves, increments = plays[phase]
+        np.multiply(pi, first, out=won)
+        np.subtract(pi, won, out=lost)
+        recent[phase] = increment = flow @ increments
+        yield increment
+        if lap == stride - period:
+            # Keep this period's start for the next check; step into the other buffer.
+            pi, previous = previous, pi
         pi.fill(0)
         np.add.at(pi, moves, flow)
-    return means
 
 
 def capital_game_trajectory(games, pattern: str | None, steps: int) -> np.ndarray:

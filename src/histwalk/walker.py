@@ -403,9 +403,11 @@ def scan_sequences(
     """Final-step mean for every non-empty pattern of up to ``max_len`` letters.
 
     Every pattern starts from the identical initial state; keys are returned
-    in lexicographic order over the sorted game alphabet.  A scan whose
-    results cannot fit in physical memory raises MemoryLimitError before any
-    pattern is built.
+    in lexicographic order over the sorted game alphabet.  A pattern that
+    repeats a shorter one (``ABAB`` repeats ``AB``) plays the same schedule,
+    so only primitive patterns are stepped and each repeat gets its root's
+    mean.  A scan whose results cannot fit in physical memory raises
+    MemoryLimitError before any pattern is built.
     """
     tables = as_game_tables(games)
     if max_len < 1:
@@ -420,10 +422,14 @@ def scan_sequences(
         for length in range(1, max_len + 1)
         for p in product(letters, repeat=length)
     )
+    # The shortest prefix that repeats to the whole pattern.
+    roots = {pattern: pattern[: (pattern * 2).find(pattern, 1)] for pattern in patterns}
+    primitive = [pattern for pattern in patterns if roots[pattern] == pattern]
     initial = build_initial_state(num_coins, kind, t_max=max(steps, 1))
-    schedules = ([tables[letter] for letter in pattern] for pattern in patterns)
+    schedules = ([tables[letter] for letter in pattern] for pattern in primitive)
     moments = _final_moments(initial, schedules, steps)
-    return {pattern: mean for pattern, (mean, _) in zip(patterns, moments)}
+    means = {pattern: mean for pattern, (mean, _) in zip(primitive, moments)}
+    return {pattern: means[roots[pattern]] for pattern in patterns}
 
 
 def sweep_parameter(

@@ -5,7 +5,9 @@ Kronecker products for the walk, and dictionary-based distribution evolution
 for the classical games.  Nothing is shared with the package's vectorized
 engines except the documented basis conventions (row = position + t_max,
 column = register string with the most recent result as the most significant
-bit, L = 0 and R = 1).
+bit, L = 0 and R = 1).  The one exception is :func:`exact_means_every_step`,
+the exact classical loop without its early stop, which reads the package's
+chain tables so that its means can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -179,3 +181,35 @@ def smooth_by_points(probabilities: np.ndarray, window: int) -> np.ndarray:
         k = min(half, i, n - 1 - i)
         out[i] = p[i - k : i + k + 1].mean()
     return out / out.sum()
+
+
+def exact_means_every_step(chains, starts: int, steps: int, initial=None) -> np.ndarray:
+    """Exact mean per step of two-branch chains played cyclically, stepping every time.
+
+    ``chains`` holds one chain per pattern letter, each with the package's
+    ``first``, ``next`` and ``step`` arrays, and ``initial`` a probability
+    vector over the ``starts`` start states (uniform when omitted).  This is
+    the package's exact loop without its stop at a repeated distribution: the
+    same ``np.longdouble`` distribution, branch flows and Kahan sum, in the
+    same order, so the package's means must equal these bit for bit.
+    """
+    start = np.full(starts, 1.0 / starts) if initial is None else np.asarray(initial, dtype=float)
+    pi = np.zeros(chains[0].first.size, dtype=np.longdouble)
+    pi[:starts] = start
+    plays = [(c.first, c.next.T.ravel(), c.step.T.ravel().astype(pi.dtype)) for c in chains]
+    flow = np.zeros(2 * pi.size, dtype=pi.dtype)
+    won, lost = flow[: pi.size], flow[pi.size :]
+    means = np.zeros(steps + 1)
+    total = carry = pi.dtype.type(0)
+    for t in range(steps):
+        first, moves, increments = plays[t % len(plays)]
+        np.multiply(pi, first, out=won)
+        np.subtract(pi, won, out=lost)
+        gain = flow @ increments - carry
+        updated = total + gain
+        carry = (updated - total) - gain
+        total = updated
+        means[t + 1] = total
+        pi.fill(0)
+        np.add.at(pi, moves, flow)
+    return means

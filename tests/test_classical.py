@@ -1,5 +1,6 @@
 """Classical-limit chain, capital games, and Monte-Carlo cross-checks."""
 
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import histwalk.classical
 import histwalk.state
 from histwalk.classical import (
     BiasedCoin,
@@ -31,6 +33,7 @@ from reference import (
     capital_mean_by_convolution,
     chain_mean_by_enumeration,
     chain_mean_in_decimal,
+    exact_means_every_step,
     history_mean_by_enumeration,
 )
 
@@ -99,6 +102,12 @@ class TestHistoryWalkChain:
             classical_mean_trajectory(table, 1, initial={"XX": 1.0})
         with pytest.raises(ValueError, match="probability vector"):
             classical_mean_trajectory(table, 1, initial=[0.5, 0.5])
+        # NaN passes both the sign and the sum test, so it is refused on its own.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="probability vector"):
+                classical_mean_trajectory(table, 3, initial={"LL": bad, "LR": 0.5, "RL": 0.5})
+            with pytest.raises(ValueError, match="probability vector"):
+                classical_mean_trajectory(table, 3, initial=[bad, 0.5, 0.25, 0.25])
 
     def test_drift_by_state_reads_the_oldest_letter(self):
         table = HistoryRhoTable(2, {"L": 1.0, "R": 0.0})
@@ -217,6 +226,12 @@ class TestHistoryKeyedGames:
         means = history_mix_trajectory({"B": spec}, "B", 3, initial=[0, 0, 0, 1.0])
         # From (won, won) the game wins forever: +1 per step.
         assert means.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_rejects_bad_initial_distributions(self):
+        for bad in ([0.5, 0.5], [-0.5, 0.5, 0.5, 0.5], [np.nan, 0.5, 0.25, 0.25],
+                    [np.inf, 0.5, 0.25, 0.25], [-np.inf, 0.5, 0.25, 0.25]):
+            with pytest.raises(ValueError, match="probability vector over 4 result pairs"):
+                history_game_trajectory(HIST, 5, initial=bad)
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError, match="undefined games"):
@@ -471,6 +486,95 @@ class TestLongHorizonAccuracy:
         means = history_mix_trajectory(games, "AB", 5000)
         reference = history_in_decimal(games, "AB", 5000)
         assert abs(float(Decimal(means[-1]) - reference)) <= 2e-13
+
+
+class Counted(np.ndarray):
+    """Win odds that count the ufunc calls made with them: one per stepped step."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        Counted.calls += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def exact_run(spec, pattern, kinds, steps, initial=None):
+    """Means of the package's exact loop and of the every-step oracle, and the steps stepped."""
+    chains, starts = histwalk.classical._chains(spec, pattern, kinds, "exact")
+    counted = [replace(chain, first=chain.first.view(Counted)) for chain in chains]
+    Counted.calls = 0
+    got = histwalk.classical._exact_means(counted, starts, steps, initial)
+    return got, exact_means_every_step(chains, starts, steps, initial), Counted.calls
+
+
+CAPITAL_KINDS = (BiasedCoin, CapitalMod3)
+HISTORY_KINDS = (BiasedCoin, HistoryCoins)
+EDGE_PROBS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), PROBS)
+WORKLOAD_GAMES = {
+    "capital": ({"A": COIN, "B": MOD3}, CAPITAL_KINDS),
+    "history": ({"A": COIN, "B": HIST}, HISTORY_KINDS),
+}
+
+
+@st.composite
+def exact_runs(draw):
+    """A capital, history or walk chain, its pattern, a start over its start states and T."""
+    kind = draw(st.sampled_from(["capital", "history", "walk"]))
+    steps = draw(st.one_of(st.just(0), st.integers(1, 80), st.integers(80, 1500)))
+    if kind == "walk":
+        num_coins = draw(st.integers(1, 4))
+        rho = draw(st.fixed_dictionaries({h: EDGE_PROBS for h in all_histories(num_coins)}))
+        start = draw(starts(history_states(num_coins)))
+        return HistoryRhoTable(num_coins, rho), None, (HistoryRhoTable,), steps, list(start.values())
+    pattern = draw(st.text(alphabet="AB", min_size=1, max_size=4))
+    if kind == "capital":
+        specs = st.one_of(st.builds(BiasedCoin, EDGE_PROBS),
+                          st.builds(CapitalMod3, EDGE_PROBS, EDGE_PROBS))
+        start, kinds = None, CAPITAL_KINDS
+    else:
+        specs = st.one_of(st.builds(BiasedCoin, EDGE_PROBS),
+                          st.builds(HistoryCoins, *[EDGE_PROBS] * 4))
+        start, kinds = list(draw(starts(range(4))).values()), HISTORY_KINDS
+    games = {letter: draw(specs) for letter in sorted(set(pattern))}
+    return games, pattern, kinds, steps, start
+
+
+class TestRepeatedDistribution:
+    """The exact loop stops stepping at a repeated distribution, with the oracle's bits."""
+
+    @given(exact_runs())
+    @settings(deadline=None, max_examples=80)
+    def test_means_equal_the_every_step_loop_bit_for_bit(self, run):
+        got, want, stepped = exact_run(*run)
+        assert np.array_equal(got, want)
+        assert stepped <= run[3]
+
+    @pytest.mark.parametrize("pattern, repeats", [("A", False), ("AB", False), ("AABB", False),
+                                                  ("ABB", True)])
+    def test_coins_that_always_win_repeat_only_on_a_period_of_three(self, pattern, repeats):
+        # The distribution cycles through the three residues, so it equals
+        # its value one pattern period earlier only if 3 divides the period.
+        games = {"A": BiasedCoin(1.0), "B": BiasedCoin(1.0)}
+        got, want, stepped = exact_run(games, pattern, CAPITAL_KINDS, 600)
+        assert np.array_equal(got, want)
+        assert got[-1] == 600.0
+        assert (stepped < 600) == repeats
+
+    @pytest.mark.parametrize("kind", sorted(WORKLOAD_GAMES))
+    def test_parrondo_mixes_stop_mid_run_with_the_same_means(self, kind):
+        games, kinds = WORKLOAD_GAMES[kind]
+        _, _, stop = exact_run(games, "AB", kinds, 4000)
+        assert 2 < stop < 400
+        for steps in (stop - 1, stop, stop + 1, stop + 2, 4000):
+            got, want, _ = exact_run(games, "AB", kinds, steps)
+            assert np.array_equal(got, want)
+
+    def test_a_walk_chain_from_its_uniform_start_stops_at_the_first_check(self):
+        table = HistoryRhoTable(8, dict(zip(all_histories(8), np.linspace(0.3, 0.7, 128))))
+        got, want, stepped = exact_run(table, None, (HistoryRhoTable,), 2000)
+        assert np.array_equal(got, want)
+        assert stepped <= histwalk.classical._REPEAT_CHECK_STEPS
 
 
 def never_called(*args, **kwargs):

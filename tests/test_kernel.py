@@ -534,12 +534,14 @@ class TestStepCount:
         return calls
 
     def test_a_scan_steps_once_per_chunk_and_step(self, counted):
+        # 62 patterns, of which 52 are primitive: the 10 repeats of one letter
+        # and ABAB, BABA are not stepped.
         scan_sequences(random_tables(3, "AB", 2), 5, 3, 60)
         per_chunk = max(1, histwalk.walker._CHUNK_BYTES // entry_bytes(3, 60))
-        chunks = math.ceil(62 / per_chunk)
-        assert 1 < chunks < 62
+        chunks = math.ceil(52 / per_chunk)
+        assert 1 < chunks < 52
         assert len(counted) == 60 * chunks
-        assert sum(counted) == 60 * 62
+        assert sum(counted) == 60 * 52
 
     def test_a_single_walk_steps_once_per_step(self, counted):
         initial = build_initial_state(3, ANTISYMMETRIC, t_max=60)
@@ -672,8 +674,9 @@ class TestNormErrorsNameTheStep:
             run_sequence(initial, random_tables(3, "AB", 4), "AAB", 10)
 
     def test_a_scan_names_the_step_and_the_pattern_index(self, monkeypatch):
-        # Six patterns (A, AA, AB, B, BA, BB) in chunks of four: leak entry 1
-        # of the second chunk, which is pattern 5, BA.
+        # Of the 14 patterns up to length 3 the scan steps the 10 primitive
+        # ones (A, AAB, AB, ABA, ABB, B, BA, BAA, BAB, BBA) in chunks of four:
+        # leak entry 1 of the third chunk, which is primitive pattern 9, BBA.
         chunked(monkeypatch, 3, 10, 4)
         step = _Kernel.step
 
@@ -683,8 +686,8 @@ class TestNormErrorsNameTheStep:
                 kernel.psi[1] *= 1.001
 
         monkeypatch.setattr(_Kernel, "step", leaky_step)
-        with pytest.raises(NormalizationError, match=r"at step 3, batch entry 5$"):
-            scan_sequences(random_tables(3, "AB", 1), 2, 3, 10)
+        with pytest.raises(NormalizationError, match=r"at step 3, batch entry 9$"):
+            scan_sequences(random_tables(3, "AB", 1), 3, 3, 10)
 
     def test_a_sweep_names_the_step_and_the_grid_index(self, monkeypatch):
         leak_at(monkeypatch, 7, entry=2)

@@ -318,6 +318,33 @@ class TestScanSequences:
             weights = (np.abs(psi.reshape(initial.amplitudes.shape)) ** 2).sum(axis=1)
             assert mean == pytest.approx(float(initial.positions @ weights), abs=1e-10)
 
+    def test_steps_each_primitive_schedule_once(self, monkeypatch):
+        games = {
+            "A": UNBIASED_3,
+            "B": HistoryRhoTable.with_overrides(3, 0.5, {"RR": 0.55}),
+            "C": HistoryRhoTable.with_overrides(3, 0.5, {"LR": 0.6}),
+        }
+        letter_of = {id(table): letter for letter, table in games.items()}
+        played = []
+        final_moments = histwalk.walker._final_moments
+
+        def recording(initial, schedules, steps):
+            schedules = list(schedules)
+            played.extend("".join(letter_of[id(t)] for t in s) for s in schedules)
+            return final_moments(initial, schedules, steps)
+
+        monkeypatch.setattr(histwalk.walker, "_final_moments", recording)
+        results = scan_sequences(games, 4, 3, 12)
+        assert len(results) == 3 + 9 + 27 + 81
+        # A pattern is primitive when no shorter pattern repeats to it; the
+        # repeats are 3 of length 2, 3 of length 3 and 9 of length 4.
+        primitive = [p for p in results if not any(
+            len(p) % d == 0 and p == p[:d] * (len(p) // d) for d in range(1, len(p)))]
+        assert played == primitive and len(played) == 120 - 15
+        for pattern, mean in results.items():
+            root = next(p for p in primitive if p * (len(pattern) // len(p)) == pattern)
+            assert mean == results[root]
+
     def test_rejects_zero_length_cap(self):
         with pytest.raises(ValueError, match="max_len"):
             scan_sequences({"A": UNBIASED_3}, 0, 3, 1)

@@ -28,7 +28,20 @@ letters) ``scan_sequences``: the whole call; and at the size of
   ``analysis.smooth_distribution``;
 * ``walk_dist``: the whole ``cli.main`` call for ``walk dist`` with
   ``--peaks`` and ``--emit-plot``, writing into a temporary directory, with
-  no timers inside.
+  no timers inside;
+
+and with the inputs ``ClassicalGames`` builds for ``classical_games`` (sizes
+``CLASSICAL``, Parrondo's games ``COIN_P``, ``MOD3`` and ``HISTORY``, and the
+M=8 game B as the chain's table):
+
+* ``capital``, ``history`` and ``chain``: one whole exact call each, the
+  calls the benchmark's ``classical.capital/history/chain`` spans time;
+* ``capital_never_repeats``: the exact capital call at the same T with two
+  coins that always win, whose distribution never repeats one pattern period
+  later, so the exact loop steps every time;
+* ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span;
+* ``classical_games``: the benchmark's whole op, exact calls and Monte Carlo,
+  timed before the single calls.
 
 Times are wall-clock seconds per op.  The output gives each tree's median
 and quartiles over every op of every round.  For each tree after the first
@@ -56,7 +69,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import CLI, SCAN, TRAJECTORY, config_text, walk_games  # noqa: E402
+from workloads import (  # noqa: E402
+    CLASSICAL, CLI, SCAN, TRAJECTORY, ClassicalGames, config_text, walk_games,
+)
 
 ROUNDS = 10
 OPS = 5
@@ -156,6 +171,29 @@ def measure() -> dict[str, list[float]]:
 
         _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples)
         _whole(dist, "walk_dist", samples)
+        games = ClassicalGames(SEED, folder)
+        games.setup()
+        classical = games.classical
+        always = {"A": classical.BiasedCoin(1.0), "B": classical.BiasedCoin(1.0)}
+        runs = {
+            "classical_games": games.op,
+            "capital": lambda: classical.capital_game_trajectory(
+                games.capital_games, "AB", CLASSICAL["capital_T"]
+            ),
+            "history": lambda: classical.history_mix_trajectory(
+                games.history_games, "AB", CLASSICAL["history_T"]
+            ),
+            "chain": lambda: classical.classical_mean_trajectory(
+                games.chain_table, CLASSICAL["chain_T"]
+            ),
+            "capital_never_repeats":
+                lambda: classical.capital_game_trajectory(always, "AB", CLASSICAL["capital_T"]),
+            "mc": lambda: classical.monte_carlo_trajectory(
+                games.capital_games, "AB", CLASSICAL["mc_T"], CLASSICAL["mc_N"], games.mc_seed
+            ),
+        }
+        for name, run in runs.items():
+            _whole(run, name, samples)
     return samples
 
 
@@ -206,7 +244,8 @@ def main(argv=None) -> int:
         },
         "settings": {
             "rounds": ROUNDS, "ops_per_process": OPS, "seed": SEED,
-            "trajectory": TRAJECTORY, "scan": SCAN, "dist": CLI, "unit": "s per op",
+            "trajectory": TRAJECTORY, "scan": SCAN, "dist": CLI, "classical": CLASSICAL,
+            "unit": "s per op",
         },
         "trees": {
             label: {name: summary([v for ops in per_round for v in ops])
