@@ -21,6 +21,7 @@ again, which gives the same means.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import cycle, islice, product
 from typing import Mapping
@@ -48,9 +49,10 @@ __all__ = [
     "monte_carlo_mean",
 ]
 
-# Bytes charged per sampled trajectory: its state and position plus one
-# step's draws, odds, branch picks and moment temporaries (tracemalloc
-# measured peaks of 49-57 bytes per trajectory).
+# Bytes charged per sampled trajectory: its state code and position, the
+# step's draw, branch, pick and deviation buffers (41 bytes), and one array
+# gathered at a time, odds, increments or next codes (8 bytes); tracemalloc
+# measures a peak of 49 bytes per trajectory at 10**4 to 2 * 10**5.
 _TRAJECTORY_BYTES = 64
 
 # Steps between repeat checks of an exact run, rounded up to whole pattern
@@ -295,6 +297,19 @@ def _chains(spec, pattern: str | None, kinds: tuple, label: str):
     return [chains[letter] for letter in pattern], 4
 
 
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an ``int`` of at least ``least``; refuses bools and non-integers."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number
+
+
 def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") -> np.ndarray:
     """Exact mean per step of the chains played cyclically from a start distribution.
 
@@ -308,8 +323,7 @@ def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") 
     distribution once it repeats; the sum runs over the same increments in
     the same order, so the means are those of stepping every time.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = _count(steps, "steps", 0)
     _check_fits(8 * (steps + 1), f"an exact run of {steps} steps", "for its means")
     start = np.full(starts, 1.0 / starts) if initial is None else np.asarray(initial, dtype=float)
     if (
@@ -418,28 +432,52 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     ``pattern``.  Each trajectory starts on a uniform draw among the chain's
     start states and takes branch 0 when its draw ``u < first[state]``.
     Returns ``(means, standard_errors)`` arrays of length ``steps + 1``.
+
+    The loop steps in buffers allocated once, on doubled state codes, and
+    takes each mean from one integer sum.  It draws the same numbers as one
+    ``rng.random(n_trajectories)`` per step and runs the operations of
+    ``position.mean()`` and ``position.std(ddof=1)``, so every output bit is
+    theirs while ``n_trajectories * steps < 2**53``; past that bound, which
+    no run that fits in memory reaches in practice, the integer sum is the
+    exact one.
     """
-    if n_trajectories < 1:
-        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    needed = _TRAJECTORY_BYTES * n_trajectories + 16 * (steps + 1)
-    _check_fits(needed, f"{n_trajectories} trajectories of {steps} steps", "for their states")
+    n = _count(n_trajectories, "n_trajectories", 1)
+    steps = _count(steps, "steps", 0)
+    needed = _TRAJECTORY_BYTES * n + 16 * (steps + 1)
+    _check_fits(needed, f"{n} trajectories of {steps} steps", "for their states")
     kinds = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
     chains, starts = _chains(spec, pattern, kinds, "sampled")
+    # Trajectory codes are twice the chain state, so code + branch indexes
+    # the raveled (state, branch) tables; odds repeat per branch to match.
+    plays = [(np.repeat(c.first, 2), 2 * c.next.ravel(), c.step.ravel()) for c in chains]
     rng = np.random.default_rng(seed)
-    state = rng.integers(starts, size=n_trajectories)
-    position = np.zeros(n_trajectories, dtype=np.int64)
+    code = rng.integers(starts, size=n)
+    code <<= 1
+    position = np.zeros(n, dtype=np.int64)
+    draws = np.empty(n)
+    branch = np.empty(n, dtype=bool)
+    pick = np.empty(n, dtype=np.intp)
+    deviation = np.empty(n)
     means = np.zeros(steps + 1)
     errors = np.zeros(steps + 1)
     for t in range(steps):
-        chain = chains[t % len(chains)]
-        pick = 2 * state + (rng.random(n_trajectories) >= chain.first[state])
-        position += chain.step.ravel()[pick]
-        state = chain.next.ravel()[pick]
-        means[t + 1] = position.mean()
-        if n_trajectories > 1:
-            errors[t + 1] = position.std(ddof=1) / np.sqrt(n_trajectories)
+        first, moves, increments = plays[t % len(plays)]
+        rng.random(out=draws)
+        np.greater_equal(draws, first[code], out=branch)
+        np.add(code, branch, out=pick)
+        position += increments[pick]
+        code = moves[pick]
+        # Each partial sum that position.mean() adds in float64 is an exact
+        # integer while n * steps < 2**53, so it equals the integer sum, and
+        # one correctly rounded division gives the same double.
+        mean = int(position.sum()) / n
+        means[t + 1] = mean
+        if n > 1:
+            # np.std(ddof=1)'s own operations: deviations, squares, their
+            # float64 sum, a division by n - 1 and a square root.
+            np.subtract(position, mean, out=deviation)
+            np.multiply(deviation, deviation, out=deviation)
+            errors[t + 1] = np.sqrt(deviation.sum() / (n - 1)) / np.sqrt(n)
     return means, errors
 
 

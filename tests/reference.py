@@ -5,9 +5,11 @@ Kronecker products for the walk, and dictionary-based distribution evolution
 for the classical games.  Nothing is shared with the package's vectorized
 engines except the documented basis conventions (row = position + t_max,
 column = register string with the most recent result as the most significant
-bit, L = 0 and R = 1).  The one exception is :func:`exact_means_every_step`,
-the exact classical loop without its early stop, which reads the package's
-chain tables so that its means can be compared bit for bit.
+bit, L = 0 and R = 1).  The two exceptions read the package's chain tables so
+that their outputs can be compared bit for bit: :func:`exact_means_every_step`,
+the exact classical loop without its early stop, and
+:func:`sampled_means_allocating`, the seeded sampler with a fresh array for
+every intermediate.
 """
 
 from __future__ import annotations
@@ -213,3 +215,28 @@ def exact_means_every_step(chains, starts: int, steps: int, initial=None) -> np.
         pi.fill(0)
         np.add.at(pi, moves, flow)
     return means
+
+
+def sampled_means_allocating(chains, starts: int, steps: int, n_trajectories: int, seed):
+    """Seeded sample means and standard errors of chains played cyclically.
+
+    ``chains`` and ``starts`` are as for :func:`exact_means_every_step`.  This
+    is the package's sampler written plainly: one ``rng.random`` batch per
+    step, ``2 * state + branch`` picks, and ``mean()``/``std(ddof=1)`` on the
+    positions, each step allocating its own arrays.  The package's buffered
+    loop must return these means and errors bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    state = rng.integers(starts, size=n_trajectories)
+    position = np.zeros(n_trajectories, dtype=np.int64)
+    means = np.zeros(steps + 1)
+    errors = np.zeros(steps + 1)
+    for t in range(steps):
+        chain = chains[t % len(chains)]
+        pick = 2 * state + (rng.random(n_trajectories) >= chain.first[state])
+        position += chain.step.ravel()[pick]
+        state = chain.next.ravel()[pick]
+        means[t + 1] = position.mean()
+        if n_trajectories > 1:
+            errors[t + 1] = position.std(ddof=1) / np.sqrt(n_trajectories)
+    return means, errors

@@ -1,5 +1,6 @@
 """Classical-limit chain, capital games, and Monte-Carlo cross-checks."""
 
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 
@@ -35,6 +36,7 @@ from reference import (
     chain_mean_in_decimal,
     exact_means_every_step,
     history_mean_by_enumeration,
+    sampled_means_allocating,
 )
 
 EPS = 0.005
@@ -577,6 +579,63 @@ class TestRepeatedDistribution:
         assert stepped <= histwalk.classical._REPEAT_CHECK_STEPS
 
 
+SAMPLED_KINDS = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
+
+
+@st.composite
+def sampled_runs(draw):
+    """A capital, history or walk-chain spec, its pattern, T, a trajectory count and a seed."""
+    kind = draw(st.sampled_from(["capital", "history", "walk"]))
+    if kind == "walk":
+        num_coins = draw(st.integers(1, 4))
+        rho = draw(st.fixed_dictionaries({h: EDGE_PROBS for h in all_histories(num_coins)}))
+        spec, pattern = HistoryRhoTable(num_coins, rho), None
+    else:
+        pattern = draw(st.text(alphabet="ABC", min_size=1, max_size=3))
+        if kind == "capital":
+            specs = st.one_of(st.builds(BiasedCoin, EDGE_PROBS),
+                              st.builds(CapitalMod3, EDGE_PROBS, EDGE_PROBS))
+        else:
+            specs = st.one_of(st.builds(BiasedCoin, EDGE_PROBS),
+                              st.builds(HistoryCoins, *[EDGE_PROBS] * 4))
+        spec = {letter: draw(specs) for letter in sorted(set(pattern))}
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 500).map(lambda k: 2 * k + 1),
+                       st.integers(10**4, 3 * 10**4)))
+    steps = draw(st.one_of(st.just(0), st.integers(1, 60)))
+    return spec, pattern, steps, n, draw(st.integers(0, 2**64 - 1))
+
+
+class TestBufferedSampler:
+    """The sampler's buffered loop keeps every draw and every output bit of the plain one."""
+
+    @given(sampled_runs())
+    @settings(deadline=None, max_examples=60)
+    def test_means_and_errors_equal_the_allocating_loop_byte_for_byte(self, run):
+        spec, pattern, steps, n, seed = run
+        means, errors = monte_carlo_trajectory(spec, pattern, steps, n, seed)
+        chains, starts = histwalk.classical._chains(spec, pattern, SAMPLED_KINDS, "sampled")
+        want_means, want_errors = sampled_means_allocating(chains, starts, steps, n, seed)
+        assert means.tobytes() == want_means.tobytes()
+        assert errors.tobytes() == want_errors.tobytes()
+
+    @pytest.mark.parametrize("n", [10**4, 5 * 10**4, 2 * 10**5])
+    @pytest.mark.parametrize(
+        "spec, pattern",
+        [({"A": COIN, "B": MOD3}, "AB"), (HistoryRhoTable(3, dict.fromkeys(all_histories(3), 0.3)),
+                                          None)],
+        ids=["capital", "walk-chain"],
+    )
+    def test_the_traced_peak_stays_within_the_charge_per_trajectory(self, spec, pattern, n):
+        steps = 20
+        tracemalloc.start()
+        try:
+            monte_carlo_trajectory(spec, pattern, steps, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= histwalk.classical._TRAJECTORY_BYTES * n
+
+
 def never_called(*args, **kwargs):
     raise AssertionError("the size guard should have refused the run first")
 
@@ -610,3 +669,40 @@ class TestMemoryGuard:
     def test_runs_that_fit_are_not_refused(self):
         assert monte_carlo_trajectory(COIN, None, 2, 10**3, seed=1)[0].shape == (3,)
         assert capital_game_trajectory(COIN, None, 2).shape == (3,)
+
+
+class TestCountArguments:
+    """Step and trajectory counts must be integers; floats and bools are refused by name."""
+
+    RUNS = {
+        "capital": lambda steps: capital_game_trajectory(COIN, None, steps),
+        "history": lambda steps: history_mix_trajectory({"B": HIST}, "B", steps),
+        "walk-chain": lambda steps: classical_mean_trajectory(HistoryRhoTable(1, {"": 0.4}), steps),
+        "sampled": lambda steps: monte_carlo_trajectory(COIN, None, steps, 10, seed=1),
+    }
+
+    @pytest.fixture
+    def no_guard(self, monkeypatch):
+        monkeypatch.setattr(histwalk.classical, "_check_fits", never_called)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, False, "3", None, np.float64(3)])
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    def test_non_integer_steps_are_refused_by_name(self, no_guard, engine, steps):
+        with pytest.raises(ValueError, match=r"steps must be an integer, got"):
+            self.RUNS[engine](steps)
+
+    @pytest.mark.parametrize("count", [5.0, 2.5, True, "5", np.float64(5)])
+    def test_non_integer_trajectory_counts_are_refused_by_name(self, no_guard, count):
+        with pytest.raises(ValueError, match=r"n_trajectories must be an integer, got"):
+            monte_carlo_trajectory(COIN, None, 10, count, seed=1)
+
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    def test_numpy_integers_run_as_their_value(self, engine):
+        want = self.RUNS[engine](7)
+        assert np.asarray(self.RUNS[engine](np.int32(7))).tobytes() == np.asarray(want).tobytes()
+
+    def test_numpy_trajectory_counts_run_as_their_value(self):
+        got = monte_carlo_trajectory(COIN, None, 10, np.int64(33), seed=4)
+        want = monte_carlo_trajectory(COIN, None, 10, 33, seed=4)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()

@@ -34,14 +34,18 @@ and with the inputs ``ClassicalGames`` builds for ``classical_games`` (sizes
 ``CLASSICAL``, Parrondo's games ``COIN_P``, ``MOD3`` and ``HISTORY``, and the
 M=8 game B as the chain's table):
 
+* ``classical_games``: the benchmark's whole op, exact calls and Monte Carlo;
 * ``capital``, ``history`` and ``chain``: one whole exact call each, the
   calls the benchmark's ``classical.capital/history/chain`` spans time;
 * ``capital_never_repeats``: the exact capital call at the same T with two
   coins that always win, whose distribution never repeats one pattern period
   later, so the exact loop steps every time;
-* ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span;
-* ``classical_games``: the benchmark's whole op, exact calls and Monte Carlo,
-  timed before the single calls.
+* ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span.
+
+A process runs these timings in the order listed, rotated left by its round
+number: round 0 starts with ``step``, round 1 with ``run_sequence``, and so
+on; both trees of a round run the same order.  In a fixed order a layer's
+reading can carry the cost of what always ran before it.
 
 Times are wall-clock seconds per op.  The output gives each tree's median
 and quartiles over every op of every round.  For each tree after the first
@@ -120,8 +124,13 @@ def _whole(run, name: str, samples: dict[str, list[float]]) -> None:
         samples.setdefault(name, []).append(time.perf_counter() - start)
 
 
-def measure() -> dict[str, list[float]]:
-    """Per-op seconds of every layer and call in the tree ``histwalk`` imports from."""
+def measure(round_: int = 0) -> dict[str, list[float]]:
+    """Per-op seconds of every layer and call in the tree ``histwalk`` imports from.
+
+    The timings run in the order listed in the module docstring, rotated left
+    by ``round_`` places, so across rounds no layer always follows the same
+    ones.
+    """
     import histwalk as hw
     import histwalk.analysis as analysis
     import histwalk.cli as cli
@@ -129,33 +138,16 @@ def measure() -> dict[str, list[float]]:
     import histwalk.walker as walker
 
     samples: dict[str, list[float]] = {}
-    games = walk_games(hw, SEED, TRAJECTORY["M"])
+    kernel = operators._Kernel
+    trajectory_games = walk_games(hw, SEED, TRAJECTORY["M"])
     initial = walker.build_initial_state(TRAJECTORY["M"], walker.ANTISYMMETRIC, TRAJECTORY["T"])
 
     def trajectory():
-        walker.run_sequence(initial, games, TRAJECTORY["pattern"], TRAJECTORY["T"])
+        walker.run_sequence(initial, trajectory_games, TRAJECTORY["pattern"], TRAJECTORY["T"])
 
-    kernel = operators._Kernel
-    _layered(
-        trajectory,
-        [(kernel, "step", "step"), (kernel, "probabilities", "probabilities"),
-         (walker, "_readout", "readout")],
-        samples,
-    )
-    _whole(trajectory, "run_sequence", samples)
     scan_games = walk_games(hw, SEED, SCAN["M"])
-    _whole(
-        lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
-        "scan_sequences",
-        samples,
-    )
     dist_games = walk_games(hw, SEED, CLI["M"])
     dist_initial = walker.build_initial_state(CLI["M"], walker.ANTISYMMETRIC, CLI["T"])
-    _layered(
-        lambda: walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"]),
-        [(kernel, "step", "step_m3")],
-        samples,
-    )
     with tempfile.TemporaryDirectory() as temporary:
         folder = Path(temporary)
         config = folder / "dist.cfg"
@@ -169,8 +161,6 @@ def measure() -> dict[str, list[float]]:
             if cli.main(argv) != 0:
                 raise RuntimeError("walk dist failed")
 
-        _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples)
-        _whole(dist, "walk_dist", samples)
         games = ClassicalGames(SEED, folder)
         games.setup()
         classical = games.classical
@@ -192,19 +182,44 @@ def measure() -> dict[str, list[float]]:
                 games.capital_games, "AB", CLASSICAL["mc_T"], CLASSICAL["mc_N"], games.mc_seed
             ),
         }
-        for name, run in runs.items():
-            _whole(run, name, samples)
+        timings = [
+            lambda: _layered(
+                trajectory,
+                [(kernel, "step", "step"), (kernel, "probabilities", "probabilities"),
+                 (walker, "_readout", "readout")],
+                samples,
+            ),
+            lambda: _whole(trajectory, "run_sequence", samples),
+            lambda: _whole(
+                lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
+                "scan_sequences",
+                samples,
+            ),
+            lambda: _layered(
+                lambda: walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"]),
+                [(kernel, "step", "step_m3")],
+                samples,
+            ),
+            lambda: _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples),
+            lambda: _whole(dist, "walk_dist", samples),
+        ]
+        timings += [lambda name=name, run=run: _whole(run, name, samples)
+                    for name, run in runs.items()]
+        shift = round_ % len(timings)
+        for timing in timings[shift:] + timings[:shift]:
+            timing()
     return samples
 
 
-def _child(tree: str) -> dict[str, list[float]]:
+def _child(tree: str, round_: int) -> dict[str, list[float]]:
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2]);"
         "import layer_bench;"
-        "print(json.dumps(layer_bench.measure()))"
+        "print(json.dumps(layer_bench.measure(int(sys.argv[3]))))"
     )
     source = str(Path(tree, "src").resolve())
-    command = [sys.executable, "-c", code, str(Path(__file__).resolve().parent), source]
+    command = [sys.executable, "-c", code, str(Path(__file__).resolve().parent), source,
+               str(round_)]
     threads = str(len(os.sched_getaffinity(0)))
     env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
     env.pop("PYTHONPATH", None)
@@ -231,7 +246,7 @@ def main(argv=None) -> int:
     for round_ in range(ROUNDS):
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
         for label in order:
-            for name, values in _child(trees[label]).items():
+            for name, values in _child(trees[label], round_).items():
                 rounds[label].setdefault(name, []).append(values)
     base = next(iter(trees))
     result = {
