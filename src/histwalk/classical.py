@@ -21,15 +21,14 @@ again, which gives the same means.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import cycle, islice, product
 from typing import Mapping
 
 import numpy as np
 
-from .operators import HistoryRhoTable, _check_probability
-from .state import L, R, _check_fits
+from .operators import HistoryRhoTable, _check_pattern, _check_probability
+from .state import L, R, _check_fits, _count
 
 __all__ = [
     "history_states",
@@ -86,11 +85,16 @@ def _walk_chain(table: HistoryRhoTable) -> _Chain:
     """The walk's classical limit, states in :func:`history_states` order.
 
     Branch 0 keeps the oldest result, which is the high bit (L = 0, R = 1).
+    The table is indexed by the newer results read most recent first, which
+    reverses the low ``num_coins - 1`` bits; the high bit does not matter.
     """
     size = 1 << table.num_coins
     oldest = np.arange(size) >> (table.num_coins - 1)
     newer = (np.arange(size) << 1) & (size - 1)
-    first = np.array([table.rho[s[1:][::-1]] for s in history_states(table.num_coins)])
+    reversal = np.arange(1)  # grows, one bit per pass, to num_coins - 1 bits
+    for _ in range(table.num_coins - 1):
+        reversal = np.concatenate([2 * reversal, 2 * reversal + 1])
+    first = np.tile(table.retention_array()[reversal], 2)
     moves = np.stack([newer | oldest, newer | (1 - oldest)], axis=1)
     return _Chain(first, moves, np.stack([2 * oldest - 1, 1 - 2 * oldest], axis=1))
 
@@ -278,11 +282,7 @@ def _chains(spec, pattern: str | None, kinds: tuple, label: str):
         pattern = pattern or "A"
     if not isinstance(spec, Mapping) or not spec:
         raise TypeError("games must be a non-empty letter mapping or a single spec")
-    if not pattern:
-        raise ValueError("pattern must be a non-empty string of game letters")
-    unknown = sorted(set(pattern) - set(spec))
-    if unknown:
-        raise ValueError(f"pattern uses undefined games {unknown}")
+    _check_pattern(pattern, spec)
     chains = {}
     for name, game in spec.items():
         if not isinstance(game, kinds) or isinstance(game, HistoryRhoTable):
@@ -295,19 +295,6 @@ def _chains(spec, pattern: str | None, kinds: tuple, label: str):
             first = game.as_array()[_PAIR]
         chains[name] = _Chain(first, _GAME_MOVES, _GAME_STEPS)
     return [chains[letter] for letter in pattern], 4
-
-
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an ``int`` of at least ``least``; refuses bools and non-integers."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if number < least:
-        raise ValueError(f"{name} must be >= {least}, got {number}")
-    return number
 
 
 def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") -> np.ndarray:

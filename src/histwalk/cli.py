@@ -24,6 +24,7 @@ from .classical import (
     monte_carlo_trajectory,
 )
 from .config import ConfigError, RunConfig, parse_config
+from .operators import _history_index
 from .output import emit_svg_plot, write_csv
 from .state import MemoryLimitError
 from .walker import (
@@ -185,10 +186,12 @@ def _cmd_walk_sweep(args) -> None:
         raise ConfigError("walk sweep needs a single-letter pattern naming the base game")
     table = config.games[config.pattern]
     key = args.param
-    if key not in table.rho:
+    try:
+        _history_index(key, config.num_coins)
+    except ValueError:
         raise ConfigError(
             f"--param {key!r} is not a history of length M-1 = {config.num_coins - 1}"
-        )
+        ) from None
     if args.grid_points < 1:
         raise ConfigError("--steps must be >= 1")
     for bound in (args.sweep_from, args.sweep_to):

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .state import L, R, HorizonError, WalkState, complement
+from .state import L, R, HorizonError, WalkState, coins_to_index
 
 __all__ = [
     "all_histories",
@@ -54,75 +54,91 @@ def all_histories(num_coins: int) -> list[str]:
     return list(map("".join, product((L, R), repeat=num_coins - 1)))
 
 
-@dataclass(frozen=True)
+def _history_index(history: str, num_coins: int) -> int:
+    """Index of a history the caller names, most recent result first (= MSB)."""
+    try:
+        if len(history) == num_coins - 1:
+            return coins_to_index(history)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"unknown history key {history!r} for num_coins={num_coins}")
+
+
+def _check_pattern(pattern: str, games: Mapping[str, object]) -> None:
+    if not pattern:
+        raise ValueError("pattern must be a non-empty string of game letters")
+    unknown = sorted(set(pattern) - set(games))
+    if unknown:
+        raise ValueError(f"pattern uses undefined games {unknown}")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class HistoryRhoTable:
     """Retention parameter for every history of recent results.
 
-    Keys are strings of length ``num_coins - 1`` with the most recent result
-    first; a single-coin walk has one entry under the empty history.  Values
-    are the probabilities that the retossed entry keeps its old value.
+    ``rho`` maps history strings of length ``num_coins - 1``, most recent
+    result first (the empty string when ``num_coins`` is 1), to the
+    probability that the retossed entry keeps its old value.  The table holds
+    one read-only array in history-index order.  Tables compare by identity.
     """
 
     num_coins: int
-    rho: Mapping[str, float]
+    _values: np.ndarray
 
-    def __post_init__(self) -> None:
-        expected = all_histories(self.num_coins)
-        try:
-            values = np.array([float(self.rho[key]) for key in expected])
-            valid = bool(np.all((values >= 0.0) & (values <= 1.0)))
-        except (KeyError, TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            # Name the first missing or out-of-range entry.
-            for key in expected:
-                if key not in self.rho:
-                    raise ValueError(f"missing rho for history {key!r}")
-                _check_probability(self.rho[key], f"rho[{key!r}]")
-        if len(self.rho) != len(expected):  # every expected key is present
-            extra = set(self.rho) - set(expected)
-            raise ValueError(
-                f"unexpected history keys {sorted(extra)} for num_coins={self.num_coins}"
-            )
-        object.__setattr__(self, "rho", dict(zip(expected, values.tolist())))
+    def __init__(self, num_coins: int, rho: Mapping[str, float]) -> None:
+        expected = all_histories(num_coins)
+        values = np.empty(len(expected))
+        for index, key in enumerate(expected):  # the first bad entry is named
+            if key not in rho:
+                raise ValueError(f"missing rho for history {key!r}")
+            values[index] = _check_probability(rho[key], f"rho[{key!r}]")
+        if len(rho) != len(expected):  # every expected key is present
+            extra = set(rho) - set(expected)
+            raise ValueError(f"unexpected history keys {sorted(extra)} for num_coins={num_coins}")
+        self._store(num_coins, values)
+
+    def _store(self, num_coins: int, values: np.ndarray) -> "HistoryRhoTable":
+        values.flags.writeable = False
+        object.__setattr__(self, "num_coins", num_coins)
+        object.__setattr__(self, "_values", values)
+        return self
 
     @classmethod
     def uniform(cls, num_coins: int, rho: float = 0.5) -> "HistoryRhoTable":
         """The same retention parameter for every history."""
-        return cls(num_coins, dict.fromkeys(all_histories(num_coins), rho))
+        return cls.with_overrides(num_coins, rho)
 
     @classmethod
     def with_overrides(
-        cls,
-        num_coins: int,
-        default: float = 0.5,
-        overrides: Mapping[str, float] | None = None,
+        cls, num_coins: int, default: float = 0.5, overrides: Mapping[str, float] | None = None
     ) -> "HistoryRhoTable":
         """A uniform table with selected histories overridden."""
-        entries = dict.fromkeys(all_histories(num_coins), default)
+        if num_coins < 1:
+            raise ValueError(f"num_coins must be >= 1, got {num_coins}")
+        values = np.full(1 << (num_coins - 1), _check_probability(default, "rho"))
         for key, value in (overrides or {}).items():
-            if key not in entries:
-                raise ValueError(f"unknown history key {key!r} for num_coins={num_coins}")
-            entries[key] = value
-        return cls(num_coins, entries)
+            values[_history_index(key, num_coins)] = _check_probability(value, f"rho[{key!r}]")
+        return cls.__new__(cls)._store(num_coins, values)
 
     def replaced(self, history: str, rho: float) -> "HistoryRhoTable":
         """A copy with one history entry changed."""
-        if history not in self.rho:
-            raise ValueError(f"unknown history key {history!r}")
-        entries = dict(self.rho)
-        entries[history] = rho
-        return HistoryRhoTable(self.num_coins, entries)
+        values = self._values.copy()
+        index = _history_index(history, self.num_coins)
+        values[index] = _check_probability(rho, f"rho[{history!r}]")
+        return self.__new__(type(self))._store(self.num_coins, values)
 
     def mirrored(self) -> "HistoryRhoTable":
-        """The table with every history complemented (L and R swapped)."""
-        return HistoryRhoTable(
-            self.num_coins, {complement(h): v for h, v in self.rho.items()}
-        )
+        """The table with every history complemented (L <-> R), which reverses the index order."""
+        return self.__new__(type(self))._store(self.num_coins, self._values[::-1])
 
     def retention_array(self) -> np.ndarray:
-        """Retention parameters ordered by history index (most recent = MSB)."""
-        return np.fromiter(self.rho.values(), float, len(self.rho))  # stored in that order
+        """Retention parameters ordered by history index (most recent = MSB), read-only."""
+        return self._values
+
+    @property
+    def rho(self) -> dict[str, float]:
+        """A new ``history -> retention parameter`` dict, built on each access."""
+        return dict(zip(all_histories(self.num_coins), self._values.tolist()))
 
 
 def _coin_cycle(coins: Sequence[float], num_coins: int) -> tuple[float, ...]:

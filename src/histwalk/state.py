@@ -11,6 +11,7 @@ encodes the string with the most recent result as the most significant bit
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -174,6 +175,19 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def _count(value, name: str, least: float) -> int:
+    """``value`` as an ``int`` of at least ``least``; refuses bools and non-integers."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number
+
+
 def _check_fits(needed: int, what: str, use: str) -> None:
     """Raise MemoryLimitError if ``needed`` bytes exceed physical memory.
 
@@ -258,6 +272,19 @@ class ProbabilityDistribution:
         return {int(x): float(p) for x, p in zip(self.positions, self.probabilities)}
 
 
+def _check_norm(norm: float, step: int | None = None, entry: int | None = None) -> None:
+    """Raise NormalizationError unless ``norm`` is 1 within 1e-9.
+
+    The message names the step at which the norm was read, and the batch
+    entry, when they are given.
+    """
+    if abs(norm - 1.0) > 1e-9:
+        where = "" if step is None else f" at step {step}"
+        if entry is not None:
+            where += f", batch entry {entry}"
+        raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9{where}")
+
+
 def position_distribution(state: WalkState) -> ProbabilityDistribution:
     """Marginal position probabilities, traced over the coin register.
 
@@ -266,17 +293,19 @@ def position_distribution(state: WalkState) -> ProbabilityDistribution:
     the origin) the run is reported on that parity sublattice, interior zeros
     included.
     """
-    total = state.norm()
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(f"state norm is {total:.12g}, expected 1 within 1e-9")
-    p = (np.abs(state.amplitudes) ** 2).sum(axis=1)
-    xs = state.positions
-    occupied = np.nonzero(p)[0]
-    lo, hi = int(occupied[0]), int(occupied[-1])
-    parities = {int(xs[i]) & 1 for i in occupied}
-    step = 2 if len(parities) == 1 else 1
-    rows = np.arange(lo, hi + 1, step)
-    return ProbabilityDistribution(xs[rows], p[rows])
+    _check_norm(state.norm())
+    return _distribution(0, 1, (np.abs(state.amplitudes) ** 2).sum(axis=1), state.positions)
+
+
+def _distribution(
+    first_row: int, stride: int, p: np.ndarray, positions: np.ndarray
+) -> ProbabilityDistribution:
+    """``p`` on rows ``first_row + stride * i``, as :func:`position_distribution` reports it."""
+    occupied = p.nonzero()[0]
+    lo, hi = int(occupied[0]), int(occupied[-1]) + 1
+    step = 2 if stride == 1 and not ((occupied - lo) & 1).any() else 1
+    rows = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride * step)
+    return ProbabilityDistribution(positions[rows].copy(), p[lo:hi:step].copy())
 
 
 @dataclass(frozen=True)

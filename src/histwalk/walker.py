@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .operators import HistoryRhoTable, _coin_cycle, _Kernel
+from .operators import HistoryRhoTable, _check_pattern, _coin_cycle, _Kernel
 from .state import (
     HorizonError,
     Moments,
-    NormalizationError,
     ProbabilityDistribution,
     WalkState,
     _check_fits,
+    _check_norm,
+    _count,
+    _distribution,
     new_state,
 )
 
@@ -146,19 +147,6 @@ class Trajectory:
         return len(self.means)
 
 
-def _check_norm(norm: float, step: int | None = None, entry: int | None = None) -> None:
-    """Raise NormalizationError unless ``norm`` is 1 within 1e-9.
-
-    The message names the step at which the norm was read, and the batch
-    entry, when they are given.
-    """
-    if abs(norm - 1.0) > 1e-9:
-        where = "" if step is None else f" at step {step}"
-        if entry is not None:
-            where += f", batch entry {entry}"
-        raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9{where}")
-
-
 def _readout(
     first_row: int,
     stride: int,
@@ -188,38 +176,13 @@ def _readout(
     return mean, float(np.sqrt(max(var, 0.0))), abs(total - 1.0)
 
 
-def _distribution(
-    first_row: int, stride: int, p: np.ndarray, positions: np.ndarray
-) -> ProbabilityDistribution:
-    """Position distribution from probabilities ``p`` on grid rows ``first_row + stride * i``.
-
-    It is what :func:`position_distribution` gives for the state: the support
-    runs from the first to the last occupied position, on their sublattice
-    when they share one parity.
-    """
-    occupied = p.nonzero()[0]
-    lo, hi = int(occupied[0]), int(occupied[-1]) + 1
-    step = 2 if stride == 1 and not ((occupied - lo) & 1).any() else 1
-    rows = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride * step)
-    return ProbabilityDistribution(positions[rows].copy(), p[lo:hi:step].copy())
-
-
-def _check_pattern(pattern: str, tables: Mapping[str, HistoryRhoTable]) -> None:
-    if not pattern:
-        raise ValueError("pattern must be a non-empty string of game letters")
-    unknown = sorted(set(pattern) - set(tables))
-    if unknown:
-        raise ValueError(f"pattern uses undefined games {unknown}")
-
-
 def _check_run(
-    initial: WalkState, games, pattern: str, steps: int
-) -> dict[str, HistoryRhoTable]:
-    """Check the arguments of a single walk and return its tables by letter."""
+    initial: WalkState, games, pattern: str, steps
+) -> tuple[dict[str, HistoryRhoTable], int]:
+    """Check the arguments of a single walk; return its tables by letter and its step count."""
     tables = as_game_tables(games)
     _check_pattern(pattern, tables)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = _count(steps, "steps", 0)
     first = next(iter(tables.values()))
     if first.num_coins != initial.num_coins:
         raise ValueError(
@@ -230,7 +193,7 @@ def _check_run(
             f"{steps} steps from steps_taken={initial.steps_taken} would pass "
             f"t_max={initial.t_max}"
         )
-    return tables
+    return tables, steps
 
 
 def run_sequence(
@@ -249,10 +212,11 @@ def run_sequence(
     ``snapshot_at``, which must be integers in ``[0, steps]``.  The input
     state is not modified.
     """
-    tables = _check_run(initial, games, pattern, steps)
+    tables, steps = _check_run(initial, games, pattern, steps)
     try:
-        wanted = {operator.index(s) for s in snapshot_at}
-    except TypeError as exc:
+        # Only integers here; the range is checked next, with its own message.
+        wanted = {_count(s, "snapshot step", -np.inf) for s in snapshot_at}
+    except ValueError as exc:
         raise ValueError(f"snapshot steps must be integers: {exc}") from None
     out_of_range = {s for s in wanted if not 0 <= s <= steps}
     if out_of_range:
@@ -284,7 +248,7 @@ def final_distribution(
     step.  The norm is checked at the start and after every step, as in
     scans.  The input state is not modified.
     """
-    tables = _check_run(initial, games, pattern, steps)
+    tables, steps = _check_run(initial, games, pattern, steps)
     [(first_row, stride, p)] = _final_probabilities(
         initial, [[tables[letter] for letter in pattern]], steps
     )
@@ -313,7 +277,8 @@ def evolve_brun(initial: WalkState, coins: Sequence[float], steps: int) -> WalkS
     return _evolve(initial, cycle[offset:] + cycle[:offset], steps)
 
 
-def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps: int) -> WalkState:
+def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps) -> WalkState:
+    steps = _count(steps, "steps", 0)
     _check_norm(initial.norm())
     kernel = _Kernel(initial, schedule)
     for _ in range(steps):
@@ -386,8 +351,6 @@ def _final_moments(
     is read out with :func:`_readout`, so the moments equal those of
     :func:`run_sequence` bit for bit.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     x = initial.positions.astype(float)
     x2 = x * x
     results: list[tuple[float, float]] = []
@@ -410,8 +373,8 @@ def scan_sequences(
     MemoryLimitError before any pattern is built.
     """
     tables = as_game_tables(games)
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    max_len = _count(max_len, "max_len", 1)
+    steps = _count(steps, "steps", 0)
     first = next(iter(tables.values()))
     if first.num_coins != num_coins:
         raise ValueError(f"games are for {first.num_coins} coins, asked for {num_coins}")
@@ -446,6 +409,7 @@ def sweep_parameter(
     A grid whose results cannot fit in physical memory raises MemoryLimitError
     before any run.
     """
+    steps = _count(steps, "steps", 0)
     _check_sweep_size(len(grid))
     initial = build_initial_state(base.num_coins, kind, t_max=max(steps, 1))
     schedules = ([base.replaced(history_key, float(rho))] for rho in grid)

@@ -29,6 +29,7 @@ from histwalk.classical import (
 )
 from histwalk.operators import HistoryRhoTable, all_histories
 from histwalk.output import format_value
+from histwalk.walker import ANTISYMMETRIC, build_initial_state, run_sequence
 
 from reference import (
     capital_mean_by_convolution,
@@ -240,6 +241,15 @@ class TestHistoryKeyedGames:
             history_mix_trajectory({"A": BiasedCoin(0.5)}, "AB", 5)
         with pytest.raises(TypeError, match="history"):
             history_mix_trajectory({"A": CapitalMod3(0.5, 0.5)}, "A", 5)
+
+    @pytest.mark.parametrize("pattern", ["", "AXB"])
+    def test_bad_patterns_are_refused_as_in_walks(self, pattern):
+        initial = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        with pytest.raises(ValueError) as walk:
+            run_sequence(initial, {"A": HistoryRhoTable.uniform(2)}, pattern, 5)
+        with pytest.raises(ValueError) as game:
+            capital_game_trajectory({"A": COIN}, pattern, 5)
+        assert str(game.value) == str(walk.value)
 
 
 class TestMonteCarlo:

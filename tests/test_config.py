@@ -1,5 +1,7 @@
 """Parsing and fail-closed validation of run configuration text."""
 
+import tracemalloc
+
 import pytest
 
 import histwalk.state
@@ -127,6 +129,19 @@ class TestValueErrors:
         assert parse_config(text).num_coins == 20
         config = parse_config(text + "classical.engine = rho-walk\n")
         assert config.classical_engine == "rho-walk"
+
+    def test_an_m20_config_parses_without_history_strings(self):
+        # A table of 2**19 histories is one 4 MiB array; a dict of history
+        # strings peaked at about 129 MB.
+        text = "M = 20\nT = 1000\npattern = A\ngames.A.rho.default = 0.5\n"
+        tracemalloc.start()
+        try:
+            config = parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert config.games["A"].retention_array().shape == (2**19,)
+        assert peak < 32 * 2**20
 
     def test_missing_pattern(self):
         with pytest.raises(ConfigError, match="pattern is required"):

@@ -1,8 +1,11 @@
 """Toss matrix, retention tables, and the flip/shift/rotate step pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import histwalk.operators
 from histwalk.operators import (
     HistoryRhoTable,
     all_histories,
@@ -11,7 +14,7 @@ from histwalk.operators import (
     apply_shift,
     toss,
 )
-from histwalk.state import HorizonError, new_state
+from histwalk.state import HorizonError, complement, new_state
 from histwalk.walker import evolve_brun
 
 from reference import coin_unitary, dense_evolve
@@ -94,6 +97,74 @@ class TestHistoryRhoTable:
     def test_retention_array_follows_index_order(self):
         table = HistoryRhoTable(2, {"L": 0.1, "R": 0.9})
         assert table.retention_array().tolist() == [0.1, 0.9]
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_derived_tables_equal_a_table_built_from_strings(self, data):
+        num_coins = data.draw(st.integers(1, 7))
+        histories = all_histories(num_coins)
+        prob = st.floats(0.0, 1.0)
+        default = data.draw(prob)
+        overrides = data.draw(st.dictionaries(st.sampled_from(histories), prob))
+        history, rho = data.draw(st.sampled_from(histories)), data.draw(prob)
+        # The reference: one dict keyed by history, mirrored by complementing each key.
+        entries = dict.fromkeys(histories, default) | overrides
+        table = HistoryRhoTable.with_overrides(num_coins, default, overrides)
+        assert table.rho == entries
+        assert table.replaced(history, rho).rho == entries | {history: rho}
+        assert table.mirrored().rho == {complement(h): v for h, v in entries.items()}
+        assert table.mirrored().mirrored().rho == entries
+        assert table.retention_array().tolist() == [entries[h] for h in histories]
+
+    def test_derived_tables_build_no_history_string(self, monkeypatch):
+        table = HistoryRhoTable(3, {"LL": 0.1, "LR": 0.2, "RL": 0.3, "RR": 0.4})
+
+        def no_strings(num_coins):
+            raise AssertionError("a history string was built")
+
+        monkeypatch.setattr(histwalk.operators, "all_histories", no_strings)
+        assert HistoryRhoTable.uniform(3, 0.25).retention_array().tolist() == [0.25] * 4
+        overridden = HistoryRhoTable.with_overrides(3, 0.5, {"RL": 0.75})
+        assert overridden.retention_array().tolist() == [0.5, 0.5, 0.75, 0.5]
+        assert table.replaced("LR", 0.9).retention_array().tolist() == [0.1, 0.9, 0.3, 0.4]
+        assert table.mirrored().retention_array().tolist() == [0.4, 0.3, 0.2, 0.1]
+        assert table.retention_array().tolist() == [0.1, 0.2, 0.3, 0.4]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: HistoryRhoTable(2, {"L": 0.1, "R": 0.9}),
+            lambda: HistoryRhoTable.uniform(3),
+            lambda: HistoryRhoTable.with_overrides(3, 0.5, {"RR": 0.55}),
+            lambda: HistoryRhoTable.uniform(3).replaced("LR", 0.2),
+            lambda: HistoryRhoTable.with_overrides(3, 0.5, {"RR": 0.55}).mirrored(),
+        ],
+        ids=["mapping", "uniform", "with_overrides", "replaced", "mirrored"],
+    )
+    def test_tables_are_read_only(self, make):
+        table = make()
+        before = table.retention_array().tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            table.retention_array()[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.num_coins = 4
+        table.rho[next(iter(table.rho))] = 0.0  # a fresh dict each time
+        assert table.retention_array().tolist() == before
+
+    def test_derived_tables_check_their_inputs(self):
+        with pytest.raises(ValueError, match=r"rho = 1.5 must lie in \[0, 1\]"):
+            HistoryRhoTable.uniform(3, 1.5)
+        with pytest.raises(ValueError, match=r"rho = -0.1 must lie in \[0, 1\]"):
+            HistoryRhoTable.with_overrides(3, -0.1)
+        with pytest.raises(ValueError, match=r"rho\['RR'\] = nan must lie in \[0, 1\]"):
+            HistoryRhoTable.with_overrides(3, 0.5, {"RR": float("nan")})
+        with pytest.raises(ValueError, match=r"rho\['L'\] = 2.0 must lie in \[0, 1\]"):
+            HistoryRhoTable.uniform(2).replaced("L", 2.0)
+        for key in ("RRR", "XY", "", 7):
+            with pytest.raises(ValueError, match=f"unknown history key {key!r} for num_coins=3"):
+                HistoryRhoTable.uniform(3).replaced(key, 0.5)
+        with pytest.raises(ValueError, match="num_coins must be >= 1, got 0"):
+            HistoryRhoTable.uniform(0)
 
 
 class TestConditionalFlip:

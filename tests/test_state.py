@@ -174,6 +174,35 @@ class TestPositionDistribution:
         dist = position_distribution(state)
         assert dist.positions.tolist() == [0, 1]
 
+    def test_mixed_parity_support_keeps_interior_zeros(self):
+        state = new_state(2, 4)
+        state.set_amplitude(-1, "LR", 0.6)
+        state.set_amplitude(2, "RR", 0.8j)
+        dist = position_distribution(state)
+        assert dist.positions.tolist() == [-1, 0, 1, 2]
+        assert dist.probabilities.tolist() == [0.36, 0.0, 0.0, 0.6400000000000001]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.sampled_from(["L", "R"]), st.floats(0.1, 1.0)),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_support_is_the_occupied_run_on_a_shared_parity(self, entries):
+        state = new_state(1, 4)
+        for x, coin, amplitude in entries:
+            state.set_amplitude(x, coin, amplitude)
+        state.amplitudes /= state.norm()
+        # The rule written out: from the first to the last occupied position,
+        # every second one when all occupied positions share a parity.
+        p = (np.abs(state.amplitudes) ** 2).sum(axis=1)
+        occupied = np.nonzero(p)[0]
+        parities = {int(state.positions[i]) & 1 for i in occupied}
+        rows = np.arange(occupied[0], occupied[-1] + 1, 2 if len(parities) == 1 else 1)
+        dist = position_distribution(state)
+        assert dist.positions.tolist() == state.positions[rows].tolist()
+        assert dist.probabilities.tobytes() == p[rows].tobytes()
+
     def test_traces_over_the_register(self):
         state = new_state(2, 2)
         for coins in ("LL", "LR", "RL", "RR"):

@@ -1,5 +1,7 @@
 """Initial states, pattern sequencing, scans and parameter sweeps."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from histwalk.walker import (
     build_initial_state,
     evolve,
     evolve_brun,
+    final_distribution,
     run_sequence,
     scan_sequences,
     sweep_parameter,
@@ -432,3 +435,66 @@ class TestSweepParameter:
     def test_rejects_unknown_history_key(self):
         with pytest.raises(ValueError, match="unknown history"):
             sweep_parameter(UNBIASED_3, "RRR", [0.5], 10)
+
+
+def not_reached(*args, **kwargs):
+    raise AssertionError("a bad count should have been refused before this call")
+
+
+UNBIASED_2 = HistoryRhoTable.uniform(2, 0.5)
+
+
+class TestCountArguments:
+    """Step counts, ``max_len`` and snapshot steps are integers: floats, bools and
+    negatives are refused by name, before any size guard, grid or kernel."""
+
+    RUNS = {
+        "run_sequence": lambda start, steps: run_sequence(start, {"A": UNBIASED_2}, "A", steps),
+        "final_distribution": lambda start, steps: final_distribution(
+            start, {"A": UNBIASED_2}, "A", steps
+        ),
+        "evolve": lambda start, steps: evolve(start, UNBIASED_2, steps),
+        "evolve_brun": lambda start, steps: evolve_brun(start, [0.3, 0.6], steps),
+        "scan_sequences": lambda start, steps: scan_sequences({"A": UNBIASED_2}, 2, 2, steps),
+        "sweep_parameter": lambda start, steps: sweep_parameter(UNBIASED_2, "R", [0.5], steps),
+    }
+
+    @pytest.fixture
+    def start(self, monkeypatch):
+        start = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        for name in ("_check_fits", "new_state", "_Kernel"):
+            monkeypatch.setattr(histwalk.walker, name, not_reached)
+        return start
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, False, "3", None, np.float64(3), np.True_])
+    @pytest.mark.parametrize("call", sorted(RUNS))
+    def test_non_integer_steps_are_refused_by_name(self, start, call, steps):
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got"):
+            self.RUNS[call](start, steps)
+
+    @pytest.mark.parametrize("call", sorted(RUNS))
+    def test_negative_steps_are_refused(self, start, call):
+        with pytest.raises(ValueError, match=r"^steps must be >= 0, got -3$"):
+            self.RUNS[call](start, -3)
+
+    @pytest.mark.parametrize("max_len", [1.5, 2.0, True, "2", None])
+    def test_non_integer_length_caps_are_refused_by_name(self, start, max_len):
+        with pytest.raises(ValueError, match=r"^max_len must be an integer, got"):
+            scan_sequences({"A": UNBIASED_2}, max_len, 2, 3)
+
+    @pytest.mark.parametrize("snapshot", [True, False, np.True_])
+    def test_bool_snapshot_steps_are_refused(self, start, snapshot):
+        with pytest.raises(ValueError, match="snapshot steps must be integers"):
+            run_sequence(start, {"A": UNBIASED_2}, "A", 3, [snapshot])
+
+    @pytest.mark.parametrize("call", sorted(RUNS))
+    def test_numpy_integers_run_as_their_value(self, call):
+        start = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        want, got = self.RUNS[call](start, 4), self.RUNS[call](start, np.int32(4))
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_numpy_snapshot_steps_are_taken_as_their_value(self):
+        start = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        trajectory = run_sequence(start, {"A": UNBIASED_2}, "A", 4, [np.int64(1), 3])
+        assert sorted(trajectory.snapshots) == [1, 3]
+        assert all(type(step) is int for step in trajectory.snapshots)
