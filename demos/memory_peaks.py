@@ -33,7 +33,9 @@ def main() -> None:
         dist = position_distribution(evolve(state, table, STEPS))
 
         report = analyze_peaks(dist, window=5, prominence=0.1)
-        ranked = sorted(report.peaks, key=lambda p: -p[1])
+        # Mirror-image peaks tie up to rounding dust: rank by height to 12
+        # decimals, then by position, so the listing does not depend on it.
+        ranked = sorted(report.peaks, key=lambda p: (-round(p[1], 12), p[0]))
         dominant = ", ".join(f"{x:+d} ({h:.3f})" for x, h in sorted(ranked[:4]))
         print(
             f"M = {num_coins}: {len(report.peaks)} smoothed peaks; "

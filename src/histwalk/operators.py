@@ -28,7 +28,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .state import L, R, HorizonError, WalkState, coins_to_index
+from .state import (
+    L,
+    R,
+    HorizonError,
+    WalkState,
+    _count,
+    _register_probabilities,
+    coins_to_index,
+    index_to_coins,
+)
 
 __all__ = [
     "all_histories",
@@ -135,10 +144,30 @@ class HistoryRhoTable:
         """Retention parameters ordered by history index (most recent = MSB), read-only."""
         return self._values
 
+    def __reduce__(self):
+        # NumPy unpickles and deep-copies arrays writable, so copies and
+        # pickles go through a builder that checks and stores them again.
+        return _rebuilt_table, (type(self), self.num_coins, self._values)
+
     @property
     def rho(self) -> dict[str, float]:
         """A new ``history -> retention parameter`` dict, built on each access."""
         return dict(zip(all_histories(self.num_coins), self._values.tolist()))
+
+
+def _rebuilt_table(cls, num_coins: int, values) -> HistoryRhoTable:
+    """A table from the fields that :meth:`HistoryRhoTable.__reduce__` saves, checked again."""
+    num_coins = _count(num_coins, "num_coins", 1)
+    values = np.array(values, dtype=float)  # a new array, so no writable alias stays behind
+    if values.shape != (1 << (num_coins - 1),):
+        raise ValueError(
+            f"retention values of shape {values.shape} do not fit num_coins={num_coins}"
+        )
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN included
+    if bad.size:
+        history = index_to_coins(int(bad[0]), num_coins - 1) if num_coins > 1 else ""
+        _check_probability(values[bad[0]], f"rho[{history!r}]")
+    return cls.__new__(cls)._store(num_coins, values)
 
 
 def _coin_cycle(coins: Sequence[float], num_coins: int) -> tuple[float, ...]:
@@ -403,15 +432,14 @@ class _Kernel:
 
         Returns ``(first, stride, p)``: ``p[b, i]`` is entry ``b``'s
         probability on grid row ``first + stride * i``.  One sublattice gives
-        stride 2; two are interleaved into grid order with stride 1.  Each
-        position's terms are added one register column after the other, the
-        order in which :func:`position_distribution` adds them for the
-        column-major arrays that :func:`toss` returns.
+        stride 2; two are interleaved into grid order with stride 1.  The band
+        is summed where it lies, by the helper that
+        :func:`position_distribution` uses
+        (:func:`state._register_probabilities`), so each probability equals
+        its value for the full-grid :meth:`state` bit for bit.
         """
         a, b = self._band()
-        weights = np.abs(self.psi[..., a:b])
-        np.square(weights, out=weights)
-        p = weights.sum(axis=2)
+        p = _register_probabilities(self.psi[..., a:b])
         first = 2 * a - self.parity  # grid row of sublattice 0's compact row a
         if p.shape[1] == 1:
             return first, 2, p[:, 0]

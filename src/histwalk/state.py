@@ -154,9 +154,10 @@ def working_bytes(num_coins: int, t_max: int) -> int:
     Everything that can be live at once is added up.  The evolution kernel
     stores each of at most two parity sublattices in ``t_max + 2`` rows per
     register column.  It holds two such buffers, a scratch half buffer and
-    cached coefficients of at most half a buffer, and its readout, or the
-    gather of a full-grid state it returns, makes temporaries of up to one
-    more buffer.  Beside them sit the input state and the returned state.
+    cached coefficients of at most half a buffer, and the gather of a
+    full-grid state it returns makes temporaries of up to one more buffer.
+    (Its per-step readout makes none of the band's size.)  Beside them sit
+    the input state and the returned state.
     Positions, their squares, the per-step series and the readout's arrays of
     one number per position are charged as sixteen 8-byte values per grid
     row.
@@ -285,16 +286,37 @@ def _check_norm(norm: float, step: int | None = None, entry: int | None = None) 
         raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9{where}")
 
 
+def _register_probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """``|a|**2`` summed over the register axis of a ``(..., columns, rows)`` complex array.
+
+    One ``einsum`` pass over the float view adds up, for each row, the
+    squared real parts and, separately, the squared imaginary parts of its
+    columns, in column order; the two sums are added last.  Each amplitude
+    is read once and no temporary of the array's size is made, so the last
+    axis must have unit stride.  Every result lies within ``(columns + 4) *
+    2**-52`` relative of the exact sum of squares.  The kernel's readout and
+    :func:`position_distribution` both sum here, so they agree bit for bit.
+    """
+    v = amplitudes.view(float)
+    s = np.einsum("...cr,...cr->...r", v, v)
+    return s[..., 0::2] + s[..., 1::2]
+
+
 def position_distribution(state: WalkState) -> ProbabilityDistribution:
     """Marginal position probabilities, traced over the coin register.
 
+    The probabilities are summed by :func:`_register_probabilities` on a
+    ``(columns, rows)`` copy of the amplitudes; the column-major arrays that
+    the kernel and :func:`~histwalk.operators.toss` return need no copy.
     The support is the contiguous run of occupied lattice positions; when all
     occupied positions share one parity (the generic case for walks started at
     the origin) the run is reported on that parity sublattice, interior zeros
     included.
     """
     _check_norm(state.norm())
-    return _distribution(0, 1, (np.abs(state.amplitudes) ** 2).sum(axis=1), state.positions)
+    # complex128, so that the float view pairs each real part with its imaginary part.
+    columns = np.ascontiguousarray(state.amplitudes.T, dtype=complex)
+    return _distribution(0, 1, _register_probabilities(columns), state.positions)
 
 
 def _distribution(

@@ -157,10 +157,12 @@ def _readout(
 ):
     """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
 
-    ``x`` and ``x2`` hold every grid position and its square.  The norm and
-    variance checks are those of :func:`position_distribution` and
-    :func:`moments`, and the dot products run over the same rows they use.
-    ``step`` locates a norm error.
+    ``x`` and ``x2`` hold every grid position and its square.  ``p`` comes
+    from :meth:`_Kernel.probabilities`, which sums the band with the helper
+    :func:`position_distribution` uses.  The norm and variance checks are
+    those of :func:`position_distribution` and :func:`moments`, and the dot
+    products run over the same rows they use, so the results equal theirs
+    bit for bit.  ``step`` locates a norm error.
     """
     total = float(p.sum())
     _check_norm(np.sqrt(total), step)

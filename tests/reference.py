@@ -15,6 +15,7 @@ every intermediate.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,6 +165,23 @@ def chain_mean_in_decimal(win_prob_at, advance, initial: dict, steps: int, digit
                     nxt[key] = nxt.get(key, Decimal(0)) + weight * prob
             dist = nxt
         return mean
+
+
+def register_probabilities_by_modulus(amplitudes: np.ndarray) -> np.ndarray:
+    """Σ over the columns of ``|a|**2`` for a ``(rows, columns)`` table, by modulus.
+
+    ``np.abs`` (a hypot), squared, then summed along each row: how the
+    package's readout summed before it read the squares off the float view.
+    """
+    return (np.abs(amplitudes) ** 2).sum(axis=1)
+
+
+def register_probabilities_exact(amplitudes: np.ndarray) -> list[Fraction]:
+    """Σ over the columns of ``re**2 + im**2`` for each row, in exact rational arithmetic."""
+    return [
+        sum((Fraction(a.real) ** 2 + Fraction(a.imag) ** 2 for a in row.tolist()), Fraction(0))
+        for row in amplitudes
+    ]
 
 
 def smooth_by_points(probabilities: np.ndarray, window: int) -> np.ndarray:

@@ -10,10 +10,14 @@ Scans, sweeps and :func:`final_distribution` step walks on the kernel's
 batch axis and read the band out only after the last step; their results
 equal those of :func:`run_sequence` bit for bit.  The step's small ufunc
 buffers change no result, allocate little and are not seen outside the step.
+The band's readout and :func:`position_distribution` sum with one helper, so
+their probabilities agree bit for bit; both lie within a stated tolerance of
+exact sums, and the readout makes no temporary of the band's size.
 """
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from histwalk.output import write_csv
 from histwalk.state import (
     HorizonError,
     NormalizationError,
+    _distribution,
+    _register_probabilities,
     complement,
     index_to_coins,
     moments,
@@ -49,7 +55,12 @@ from histwalk.walker import (
     sweep_parameter,
 )
 
-from reference import dense_evolve, dense_step_matrix
+from reference import (
+    dense_evolve,
+    dense_step_matrix,
+    register_probabilities_by_modulus,
+    register_probabilities_exact,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -788,3 +799,80 @@ class TestSmallStepBuffers:
         finally:
             tracemalloc.stop()
         assert max(peaks) < 64 * 1024
+
+
+class TestReadout:
+    """The band's probabilities: same bits as the specification, a stated tolerance, no copy."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_coins=st.integers(1, 7),
+        both_parities=st.booleans(),
+        entries=st.integers(1, 3),
+        steps=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_probabilities_equal_position_distribution_bit_for_bit(
+        self, num_coins, both_parities, entries, steps, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # Every register column at two sites, of one parity or of both, with
+        # moduli spanning four decades.
+        start = [
+            (x, index_to_coins(column, num_coins),
+             10.0 ** rng.uniform(-4, 0) * complex(*rng.normal(size=2)))
+            for x in ((0, 1) if both_parities else (-1, 1))
+            for column in range(1 << num_coins)
+        ]
+        initial = build_initial_state(num_coins, start, t_max=steps + 2)
+        tables = random_tables(num_coins, "ABC", seed)
+        schedules = [
+            [tables[letter] for letter in rng.choice(list("ABC"), rng.integers(1, 4))]
+            for _ in range(entries)
+        ]
+        kernel = _Kernel(initial, *schedules)
+        for _ in range(steps):
+            kernel.step()
+        first, stride, p = kernel.probabilities()
+        assert stride == (1 if both_parities else 2)
+        for entry in range(entries):
+            got = _distribution(first, stride, p[entry], initial.positions)
+            want = position_distribution(kernel.state(entry))
+            assert got.positions.tolist() == want.positions.tolist()
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+
+    @pytest.mark.parametrize("num_coins", range(1, 9))
+    def test_both_formulas_lie_within_the_stated_tolerance_of_exact_sums(self, num_coins):
+        # Moduli spanning eight decades, uniform phases.  Bound: (C + 4) units
+        # of 2**-52 relative, for C register columns.  The worst errors on
+        # these inputs are 1.9 (by modulus) and 1.0 (float view) units at
+        # M=1, and 0.8 and 3.1 units at M=8.
+        rng = np.random.default_rng(num_coins)
+        columns = 1 << num_coins
+        shape = (40, columns)
+        moduli = 10.0 ** rng.uniform(-8, 0, shape)
+        amplitudes = moduli * np.exp(2j * np.pi * rng.uniform(size=shape))
+        exact = register_probabilities_exact(amplitudes)
+        bound = (columns + 4) * 2.0**-52
+        for got in (
+            _register_probabilities(np.ascontiguousarray(amplitudes.T)),
+            register_probabilities_by_modulus(amplitudes),
+        ):
+            assert max(abs(Fraction(g) - e) / e for g, e in zip(got.tolist(), exact)) <= bound
+
+    def test_one_call_allocates_under_16_kib(self):
+        # Before the float-view sum, one call made a float copy of the band:
+        # 339 KB at this size.
+        initial = build_initial_state(8, ANTISYMMETRIC, t_max=200)
+        tables = random_tables(8, "AB", 7)
+        kernel = _Kernel(initial, [tables[letter] for letter in "AAB"])
+        for _ in range(100):
+            kernel.step()
+        kernel.probabilities()
+        tracemalloc.start()
+        try:
+            kernel.probabilities()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024

@@ -1,6 +1,8 @@
 """Toss matrix, retention tables, and the flip/shift/rotate step pipeline."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -150,6 +152,37 @@ class TestHistoryRhoTable:
             table.num_coins = 4
         table.rho[next(iter(table.rho))] = 0.0  # a fresh dict each time
         assert table.retention_array().tolist() == before
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [copy.copy, copy.deepcopy, lambda table: pickle.loads(pickle.dumps(table))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_read_only_and_equal(self, copy_of):
+        table = HistoryRhoTable.with_overrides(3, 0.4, {"RL": 0.9})
+        copied = copy_of(table)
+        assert type(copied) is HistoryRhoTable and copied.num_coins == 3
+        assert copied.retention_array().tobytes() == table.retention_array().tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            copied.retention_array()[0] = 2.0
+        assert table.retention_array().tolist() == [0.4, 0.4, 0.9, 0.4]
+
+    @pytest.mark.parametrize(
+        "num_coins, tampered, message",
+        [
+            (3, 1.5, r"rho\['RL'\] = 1.5 must lie in \[0, 1\]"),
+            (3, float("nan"), r"rho\['RL'\] = nan must lie in \[0, 1\]"),
+            (1, -0.25, r"rho\[''\] = -0.25 must lie in \[0, 1\]"),
+        ],
+    )
+    def test_a_tampered_pickle_is_refused_on_load(self, num_coins, tampered, message):
+        values = [0.1, 0.2, 0.3, 0.4][: 1 << (num_coins - 1)]
+        table = HistoryRhoTable(num_coins, dict(zip(all_histories(num_coins), values)))
+        stored = np.float64(values[-2 if num_coins > 1 else 0]).tobytes()
+        data = pickle.dumps(table)
+        assert data.count(stored) == 1
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(data.replace(stored, np.float64(tampered).tobytes()))
 
     def test_derived_tables_check_their_inputs(self):
         with pytest.raises(ValueError, match=r"rho = 1.5 must lie in \[0, 1\]"):

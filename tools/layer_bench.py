@@ -22,8 +22,9 @@ at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
 letters) ``scan_sequences``: the whole call; and at the size of
 ``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config file):
 
-* ``step_m3``: the time one ``run_sequence`` spends in ``_Kernel.step``,
-  timed like ``step``;
+* ``step_m3`` and ``probabilities_m3``: the time one ``run_sequence``
+  spends in ``_Kernel.step`` and ``_Kernel.probabilities``, timed like
+  ``step``;
 * ``smooth``: the time one ``walk dist`` op spends in
   ``analysis.smooth_distribution``;
 * ``walk_dist``: the whole ``cli.main`` call for ``walk dist`` with
@@ -197,7 +198,7 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
             ),
             lambda: _layered(
                 lambda: walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"]),
-                [(kernel, "step", "step_m3")],
+                [(kernel, "step", "step_m3"), (kernel, "probabilities", "probabilities_m3")],
                 samples,
             ),
             lambda: _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples),
