@@ -60,11 +60,14 @@ _TRAJECTORY_BYTES = 64
 # 33-57%), and a run that repeats steps at most this plus one period more.
 _REPEAT_CHECK_STEPS = 32
 
+# Power iteration's sup-norm tolerance and step cap; a walk chain stops at step 1.
+_STATIONARY_TOL = 1e-13
+_STATIONARY_MAX_ITERATIONS = 1_000_000
+
 
 def history_states(num_coins: int) -> list[str]:
     """Chain states as chronological strings, oldest result first, in row order."""
-    if num_coins < 1:
-        raise ValueError(f"num_coins must be >= 1, got {num_coins}")
+    num_coins = _count(num_coins, "num_coins", 1)
     return ["".join(s) for s in product((L, R), repeat=num_coins)]
 
 
@@ -148,16 +151,14 @@ class StationaryResult:
     iterations: int
 
 
-def stationary_distribution(
-    matrix, tol: float = 1e-13, max_iterations: int = 1_000_000
-) -> StationaryResult:
+def stationary_distribution(matrix) -> StationaryResult:
     """Left fixed point of a row-stochastic matrix by power iteration.
 
     Iterates from the uniform distribution until successive iterates differ
-    by less than ``tol`` in sup norm.  Chains with several eigenvalues on the
-    unit circle (reducible or periodic, e.g. retention parameters of exactly
-    0 or 1) have no single settling point; those results come back flagged
-    with a reason instead of being silently averaged.
+    in sup norm by less than ``_STATIONARY_TOL``.  Chains with several
+    eigenvalues on the unit circle (reducible or periodic, e.g. retention
+    parameters of exactly 0 or 1) have no single settling point; those results
+    come back flagged with a reason instead of being silently averaged.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -183,17 +184,17 @@ def stationary_distribution(
     pi = np.full(size, 1.0 / size)
     iterations = 0
     converged = False
-    cap = min(max_iterations, 10_000) if flagged else max_iterations
+    cap = 10_000 if flagged else _STATIONARY_MAX_ITERATIONS
     for iterations in range(1, cap + 1):
         nxt = pi @ matrix
         diff = float(np.max(np.abs(nxt - pi)))
         pi = nxt
-        if diff < tol:
+        if diff < _STATIONARY_TOL:
             converged = True
             break
     if not flagged and not converged:
         flagged = True
-        reason = f"power iteration did not converge within {max_iterations} iterations"
+        reason = f"power iteration did not converge within {_STATIONARY_MAX_ITERATIONS} iterations"
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     return StationaryResult(pi, flagged, reason, iterations)

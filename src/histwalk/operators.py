@@ -58,8 +58,7 @@ def _check_probability(value: float, label: str) -> float:
 
 def all_histories(num_coins: int) -> list[str]:
     """Every history string of length ``num_coins - 1``, in column-index order."""
-    if num_coins < 1:
-        raise ValueError(f"num_coins must be >= 1, got {num_coins}")
+    num_coins = _count(num_coins, "num_coins", 1)
     return list(map("".join, product((L, R), repeat=num_coins - 1)))
 
 
@@ -95,6 +94,7 @@ class HistoryRhoTable:
     _values: np.ndarray
 
     def __init__(self, num_coins: int, rho: Mapping[str, float]) -> None:
+        num_coins = _count(num_coins, "num_coins", 1)
         expected = all_histories(num_coins)
         values = np.empty(len(expected))
         for index, key in enumerate(expected):  # the first bad entry is named
@@ -122,8 +122,7 @@ class HistoryRhoTable:
         cls, num_coins: int, default: float = 0.5, overrides: Mapping[str, float] | None = None
     ) -> "HistoryRhoTable":
         """A uniform table with selected histories overridden."""
-        if num_coins < 1:
-            raise ValueError(f"num_coins must be >= 1, got {num_coins}")
+        num_coins = _count(num_coins, "num_coins", 1)
         values = np.full(1 << (num_coins - 1), _check_probability(default, "rho"))
         for key, value in (overrides or {}).items():
             values[_history_index(key, num_coins)] = _check_probability(value, f"rho[{key!r}]")

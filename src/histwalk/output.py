@@ -9,6 +9,7 @@ identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,7 +43,7 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], path=None) -> Non
 
 
 def read_csv_columns(path) -> tuple[list[str], list[float], list[float]]:
-    """Header plus the first two columns as floats; raises on malformed input."""
+    """Header plus the first two columns as finite floats; raises on malformed input."""
     text = Path(path).read_text(encoding="utf-8")
     rows = [line.split(",") for line in text.splitlines() if line.strip()]
     if len(rows) < 2:
@@ -56,10 +57,13 @@ def read_csv_columns(path) -> tuple[list[str], list[float], list[float]]:
         if len(row) < 2:
             raise ValueError(f"{path}: line {lineno}: need at least two columns")
         try:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
+            x, y = float(row[0]), float(row[1])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        xs.append(x)
+        ys.append(y)
     return header, xs, ys
 
 

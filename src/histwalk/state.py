@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "L",
     "R",
-    "STEP",
     "HorizonError",
     "NormalizationError",
     "coins_to_index",
@@ -41,9 +40,6 @@ __all__ = [
 
 L = "L"
 R = "R"
-
-#: Step increment encoded by each register letter.
-STEP = {L: -1, R: +1}
 
 
 class HorizonError(RuntimeError):
@@ -78,8 +74,7 @@ def coins_to_index(coins: str) -> int:
 
 def index_to_coins(index: int, num_coins: int) -> str:
     """Inverse of :func:`coins_to_index` for a register of ``num_coins`` letters."""
-    if num_coins < 1:
-        raise ValueError(f"num_coins must be >= 1, got {num_coins}")
+    num_coins = _count(num_coins, "num_coins", 1)
     if not 0 <= index < (1 << num_coins):
         raise ValueError(f"index {index} out of range for {num_coins} coins")
     return "".join(
@@ -216,10 +211,8 @@ def new_state(num_coins: int, t_max: int) -> WalkState:
 
     Raises MemoryLimitError before allocating when :func:`check_memory` fails.
     """
-    if num_coins < 1:
-        raise ValueError(f"num_coins must be >= 1, got {num_coins}")
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    num_coins = _count(num_coins, "num_coins", 1)
+    t_max = _count(t_max, "t_max", 1)
     check_memory(num_coins, t_max)
     shape = (2 * t_max + 1, 1 << num_coins)
     return WalkState(num_coins, t_max, np.zeros(shape, dtype=np.complex128))
@@ -248,8 +241,8 @@ class ProbabilityDistribution:
             )
         if pos.size > 1 and np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
-        if np.any(prob < 0):
-            raise ValueError("probabilities must be non-negative")
+        if not np.all(np.isfinite(prob) & (prob >= 0)):
+            raise ValueError("probabilities must be finite and non-negative")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "probabilities", prob)
 
@@ -279,7 +272,7 @@ def _check_norm(norm: float, step: int | None = None, entry: int | None = None) 
     The message names the step at which the norm was read, and the batch
     entry, when they are given.
     """
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         where = "" if step is None else f" at step {step}"
         if entry is not None:
             where += f", batch entry {entry}"
@@ -319,15 +312,51 @@ def position_distribution(state: WalkState) -> ProbabilityDistribution:
     return _distribution(0, 1, _register_probabilities(columns), state.positions)
 
 
-def _distribution(
-    first_row: int, stride: int, p: np.ndarray, positions: np.ndarray
-) -> ProbabilityDistribution:
-    """``p`` on rows ``first_row + stride * i``, as :func:`position_distribution` reports it."""
+def _support(first_row: int, stride: int, p: np.ndarray) -> tuple[slice, slice]:
+    """Slices of ``p`` and of the grid from the first to the last nonzero ``p[i]``.
+
+    ``p[i]`` lies on grid row ``first_row + stride * i``.  On stride-1 rows
+    whose nonzero entries share one parity, the run is on that sublattice.
+    (Kernel bands never are: one sublattice has stride 2, two both stay occupied.)
+    """
     occupied = p.nonzero()[0]
     lo, hi = int(occupied[0]), int(occupied[-1]) + 1
     step = 2 if stride == 1 and not ((occupied - lo) & 1).any() else 1
     rows = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride * step)
-    return ProbabilityDistribution(positions[rows].copy(), p[lo:hi:step].copy())
+    return slice(lo, hi, step), rows
+
+
+def _distribution(first_row: int, stride: int, p: np.ndarray, positions) -> ProbabilityDistribution:
+    """``p`` on rows ``first_row + stride * i``, as :func:`position_distribution` reports it."""
+    run, rows = _support(first_row, stride, p)
+    return ProbabilityDistribution(positions[rows].copy(), p[run].copy())
+
+
+def _mean_std(p: np.ndarray, x: np.ndarray, x2: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of probabilities ``p`` on positions ``x`` with squares ``x2``."""
+    mean = float(np.dot(p, x))
+    var = float(np.dot(p, x2) - mean * mean)
+    if var < -1e-10:
+        raise ValueError(f"variance {var} is negative beyond rounding tolerance")
+    return mean, float(np.sqrt(max(var, 0.0)))
+
+
+def _readout(
+    first_row: int, stride: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray, step: int
+) -> tuple[float, float, float]:
+    """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
+
+    ``x`` and ``x2`` hold every grid position and its square; ``step``
+    locates a norm error.  ``p`` comes from :meth:`_Kernel.probabilities`.
+    The support, norm and moment rules and the contiguous operands are those
+    of :func:`position_distribution` and :func:`moments`, so the results
+    equal theirs bit for bit.
+    """
+    total = float(p.sum())
+    _check_norm(np.sqrt(total), step)
+    run, rows = _support(first_row, stride, p)
+    mean, std = _mean_std(*map(np.ascontiguousarray, (p[run], x[rows], x2[rows])))
+    return mean, std, abs(total - 1.0)
 
 
 @dataclass(frozen=True)
@@ -341,13 +370,7 @@ class Moments:
 def moments(dist: ProbabilityDistribution) -> Moments:
     """First two moments of a normalized distribution."""
     total = dist.total()
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(
-            f"distribution sums to {total:.12g}, expected 1 within 1e-9"
-        )
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
+        raise NormalizationError(f"distribution sums to {total:.12g}, expected 1 within 1e-9")
     x = dist.positions.astype(float)
-    mean = float(np.dot(dist.probabilities, x))
-    var = float(np.dot(dist.probabilities, x * x) - mean * mean)
-    if var < -1e-10:
-        raise ValueError(f"variance {var} is negative beyond rounding tolerance")
-    return Moments(mean, float(np.sqrt(max(var, 0.0))))
+    return Moments(*_mean_std(dist.probabilities, x, x * x))

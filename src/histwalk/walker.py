@@ -18,6 +18,7 @@ from .state import (
     _check_norm,
     _count,
     _distribution,
+    _readout,
     new_state,
 )
 
@@ -127,6 +128,8 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
     total = state.norm()
     if total == 0.0:
         raise ValueError("custom initial state has zero norm")
+    if not np.isfinite(total):
+        raise ValueError(f"custom initial state has a non-finite norm, {total}")
     state.amplitudes /= total
     return state
 
@@ -145,37 +148,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.means)
-
-
-def _readout(
-    first_row: int,
-    stride: int,
-    p: np.ndarray,
-    x: np.ndarray,
-    x2: np.ndarray,
-    step: int,
-):
-    """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
-
-    ``x`` and ``x2`` hold every grid position and its square.  ``p`` comes
-    from :meth:`_Kernel.probabilities`, which sums the band with the helper
-    :func:`position_distribution` uses.  The norm and variance checks are
-    those of :func:`position_distribution` and :func:`moments`, and the dot
-    products run over the same rows they use, so the results equal theirs
-    bit for bit.  ``step`` locates a norm error.
-    """
-    total = float(p.sum())
-    _check_norm(np.sqrt(total), step)
-    occupied = p.nonzero()[0]
-    lo, hi = int(occupied[0]), int(occupied[-1]) + 1
-    positions = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride)
-    # Contiguous copies, so the dot products take the same path as in moments().
-    prob = np.ascontiguousarray(p[lo:hi])
-    mean = float(np.dot(prob, np.ascontiguousarray(x[positions])))
-    var = float(np.dot(prob, np.ascontiguousarray(x2[positions])) - mean * mean)
-    if var < -1e-10:
-        raise ValueError(f"variance {var} is negative beyond rounding tolerance")
-    return mean, float(np.sqrt(max(var, 0.0))), abs(total - 1.0)
 
 
 def _check_run(
@@ -377,6 +349,7 @@ def scan_sequences(
     tables = as_game_tables(games)
     max_len = _count(max_len, "max_len", 1)
     steps = _count(steps, "steps", 0)
+    num_coins = _count(num_coins, "num_coins", 1)
     first = next(iter(tables.values()))
     if first.num_coins != num_coins:
         raise ValueError(f"games are for {first.num_coins} coins, asked for {num_coins}")

@@ -132,6 +132,8 @@ class TestStationaryDistribution:
         result = stationary_distribution(matrix)
         assert not result.flagged
         assert np.max(np.abs(result.distribution - 0.125)) < 1e-10
+        # The chain is doubly stochastic, so the uniform start is already stationary.
+        assert result.iterations == 1
 
     def test_identity_chain_is_flagged_not_averaged(self):
         result = stationary_distribution(np.eye(4))

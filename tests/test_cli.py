@@ -343,6 +343,14 @@ class TestPlotting:
         assert ">one<" in text and ">two<" in text
         assert "circle" in text
 
+    def test_plot_of_a_non_finite_value_fails_and_writes_nothing(self, tmp_path, capsys):
+        source = tmp_path / "nan.csv"
+        source.write_text("t,mean\n0,0.0\n1,nan\n", encoding="utf-8")
+        out = tmp_path / "nan.svg"
+        assert main(["plot", str(source), "--out", str(out)]) == 2
+        assert "non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_errors_return_one(self, tmp_path):

@@ -67,6 +67,13 @@ class TestReadCsvColumns:
         with pytest.raises(ValueError, match="line 3"):
             read_csv_columns(path)
 
+    @pytest.mark.parametrize("row", ["1,nan", "inf,0.5", "1,-inf", "NaN,1"])
+    def test_rejects_non_finite_values(self, tmp_path, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"t,mean\n0,0.0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: non-finite value"):
+            read_csv_columns(path)
+
 
 class TestSvgPlot:
     @pytest.fixture()

@@ -142,6 +142,11 @@ class TestProbabilityDistribution:
         with pytest.raises(ValueError):
             ProbabilityDistribution(np.array([0]), np.array([-0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityDistribution(np.array([0, 1]), np.array([1.0, bad]))
+
     def test_rejects_unsorted_positions(self):
         with pytest.raises(ValueError):
             ProbabilityDistribution(np.array([1, 0]), np.array([0.5, 0.5]))
@@ -232,6 +237,20 @@ class TestMoments:
     def test_rejects_unnormalized_input(self):
         dist = ProbabilityDistribution.from_mapping({0: 0.5})
         with pytest.raises(NormalizationError):
+            moments(dist)
+
+    def test_the_moment_rule_refuses_a_negative_variance(self):
+        # Squares that are not those of the positions, as no caller passes them.
+        mean_std = histwalk.state._mean_std
+        assert mean_std(np.array([1.0]), np.array([2.0]), np.array([4.0 - 1e-11])) == (2.0, 0.0)
+        with pytest.raises(ValueError, match="^variance -1.*e-09 is negative"):
+            mean_std(np.array([1.0]), np.array([2.0]), np.array([4.0 - 1e-9]))
+
+    def test_a_nan_sum_is_not_normalized(self):
+        # Build past the constructor's check, to reach the one in moments.
+        dist = ProbabilityDistribution.from_mapping({0: 1.0})
+        object.__setattr__(dist, "probabilities", np.array([np.nan]))
+        with pytest.raises(NormalizationError, match="sums to nan"):
             moments(dist)
 
 

@@ -7,8 +7,17 @@ import pytest
 
 import histwalk.state
 import histwalk.walker
-from histwalk.operators import HistoryRhoTable
-from histwalk.state import HorizonError, NormalizationError, complement, index_to_coins, fidelity
+from histwalk.classical import history_states
+from histwalk.operators import HistoryRhoTable, all_histories
+from histwalk.state import (
+    HorizonError,
+    NormalizationError,
+    complement,
+    fidelity,
+    index_to_coins,
+    new_state,
+    position_distribution,
+)
 from histwalk.walker import (
     ALL_R,
     ANTISYMMETRIC,
@@ -73,6 +82,11 @@ class TestInitialStates:
     def test_custom_zero_norm_is_rejected(self):
         with pytest.raises(ValueError, match="zero norm"):
             build_initial_state(1, [(0, "L", 0.0)], t_max=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_custom_non_finite_norm_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite norm"):
+            build_initial_state(1, [(0, "L", bad), (0, "R", 1.0)], t_max=1)
 
     def test_custom_out_of_range_entry_is_rejected(self):
         with pytest.raises(IndexError):
@@ -498,3 +512,80 @@ class TestCountArguments:
         trajectory = run_sequence(start, {"A": UNBIASED_2}, "A", 4, [np.int64(1), 3])
         assert sorted(trajectory.snapshots) == [1, 3]
         assert all(type(step) is int for step in trajectory.snapshots)
+
+
+class TestRegisterCounts:
+    """``num_coins`` and ``t_max`` go through the one count rule: bools, floats
+    and strings are refused by name before any memory check, grid or kernel."""
+
+    UNBIASED_1 = HistoryRhoTable.uniform(1, 0.5)
+    NUM_COINS = {
+        "new_state": lambda n: new_state(n, 3),
+        "build_initial_state": lambda n: build_initial_state(n, ANTISYMMETRIC, t_max=3),
+        "all_histories": all_histories,
+        "HistoryRhoTable": lambda n: HistoryRhoTable(n, {"": 0.5}),
+        "HistoryRhoTable.uniform": HistoryRhoTable.uniform,
+        "HistoryRhoTable.with_overrides": lambda n: HistoryRhoTable.with_overrides(n, 0.5, {}),
+        "index_to_coins": lambda n: index_to_coins(0, n),
+        "history_states": history_states,
+        # Game tables for one coin, so that True and 1.0 pass the size match.
+        "scan_sequences": lambda n: scan_sequences({"A": TestRegisterCounts.UNBIASED_1}, 2, n, 3),
+    }
+    T_MAX = {
+        "new_state": lambda t: new_state(2, t),
+        "build_initial_state": lambda t: build_initial_state(2, ANTISYMMETRIC, t_max=t),
+    }
+
+    @pytest.fixture(autouse=True)
+    def nothing_allocated(self, monkeypatch):
+        monkeypatch.setattr(histwalk.state, "check_memory", not_reached)
+        for name in ("_check_fits", "_Kernel"):
+            monkeypatch.setattr(histwalk.walker, name, not_reached)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 1.0, 2.0, np.float64(2), "2", None])
+    @pytest.mark.parametrize("call", sorted(NUM_COINS))
+    def test_non_integer_register_sizes_are_refused_by_name(self, call, value):
+        with pytest.raises(ValueError, match=r"^num_coins must be an integer, got"):
+            self.NUM_COINS[call](value)
+
+    @pytest.mark.parametrize("call", sorted(NUM_COINS))
+    def test_an_empty_register_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"^num_coins must be >= 1, got 0$"):
+            self.NUM_COINS[call](0)
+
+    @pytest.mark.parametrize("value", [True, np.True_, 3.0, "3", None])
+    @pytest.mark.parametrize("call", sorted(T_MAX))
+    def test_non_integer_horizons_are_refused_by_name(self, call, value):
+        with pytest.raises(ValueError, match=r"^t_max must be an integer, got"):
+            self.T_MAX[call](value)
+
+    @pytest.mark.parametrize("call", sorted(T_MAX))
+    def test_a_zero_horizon_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"^t_max must be >= 1, got 0$"):
+            self.T_MAX[call](0)
+
+    def test_numpy_integers_are_stored_as_ints(self, monkeypatch):
+        monkeypatch.setattr(histwalk.state, "check_memory", lambda *args: None)
+        state = new_state(np.int64(2), np.int32(3))
+        table = HistoryRhoTable(np.int64(2), {"L": 0.5, "R": 0.5})
+        assert (type(state.num_coins), type(state.t_max), type(table.num_coins)) == (int,) * 3
+        assert index_to_coins(np.int64(2), np.int64(2)) == "RL"
+
+
+class TestNonFiniteStates:
+    """A state with a NaN amplitude fails the norm check of every walk and readout."""
+
+    CALLS = {
+        "run_sequence": lambda start: run_sequence(start, {"A": UNBIASED_2}, "A", 3),
+        "final_distribution": lambda start: final_distribution(start, {"A": UNBIASED_2}, "A", 3),
+        "evolve": lambda start: evolve(start, UNBIASED_2, 3),
+        "evolve_brun": lambda start: evolve_brun(start, [0.3, 0.6], 3),
+        "position_distribution": position_distribution,
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_a_nan_amplitude_is_refused(self, call):
+        start = build_initial_state(2, ANTISYMMETRIC, t_max=5)
+        start.amplitudes[start.t_max, 0] = np.nan
+        with pytest.raises(NormalizationError, match="state norm is nan"):
+            self.CALLS[call](start)

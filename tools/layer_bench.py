@@ -14,8 +14,9 @@ uniform at rho = 0.5, game B drawn from ``SEED`` in [0.3, 0.7]).  At the size
 of ``trajectory_m8`` (M=8, T=200, pattern ``AAB``):
 
 * ``step``, ``probabilities`` and ``readout``: the time one ``run_sequence``
-  spends in ``_Kernel.step``, ``_Kernel.probabilities`` and
-  ``walker._readout``, summed over its steps, with a timer around each call;
+  spends in ``_Kernel.step``, ``_Kernel.probabilities`` and ``_readout``
+  (defined in ``state``, timed where ``walker`` looks it up), summed over its
+  steps, with a timer around each call;
 * ``run_sequence``: the whole call, with no timers inside;
 
 at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5

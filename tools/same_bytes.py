@@ -1,0 +1,117 @@
+"""Digests of the benchmark payloads and demo outputs of one or more source trees.
+
+Usage, from the repository root::
+
+    python3 tools/same_bytes.py --tree parent=../histwalk-parent --tree change=.
+
+One fresh process per tree, started in the order given, imports
+``histwalk`` from ``<tree>/src``.  It runs one op of every workload in
+``perfbench/workloads.py`` (this checkout's, as in ``tools/layer_bench.py``)
+on each seed in ``SEEDS`` and digests its payload with ``workloads.digest``,
+the digest the benchmark's checks compare.  It then runs each of the tree's
+demos (``<tree>/demos/*.py``) as a script in a new temporary directory and
+digests its stdout together with the name and bytes of every file it wrote.
+
+The script prints one table, a row per item and a column per tree, and
+exits 1 if any tree's digest of an item differs from the first tree's or is
+missing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, digest  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def _folder_digest(folder: Path, stdout: str) -> str:
+    """sha256 of ``stdout`` and of the relative name and bytes of every file under ``folder``."""
+    hasher = hashlib.sha256(stdout.encode())
+    for path in sorted(p for p in folder.rglob("*") if p.is_file()):
+        hasher.update(b"\0" + str(path.relative_to(folder)).encode() + b"\0")
+        hasher.update(path.read_bytes())
+    return hasher.hexdigest()
+
+
+def measure(tree: str) -> dict[str, str]:
+    """Digest of every workload payload and demo output of ``tree``.
+
+    ``histwalk`` must already import from ``<tree>/src``.
+    """
+    import histwalk
+
+    source = Path(tree, "src").resolve()
+    if not Path(histwalk.__file__).resolve().is_relative_to(source):
+        raise RuntimeError(f"histwalk imports from {histwalk.__file__}, not from {source}")
+    digests: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as temporary:
+        for name, workload in WORKLOADS.items():
+            for seed in SEEDS:
+                run = workload(seed, Path(temporary, f"{name}_{seed}"))
+                run.setup()
+                digests[f"{name} seed {seed}"] = digest(run.payload(run.op()))
+    env = {**os.environ, "PYTHONPATH": str(source)}
+    for demo in sorted(Path(tree, "demos").resolve().glob("*.py")):
+        with tempfile.TemporaryDirectory() as temporary:
+            done = subprocess.run(
+                [sys.executable, str(demo)], cwd=temporary, env=env,
+                capture_output=True, text=True, check=True,
+            )
+            digests[f"demo {demo.stem}"] = _folder_digest(Path(temporary), done.stdout)
+    return digests
+
+
+def _child(tree: str) -> dict[str, str]:
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2]);"
+        "import same_bytes;"
+        "print(json.dumps(same_bytes.measure(sys.argv[3])))"
+    )
+    source = str(Path(tree, "src").resolve())
+    command = [sys.executable, "-c", code, str(Path(__file__).resolve().parent), source, tree]
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--tree", action="append", required=True, metavar="LABEL=PATH",
+        help="a source tree to digest (repeat; the others are compared to the first)",
+    )
+    args = parser.parse_args(argv)
+    trees = dict(item.split("=", 1) for item in args.tree)
+    digests = {label: _child(path) for label, path in trees.items()}
+    base = next(iter(trees))
+    items = list(digests[base]) + sorted(
+        {item for found in digests.values() for item in found} - set(digests[base])
+    )
+    width = max(len(item) for item in items)
+    print(f"{'item':<{width}}  " + "  ".join(f"{label:<12}" for label in trees) + "  same")
+    differ = 0
+    for item in items:
+        found = [digests[label].get(item) for label in trees]
+        same = None not in found and len(set(found)) == 1
+        differ += not same
+        cells = "  ".join(f"{(value or '-')[:12]:<12}" for value in found)
+        print(f"{item:<{width}}  {cells}  {'yes' if same else 'NO'}")
+    print(f"{len(items) - differ} of {len(items)} items have the same digest in every tree")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
