@@ -21,8 +21,8 @@ from histwalk.classical import (
     CapitalMod3,
     HistoryCoins,
     capital_game_trajectory,
-    history_game_trajectory,
-    monte_carlo_mean,
+    history_mix_trajectory,
+    monte_carlo_trajectory,
 )
 from histwalk.output import emit_svg_plot, write_csv
 
@@ -53,8 +53,8 @@ def main() -> None:
     )
 
     spec = HistoryCoins(0.9 - EPS, 0.25 - EPS, 0.25 - EPS, 0.7 - EPS)
-    hist = history_game_trajectory(spec, STEPS)
-    mixed = history_game_trajectory(spec, STEPS, mix=(games["A"], "AABB"))
+    hist = history_mix_trajectory({"B": spec}, "B", STEPS)
+    mixed = history_mix_trajectory({"A": games["A"], "B": spec}, "AABB", STEPS)
     print(
         "\nThe same trick works when the poor branch keys on the last two"
         " results\ninstead of the capital:"
@@ -67,7 +67,8 @@ def main() -> None:
         ("AABB", games, "AABB", trajectories["AABB"][-1], 42),
         ("memory game", {"B": spec}, "B", hist[-1], 3),
     ):
-        sampled, err = monte_carlo_mean(spec_or_games, pattern, STEPS, 10**5, seed)
+        means, errors = monte_carlo_trajectory(spec_or_games, pattern, STEPS, 10**5, seed)
+        sampled, err = means[-1], errors[-1]
         print(
             f"  {label:<12s} sampled {sampled:+9.6f} vs exact {exact:+9.6f}"
             f"   ({abs(sampled - exact) / err:.2f} standard errors apart)"

@@ -17,12 +17,8 @@ from .classical import (
     HistoryCoins,
     capital_game_trajectory,
     classical_mean_trajectory,
-    history_game_trajectory,
     history_mix_trajectory,
-    history_walk_transition,
-    monte_carlo_mean,
     monte_carlo_trajectory,
-    stationary_distribution,
 )
 from .config import ConfigError, RunConfig, parse_config
 from .operators import HistoryRhoTable, all_histories
@@ -31,7 +27,6 @@ from .state import (
     HorizonError,
     MemoryLimitError,
     NormalizationError,
-    fidelity,
     moments,
     new_state,
     position_distribution,
@@ -50,9 +45,10 @@ from .walker import (
 __version__ = "0.1.0"
 
 # What the CLI, the demos, README's examples, the benchmark and the acceptance
-# checks import, plus the exceptions public calls raise.  Everything else,
-# the step operators of the specification layer included, stays importable
-# from its module.
+# checks import, plus the exceptions public calls raise.  Everything else, the
+# step operators of the specification layer included, stays importable from
+# its module; chain analysis that only the tests use (transition matrices,
+# stationary distributions, state overlaps) lives in their reference oracles.
 __all__ = [
     "ANTISYMMETRIC",
     "BiasedCoin",
@@ -73,13 +69,9 @@ __all__ = [
     "emit_svg_plot",
     "evolve",
     "evolve_brun",
-    "fidelity",
     "find_peaks",
-    "history_game_trajectory",
     "history_mix_trajectory",
-    "history_walk_transition",
     "moments",
-    "monte_carlo_mean",
     "monte_carlo_trajectory",
     "new_state",
     "parse_config",
@@ -87,7 +79,6 @@ __all__ = [
     "run_sequence",
     "scan_sequences",
     "smooth_distribution",
-    "stationary_distribution",
     "sweep_parameter",
     "symmetry_deviation",
     "write_csv",

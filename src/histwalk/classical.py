@@ -1,12 +1,13 @@
 """Exact classical engines: the walk's probability-limit chain and capital games.
 
 Replacing each retoss amplitude by its squared magnitude turns the walk into
-a Markov chain over the last ``num_coins`` step results.  Chain states are
-written chronologically (oldest result first), and that string order is also
-the row and column order of the transition matrices built here.  Alongside
-the chain live the standard capital games used as classical baselines: a
-single biased coin, a coin keyed on capital mod 3, and a coin keyed on the
-results of the last two plays.
+a Markov chain over the last ``num_coins`` step results.  A chain state is
+the results read chronologically (oldest first) as bits, L = 0 and R = 1,
+with the oldest result the most significant; a start distribution is a
+probability vector in that state order.  Alongside the chain live the
+standard capital games used as classical baselines: a single biased coin, a
+coin keyed on capital mod 3, and a coin keyed on the results of the last two
+plays.
 
 Each is a small Markov chain whose states have two branches, each a +1 or -1
 step.  The walk's chain has ``2 ** num_coins`` history states; the capital
@@ -22,30 +23,22 @@ again, which gives the same means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, islice, product
+from itertools import cycle, islice
 from typing import Mapping
 
 import numpy as np
 
 from .operators import HistoryRhoTable, _check_pattern, _check_probability
-from .state import L, R, _check_fits, _count
+from .state import _check_fits, _count
 
 __all__ = [
-    "history_states",
-    "history_walk_transition",
-    "drift_by_state",
-    "uniform_history_distribution",
-    "StationaryResult",
-    "stationary_distribution",
     "classical_mean_trajectory",
     "BiasedCoin",
     "CapitalMod3",
     "HistoryCoins",
     "capital_game_trajectory",
     "history_mix_trajectory",
-    "history_game_trajectory",
     "monte_carlo_trajectory",
-    "monte_carlo_mean",
 ]
 
 # Bytes charged per sampled trajectory: its state code and position, the
@@ -59,16 +52,6 @@ _TRAJECTORY_BYTES = 64
 # adds about 5% to a run that never repeats (checking every period added
 # 33-57%), and a run that repeats steps at most this plus one period more.
 _REPEAT_CHECK_STEPS = 32
-
-# Power iteration's sup-norm tolerance and step cap; a walk chain stops at step 1.
-_STATIONARY_TOL = 1e-13
-_STATIONARY_MAX_ITERATIONS = 1_000_000
-
-
-def history_states(num_coins: int) -> list[str]:
-    """Chain states as chronological strings, oldest result first, in row order."""
-    num_coins = _count(num_coins, "num_coins", 1)
-    return ["".join(s) for s in product((L, R), repeat=num_coins)]
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,7 @@ class _Chain:
 
 
 def _walk_chain(table: HistoryRhoTable) -> _Chain:
-    """The walk's classical limit, states in :func:`history_states` order.
+    """The walk's classical limit, over states in the module's chronological order.
 
     Branch 0 keeps the oldest result, which is the high bit (L = 0, R = 1).
     The table is indexed by the newer results read most recent first, which
@@ -111,112 +94,14 @@ _GAME_MOVES = np.stack([4 * ((_RESIDUE + d) % 3) + _OLDER + (d > 0) for d in (1,
 _GAME_STEPS = np.tile([1, -1], (12, 1))
 
 
-def history_walk_transition(table: HistoryRhoTable) -> np.ndarray:
-    """Row-stochastic transition matrix of the walk's classical limit.
-
-    From a state the oldest result is retossed: it is retained with the
-    table's parameter for the newer results and flipped otherwise.  The new
-    value becomes the step direction, and the next state is the newer results
-    followed by the new value.  Each state has exactly two predecessors
-    reached with complementary probabilities, so every column also sums to
-    one and the uniform distribution is always stationary.
-    """
-    chain = _walk_chain(table)
-    rows = np.arange(chain.first.size)
-    matrix = np.zeros((rows.size, rows.size))
-    matrix[rows, chain.next[:, 0]] = chain.first
-    matrix[rows, chain.next[:, 1]] = 1.0 - chain.first
-    return matrix
-
-
-def drift_by_state(table: HistoryRhoTable) -> np.ndarray:
-    """Expected step increment from each chain state (+1 for R, -1 for L)."""
-    chain = _walk_chain(table)
-    return chain.first * chain.step[:, 0] + (1.0 - chain.first) * chain.step[:, 1]
-
-
-def uniform_history_distribution(num_coins: int) -> np.ndarray:
-    """The uniform distribution over the ``2 ** num_coins`` chain states."""
-    size = 1 << num_coins
-    return np.full(size, 1.0 / size)
-
-
-@dataclass(frozen=True)
-class StationaryResult:
-    """A stationary distribution plus a flag for chains where it is not unique."""
-
-    distribution: np.ndarray
-    flagged: bool
-    reason: str | None
-    iterations: int
-
-
-def stationary_distribution(matrix) -> StationaryResult:
-    """Left fixed point of a row-stochastic matrix by power iteration.
-
-    Iterates from the uniform distribution until successive iterates differ
-    in sup norm by less than ``_STATIONARY_TOL``.  Chains with several
-    eigenvalues on the unit circle (reducible or periodic, e.g. retention
-    parameters of exactly 0 or 1) have no single settling point; those results
-    come back flagged with a reason instead of being silently averaged.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("transition matrix must be square")
-    if np.any(matrix < -1e-12):
-        raise ValueError("transition matrix has negative entries")
-    if np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-12):
-        raise ValueError("transition matrix rows must sum to 1")
-    size = matrix.shape[0]
-
-    eigenvalues = np.linalg.eigvals(matrix)
-    at_one = np.abs(eigenvalues - 1.0) < 1e-9
-    on_circle = np.abs(np.abs(eigenvalues) - 1.0) < 1e-9
-    flagged = False
-    reason = None
-    if int(at_one.sum()) > 1:
-        flagged = True
-        reason = "stationary distribution is not unique (reducible chain)"
-    elif int(on_circle.sum()) > int(at_one.sum()):
-        flagged = True
-        reason = "chain is periodic; distributions cycle instead of settling"
-
-    pi = np.full(size, 1.0 / size)
-    iterations = 0
-    converged = False
-    cap = 10_000 if flagged else _STATIONARY_MAX_ITERATIONS
-    for iterations in range(1, cap + 1):
-        nxt = pi @ matrix
-        diff = float(np.max(np.abs(nxt - pi)))
-        pi = nxt
-        if diff < _STATIONARY_TOL:
-            converged = True
-            break
-    if not flagged and not converged:
-        flagged = True
-        reason = f"power iteration did not converge within {_STATIONARY_MAX_ITERATIONS} iterations"
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    return StationaryResult(pi, flagged, reason, iterations)
-
-
-def classical_mean_trajectory(
-    table: HistoryRhoTable, steps: int, initial=None
-) -> np.ndarray:
+def classical_mean_trajectory(table: HistoryRhoTable, steps: int, initial=None) -> np.ndarray:
     """Exact mean position of the classical-limit chain after each step.
 
-    ``initial`` is either a probability vector over the chain states in row
-    order or a mapping from state strings (oldest result first) to
-    probabilities; omitted means uniform.  The distribution is propagated
-    exactly and the mean accumulates each step's expected increment, so
-    there is no sampling error.
+    ``initial`` is a probability vector over the ``2 ** num_coins`` chain
+    states in the module's order (oldest result as the high bit); omitted
+    means uniform.  The distribution is propagated exactly and the mean
+    accumulates each step's expected increment, so there is no sampling error.
     """
-    if isinstance(initial, Mapping):
-        states = history_states(table.num_coins)
-        unknown = sorted(set(initial) - set(states))
-        if unknown:
-            raise ValueError(f"unknown chain state {unknown[0]!r}")
-        initial = [initial.get(state, 0.0) for state in states]
     chains, starts = _chains(table, None, (HistoryRhoTable,), "walk")
     return _exact_means(chains, starts, steps, initial, "chain states")
 
@@ -313,7 +198,12 @@ def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") 
     """
     steps = _count(steps, "steps", 0)
     _check_fits(8 * (steps + 1), f"an exact run of {steps} steps", "for its means")
-    start = np.full(starts, 1.0 / starts) if initial is None else np.asarray(initial, dtype=float)
+    if initial is None:
+        initial = np.full(starts, 1.0 / starts)
+    try:
+        start = np.asarray(initial, dtype=float)
+    except (TypeError, ValueError):  # a mapping or other non-numeric start
+        start = np.empty(0)
     if (
         start.shape != (starts,)
         or not np.all(np.isfinite(start))
@@ -394,21 +284,6 @@ def history_mix_trajectory(games, pattern: str | None, steps: int, initial=None)
     return _exact_means(chains, starts, steps, initial, "4 result pairs")
 
 
-def history_game_trajectory(
-    spec: HistoryCoins, steps: int, mix=None, initial=None
-) -> np.ndarray:
-    """Mean capital for a last-two-results game, optionally mixed with a plain coin.
-
-    ``mix`` is ``(coin, pattern)`` where the pattern's ``A`` letters play the
-    plain :class:`BiasedCoin` and ``B`` letters play the history game; with no
-    mix the history game plays every step.
-    """
-    if mix is None:
-        return history_mix_trajectory({"B": spec}, "B", steps, initial)
-    coin, pattern = mix
-    return history_mix_trajectory({"A": coin, "B": spec}, pattern, steps, initial)
-
-
 def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     """Sampled mean capital or position per step, with standard errors.
 
@@ -467,9 +342,3 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
             np.multiply(deviation, deviation, out=deviation)
             errors[t + 1] = np.sqrt(deviation.sum() / (n - 1)) / np.sqrt(n)
     return means, errors
-
-
-def monte_carlo_mean(spec, pattern, steps, n_trajectories, seed):
-    """Final-step sample mean and standard error; see :func:`monte_carlo_trajectory`."""
-    means, errors = monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed)
-    return float(means[-1]), float(errors[-1])

@@ -31,7 +31,6 @@ __all__ = [
     "MemoryLimitError",
     "check_memory",
     "new_state",
-    "fidelity",
     "ProbabilityDistribution",
     "position_distribution",
     "Moments",
@@ -75,7 +74,8 @@ def coins_to_index(coins: str) -> int:
 def index_to_coins(index: int, num_coins: int) -> str:
     """Inverse of :func:`coins_to_index` for a register of ``num_coins`` letters."""
     num_coins = _count(num_coins, "num_coins", 1)
-    if not 0 <= index < (1 << num_coins):
+    index = _count(index, "index", 0)
+    if index >= 1 << num_coins:
         raise ValueError(f"index {index} out of range for {num_coins} coins")
     return "".join(
         R if (index >> shift) & 1 else L for shift in range(num_coins - 1, -1, -1)
@@ -218,11 +218,23 @@ def new_state(num_coins: int, t_max: int) -> WalkState:
     return WalkState(num_coins, t_max, np.zeros(shape, dtype=np.complex128))
 
 
-def fidelity(a: WalkState, b: WalkState) -> float:
-    """``|<a|b>|`` for states on matching grids; insensitive to global phase."""
-    if (a.num_coins, a.t_max) != (b.num_coins, b.t_max):
-        raise ValueError("states live on different (num_coins, t_max) grids")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
+def _positions(values) -> np.ndarray:
+    """``values`` as an int array; refuses bools and numbers that are not finite and whole.
+
+    An integer array is taken as it is, with no pass over its entries.
+    """
+    pos = np.asarray(values)
+    if pos.dtype.kind in "iu":
+        # A bool among the ints of a list is cast to 0 or 1 without a trace.
+        listed = values if isinstance(values, (list, tuple)) else ()
+        if not any(isinstance(x, (bool, np.bool_)) for x in listed):
+            return pos.astype(int, copy=False)
+    elif pos.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            whole = pos.astype(int)
+        if np.array_equal(whole, pos):  # NaN, inf, fractions and overflow all differ
+            return whole
+    raise ValueError(f"positions must be finite whole numbers, not bools, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,7 @@ class ProbabilityDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=int)
+        pos = _positions(self.positions)
         prob = np.asarray(self.probabilities, dtype=float)
         if pos.ndim != 1 or pos.shape != prob.shape or pos.size == 0:
             raise ValueError(
@@ -249,9 +261,7 @@ class ProbabilityDistribution:
     @classmethod
     def from_mapping(cls, mapping) -> "ProbabilityDistribution":
         xs = sorted(mapping)
-        return cls(
-            np.array(xs, dtype=int), np.array([mapping[x] for x in xs], dtype=float)
-        )
+        return cls(xs, [mapping[x] for x in xs])
 
     def probability(self, x: int) -> float:
         idx = int(np.searchsorted(self.positions, x))

@@ -1,23 +1,32 @@
 """Independent reference models used as test oracles.
 
 Everything here is deliberately naive: full dense matrices assembled from
-Kronecker products for the walk, and dictionary-based distribution evolution
-for the classical games.  Nothing is shared with the package's vectorized
-engines except the documented basis conventions (row = position + t_max,
-column = register string with the most recent result as the most significant
-bit, L = 0 and R = 1).  The two exceptions read the package's chain tables so
-that their outputs can be compared bit for bit: :func:`exact_means_every_step`,
-the exact classical loop without its early stop, and
+Kronecker products for the walk, dictionary-based distribution evolution
+for the classical games, and the walk's classical-limit chain as a
+transition matrix enumerated over state strings, with its stationary
+distribution found by power iteration.  Nothing here imports the package,
+and nothing is shared with the package's vectorized engines except the
+documented basis conventions (row = position + t_max, column = register
+string with the most recent result as the most significant bit, L = 0 and
+R = 1).  The two exceptions read the package's chain tables so that their
+outputs can be compared bit for bit: :func:`exact_means_every_step`, the
+exact classical loop without its early stop, and
 :func:`sampled_means_allocating`, the seeded sampler with a fresh array for
 every intermediate.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
+
+# Power iteration's sup-norm tolerance and step cap; a walk chain stops at step 1.
+_STATIONARY_TOL = 1e-13
+_STATIONARY_MAX_ITERATIONS = 1_000_000
 
 
 def coin_unitary(rho: float) -> np.ndarray:
@@ -76,6 +85,100 @@ def dense_evolve(amplitudes: np.ndarray, num_coins: int, rho_by_history, steps: 
     for _ in range(steps):
         psi = matrix @ psi
     return psi.reshape(n_pos, size)
+
+
+def fidelity(a, b) -> float:
+    """``|<a|b>|`` for walk states on matching grids; insensitive to global phase."""
+    if (a.num_coins, a.t_max) != (b.num_coins, b.t_max):
+        raise ValueError("states live on different (num_coins, t_max) grids")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
+
+
+def history_states(num_coins: int) -> list[str]:
+    """Chain states as chronological strings, oldest result first, in row order."""
+    return ["".join(s) for s in product("LR", repeat=num_coins)]
+
+
+def history_walk_transition(table) -> np.ndarray:
+    """Row-stochastic transition matrix of the walk's classical limit, by string enumeration.
+
+    Rows and columns follow :func:`history_states`.  The step is that of
+    :func:`chain_mean_by_enumeration`: the oldest letter is kept with the
+    retention entry ``table.rho`` gives the newer letters read most recent
+    first, and flipped otherwise; the next state is the newer letters followed
+    by the new one.  Each state has exactly two predecessors, reached with
+    complementary probabilities, so every column also sums to one.
+    """
+    retention = table.rho
+    states = history_states(table.num_coins)
+    row = {state: i for i, state in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for state in states:
+        oldest, newer = state[0], state[1:]
+        keep = retention[newer[::-1]]
+        flipped = "R" if oldest == "L" else "L"
+        matrix[row[state], row[newer + oldest]] = keep
+        matrix[row[state], row[newer + flipped]] = 1.0 - keep
+    return matrix
+
+
+@dataclass(frozen=True)
+class StationaryResult:
+    """A stationary distribution plus a flag for chains where it is not unique."""
+
+    distribution: np.ndarray
+    flagged: bool
+    reason: str | None
+    iterations: int
+
+
+def stationary_distribution(matrix) -> StationaryResult:
+    """Left fixed point of a row-stochastic matrix by power iteration.
+
+    Iterates from the uniform distribution until successive iterates differ
+    in sup norm by less than ``_STATIONARY_TOL``.  Chains with several
+    eigenvalues on the unit circle (reducible or periodic, e.g. retention
+    parameters of exactly 0 or 1) have no single settling point; those results
+    come back flagged with a reason instead of being silently averaged.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("transition matrix must be square")
+    if np.any(matrix < -1e-12):
+        raise ValueError("transition matrix has negative entries")
+    if np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-12):
+        raise ValueError("transition matrix rows must sum to 1")
+    size = matrix.shape[0]
+
+    eigenvalues = np.linalg.eigvals(matrix)
+    at_one = np.abs(eigenvalues - 1.0) < 1e-9
+    on_circle = np.abs(np.abs(eigenvalues) - 1.0) < 1e-9
+    flagged = False
+    reason = None
+    if int(at_one.sum()) > 1:
+        flagged = True
+        reason = "stationary distribution is not unique (reducible chain)"
+    elif int(on_circle.sum()) > int(at_one.sum()):
+        flagged = True
+        reason = "chain is periodic; distributions cycle instead of settling"
+
+    pi = np.full(size, 1.0 / size)
+    iterations = 0
+    converged = False
+    cap = 10_000 if flagged else _STATIONARY_MAX_ITERATIONS
+    for iterations in range(1, cap + 1):
+        nxt = pi @ matrix
+        diff = float(np.max(np.abs(nxt - pi)))
+        pi = nxt
+        if diff < _STATIONARY_TOL:
+            converged = True
+            break
+    if not flagged and not converged:
+        flagged = True
+        reason = f"power iteration did not converge within {_STATIONARY_MAX_ITERATIONS} iterations"
+    pi = np.clip(pi, 0.0, None)
+    pi = pi / pi.sum()
+    return StationaryResult(pi, flagged, reason, iterations)
 
 
 def chain_mean_by_enumeration(retention: dict, steps: int, initial: dict) -> float:

@@ -15,13 +15,11 @@ from histwalk.classical import (
     HistoryCoins,
     capital_game_trajectory,
     classical_mean_trajectory,
-    history_game_trajectory,
-    monte_carlo_mean,
-    stationary_distribution,
-    history_walk_transition,
+    history_mix_trajectory,
+    monte_carlo_trajectory,
 )
 from histwalk.operators import HistoryRhoTable, all_histories
-from histwalk.state import fidelity, new_state, position_distribution
+from histwalk.state import new_state, position_distribution
 from histwalk.walker import (
     build_initial_state,
     evolve,
@@ -30,6 +28,8 @@ from histwalk.walker import (
     scan_sequences,
     sweep_parameter,
 )
+
+from reference import fidelity, history_walk_transition, stationary_distribution
 
 POSITIVE = 1e-9
 
@@ -346,8 +346,8 @@ def test_a11_classical_baselines_reproduce_the_known_signs():
         "AABB",
         100,
     )[-1]
-    history = history_game_trajectory(
-        HistoryCoins(0.9 - eps, 0.25 - eps, 0.25 - eps, 0.7 - eps), 100
+    history = history_mix_trajectory(
+        {"B": HistoryCoins(0.9 - eps, 0.25 - eps, 0.25 - eps, 0.7 - eps)}, "B", 100
     )[-1]
     ok = plain < 0.0 and keyed < 0.0 and both > 0.0 and history < 0.0
     assert report(
@@ -375,13 +375,14 @@ def test_a12_sampled_means_agree_with_exact_evolution():
             capital_game_trajectory({"A": coin, "B": mod3}, "AABB", 100)[-1],
             42,
         ),
-        ("history game", {"B": hist}, "B", history_game_trajectory(hist, 100)[-1], 3),
+        ("history game", {"B": hist}, "B", history_mix_trajectory({"B": hist}, "B", 100)[-1], 3),
         ("random chain", chain, None, classical_mean_trajectory(chain, 100)[-1], 7),
     ]
     details = []
     ok = True
     for name, spec, pattern, exact, seed in scenarios:
-        sampled, err = monte_carlo_mean(spec, pattern, 100, n, seed)
+        means, errors = monte_carlo_trajectory(spec, pattern, 100, n, seed)
+        sampled, err = means[-1], errors[-1]
         gap = abs(sampled - exact)
         ok = ok and err > 0.0 and gap < 4.0 * err
         details.append(f"{name}: |{sampled:.4f} - {exact:.4f}| = {gap:.4f} < 4*{err:.4f}")

@@ -17,15 +17,8 @@ from histwalk.classical import (
     HistoryCoins,
     capital_game_trajectory,
     classical_mean_trajectory,
-    drift_by_state,
-    history_game_trajectory,
     history_mix_trajectory,
-    history_states,
-    history_walk_transition,
-    monte_carlo_mean,
     monte_carlo_trajectory,
-    stationary_distribution,
-    uniform_history_distribution,
 )
 from histwalk.operators import HistoryRhoTable, all_histories
 from histwalk.output import format_value
@@ -37,7 +30,10 @@ from reference import (
     chain_mean_in_decimal,
     exact_means_every_step,
     history_mean_by_enumeration,
+    history_states,
+    history_walk_transition,
     sampled_means_allocating,
+    stationary_distribution,
 )
 
 EPS = 0.005
@@ -72,6 +68,22 @@ class TestHistoryWalkChain:
             assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-15)
             assert np.allclose(matrix.sum(axis=0), 1.0, atol=1e-15)
 
+    @pytest.mark.parametrize("num_coins", [1, 2, 3, 4])
+    def test_the_engine_chain_is_the_enumerated_transition_matrix(self, num_coins):
+        rng = np.random.default_rng(30 + num_coins)
+        for _ in range(5):
+            table = HistoryRhoTable(num_coins, {h: rng.uniform() for h in all_histories(num_coins)})
+            chain = histwalk.classical._walk_chain(table)
+            rows = np.arange(chain.first.size)
+            matrix = np.zeros((rows.size, rows.size))
+            matrix[rows, chain.next[:, 0]] = chain.first
+            matrix[rows, chain.next[:, 1]] = 1.0 - chain.first
+            assert np.array_equal(matrix, history_walk_transition(table))
+            assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-15)
+            assert np.allclose(matrix.sum(axis=0), 1.0, atol=1e-15)
+            # Each branch steps by its new letter, the low bit of the next state (R = 1).
+            assert np.array_equal(chain.step, 2 * (chain.next & 1) - 1)
+
     def test_uniform_start_gives_zero_mean_for_any_table(self):
         rng = np.random.default_rng(7)
         for num_coins in (2, 3):
@@ -85,37 +97,28 @@ class TestHistoryWalkChain:
         table = HistoryRhoTable(2, {"L": 0.3, "R": 0.8})
         start = {"RL": 0.5, "LL": 0.5}
         expected = chain_mean_by_enumeration(dict(table.rho), 12, start)
-        means = classical_mean_trajectory(table, 12, initial=start)
+        means = classical_mean_trajectory(table, 12, initial=[0.5, 0.0, 0.5, 0.0])
         assert means[12] == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_table_marches_linearly(self):
         table = HistoryRhoTable(2, {"L": 1.0, "R": 1.0})
-        means = classical_mean_trajectory(table, 10, initial={"RR": 1.0})
+        means = classical_mean_trajectory(table, 10, initial=[0.0, 0.0, 0.0, 1.0])
         assert means.tolist() == pytest.approx(list(range(11)), abs=1e-14)
 
-    def test_initial_vector_and_mapping_agree(self):
+    def test_a_mapping_start_is_refused(self):
+        # A start is a probability vector in row order, as for the history games.
         table = HistoryRhoTable(2, {"L": 0.3, "R": 0.8})
-        by_map = classical_mean_trajectory(table, 5, initial={"LR": 1.0})
-        by_vector = classical_mean_trajectory(table, 5, initial=[0.0, 1.0, 0.0, 0.0])
-        assert np.array_equal(by_map, by_vector)
+        with pytest.raises(ValueError, match="probability vector over chain states"):
+            classical_mean_trajectory(table, 5, initial={"LR": 1.0})
 
     def test_rejects_bad_initial_distributions(self):
         table = HistoryRhoTable(2, {"L": 0.5, "R": 0.5})
-        with pytest.raises(ValueError, match="unknown chain state"):
-            classical_mean_trajectory(table, 1, initial={"XX": 1.0})
         with pytest.raises(ValueError, match="probability vector"):
             classical_mean_trajectory(table, 1, initial=[0.5, 0.5])
         # NaN passes both the sign and the sum test, so it is refused on its own.
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="probability vector"):
-                classical_mean_trajectory(table, 3, initial={"LL": bad, "LR": 0.5, "RL": 0.5})
-            with pytest.raises(ValueError, match="probability vector"):
                 classical_mean_trajectory(table, 3, initial=[bad, 0.5, 0.25, 0.25])
-
-    def test_drift_by_state_reads_the_oldest_letter(self):
-        table = HistoryRhoTable(2, {"L": 1.0, "R": 0.0})
-        # States in order LL, LR, RL, RR; retention keys on the newer letter.
-        assert drift_by_state(table).tolist() == [-1.0, 1.0, 1.0, -1.0]
 
 
 class TestStationaryDistribution:
@@ -150,9 +153,6 @@ class TestStationaryDistribution:
             stationary_distribution(np.array([[0.5, 0.4], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="square"):
             stationary_distribution(np.ones((2, 3)))
-
-    def test_uniform_history_distribution_shape(self):
-        assert uniform_history_distribution(3).tolist() == [0.125] * 8
 
 
 class TestCapitalGames:
@@ -207,23 +207,23 @@ class TestHistoryKeyedGames:
 
     def test_biased_history_game_loses(self):
         spec = HistoryCoins(0.9 - EPS, 0.25 - EPS, 0.25 - EPS, 0.7 - EPS)
-        means = history_game_trajectory(spec, 100)
+        means = history_mix_trajectory({"B": spec}, "B", 100)
         assert means[100] == pytest.approx(-1.048175352623, abs=1e-11)
 
     def test_unbiased_history_game_is_exactly_fair(self):
         spec = HistoryCoins(0.9, 0.25, 0.25, 0.7)
-        means = history_game_trajectory(spec, 1000)
+        means = history_mix_trajectory({"B": spec}, "B", 1000)
         per_step = np.diff(means)
         assert abs(per_step[-1]) < 1e-10
         assert abs(means[1000] - means[900]) < 1e-9
 
     def test_all_half_history_game_stays_at_zero(self):
-        means = history_game_trajectory(HistoryCoins(0.5, 0.5, 0.5, 0.5), 50)
+        means = history_mix_trajectory({"B": HistoryCoins(0.5, 0.5, 0.5, 0.5)}, "B", 50)
         assert np.max(np.abs(means)) == 0.0
 
     def test_mixing_with_a_fair_coin_uses_the_pattern(self):
         spec = HistoryCoins(0.9 - EPS, 0.25 - EPS, 0.25 - EPS, 0.7 - EPS)
-        mixed = history_game_trajectory(spec, 100, mix=(BiasedCoin(0.5 - EPS), "AABB"))
+        mixed = history_mix_trajectory({"A": BiasedCoin(0.5 - EPS), "B": spec}, "AABB", 100)
         assert mixed[100] == pytest.approx(0.014975, abs=1e-11)
 
     def test_initial_pair_distribution_is_respected(self):
@@ -236,7 +236,7 @@ class TestHistoryKeyedGames:
         for bad in ([0.5, 0.5], [-0.5, 0.5, 0.5, 0.5], [np.nan, 0.5, 0.25, 0.25],
                     [np.inf, 0.5, 0.25, 0.25], [-np.inf, 0.5, 0.25, 0.25]):
             with pytest.raises(ValueError, match="probability vector over 4 result pairs"):
-                history_game_trajectory(HIST, 5, initial=bad)
+                history_mix_trajectory({"B": HIST}, "B", 5, initial=bad)
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError, match="undefined games"):
@@ -268,25 +268,29 @@ class TestMonteCarlo:
 
     def test_biased_coin_sample_mean_matches_exact_within_four_stderr(self):
         exact = capital_game_trajectory(BiasedCoin(0.45), None, 100)[100]
-        mean, err = monte_carlo_mean(BiasedCoin(0.45), None, 100, 10**4, seed=2)
+        means, errors = monte_carlo_trajectory(BiasedCoin(0.45), None, 100, 10**4, seed=2)
+        mean, err = means[-1], errors[-1]
         assert abs(mean - exact) < 4 * err
 
     def test_pattern_game_sample_mean_matches_exact(self):
         games = {"A": BiasedCoin(0.5 - EPS), "B": CapitalMod3(0.1 - EPS, 0.75 - EPS)}
         exact = capital_game_trajectory(games, "AABB", 100)[100]
-        mean, err = monte_carlo_mean(games, "AABB", 100, 10**4, seed=42)
+        means, errors = monte_carlo_trajectory(games, "AABB", 100, 10**4, seed=42)
+        mean, err = means[-1], errors[-1]
         assert abs(mean - exact) < 4 * err
 
     def test_history_walk_chain_sample_agrees_with_exact_zero_drift(self):
         table = HistoryRhoTable(2, {"L": 0.3, "R": 0.8})
-        mean, err = monte_carlo_mean(table, None, 100, 10**4, seed=7)
+        means, errors = monte_carlo_trajectory(table, None, 100, 10**4, seed=7)
+        mean, err = means[-1], errors[-1]
         assert err > 0
         assert abs(mean) < 4 * err
 
     def test_history_game_sample_agrees_with_exact(self):
         spec = HistoryCoins(0.9 - EPS, 0.25 - EPS, 0.25 - EPS, 0.7 - EPS)
-        exact = history_game_trajectory(spec, 100)[100]
-        mean, err = monte_carlo_mean({"B": spec}, "B", 100, 10**4, seed=3)
+        exact = history_mix_trajectory({"B": spec}, "B", 100)[100]
+        means, errors = monte_carlo_trajectory({"B": spec}, "B", 100, 10**4, seed=3)
+        mean, err = means[-1], errors[-1]
         assert abs(mean - exact) < 4 * err
 
     def test_validates_arguments(self):
@@ -440,7 +444,7 @@ class TestAgainstTheOracles:
     @settings(deadline=None, max_examples=40)
     def test_walk_chains_match_the_enumeration_oracle(self, case):
         table, start, steps = case
-        means = classical_mean_trajectory(table, steps, initial=start)
+        means = classical_mean_trajectory(table, steps, initial=list(start.values()))
         want = [chain_mean_by_enumeration(table.rho, k, start) for k in range(steps + 1)]
         assert np.max(np.abs(means - want)) <= ORACLE_TOL
 

@@ -15,7 +15,6 @@ from histwalk.state import (
     WalkState,
     coins_to_index,
     complement,
-    fidelity,
     index_to_coins,
     moments,
     new_state,
@@ -25,6 +24,8 @@ from histwalk.state import (
 )
 from hypothesis import given
 from hypothesis import strategies as st
+
+from reference import fidelity
 
 
 class TestRegisterEncoding:
@@ -51,6 +52,11 @@ class TestRegisterEncoding:
             index_to_coins(4, 2)
         with pytest.raises(ValueError):
             index_to_coins(-1, 2)
+
+    @pytest.mark.parametrize("index", [True, False, np.True_, 1.0, np.float64(1), "1", None])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(ValueError, match=r"^index must be an integer, got"):
+            index_to_coins(index, 2)
 
     def test_complement_swaps_every_letter(self):
         assert complement("LLR") == "RRL"
@@ -146,6 +152,29 @@ class TestProbabilityDistribution:
     def test_rejects_non_finite_probabilities(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ProbabilityDistribution(np.array([0, 1]), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize(
+        "positions",
+        [[0.5, 1.7], [0, 0.5], [np.nan, 1], [0, np.inf], [-np.inf, 0], [0, 1e300],
+         [True, 2], [0, np.True_], np.array([False, True]), ["0", "1"], [0, 1 + 0j]],
+    )
+    def test_rejects_positions_that_are_not_integers(self, positions):
+        with pytest.raises(ValueError, match="^positions must be finite whole numbers"):
+            ProbabilityDistribution(positions, [0.5, 0.5])
+
+    @pytest.mark.parametrize("mapping", [{0.5: 0.5, 1.7: 0.5}, {True: 0.5, 2: 0.5}])
+    def test_from_mapping_rejects_keys_that_are_not_integers(self, mapping):
+        with pytest.raises(ValueError, match="^positions must be finite whole numbers"):
+            ProbabilityDistribution.from_mapping(mapping)
+
+    def test_whole_float_positions_are_stored_as_ints(self):
+        dist = ProbabilityDistribution([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])
+        assert dist.positions.dtype == int
+        assert dist.positions.tolist() == [-2, 0, 2]
+
+    def test_integer_positions_are_taken_without_a_copy(self):
+        positions = np.array([-1, 1])
+        assert ProbabilityDistribution(positions, [0.5, 0.5]).positions is positions
 
     def test_rejects_unsorted_positions(self):
         with pytest.raises(ValueError):

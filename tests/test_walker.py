@@ -7,13 +7,11 @@ import pytest
 
 import histwalk.state
 import histwalk.walker
-from histwalk.classical import history_states
 from histwalk.operators import HistoryRhoTable, all_histories
 from histwalk.state import (
     HorizonError,
     NormalizationError,
     complement,
-    fidelity,
     index_to_coins,
     new_state,
     position_distribution,
@@ -527,7 +525,6 @@ class TestRegisterCounts:
         "HistoryRhoTable.uniform": HistoryRhoTable.uniform,
         "HistoryRhoTable.with_overrides": lambda n: HistoryRhoTable.with_overrides(n, 0.5, {}),
         "index_to_coins": lambda n: index_to_coins(0, n),
-        "history_states": history_states,
         # Game tables for one coin, so that True and 1.0 pass the size match.
         "scan_sequences": lambda n: scan_sequences({"A": TestRegisterCounts.UNBIASED_1}, 2, n, 3),
     }

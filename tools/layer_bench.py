@@ -7,11 +7,13 @@ Usage, from the repository root, where ``<n>`` numbers the measured change::
 
 Each of ``ROUNDS`` rounds starts one fresh process per tree, in the order
 given on even rounds and reversed on odd rounds, so host drift hits every
-tree alike.  A process imports ``histwalk`` from ``<tree>/src`` and times
-``OPS`` ops of each kind.  Sizes, games and the ``walk dist`` config file are
-those of the benchmark's workloads (``perfbench/workloads.py``; game A
-uniform at rho = 0.5, game B drawn from ``SEED`` in [0.3, 0.7]).  At the size
-of ``trajectory_m8`` (M=8, T=200, pattern ``AAB``):
+tree alike.  A process imports ``histwalk`` from ``<tree>/src``, timing that
+first import as the layer ``import`` (one sample per process, taken after
+NumPy is loaded), and then times ``OPS`` ops of each kind.  Sizes, games and
+the ``walk dist`` config file are those of the benchmark's workloads
+(``perfbench/workloads.py``; game A uniform at rho = 0.5, game B drawn from
+``SEED`` in [0.3, 0.7]).  At the size of ``trajectory_m8`` (M=8, T=200,
+pattern ``AAB``):
 
 * ``step``, ``probabilities`` and ``readout``: the time one ``run_sequence``
   spends in ``_Kernel.step``, ``_Kernel.probabilities`` and ``_readout``
@@ -43,6 +45,13 @@ M=8 game B as the chain's table):
   coins that always win, whose distribution never repeats one pattern period
   later, so the exact loop steps every time;
 * ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span.
+
+The ``import`` reading depends on whether the tree holds cached bytecode:
+without ``__pycache__`` files, as when ``PYTHONDONTWRITEBYTECODE=1`` is set,
+every process compiles the package again.  On a 2-core x86-64 host with
+Python 3.11 and NumPy 2.4, ``import histwalk`` after ``numpy`` took 28-53 ms
+with no ``.pyc`` files and 12-22 ms with them (9 fresh processes for each of
+two trees), so compare trees only in the same state.
 
 A process runs these timings in the order listed, rotated left by its round
 number: round 0 starts with ``step``, round 1 with ``run_sequence``, and so
@@ -129,17 +138,20 @@ def _whole(run, name: str, samples: dict[str, list[float]]) -> None:
 def measure(round_: int = 0) -> dict[str, list[float]]:
     """Per-op seconds of every layer and call in the tree ``histwalk`` imports from.
 
-    The timings run in the order listed in the module docstring, rotated left
-    by ``round_`` places, so across rounds no layer always follows the same
-    ones.
+    The first ``import histwalk`` is timed before anything else, as
+    ``import``.  The other timings run in the order listed in the module
+    docstring, rotated left by ``round_`` places, so across rounds no layer
+    always follows the same ones.
     """
+    start = time.perf_counter()
     import histwalk as hw
+
+    samples: dict[str, list[float]] = {"import": [time.perf_counter() - start]}
     import histwalk.analysis as analysis
     import histwalk.cli as cli
     import histwalk.operators as operators
     import histwalk.walker as walker
 
-    samples: dict[str, list[float]] = {}
     kernel = operators._Kernel
     trajectory_games = walk_games(hw, SEED, TRAJECTORY["M"])
     initial = walker.build_initial_state(TRAJECTORY["M"], walker.ANTISYMMETRIC, TRAJECTORY["T"])
