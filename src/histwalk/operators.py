@@ -240,14 +240,16 @@ def toss(state: WalkState, table: HistoryRhoTable) -> WalkState:
     return out
 
 
-# Elements per operand in NumPy's ufunc buffers while :meth:`_Kernel.step`
-# runs its ufuncs.  Their operands are strided views, which NumPy copies
-# through these buffers.  With the default of 8192 elements every call
-# allocated and streamed three 128 KiB buffers, and an M=8 step ran at half
-# the speed of the same call on contiguous operands.  On NumPy 2.4.6, sizes
-# 16 to 256 stepped that walk about twice as fast, and 512 and up were slow
-# again.  Copies change no bit of any product or sum.  NumPy 1.x requires a
-# multiple of 16.
+# Elements per operand in NumPy's ufunc buffers while a walk loop steps a
+# :class:`_Kernel` (the kernel's ``with`` block sets them).  The step's
+# ufunc operands are strided views, which NumPy copies through these
+# buffers.  With the default of 8192 elements every call allocated and
+# streamed three 128 KiB buffers, and an M=8 step ran at half the speed of
+# the same call on contiguous operands.  On NumPy 2.4.6, sizes 16 to 256
+# stepped that walk about twice as fast, and 512 and up were slow again.
+# Copies change no bit of any product or sum, and on NumPy 2.4.6 the
+# readout that runs inside the loop kept every bit under sizes 16, 128 and
+# 8192.  NumPy 1.x requires a multiple of 16.
 _STEP_BUFSIZE = 128
 
 
@@ -294,10 +296,16 @@ class _Kernel:
       and are cached per phase, so a single walk gathers only during its
       first period.  The cache holds at most half a buffer; phases past that
       are gathered again each time they come round.
-    * The step's six ufunc calls run with small NumPy ufunc buffers
-      (``_STEP_BUFSIZE`` elements), which stay in cache while NumPy copies
-      the strided operands through them.  The caller's size is restored
-      when the calls return or raise; reductions keep it.
+    * Each buffer's views are built once: the source axes, the destination
+      axes and the float view that :meth:`probabilities` and :meth:`norms`
+      sum.  They swap with the buffers, so a step only slices them, and the
+      band is worked out once per step.
+    * The step's six ufunc calls copy their strided operands through NumPy's
+      ufunc buffers.  Used as a context manager, the kernel sets them to
+      ``_STEP_BUFSIZE`` elements, which stay in cache, for the whole loop of
+      steps, and restores the caller's size when the block ends or raises.
+      The walker's loops step inside that block; the copies change no bit,
+      and neither does the readout that runs there.
 
     The buffers have shape ``(entries, sublattices, 2**num_coins, t_max + 2)``:
     one contiguous run of compact rows per register column, so a step's inner
@@ -338,6 +346,27 @@ class _Kernel:
             self.psi[:, sigma, :, row : row + len(rows)] = rows.T
         self.spare = np.zeros_like(self.psi)
         self.scratch = np.empty(self.psi.size // 2, complex)  # one half, one product
+        self.views, self.spare_views = self._views(self.psi), self._views(self.spare)
+        self.band = self._band()
+
+    def _views(self, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Source axes: entries and sublattices, history, retossed result,
+        # compact rows.  The destination puts the new result before the
+        # history, which rotates the register.  Then the float view, whose
+        # last axis holds each row's real and imaginary parts.
+        half, rows = 1 << (self.num_coins - 1), self.t_max + 2
+        return (
+            buffer.reshape(-1, half, 2, rows),
+            buffer.reshape(-1, 2, half, rows),
+            buffer.view(float),
+        )
+
+    def __enter__(self) -> "_Kernel":
+        self.caller_bufsize = np.setbufsize(_STEP_BUFSIZE)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        np.setbufsize(self.caller_bufsize)
 
     @staticmethod
     def _occupancy(amplitudes: np.ndarray) -> tuple[int, int, int, int]:
@@ -383,31 +412,23 @@ class _Kernel:
         keep, flip = self._coefficients()
         e = self.parity
         if self.lo < self.hi:
-            a, b = self._band()
-            # Source axes: entries and sublattices, history, retossed result,
-            # compact rows.  The destination puts the new result before the
-            # history, which rotates the register.
-            half, rows = 1 << (self.num_coins - 1), self.t_max + 2
-            src = self.psi.reshape(-1, half, 2, rows)
-            dst = self.spare.reshape(-1, 2, half, rows)
+            a, b = self.band
+            src, dst = self.views[0], self.spare_views[1]
             old_l, old_r = src[:, :, 0, a:b], src[:, :, 1, a:b]
             # The L half moves down e rows, the R half up 1 - e rows.
             new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
             tmp = self.scratch[: old_l.size].reshape(old_l.shape)
-            size = np.setbufsize(_STEP_BUFSIZE)
-            try:
-                np.multiply(keep, old_l, out=new_l)
-                np.multiply(flip, old_r, out=tmp)
-                np.add(new_l, tmp, out=new_l)
-                np.multiply(flip, old_l, out=new_r)
-                np.multiply(keep, old_r, out=tmp)
-                np.add(new_r, tmp, out=new_r)
-            finally:
-                np.setbufsize(size)
+            np.multiply(keep, old_l, out=new_l)
+            np.multiply(flip, old_r, out=tmp)
+            np.add(new_l, tmp, out=new_l)
+            np.multiply(flip, old_l, out=new_r)
+            np.multiply(keep, old_r, out=tmp)
+            np.add(new_r, tmp, out=new_r)
             # Grid rows -1 and 2 t_max + 1 at the next step are compact rows
             # 0 and t_max + 1 of sublattice e.
-            if e < self.psi.shape[1]:
-                edge = self.spare[:, e].reshape(len(self.spare), 2, half, rows)
+            sublattices = self.psi.shape[1]
+            if e < sublattices and (self.lo == 0 or self.hi == self.rows):
+                edge = dst[e::sublattices]
                 if (self.lo == 0 and edge[:, 0, :, 0].any()) or (
                     self.hi == self.rows and edge[:, 1, :, -1].any()
                 ):
@@ -417,13 +438,15 @@ class _Kernel:
             dst[:, 1, :, a - e] = 0
             self.lo, self.hi = max(self.lo - 1, 0), min(self.hi + 1, self.rows)
             self.psi, self.spare = self.spare, self.psi
+            self.views, self.spare_views = self.spare_views, self.views
         self.parity = 1 - e
         self.steps += 1
+        self.band = self._band()
 
     def norms(self) -> np.ndarray:
         """Squared norm of every entry, summed over the band in no set order."""
-        a, b = self._band()
-        band = self.psi[..., a:b].view(float)
+        a, b = self.band
+        band = self.views[2][..., 2 * a : 2 * b]
         return np.einsum("bscr,bscr->b", band, band)
 
     def probabilities(self) -> tuple[int, int, np.ndarray]:
@@ -437,8 +460,8 @@ class _Kernel:
         (:func:`state._register_probabilities`), so each probability equals
         its value for the full-grid :meth:`state` bit for bit.
         """
-        a, b = self._band()
-        p = _register_probabilities(self.psi[..., a:b])
+        a, b = self.band
+        p = _register_probabilities(self.views[2][..., 2 * a : 2 * b])
         first = 2 * a - self.parity  # grid row of sublattice 0's compact row a
         if p.shape[1] == 1:
             return first, 2, p[:, 0]

@@ -155,12 +155,20 @@ def working_bytes(num_coins: int, t_max: int) -> int:
     the input state and the returned state.
     Positions, their squares, the per-step series and the readout's arrays of
     one number per position are charged as sixteen 8-byte values per grid
-    row.
+    row, and the readout's positions and squares of each grid-row parity as
+    two more.  A start whose entries share one parity needs one sublattice;
+    :func:`~histwalk.walker.build_initial_state` charges it that, and
+    :func:`new_state` charges two.
     """
+    return _walk_bytes(num_coins, t_max, 2)
+
+
+def _walk_bytes(num_coins: int, t_max: int, sublattices: int) -> int:
+    """:func:`working_bytes` for a kernel that stores ``sublattices`` parity sublattices."""
     rows = 2 * t_max + 1
     columns = (1 << num_coins) * np.dtype(np.complex128).itemsize
-    buffer = 2 * (t_max + 2) * columns
-    return 2 * rows * columns + 4 * buffer + 16 * 8 * rows
+    buffer = sublattices * (t_max + 2) * columns
+    return 2 * rows * columns + 4 * buffer + 18 * 8 * rows
 
 
 def physical_memory_bytes() -> int | None:
@@ -199,8 +207,13 @@ def _check_fits(needed: int, what: str, use: str) -> None:
 
 def check_memory(num_coins: int, t_max: int) -> None:
     """Raise MemoryLimitError if a walk on this grid cannot fit in physical memory."""
+    _check_walk(num_coins, t_max, 2)
+
+
+def _check_walk(num_coins: int, t_max: int, sublattices: int) -> None:
+    """:func:`check_memory` for a kernel that stores ``sublattices`` parity sublattices."""
     _check_fits(
-        working_bytes(num_coins, t_max),
+        _walk_bytes(num_coins, t_max, sublattices),
         f"M = {num_coins} with horizon {t_max}",
         "for the state, the evolution buffers and the readout",
     )
@@ -211,9 +224,14 @@ def new_state(num_coins: int, t_max: int) -> WalkState:
 
     Raises MemoryLimitError before allocating when :func:`check_memory` fails.
     """
+    return _new_state(num_coins, t_max, 2)
+
+
+def _new_state(num_coins: int, t_max: int, sublattices: int) -> WalkState:
+    """:func:`new_state`, charged for a kernel that stores ``sublattices`` parity sublattices."""
     num_coins = _count(num_coins, "num_coins", 1)
     t_max = _count(t_max, "t_max", 1)
-    check_memory(num_coins, t_max)
+    _check_walk(num_coins, t_max, sublattices)
     shape = (2 * t_max + 1, 1 << num_coins)
     return WalkState(num_coins, t_max, np.zeros(shape, dtype=np.complex128))
 
@@ -289,19 +307,20 @@ def _check_norm(norm: float, step: int | None = None, entry: int | None = None) 
         raise NormalizationError(f"state norm is {norm:.12g}, expected 1 within 1e-9{where}")
 
 
-def _register_probabilities(amplitudes: np.ndarray) -> np.ndarray:
+def _register_probabilities(floats: np.ndarray) -> np.ndarray:
     """``|a|**2`` summed over the register axis of a ``(..., columns, rows)`` complex array.
 
-    One ``einsum`` pass over the float view adds up, for each row, the
+    ``floats`` is the array's ``.view(float)``, which holds each row's real
+    and imaginary parts side by side, so the array's last axis must have
+    unit stride.  One ``einsum`` pass adds up, for each row, the
     squared real parts and, separately, the squared imaginary parts of its
     columns, in column order; the two sums are added last.  Each amplitude
-    is read once and no temporary of the array's size is made, so the last
-    axis must have unit stride.  Every result lies within ``(columns + 4) *
-    2**-52`` relative of the exact sum of squares.  The kernel's readout and
-    :func:`position_distribution` both sum here, so they agree bit for bit.
+    is read once and no temporary of the array's size is made.  Every result
+    lies within ``(columns + 4) * 2**-52`` relative of the exact sum of
+    squares.  The kernel's readout and :func:`position_distribution` both sum
+    here, so they agree bit for bit.
     """
-    v = amplitudes.view(float)
-    s = np.einsum("...cr,...cr->...r", v, v)
+    s = np.einsum("...cr,...cr->...r", floats, floats)
     return s[..., 0::2] + s[..., 1::2]
 
 
@@ -319,7 +338,7 @@ def position_distribution(state: WalkState) -> ProbabilityDistribution:
     _check_norm(state.norm())
     # complex128, so that the float view pairs each real part with its imaginary part.
     columns = np.ascontiguousarray(state.amplitudes.T, dtype=complex)
-    return _distribution(0, 1, _register_probabilities(columns), state.positions)
+    return _distribution(0, 1, _register_probabilities(columns.view(float)), state.positions)
 
 
 def _support(first_row: int, stride: int, p: np.ndarray) -> tuple[slice, slice]:
@@ -328,10 +347,15 @@ def _support(first_row: int, stride: int, p: np.ndarray) -> tuple[slice, slice]:
     ``p[i]`` lies on grid row ``first_row + stride * i``.  On stride-1 rows
     whose nonzero entries share one parity, the run is on that sublattice.
     (Kernel bands never are: one sublattice has stride 2, two both stay occupied.)
+    A stride-2 band whose end rows are nonzero is its own run, so only a band
+    with an end row of exactly zero is searched.
     """
-    occupied = p.nonzero()[0]
-    lo, hi = int(occupied[0]), int(occupied[-1]) + 1
-    step = 2 if stride == 1 and not ((occupied - lo) & 1).any() else 1
+    if stride == 2 and p[0] and p[-1]:
+        lo, hi, step = 0, len(p), 1
+    else:
+        occupied = p.nonzero()[0]
+        lo, hi = int(occupied[0]), int(occupied[-1]) + 1
+        step = 2 if stride == 1 and not ((occupied - lo) & 1).any() else 1
     rows = slice(first_row + stride * lo, first_row + stride * (hi - 1) + 1, stride * step)
     return slice(lo, hi, step), rows
 
@@ -351,21 +375,38 @@ def _mean_std(p: np.ndarray, x: np.ndarray, x2: np.ndarray) -> tuple[float, floa
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
+def _grid_positions(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid positions as floats, with their squares, for :func:`_readout`.
+
+    Each of the three arrays holds positions in row 0 and their squares in
+    row 1: of every grid row, of the even grid rows and of the odd ones.
+    Each is contiguous, so the readout slices its operands from them, on
+    either stride, without a copy.  A walk builds them once.
+    """
+    x = positions.astype(float)
+    every = np.stack([x, x * x])
+    return every, np.ascontiguousarray(every[:, 0::2]), np.ascontiguousarray(every[:, 1::2])
+
+
 def _readout(
-    first_row: int, stride: int, p: np.ndarray, x: np.ndarray, x2: np.ndarray, step: int
+    first_row: int, stride: int, p: np.ndarray, grid: tuple[np.ndarray, ...], step: int
 ) -> tuple[float, float, float]:
     """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
 
-    ``x`` and ``x2`` hold every grid position and its square; ``step``
-    locates a norm error.  ``p`` comes from :meth:`_Kernel.probabilities`.
-    The support, norm and moment rules and the contiguous operands are those
-    of :func:`position_distribution` and :func:`moments`, so the results
-    equal theirs bit for bit.
+    ``grid`` comes from :func:`_grid_positions`; ``step`` locates a norm
+    error.  ``p`` comes from :meth:`_Kernel.probabilities`.  The support,
+    norm and moment rules are those of :func:`position_distribution` and
+    :func:`moments`, and the operands are contiguous and hold the same
+    values as theirs, so the results equal theirs bit for bit.
     """
     total = float(p.sum())
     _check_norm(np.sqrt(total), step)
     run, rows = _support(first_row, stride, p)
-    mean, std = _mean_std(*map(np.ascontiguousarray, (p[run], x[rows], x2[rows])))
+    if rows.step == 1:
+        x, x2 = grid[0][:, rows]
+    else:  # row g of one parity is entry g // 2 of that parity's array
+        x, x2 = grid[1 + (rows.start & 1)][:, rows.start >> 1 : (rows.stop + 1) >> 1]
+    mean, std = _mean_std(np.ascontiguousarray(p[run]), x, x2)
     return mean, std, abs(total - 1.0)
 
 

@@ -18,8 +18,9 @@ from .state import (
     _check_norm,
     _count,
     _distribution,
+    _grid_positions,
+    _new_state,
     _readout,
-    new_state,
 )
 
 __all__ = [
@@ -88,6 +89,11 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
     t_max : int
         Position horizon; pass the total number of steps you intend to take.
 
+    Raises MemoryLimitError before allocating when a walk on this grid
+    cannot fit in physical memory.  A start whose entries share one parity,
+    as every origin start does, is charged one parity sublattice;
+    :func:`~histwalk.state.working_bytes` charges two.
+
     Notes
     -----
     Antisymmetry fixes only relative signs between complement pairs, so the
@@ -101,8 +107,8 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
     antisymmetric under the swap, so the sign follows the most recent entry
     instead (+ when coin 1 is L).
     """
-    state = new_state(num_coins, t_max)
     if isinstance(kind, str):
+        state = _new_state(num_coins, t_max, 1)  # a start at the origin has one parity
         row = state.t_max
         if kind == ANTISYMMETRIC:
             size = 1 << num_coins
@@ -123,6 +129,11 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
     entries = list(kind)
     if not entries:
         raise ValueError("custom initial state needs at least one entry")
+    try:
+        parities = len({x % 2 for x, _, _ in entries})
+    except TypeError:  # a position that is not a number, which set_amplitude refuses
+        parities = 2
+    state = _new_state(num_coins, t_max, 1 if parities == 1 else 2)
     for x, coins, amplitude in entries:
         state.set_amplitude(x, coins, amplitude)
     total = state.norm()
@@ -196,18 +207,17 @@ def run_sequence(
     if out_of_range:
         raise ValueError(f"snapshot steps {sorted(out_of_range)} outside [0, {steps}]")
     positions = initial.positions
-    x = positions.astype(float)
-    x2 = x * x
+    grid = _grid_positions(positions)
     means, stds, drift = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
     snapshots: dict[int, ProbabilityDistribution] = {}
-    kernel = _Kernel(initial, [tables[letter] for letter in pattern])
-    for t in range(steps + 1):
-        if t:
-            kernel.step()
-        first_row, stride, p = kernel.probabilities()
-        means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], x, x2, t)
-        if t in wanted:
-            snapshots[t] = _distribution(first_row, stride, p[0], positions)
+    with _Kernel(initial, [tables[letter] for letter in pattern]) as kernel:
+        for t in range(steps + 1):
+            if t:
+                kernel.step()
+            first_row, stride, p = kernel.probabilities()
+            means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], grid, t)
+            if t in wanted:
+                snapshots[t] = _distribution(first_row, stride, p[0], positions)
     return Trajectory(means, stds, snapshots, drift)
 
 
@@ -254,9 +264,9 @@ def evolve_brun(initial: WalkState, coins: Sequence[float], steps: int) -> WalkS
 def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps) -> WalkState:
     steps = _count(steps, "steps", 0)
     _check_norm(initial.norm())
-    kernel = _Kernel(initial, schedule)
-    for _ in range(steps):
-        kernel.step()
+    with _Kernel(initial, schedule) as kernel:
+        for _ in range(steps):
+            kernel.step()
     return kernel.state()
 
 
@@ -305,13 +315,13 @@ def _final_probabilities(
     schedules = iter(schedules)
     offset = 0
     while batch := list(islice(schedules, chunk)):
-        kernel = _Kernel(initial, *batch)
-        for step in range(steps + 1):
-            if step:
-                kernel.step()
-            norms = np.sqrt(kernel.norms())
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            _check_norm(norms[worst], step, offset + worst)
+        with _Kernel(initial, *batch) as kernel:
+            for step in range(steps + 1):
+                if step:
+                    kernel.step()
+                norms = np.sqrt(kernel.norms())
+                worst = int(np.argmax(np.abs(norms - 1.0)))
+                _check_norm(norms[worst], step, offset + worst)
         yield kernel.probabilities()
         offset += len(batch)
 
@@ -325,12 +335,11 @@ def _final_moments(
     is read out with :func:`_readout`, so the moments equal those of
     :func:`run_sequence` bit for bit.
     """
-    x = initial.positions.astype(float)
-    x2 = x * x
+    grid = _grid_positions(initial.positions)
     results: list[tuple[float, float]] = []
     for first_row, stride, p in _final_probabilities(initial, schedules, steps):
         for entry in p:
-            results.append(_readout(first_row, stride, entry, x, x2, steps)[:2])
+            results.append(_readout(first_row, stride, entry, grid, steps)[:2])
     return results
 
 

@@ -34,12 +34,17 @@ from histwalk.operators import (
 from histwalk.output import write_csv
 from histwalk.state import (
     HorizonError,
+    MemoryLimitError,
     NormalizationError,
     _distribution,
+    _grid_positions,
+    _readout,
     _register_probabilities,
+    _walk_bytes,
     complement,
     index_to_coins,
     moments,
+    new_state,
     position_distribution,
     working_bytes,
 )
@@ -366,7 +371,12 @@ class TestNormDrift:
 
 
 class TestWorkingBytes:
-    """The memory guard charges at least what a walk allocates, its input state included."""
+    """The memory guard charges at least what a walk allocates, its input state included.
+
+    A start whose entries share one parity, as every origin start does, is
+    charged one parity sublattice; a start on both parities, and
+    :func:`new_state`, two.
+    """
 
     @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000), (10, 100)])
     @pytest.mark.parametrize(
@@ -395,7 +405,23 @@ class TestWorkingBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= working_bytes(num_coins, steps)
+        sublattices = 2 if "both parities" in call else 1
+        assert peak <= _walk_bytes(num_coins, steps, sublattices)
+
+    @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000), (10, 100)])
+    def test_a_start_on_one_parity_is_charged_one_sublattice(self, monkeypatch, num_coins, steps):
+        # Physical memory between the two charges: walks on one parity fit,
+        # walks on both parities and bare grids are refused before allocating.
+        one, two = _walk_bytes(num_coins, steps, 1), _walk_bytes(num_coins, steps, 2)
+        assert one < two
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: (one + two) // 2)
+        for kind in (ANTISYMMETRIC, ALL_R, [(-2, "L" * num_coins, 0.6), (4, "R" * num_coins, 0.8)]):
+            assert build_initial_state(num_coins, kind, steps).t_max == steps
+        both = [(0, "L" * num_coins, 0.6), (1, "R" * num_coins, 0.8)]
+        for allocate in (lambda: build_initial_state(num_coins, both, steps),
+                         lambda: new_state(num_coins, steps)):
+            with pytest.raises(MemoryLimitError, match="physical memory"):
+                allocate()
 
 
 class TestCliOutputIsUnchanged:
@@ -716,9 +742,9 @@ def aab_walk(num_coins, steps, initial=None):
     if initial is None:
         initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
     tables = random_tables(num_coins, "AB", num_coins)
-    kernel = _Kernel(initial, [tables[letter] for letter in "AAB"])
-    for _ in range(steps):
-        kernel.step()
+    with _Kernel(initial, [tables[letter] for letter in "AAB"]) as kernel:
+        for _ in range(steps):
+            kernel.step()
     trajectory = run_sequence(initial, tables, "AAB", steps)
     return kernel.state().amplitudes, trajectory.means, trajectory.stds, trajectory.norm_drift
 
@@ -739,8 +765,47 @@ def scan_means():
     return [np.array(list(scan_sequences(random_tables(3, "AB", 3), 5, 3, 60).values()))]
 
 
+def final_probabilities():
+    initial = build_initial_state(5, ANTISYMMETRIC, t_max=120)
+    dist = final_distribution(initial, random_tables(5, "AB", 6), "AAB", 120)
+    return dist.positions, dist.probabilities
+
+
+def sweep_moments():
+    table = random_tables(3, "B", 8)["B"]
+    sweep = sweep_parameter(table, "RL", np.linspace(0.0, 1.0, 9), 200)
+    return [np.array([(rho, stat.mean, stat.std) for rho, stat in sweep])]
+
+
+def kept(num_coins):
+    """Game A: every retossed entry keeps its value."""
+    return {"A": HistoryRhoTable.uniform(num_coins, 1.0)}
+
+
+# Every loop that steps a kernel, called with a start and a step count.
+# A scan builds its own origin start of the same size.
+WALK_LOOPS = {
+    "run_sequence": lambda start, steps: run_sequence(start, kept(start.num_coins), "A", steps),
+    "final_distribution": lambda start, steps: final_distribution(
+        start, kept(start.num_coins), "A", steps
+    ),
+    "scan_sequences": lambda start, steps: scan_sequences(
+        kept(start.num_coins), 2, start.num_coins, steps
+    ),
+    "evolve": lambda start, steps: evolve(start, kept(start.num_coins)["A"], steps),
+}
+# How a loop ends: it returns, a step raises HorizonError, or a norm check
+# raises NormalizationError.  A scan starts at the origin, which never
+# reaches the grid edge.
+ENDINGS = {"returns": None, "horizon": HorizonError, "norm": NormalizationError}
+LOOP_ENDINGS = [
+    (loop, ending) for loop in WALK_LOOPS for ending in ENDINGS
+    if (loop, ending) != ("scan_sequences", "horizon")
+]
+
+
 class TestSmallStepBuffers:
-    """The step's ufuncs run with small NumPy buffers, which change no bit and stay inside it."""
+    """Walk loops step with small NumPy buffers, which change no bit and stay inside the loop."""
 
     @pytest.mark.parametrize(
         "walk",
@@ -749,6 +814,8 @@ class TestSmallStepBuffers:
             pytest.param(lambda: aab_walk(3, 1000), id="M=3, T=1000"),
             pytest.param(two_parity_walk, id="two parities, M=5"),
             pytest.param(scan_means, id="scan, M=3, T=60"),
+            pytest.param(final_probabilities, id="final distribution, M=5, T=120"),
+            pytest.param(sweep_moments, id="sweep, M=3, T=200"),
         ],
     )
     def test_results_equal_those_with_the_default_buffers_bit_for_bit(self, monkeypatch, walk):
@@ -761,25 +828,39 @@ class TestSmallStepBuffers:
             assert np.array_equal(got_values, want_values)
 
     @pytest.mark.parametrize("size", [NUMPY_DEFAULT_BUFSIZE, 4096])
-    @pytest.mark.parametrize("outcome", ["returns", "raises"])
-    def test_a_step_leaves_the_callers_buffer_size_as_it_found_it(self, outcome, size):
-        if outcome == "returns":
-            initial = build_initial_state(3, ANTISYMMETRIC, t_max=5)
-            kernel = _Kernel(initial, [HistoryRhoTable.uniform(3)])
-        else:
-            # One coin at the last site, retained as R, moves off the grid.
-            initial = build_initial_state(1, [(3, "R", 1.0)], t_max=3)
-            kernel = _Kernel(initial, [HistoryRhoTable.uniform(1, 1.0)])
-        kept = np.setbufsize(size)
+    @pytest.mark.parametrize("loop, ending", LOOP_ENDINGS)
+    def test_a_walk_loop_leaves_the_callers_buffer_size_as_it_found_it(
+        self, monkeypatch, loop, ending, size
+    ):
+        start, steps = build_initial_state(3, ANTISYMMETRIC, t_max=8), 8
+        if ending == "horizon":
+            # One coin at the last site, retained as R, leaves the grid at step 1.
+            start, steps = build_initial_state(1, [(3, "R", 1.0)], t_max=3), 1
+        elif ending == "norm" and loop == "evolve":
+            start = new_state(3, 8)  # evolve checks only its start's norm
+        step = _Kernel.step
+        seen = []
+
+        def recording_step(kernel):
+            seen.append(np.getbufsize())
+            step(kernel)
+            if ending == "norm" and kernel.steps == 2:
+                kernel.psi[-1] *= 1.001
+
+        monkeypatch.setattr(_Kernel, "step", recording_step)
+        kept_size = np.setbufsize(size)
         try:
-            if outcome == "returns":
-                kernel.step()
+            if ENDINGS[ending] is None:
+                WALK_LOOPS[loop](start, steps)
             else:
-                with pytest.raises(HorizonError):
-                    kernel.step()
+                with pytest.raises(ENDINGS[ending]):
+                    WALK_LOOPS[loop](start, steps)
             assert np.getbufsize() == size
         finally:
-            np.setbufsize(kept)
+            np.setbufsize(kept_size)
+        # Every step ran with the small buffers; the all-zero start is refused before any.
+        assert seen == [histwalk.operators._STEP_BUFSIZE] * len(seen)
+        assert bool(seen) == ((loop, ending) != ("evolve", "norm"))
 
     @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000)])
     def test_no_step_allocates_more_than_64_kib(self, num_coins, steps):
@@ -787,17 +868,17 @@ class TestSmallStepBuffers:
         # M=8 and 194 KB (largest) at M=3; with small ones, under 13 KB.
         initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
         tables = random_tables(num_coins, "AB", 7)
-        kernel = _Kernel(initial, [tables[letter] for letter in "AAB"])
         peaks = []
-        tracemalloc.start()
-        try:
-            for _ in range(steps):
-                tracemalloc.reset_peak()
-                held = tracemalloc.get_traced_memory()[0]
-                kernel.step()
-                peaks.append(tracemalloc.get_traced_memory()[1] - held)
-        finally:
-            tracemalloc.stop()
+        with _Kernel(initial, [tables[letter] for letter in "AAB"]) as kernel:
+            tracemalloc.start()
+            try:
+                for _ in range(steps):
+                    tracemalloc.reset_peak()
+                    held = tracemalloc.get_traced_memory()[0]
+                    kernel.step()
+                    peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
         assert max(peaks) < 64 * 1024
 
 
@@ -841,6 +922,94 @@ class TestReadout:
             assert got.positions.tolist() == want.positions.tolist()
             assert got.probabilities.tobytes() == want.probabilities.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_coins=st.integers(1, 6),
+        both_parities=st.booleans(),
+        rho=st.sampled_from(["random", "0 and 1", "0", "1"]),
+        steps=st.integers(0, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_trimmed_readout_equals_moments_of_position_distribution_bit_for_bit(
+        self, num_coins, both_parities, rho, steps, seed
+    ):
+        # Retention 0 or 1 leaves band rows that hold no amplitude, the end
+        # rows included, so those tables take the support search.
+        rng = np.random.default_rng(seed)
+        half = 1 << (num_coins - 1)
+        values = {
+            "random": rng.uniform(0, 1, half),
+            "0 and 1": rng.integers(0, 2, half).astype(float),
+            "0": np.zeros(half),
+            "1": np.ones(half),
+        }[rho]
+        table = HistoryRhoTable(num_coins, dict(zip(all_histories(num_coins), values)))
+        sites = (0, 1) if both_parities else (-1, 1)
+        start = [
+            (x, index_to_coins(int(column), num_coins), complex(*rng.normal(size=2)))
+            for x in sites
+            for column in rng.choice(1 << num_coins, min(3, 1 << num_coins), replace=False)
+        ]
+        initial = build_initial_state(num_coins, start, t_max=steps + 2)
+        grid = _grid_positions(initial.positions)
+        with _Kernel(initial, [table]) as kernel:
+            for t in range(steps + 1):
+                if t:
+                    kernel.step()
+                first, stride, p = kernel.probabilities()
+                assert stride == (1 if both_parities else 2)
+                mean, std, drift = _readout(first, stride, p[0], grid, t)
+                dist = position_distribution(kernel.state())
+                want = moments(dist)
+                assert (mean.hex(), std.hex()) == (want.mean.hex(), want.std.hex())
+                assert drift == abs(float(p[0].sum()) - 1.0)
+                got = _distribution(first, stride, p[0], initial.positions)
+                assert got.positions.tolist() == dist.positions.tolist()
+                assert got.probabilities.tobytes() == dist.probabilities.tobytes()
+
+    @pytest.mark.parametrize("num_coins", [1, 3])
+    def test_bands_with_zero_end_rows_are_read_out_bit_for_bit(self, num_coins):
+        # Retention 1 carries each register column away at one site per step
+        # and retention 0 bounces it, so most bands end in rows of zero.
+        zero_ends = 0
+        for rho in (0.0, 1.0):
+            table = HistoryRhoTable.uniform(num_coins, rho)
+            initial = build_initial_state(num_coins, ALL_R, t_max=30)
+            grid = _grid_positions(initial.positions)
+            trajectory = run_sequence(initial, {"A": table}, "A", 30)
+            with _Kernel(initial, [table]) as kernel:
+                for t in range(31):
+                    if t:
+                        kernel.step()
+                    first, stride, p = kernel.probabilities()
+                    zero_ends += not (p[0, 0] and p[0, -1])
+                    dist = position_distribution(kernel.state())
+                    want = moments(dist)
+                    got = _readout(first, stride, p[0], grid, t)[:2]
+                    assert [v.hex() for v in got] == [want.mean.hex(), want.std.hex()]
+                    assert (trajectory.means[t], trajectory.stds[t]) == got
+                    support = _distribution(first, stride, p[0], initial.positions).positions
+                    assert support.tolist() == dist.positions.tolist()
+        assert zero_ends >= 30
+
+    @pytest.mark.parametrize("p", [np.zeros(0), np.zeros(1), np.zeros(5)], ids=len)
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_a_zero_band_raises_the_norm_error_before_any_support_is_taken(self, p, stride):
+        grid = _grid_positions(np.arange(-5, 6))
+        with pytest.raises(NormalizationError, match="state norm is 0, .* at step 4$"):
+            _readout(1, stride, p, grid, 4)
+
+    @pytest.mark.parametrize("modulus", [0.0, 1e-200])
+    def test_a_start_with_zero_norm_is_refused_at_step_0(self, modulus):
+        # 1e-200 occupies a row whose probability, 1e-400, is zero: the band
+        # is not empty, but every entry of it is zero.  With 0 the band is empty.
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=5)
+        initial.amplitudes *= modulus
+        games = {"A": HistoryRhoTable.uniform(3, 0.5)}
+        for call in (run_sequence, final_distribution):
+            with pytest.raises(NormalizationError, match="state norm is 0, .* at step 0"):
+                call(initial, games, "A", 3)
+
     @pytest.mark.parametrize("num_coins", range(1, 9))
     def test_both_formulas_lie_within_the_stated_tolerance_of_exact_sums(self, num_coins):
         # Moduli spanning eight decades, uniform phases.  Bound: (C + 4) units
@@ -855,7 +1024,7 @@ class TestReadout:
         exact = register_probabilities_exact(amplitudes)
         bound = (columns + 4) * 2.0**-52
         for got in (
-            _register_probabilities(np.ascontiguousarray(amplitudes.T)),
+            _register_probabilities(np.ascontiguousarray(amplitudes.T).view(float)),
             register_probabilities_by_modulus(amplitudes),
         ):
             assert max(abs(Fraction(g) - e) / e for g, e in zip(got.tolist(), exact)) <= bound

@@ -474,7 +474,7 @@ class TestCountArguments:
     @pytest.fixture
     def start(self, monkeypatch):
         start = build_initial_state(2, ANTISYMMETRIC, t_max=5)
-        for name in ("_check_fits", "new_state", "_Kernel"):
+        for name in ("_check_fits", "_new_state", "_Kernel"):
             monkeypatch.setattr(histwalk.walker, name, not_reached)
         return start
 

@@ -25,9 +25,11 @@ at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
 letters) ``scan_sequences``: the whole call; and at the size of
 ``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config file):
 
-* ``step_m3`` and ``probabilities_m3``: the time one ``run_sequence``
-  spends in ``_Kernel.step`` and ``_Kernel.probabilities``, timed like
-  ``step``;
+* ``step_m3``, ``probabilities_m3`` and ``readout_m3``: the time one
+  ``run_sequence`` spends in ``_Kernel.step``, ``_Kernel.probabilities`` and
+  ``_readout``, timed like ``step``;
+* ``run_sequence_m3``: the whole ``run_sequence`` call, with no timers
+  inside;
 * ``smooth``: the time one ``walk dist`` op spends in
   ``analysis.smooth_distribution``;
 * ``walk_dist``: the whole ``cli.main`` call for ``walk dist`` with
@@ -45,6 +47,11 @@ M=8 game B as the chain's table):
   coins that always win, whose distribution never repeats one pattern period
   later, so the exact loop steps every time;
 * ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span.
+
+Where the walk loops set NumPy's ufunc buffer size once per loop (the
+kernel's ``with`` block), ``step`` and ``step_m3`` leave that cost out;
+where ``_Kernel.step`` sets it on every call, they include it.  The whole
+calls include it in both.
 
 The ``import`` reading depends on whether the tree holds cached bytecode:
 without ``__pycache__`` files, as when ``PYTHONDONTWRITEBYTECODE=1`` is set,
@@ -162,6 +169,10 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
     scan_games = walk_games(hw, SEED, SCAN["M"])
     dist_games = walk_games(hw, SEED, CLI["M"])
     dist_initial = walker.build_initial_state(CLI["M"], walker.ANTISYMMETRIC, CLI["T"])
+
+    def dist_walk():
+        walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"])
+
     with tempfile.TemporaryDirectory() as temporary:
         folder = Path(temporary)
         config = folder / "dist.cfg"
@@ -210,10 +221,12 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
                 samples,
             ),
             lambda: _layered(
-                lambda: walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"]),
-                [(kernel, "step", "step_m3"), (kernel, "probabilities", "probabilities_m3")],
+                dist_walk,
+                [(kernel, "step", "step_m3"), (kernel, "probabilities", "probabilities_m3"),
+                 (walker, "_readout", "readout_m3")],
                 samples,
             ),
+            lambda: _whole(dist_walk, "run_sequence_m3", samples),
             lambda: _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples),
             lambda: _whole(dist, "walk_dist", samples),
         ]
