@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .state import ProbabilityDistribution
+from .state import ProbabilityDistribution, _count
 
 __all__ = [
     "PeakReport",
@@ -31,6 +31,7 @@ def smooth_distribution(dist: ProbabilityDistribution, window: int) -> Probabili
     every point stays centered in its own average (the first and last points
     are left as they are).  ``window=1`` returns the input unchanged.
     """
+    window = _count(window, "window", -np.inf)
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be an odd positive integer, got {window}")
     _check_single_parity(dist)

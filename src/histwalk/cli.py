@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for configuration or usage errors, 2 for runtime
-failures.  All tabular output is CSV (stdout unless ``--out`` is given) and
-plots are self-contained SVG files rendered without any plotting dependency.
+Exit codes: 0 on success, 1 for configuration or usage errors and for runs
+refused as too large for physical memory (:func:`main` catches
+``MemoryLimitError``), 2 for runtime failures.  All tabular output is CSV
+(stdout unless ``--out`` is given) and plots are self-contained SVG files
+rendered without any plotting dependency.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _maybe_plot(args, config: RunConfig) -> None:
 def _cmd_walk_run(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = _fits(build_initial_state, config.num_coins, config.initial, max(config.steps, 1))
+    initial = build_initial_state(config.num_coins, config.initial, max(config.steps, 1))
     trajectory = run_sequence(initial, config.games, config.pattern, config.steps)
     rows = [
         (t, mean, std)
@@ -159,7 +161,7 @@ def _cmd_walk_run(args) -> None:
 def _cmd_walk_dist(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = _fits(build_initial_state, config.num_coins, config.initial, max(config.steps, 1))
+    initial = build_initial_state(config.num_coins, config.initial, max(config.steps, 1))
     trajectory = run_sequence(
         initial, config.games, config.pattern, config.steps, snapshot_at=[config.steps]
     )
@@ -169,14 +171,6 @@ def _cmd_walk_dist(args) -> None:
         report = analyze_peaks(dist, config.window, config.prominence)
         write_csv(("position", "height"), report.peaks, args.peaks)
     _maybe_plot(args, config)
-
-
-def _fits(call, *args):
-    """Run a size-guarded call, reporting a memory refusal as a usage error."""
-    try:
-        return call(*args)
-    except MemoryLimitError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _cmd_walk_sweep(args) -> None:
@@ -197,9 +191,9 @@ def _cmd_walk_sweep(args) -> None:
     for bound in (args.sweep_from, args.sweep_to):
         if not 0.0 <= bound <= 1.0:
             raise ConfigError(f"sweep bound {bound} must lie in [0, 1]")
-    _fits(_check_sweep_size, args.grid_points)
+    _check_sweep_size(args.grid_points)
     grid = np.linspace(args.sweep_from, args.sweep_to, args.grid_points)
-    results = _fits(sweep_parameter, table, key, grid, config.steps, config.initial)
+    results = sweep_parameter(table, key, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
     write_csv(("rho", "mean", "std"), rows, config.out)
     _maybe_plot(args, config)
@@ -210,8 +204,8 @@ def _cmd_walk_scan(args) -> None:
     _require_quantum(config)
     if args.max_len < 1:
         raise ConfigError("--max-len must be >= 1")
-    results = _fits(
-        scan_sequences, config.games, args.max_len, config.num_coins, config.steps, config.initial
+    results = scan_sequences(
+        config.games, args.max_len, config.num_coins, config.steps, config.initial
     )
     rows = [
         (pattern, mean, 1 if mean > POSITIVE_MEAN_THRESHOLD else 0)
@@ -255,19 +249,18 @@ def _cmd_classical_run(args) -> None:
             raise ConfigError("--monte-carlo must be >= 1")
         if config.seed is None:
             raise ConfigError("--monte-carlo needs a seed (flag --seed or config key)")
-        means, errors = _fits(
-            monte_carlo_trajectory,
-            subject, config.pattern, config.steps, args.monte_carlo, config.seed,
+        means, errors = monte_carlo_trajectory(
+            subject, config.pattern, config.steps, args.monte_carlo, config.seed
         )
         rows = [(t, m, e) for t, (m, e) in enumerate(zip(means, errors))]
         write_csv(("t", "mean", "stderr"), rows, config.out)
     else:
         if engine == "rho-walk":
-            means = _fits(classical_mean_trajectory, subject, config.steps)
+            means = classical_mean_trajectory(subject, config.steps)
         elif engine == "capital":
-            means = _fits(capital_game_trajectory, subject, config.pattern, config.steps)
+            means = capital_game_trajectory(subject, config.pattern, config.steps)
         else:
-            means = _fits(history_mix_trajectory, subject, config.pattern, config.steps)
+            means = history_mix_trajectory(subject, config.pattern, config.steps)
         write_csv(("t", "mean"), list(enumerate(means)), config.out)
     _maybe_plot(args, config)
 
@@ -285,7 +278,7 @@ def main(argv=None) -> int:
     try:
         args.handler(args)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, MemoryLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

@@ -96,17 +96,28 @@ class HistoryRhoTable:
     def __init__(self, num_coins: int, rho: Mapping[str, float]) -> None:
         num_coins = _count(num_coins, "num_coins", 1)
         expected = all_histories(num_coins)
-        values = np.empty(len(expected))
-        for index, key in enumerate(expected):  # the first bad entry is named
+        for key in expected:
             if key not in rho:
                 raise ValueError(f"missing rho for history {key!r}")
-            values[index] = _check_probability(rho[key], f"rho[{key!r}]")
         if len(rho) != len(expected):  # every expected key is present
             extra = set(rho) - set(expected)
             raise ValueError(f"unexpected history keys {sorted(extra)} for num_coins={num_coins}")
-        self._store(num_coins, values)
+        self._store(num_coins, [rho[key] for key in expected])
 
-    def _store(self, num_coins: int, values: np.ndarray) -> "HistoryRhoTable":
+    def _store(self, num_coins: int, values) -> "HistoryRhoTable":
+        """Keep ``values`` as a new read-only float array, one entry per history.
+
+        A wrong shape, or the first value outside [0, 1] in history order, is refused.
+        """
+        values = np.array(values, dtype=float)  # a new array, so no writable alias stays behind
+        if values.shape != (1 << (num_coins - 1),):
+            raise ValueError(
+                f"retention values of shape {values.shape} do not fit num_coins={num_coins}"
+            )
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN included
+        if bad.size:
+            history = index_to_coins(int(bad[0]), num_coins - 1) if num_coins > 1 else ""
+            _check_probability(values[bad[0]], f"rho[{history!r}]")
         values.flags.writeable = False
         object.__setattr__(self, "num_coins", num_coins)
         object.__setattr__(self, "_values", values)
@@ -125,14 +136,13 @@ class HistoryRhoTable:
         num_coins = _count(num_coins, "num_coins", 1)
         values = np.full(1 << (num_coins - 1), _check_probability(default, "rho"))
         for key, value in (overrides or {}).items():
-            values[_history_index(key, num_coins)] = _check_probability(value, f"rho[{key!r}]")
+            values[_history_index(key, num_coins)] = value
         return cls.__new__(cls)._store(num_coins, values)
 
     def replaced(self, history: str, rho: float) -> "HistoryRhoTable":
         """A copy with one history entry changed."""
         values = self._values.copy()
-        index = _history_index(history, self.num_coins)
-        values[index] = _check_probability(rho, f"rho[{history!r}]")
+        values[_history_index(history, self.num_coins)] = rho
         return self.__new__(type(self))._store(self.num_coins, values)
 
     def mirrored(self) -> "HistoryRhoTable":
@@ -156,17 +166,7 @@ class HistoryRhoTable:
 
 def _rebuilt_table(cls, num_coins: int, values) -> HistoryRhoTable:
     """A table from the fields that :meth:`HistoryRhoTable.__reduce__` saves, checked again."""
-    num_coins = _count(num_coins, "num_coins", 1)
-    values = np.array(values, dtype=float)  # a new array, so no writable alias stays behind
-    if values.shape != (1 << (num_coins - 1),):
-        raise ValueError(
-            f"retention values of shape {values.shape} do not fit num_coins={num_coins}"
-        )
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN included
-    if bad.size:
-        history = index_to_coins(int(bad[0]), num_coins - 1) if num_coins > 1 else ""
-        _check_probability(values[bad[0]], f"rho[{history!r}]")
-    return cls.__new__(cls)._store(num_coins, values)
+    return cls.__new__(cls)._store(_count(num_coins, "num_coins", 1), values)
 
 
 def _coin_cycle(coins: Sequence[float], num_coins: int) -> tuple[float, ...]:

@@ -29,7 +29,6 @@ __all__ = [
     "working_bytes",
     "physical_memory_bytes",
     "MemoryLimitError",
-    "check_memory",
     "new_state",
     "ProbabilityDistribution",
     "position_distribution",
@@ -115,6 +114,7 @@ class WalkState:
         )
 
     def _row(self, x: int) -> int:
+        x = _count(x, "position", -np.inf)
         if abs(x) > self.t_max:
             raise IndexError(f"position {x} outside [-{self.t_max}, {self.t_max}]")
         return x + self.t_max
@@ -205,24 +205,11 @@ def _check_fits(needed: int, what: str, use: str) -> None:
         )
 
 
-def check_memory(num_coins: int, t_max: int) -> None:
-    """Raise MemoryLimitError if a walk on this grid cannot fit in physical memory."""
-    _check_walk(num_coins, t_max, 2)
-
-
-def _check_walk(num_coins: int, t_max: int, sublattices: int) -> None:
-    """:func:`check_memory` for a kernel that stores ``sublattices`` parity sublattices."""
-    _check_fits(
-        _walk_bytes(num_coins, t_max, sublattices),
-        f"M = {num_coins} with horizon {t_max}",
-        "for the state, the evolution buffers and the readout",
-    )
-
-
 def new_state(num_coins: int, t_max: int) -> WalkState:
     """Allocate an all-zero state; inject an initial state before evolving.
 
-    Raises MemoryLimitError before allocating when :func:`check_memory` fails.
+    Raises MemoryLimitError before allocating when a walk on this grid,
+    charged :func:`working_bytes`, cannot fit in physical memory.
     """
     return _new_state(num_coins, t_max, 2)
 
@@ -231,7 +218,11 @@ def _new_state(num_coins: int, t_max: int, sublattices: int) -> WalkState:
     """:func:`new_state`, charged for a kernel that stores ``sublattices`` parity sublattices."""
     num_coins = _count(num_coins, "num_coins", 1)
     t_max = _count(t_max, "t_max", 1)
-    _check_walk(num_coins, t_max, sublattices)
+    _check_fits(
+        _walk_bytes(num_coins, t_max, sublattices),
+        f"M = {num_coins} with horizon {t_max}",
+        "for the state, the evolution buffers and the readout",
+    )
     shape = (2 * t_max + 1, 1 << num_coins)
     return WalkState(num_coins, t_max, np.zeros(shape, dtype=np.complex128))
 

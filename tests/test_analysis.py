@@ -25,6 +25,8 @@ class TestSmoothing:
         smoothed = smooth_distribution(dist_of({-2: 0.25, 0: 0.5, 2: 0.25}), 3)
         assert smoothed.positions.tolist() == [-2, 0, 2]
         assert smoothed.probabilities == pytest.approx([0.3, 0.4, 0.3], abs=1e-15)
+        numpy_window = smooth_distribution(dist_of({-2: 0.25, 0: 0.5, 2: 0.25}), np.int64(3))
+        assert np.array_equal(numpy_window.probabilities, smoothed.probabilities)
 
     def test_window_one_is_the_identity(self):
         original = dist_of({-2: 0.25, 0: 0.5, 2: 0.25})
@@ -66,6 +68,14 @@ class TestSmoothing:
         for window in (0, -3, 2, 4):
             with pytest.raises(ValueError, match="odd"):
                 smooth_distribution(dist, window)
+
+    @pytest.mark.parametrize("window", [True, False, np.True_, 3.0, np.float64(3), "3", None])
+    def test_non_integer_windows_are_refused_by_name(self, window):
+        dist = dist_of({-2: 0.25, 0: 0.5, 2: 0.25})
+        with pytest.raises(ValueError, match=r"^window must be an integer, got"):
+            smooth_distribution(dist, window)
+        with pytest.raises(ValueError, match=r"^window must be an integer, got"):
+            analyze_peaks(dist, window, 0.1)
 
     def test_rejects_mixed_parity_support(self):
         with pytest.raises(ValueError, match="parity"):

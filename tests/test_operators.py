@@ -184,6 +184,38 @@ class TestHistoryRhoTable:
         with pytest.raises(ValueError, match=message):
             pickle.loads(data.replace(stored, np.float64(tampered).tobytes()))
 
+    def test_a_missing_history_is_reported_before_a_bad_value(self):
+        with pytest.raises(ValueError, match=r"^missing rho for history 'R'$"):
+            HistoryRhoTable(2, {"L": 2.0})
+
+    def test_of_two_bad_values_every_constructor_names_the_first_history(self):
+        message = r"^rho\['LR'\] = 2.0 must lie in \[0, 1\]$"
+        entries = {"LL": 0.5, "LR": 2.0, "RL": float("nan"), "RR": 0.5}
+        with pytest.raises(ValueError, match=message):
+            HistoryRhoTable(3, entries)
+        with pytest.raises(ValueError, match=message):  # the overrides' order does not matter
+            HistoryRhoTable.with_overrides(3, 0.5, {"RL": float("nan"), "LR": 2.0})
+        table = HistoryRhoTable.with_overrides(3, 0.5, {"LR": 0.25, "RL": 0.75})
+        data = pickle.dumps(table)
+        for good, bad in ((0.25, 2.0), (0.75, float("nan"))):
+            data = data.replace(np.float64(good).tobytes(), np.float64(bad).tobytes())
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(data)
+
+    def test_values_that_are_not_numbers_are_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) do not fit num_coins=2"):
+            HistoryRhoTable(2, {"L": [0.5, 0.5], "R": [0.5, 0.5]})
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            HistoryRhoTable(2, {"L": "half", "R": 0.5})
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            HistoryRhoTable.uniform(2).replaced("L", "half")
+
+    def test_a_mirrored_table_shares_no_memory_with_its_source(self):
+        table = HistoryRhoTable(2, {"L": 0.1, "R": 0.9})
+        mirrored = table.mirrored().retention_array()
+        assert not np.shares_memory(mirrored, table.retention_array())
+        assert mirrored.flags.c_contiguous and not mirrored.flags.writeable
+
     def test_derived_tables_check_their_inputs(self):
         with pytest.raises(ValueError, match=r"rho = 1.5 must lie in \[0, 1\]"):
             HistoryRhoTable.uniform(3, 1.5)

@@ -96,15 +96,29 @@ class TestWalkState:
         state.set_amplitude(-3, "RL", 0.25 + 0.5j)
         assert state.amplitude(-3, "RL") == 0.25 + 0.5j
         assert state.amplitude(3, "RL") == 0.0
+        state.set_amplitude(np.int64(2), "LL", 0.5)
+        assert state.amplitude(np.int32(2), "LL") == state.amplitude(2, "LL") == 0.5
 
     def test_positions_axis_is_centered(self):
         state = new_state(1, 4)
         assert state.positions.tolist() == list(range(-4, 5))
 
-    def test_out_of_range_position_raises(self):
+    @pytest.mark.parametrize("x", [3, -3, np.int64(3)])
+    def test_out_of_range_position_raises(self, x):
         state = new_state(1, 2)
-        with pytest.raises(IndexError):
-            state.amplitude(3, "L")
+        with pytest.raises(IndexError, match=r"outside \[-2, 2\]"):
+            state.amplitude(x, "L")
+        with pytest.raises(IndexError, match=r"outside \[-2, 2\]"):
+            state.set_amplitude(x, "L", 1.0)
+
+    @pytest.mark.parametrize("x", [True, False, np.True_, 2.0, 0.5, np.float64(1), "1", None])
+    def test_non_integer_positions_are_refused_by_name(self, x):
+        state = new_state(1, 3)
+        with pytest.raises(ValueError, match=r"^position must be an integer, got"):
+            state.set_amplitude(x, "L", 1.0)
+        with pytest.raises(ValueError, match=r"^position must be an integer, got"):
+            state.amplitude(x, "L")
+        assert state.norm() == 0.0
 
     def test_register_length_is_checked(self):
         state = new_state(2, 2)

@@ -90,6 +90,11 @@ class TestInitialStates:
         with pytest.raises(IndexError):
             build_initial_state(1, [(5, "L", 1.0)], t_max=1)
 
+    @pytest.mark.parametrize("x", [True, np.True_, 1.0, 0.5, np.float64(1), "1"])
+    def test_custom_positions_must_be_integers(self, x):
+        with pytest.raises(ValueError, match=r"^position must be an integer, got"):
+            build_initial_state(1, [(x, "R", 1.0)], t_max=3)
+
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown initial state"):
             build_initial_state(1, "sideways", t_max=1)
@@ -535,7 +540,7 @@ class TestRegisterCounts:
 
     @pytest.fixture(autouse=True)
     def nothing_allocated(self, monkeypatch):
-        monkeypatch.setattr(histwalk.state, "check_memory", not_reached)
+        monkeypatch.setattr(histwalk.state, "_check_fits", not_reached)
         for name in ("_check_fits", "_Kernel"):
             monkeypatch.setattr(histwalk.walker, name, not_reached)
 
@@ -562,7 +567,7 @@ class TestRegisterCounts:
             self.T_MAX[call](0)
 
     def test_numpy_integers_are_stored_as_ints(self, monkeypatch):
-        monkeypatch.setattr(histwalk.state, "check_memory", lambda *args: None)
+        monkeypatch.setattr(histwalk.state, "_check_fits", lambda *args: None)
         state = new_state(np.int64(2), np.int32(3))
         table = HistoryRhoTable(np.int64(2), {"L": 0.5, "R": 0.5})
         assert (type(state.num_coins), type(state.t_max), type(table.num_coins)) == (int,) * 3

@@ -11,6 +11,10 @@ on each seed in ``SEEDS`` and digests its payload with ``workloads.digest``,
 the digest the benchmark's checks compare.  It then runs each of the tree's
 demos (``<tree>/demos/*.py``) as a script in a new temporary directory and
 digests its stdout together with the name and bytes of every file it wrote.
+Last it runs each command of README's "Worked examples" (this checkout's
+README) as ``python -m histwalk`` in a new temporary directory that holds
+the two config files those commands name, and digests its exit code and
+stdout together with the name and bytes of every file in the directory.
 
 The script prints one table, a row per item and a column per tree, and
 exits 1 if any tree's digest of an item differs from the first tree's or is
@@ -23,6 +27,8 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -45,8 +51,26 @@ def _folder_digest(folder: Path, stdout: str) -> str:
     return hasher.hexdigest()
 
 
+def _worked_examples() -> tuple[dict[str, str], list[list[str]]]:
+    """The config files and ``histwalk`` arguments of README's "Worked examples".
+
+    ``winning.cfg`` is README's first config block with ``pattern = B``, and
+    ``capital.cfg`` is its second.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    first, second = re.findall(r"```ini\n(.*?)```", text, re.S)[:2]
+    configs = {
+        "winning.cfg": re.sub(r"(?m)^pattern = \w+", "pattern = B", first),
+        "capital.cfg": second,
+    }
+    section = text.split("### Worked examples", 1)[1]
+    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    lines = (shlex.split(line, comments=True) for line in script.splitlines())
+    return configs, [words[1:] for words in lines if words]
+
+
 def measure(tree: str) -> dict[str, str]:
-    """Digest of every workload payload and demo output of ``tree``.
+    """Digest of every workload payload, demo output and worked example of ``tree``.
 
     ``histwalk`` must already import from ``<tree>/src``.
     """
@@ -70,6 +94,18 @@ def measure(tree: str) -> dict[str, str]:
                 capture_output=True, text=True, check=True,
             )
             digests[f"demo {demo.stem}"] = _folder_digest(Path(temporary), done.stdout)
+    configs, commands = _worked_examples()
+    for words in commands:
+        with tempfile.TemporaryDirectory() as temporary:
+            for name, text in configs.items():
+                Path(temporary, name).write_text(text, encoding="utf-8")
+            done = subprocess.run(
+                [sys.executable, "-m", "histwalk", *words], cwd=temporary, env=env,
+                capture_output=True, text=True,
+            )
+            digests[f"cli {' '.join(words)}"] = _folder_digest(
+                Path(temporary), f"exit {done.returncode}\n{done.stdout}"
+            )
     return digests
 
 
