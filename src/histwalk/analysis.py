@@ -24,6 +24,14 @@ def _check_single_parity(dist: ProbabilityDistribution) -> None:
         raise ValueError("distribution must be supported on a single parity class")
 
 
+def _check_window(window) -> int:
+    """Return ``window`` as an ``int``, or raise ValueError unless it is an odd positive integer."""
+    window = _count(window, "window", -np.inf)
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be an odd positive integer, got {window}")
+    return window
+
+
 def smooth_distribution(dist: ProbabilityDistribution, window: int) -> ProbabilityDistribution:
     """Moving average over neighboring support points, renormalized to sum 1.
 
@@ -31,9 +39,7 @@ def smooth_distribution(dist: ProbabilityDistribution, window: int) -> Probabili
     every point stays centered in its own average (the first and last points
     are left as they are).  ``window=1`` returns the input unchanged.
     """
-    window = _count(window, "window", -np.inf)
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be an odd positive integer, got {window}")
+    window = _check_window(window)
     _check_single_parity(dist)
     if window == 1:
         return ProbabilityDistribution(dist.positions.copy(), dist.probabilities.copy())
@@ -76,10 +82,11 @@ def find_peaks(
     A support point counts when it is strictly higher than both neighbors on
     the support grid; a flat run higher than its surroundings counts once, at
     its leftmost point, and runs touching an edge need only fall off on the
-    inner side.  ``window`` is recorded in the report for provenance, it is
-    not applied here; :func:`analyze_peaks` runs the smooth-then-detect
-    pipeline.
+    inner side.  ``window``, an odd positive integer, is recorded in the
+    report as an ``int`` for provenance, it is not applied here;
+    :func:`analyze_peaks` runs the smooth-then-detect pipeline.
     """
+    window = _check_window(window)
     if not 0.0 < prominence_fraction < 1.0:
         raise ValueError(
             f"prominence_fraction must be in (0, 1), got {prominence_fraction}"
@@ -102,7 +109,7 @@ def find_peaks(
         if rises_left and falls_right and p[i] >= floor:
             peaks.append((int(dist.positions[i]), float(p[i])))
         i = j + 1
-    return PeakReport(tuple(peaks), window, prominence_fraction)
+    return PeakReport(tuple(peaks), window, float(prominence_fraction))
 
 
 def analyze_peaks(

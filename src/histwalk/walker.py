@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -229,13 +230,17 @@ def final_distribution(
     It equals ``run_sequence(initial, games, pattern, steps,
     snapshot_at=[steps]).snapshots[steps]`` bit for bit, and the arguments
     are checked as there, but the band is read out only once, after the last
-    step.  The norm is checked at the start and after every step, as in
-    scans.  The input state is not modified.
+    step.  The norm is checked at the start and after every step, by one sum
+    over the band, and a lost norm raises :func:`run_sequence`'s message,
+    which names the step.  The input state is not modified.
     """
     tables, steps = _check_run(initial, games, pattern, steps)
-    [(first_row, stride, p)] = _final_probabilities(
-        initial, [[tables[letter] for letter in pattern]], steps
-    )
+    with _Kernel(initial, [tables[letter] for letter in pattern]) as kernel:
+        for step in range(steps + 1):
+            if step:
+                kernel.step()
+            _check_norm(math.sqrt(kernel.norms()[0]), step)
+    first_row, stride, p = kernel.probabilities()
     return _distribution(first_row, stride, p[0], initial.positions)
 
 

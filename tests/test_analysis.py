@@ -65,17 +65,33 @@ class TestSmoothing:
 
     def test_rejects_even_or_non_positive_windows(self):
         dist = dist_of({0: 1.0})
-        for window in (0, -3, 2, 4):
+        for window in (0, -3, 2, 4, np.int64(2)):
             with pytest.raises(ValueError, match="odd"):
                 smooth_distribution(dist, window)
+            with pytest.raises(ValueError, match="odd"):
+                find_peaks(dist, 0.1, window=window)
 
-    @pytest.mark.parametrize("window", [True, False, np.True_, 3.0, np.float64(3), "3", None])
+    @pytest.mark.parametrize(
+        "window", [True, False, np.True_, 3.0, np.float64(3), 2.5, "3", None]
+    )
     def test_non_integer_windows_are_refused_by_name(self, window):
         dist = dist_of({-2: 0.25, 0: 0.5, 2: 0.25})
         with pytest.raises(ValueError, match=r"^window must be an integer, got"):
             smooth_distribution(dist, window)
         with pytest.raises(ValueError, match=r"^window must be an integer, got"):
             analyze_peaks(dist, window, 0.1)
+        with pytest.raises(ValueError, match=r"^window must be an integer, got"):
+            find_peaks(dist, 0.1, window=window)
+
+    @pytest.mark.parametrize("window", [3, np.int64(3), np.int32(3)])
+    def test_reports_store_an_int_window_and_a_float_prominence(self, window):
+        dist = dist_of({-2: 0.25, 0: 0.5, 2: 0.25})
+        for report in (
+            find_peaks(dist, np.float64(0.1), window=window),
+            analyze_peaks(dist, window, np.float64(0.1)),
+        ):
+            assert type(report.window) is int and report.window == 3
+            assert type(report.prominence) is float and report.prominence == 0.1
 
     def test_rejects_mixed_parity_support(self):
         with pytest.raises(ValueError, match="parity"):

@@ -6,10 +6,12 @@ test here compares it with the readable per-step functions (:func:`toss`,
 :func:`position_distribution`, :func:`moments`) or the dense oracle: moments
 within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Over a
 full rotation cycle its amplitudes equal those of :func:`toss` bit for bit.
-Scans, sweeps and :func:`final_distribution` step walks on the kernel's
-batch axis and read the band out only after the last step; their results
-equal those of :func:`run_sequence` bit for bit.  The step's small ufunc
-buffers change no result, allocate little and are not seen outside the step.
+Scans and sweeps step walks on the kernel's batch axis, and
+:func:`final_distribution` steps one walk in a loop of its own; both read
+the band out only after the last step, and their results equal those of
+:func:`run_sequence` bit for bit, as do ``walk dist``'s files.  The step's
+small ufunc buffers change no result, allocate little and are not seen
+outside the step.
 The band's readout and :func:`position_distribution` sum with one helper, so
 their probabilities agree bit for bit; both lie within a stated tolerance of
 exact sums, and the readout makes no temporary of the band's size.
@@ -22,16 +24,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import histwalk.cli
 import histwalk.operators
 import histwalk.walker
+from histwalk.analysis import analyze_peaks
 from histwalk.cli import main
+from histwalk.config import parse_config
 from histwalk.operators import (
     HistoryRhoTable,
     _Kernel,
     all_histories,
     toss,
 )
-from histwalk.output import write_csv
+from histwalk.output import emit_svg_plot, write_csv
 from histwalk.state import (
     HorizonError,
     MemoryLimitError,
@@ -425,44 +430,83 @@ class TestWorkingBytes:
 
 
 class TestCliOutputIsUnchanged:
-    """The CLI's CSV bytes equal those written from the specification loop."""
+    """The CLI's output bytes equal those written from the specification loop.
+
+    ``walk dist`` reads its walk out through :func:`final_distribution`; its
+    CSV, peak CSV and plot also equal those written from the
+    :func:`run_sequence` snapshot it replaced.
+    """
 
     CONFIG = (
         "M = {m}\nT = {steps}\npattern = AAB\n"
         "games.A.rho.default = 0.5\n"
-        "games.B.rho.default = 0.45\ngames.B.rho.{key} = 0.62\n"
+        "games.B.rho.default = 0.45\n{override}"
     )
+    # Sites of both parities, each at least three sites inside the grid
+    # when the horizon is three more than the step count.
+    BOTH_PARITIES = [(-3, "LRLRL", 0.6), (0, "RRLLR", 0.5j), (2, "RRRRR", -0.8 + 0.1j)]
 
-    def _setup(self, tmp_path, num_coins, steps):
+    def _setup(self, tmp_path, num_coins, steps, initial=None):
+        # M = 1 has one history, "", which only the default names.
         key = "R" * (num_coins - 1)
+        override = f"games.B.rho.{key} = 0.62\n" if key else ""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(self.CONFIG.format(m=num_coins, steps=steps, key=key), encoding="utf-8")
+        cfg.write_text(
+            self.CONFIG.format(m=num_coins, steps=steps, override=override), encoding="utf-8"
+        )
         tables = {
             "A": HistoryRhoTable.uniform(num_coins, 0.5),
-            "B": HistoryRhoTable.with_overrides(num_coins, 0.45, {key: 0.62}),
+            "B": HistoryRhoTable.with_overrides(num_coins, 0.45, {key: 0.62} if key else {}),
         }
-        initial = build_initial_state(num_coins, ANTISYMMETRIC, steps)
+        if initial is None:
+            initial = build_initial_state(num_coins, ANTISYMMETRIC, max(steps, 1))
         states, raised_at = spec_walk(initial, tables, "AAB", steps)
         assert raised_at is None
-        return str(cfg), states
+        return str(cfg), tables, states
 
     @pytest.mark.parametrize("num_coins, steps", [(3, 300), (5, 120)])
     def test_walk_run_csv_is_byte_identical(self, tmp_path, num_coins, steps):
-        cfg, states = self._setup(tmp_path, num_coins, steps)
+        cfg, _, states = self._setup(tmp_path, num_coins, steps)
         out = tmp_path / "run.csv"
         assert main(["walk", "run", "--config", cfg, "--out", str(out)]) == 0
         stats = [moments(position_distribution(state)) for state in states]
         rows = [(t, s.mean, s.std) for t, s in enumerate(stats)]
         assert out.read_bytes() == spec_csv(tmp_path / "spec.csv", ("t", "mean", "std"), rows)
 
-    @pytest.mark.parametrize("num_coins, steps", [(3, 300), (5, 120)])
-    def test_walk_dist_csv_is_byte_identical(self, tmp_path, num_coins, steps):
-        cfg, states = self._setup(tmp_path, num_coins, steps)
-        out = tmp_path / "dist.csv"
-        assert main(["walk", "dist", "--config", cfg, "--out", str(out)]) == 0
+    @pytest.mark.parametrize(
+        "num_coins, steps, start",
+        [(3, 300, None), (5, 120, None), (1, 200, None), (3, 0, None), (5, 120, "both parities")],
+    )
+    def test_walk_dist_csv_is_byte_identical(self, tmp_path, monkeypatch, num_coins, steps, start):
+        initial = None
+        if start == "both parities":
+            initial = build_initial_state(num_coins, self.BOTH_PARITIES, steps + 3)
+            monkeypatch.setattr(histwalk.cli, "build_initial_state", lambda *_: initial.copy())
+        cfg, tables, states = self._setup(tmp_path, num_coins, steps, initial)
+        cli, want = tmp_path / "cli", tmp_path / "want"
+        cli.mkdir()
+        want.mkdir()
+        # Peaks are refused on a distribution over both parities.
+        names = ["dist.csv", "dist.svg"] + ([] if start == "both parities" else ["peaks.csv"])
+        argv = ["walk", "dist", "--config", cfg, "--out", str(cli / "dist.csv"),
+                "--emit-plot", str(cli / "dist.svg")]
+        if "peaks.csv" in names:
+            argv += ["--peaks", str(cli / "peaks.csv")]
+        assert main(argv) == 0
         dist = position_distribution(states[-1])
         rows = zip(dist.positions, dist.probabilities)
-        assert out.read_bytes() == spec_csv(tmp_path / "spec.csv", ("x", "p"), rows)
+        assert (cli / "dist.csv").read_bytes() == spec_csv(tmp_path / "spec.csv", ("x", "p"), rows)
+        # The files the command wrote before it called final_distribution.
+        config = parse_config((tmp_path / "run.cfg").read_text(encoding="utf-8"))
+        dist = run_sequence(states[0], tables, "AAB", steps, [steps]).snapshots[steps]
+        write_csv(("x", "p"), zip(dist.positions, dist.probabilities), want / "dist.csv")
+        if "peaks.csv" in names:
+            report = analyze_peaks(dist, config.window, config.prominence)
+            write_csv(("position", "height"), report.peaks, want / "peaks.csv")
+        emit_svg_plot([want / "dist.csv"], want / "dist.svg", style="scatter")
+        assert sorted(path.name for path in cli.iterdir()) == sorted(names)
+        for name in names:
+            assert (cli / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def entry_bytes(num_coins, steps):
@@ -604,8 +648,28 @@ def leak_at(monkeypatch, step_number, entry=-1):
     return taken
 
 
+def count_kernel_calls(monkeypatch):
+    """Count calls of the kernel's step, norms and probabilities and of ``walker._readout``.
+
+    Returns the counts by name, which grow as the calls are made.
+    """
+    counts = {"step": 0, "norms": 0, "probabilities": 0, "readout": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("step", "norms", "probabilities"):
+        monkeypatch.setattr(_Kernel, name, counting(name, getattr(_Kernel, name)))
+    monkeypatch.setattr(histwalk.walker, "_readout", counting("readout", histwalk.walker._readout))
+    return counts
+
+
 class TestFinalDistribution:
-    """One walk as a one-entry batch, read out once, after the last step."""
+    """One walk in a loop of its own, read out once, after the last step."""
 
     @given(walks(max_horizon=30))
     @settings(deadline=None, max_examples=60)
@@ -671,34 +735,42 @@ class TestFinalDistribution:
             with pytest.raises(NormalizationError, match=f"state norm is {scale:g},.* at step 0"):
                 call(initial, games, "A", 3)
 
-    def test_a_norm_lost_at_step_3_is_caught_at_that_step(self, monkeypatch):
-        taken = leak_at(monkeypatch, 3)
+    @pytest.mark.parametrize("step", [0, 3, 10])
+    def test_a_lost_norm_is_reported_as_run_sequence_reports_it(self, monkeypatch, step):
+        # A leak at step 0 is a start whose norm is not one.
+        taken = leak_at(monkeypatch, step)
         initial = build_initial_state(3, ANTISYMMETRIC, t_max=10)
-        message = r"state norm is 1\.001,.* at step 3, batch entry 0$"
-        with pytest.raises(NormalizationError, match=message):
-            final_distribution(initial, random_tables(3, "AB", 4), "AAB", 10)
-        assert taken == [1, 2, 3]
+        if step == 0:
+            initial.amplitudes *= 1.001
+        tables = random_tables(3, "AB", 4)
+        errors = []
+        for call in (run_sequence, final_distribution):
+            with pytest.raises(NormalizationError) as error:
+                call(initial, tables, "AAB", 10)
+            assert taken == list(range(1, step + 1))
+            taken.clear()
+            errors.append(str(error.value))
+        assert errors[1] == errors[0]
+        assert errors[0].startswith("state norm is 1.001,")
+        assert errors[0].endswith(f"expected 1 within 1e-9 at step {step}")
 
     def test_steps_t_times_and_reads_the_band_out_once(self, monkeypatch):
-        counts = {"step": 0, "probabilities": 0, "readout": 0}
-
-        def counting(name, function):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return function(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(_Kernel, "step", counting("step", _Kernel.step))
-        monkeypatch.setattr(
-            _Kernel, "probabilities", counting("probabilities", _Kernel.probabilities)
-        )
-        monkeypatch.setattr(
-            histwalk.walker, "_readout", counting("readout", histwalk.walker._readout)
-        )
+        counts = count_kernel_calls(monkeypatch)
         initial = build_initial_state(3, ANTISYMMETRIC, t_max=40)
         final_distribution(initial, random_tables(3, "AB", 3), "AAB", 40)
-        assert counts == {"step": 40, "probabilities": 1, "readout": 0}
+        assert counts == {"step": 40, "norms": 41, "probabilities": 1, "readout": 0}
+
+    def test_walk_dist_steps_t_times_and_reads_the_band_out_once(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "dist.cfg"
+        cfg.write_text(
+            "M = 3\nT = 40\npattern = AAB\n"
+            "games.A.rho.default = 0.5\ngames.B.rho.default = 0.45\n",
+            encoding="utf-8",
+        )
+        counts = count_kernel_calls(monkeypatch)
+        argv = ["walk", "dist", "--config", str(cfg), "--out", str(tmp_path / "dist.csv")]
+        assert main(argv) == 0
+        assert counts == {"step": 40, "norms": 41, "probabilities": 1, "readout": 0}
 
 
 class TestNormErrorsNameTheStep:

@@ -30,6 +30,8 @@ letters) ``scan_sequences``: the whole call; and at the size of
   ``_readout``, timed like ``step``;
 * ``run_sequence_m3``: the whole ``run_sequence`` call, with no timers
   inside;
+* ``final_distribution_m3``: the whole ``final_distribution`` call, the
+  walk ``walk dist`` reads out, with no timers inside;
 * ``smooth``: the time one ``walk dist`` op spends in
   ``analysis.smooth_distribution``;
 * ``walk_dist``: the whole ``cli.main`` call for ``walk dist`` with
@@ -173,6 +175,9 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
     def dist_walk():
         walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"])
 
+    def dist_final():
+        walker.final_distribution(dist_initial, dist_games, CLI["pattern"], CLI["T"])
+
     with tempfile.TemporaryDirectory() as temporary:
         folder = Path(temporary)
         config = folder / "dist.cfg"
@@ -227,6 +232,7 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
                 samples,
             ),
             lambda: _whole(dist_walk, "run_sequence_m3", samples),
+            lambda: _whole(dist_final, "final_distribution_m3", samples),
             lambda: _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples),
             lambda: _whole(dist, "walk_dist", samples),
         ]
