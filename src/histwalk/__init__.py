@@ -37,6 +37,7 @@ from .walker import (
     build_initial_state,
     evolve,
     evolve_brun,
+    final_distribution,
     run_sequence,
     scan_sequences,
     sweep_parameter,
@@ -69,6 +70,7 @@ __all__ = [
     "emit_svg_plot",
     "evolve",
     "evolve_brun",
+    "final_distribution",
     "find_peaks",
     "history_mix_trajectory",
     "moments",

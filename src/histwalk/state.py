@@ -24,7 +24,6 @@ __all__ = [
     "NormalizationError",
     "coins_to_index",
     "index_to_coins",
-    "complement",
     "WalkState",
     "working_bytes",
     "physical_memory_bytes",
@@ -79,12 +78,6 @@ def index_to_coins(index: int, num_coins: int) -> str:
     return "".join(
         R if (index >> shift) & 1 else L for shift in range(num_coins - 1, -1, -1)
     )
-
-
-def complement(coins: str) -> str:
-    """Swap L and R throughout a register or history string."""
-    _check_register(coins)
-    return "".join(R if letter == L else L for letter in coins)
 
 
 @dataclass

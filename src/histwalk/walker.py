@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .operators import HistoryRhoTable, _check_pattern, _coin_cycle, _Kernel
+from .operators import HistoryRhoTable, _check_pattern, _coin_cycle, _history_index, _Kernel
 from .state import (
     HorizonError,
     Moments,
@@ -155,8 +155,7 @@ class Trajectory:
 
     means: np.ndarray
     stds: np.ndarray
-    snapshots: dict[int, ProbabilityDistribution] = field(default_factory=dict)
-    norm_drift: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    norm_drift: np.ndarray
 
     def __len__(self) -> int:
         return len(self.means)
@@ -164,8 +163,8 @@ class Trajectory:
 
 def _check_run(
     initial: WalkState, games, pattern: str, steps
-) -> tuple[dict[str, HistoryRhoTable], int]:
-    """Check the arguments of a single walk; return its tables by letter and its step count."""
+) -> tuple[list[HistoryRhoTable], int]:
+    """Check the arguments of a single walk; return its schedule of tables and its step count."""
     tables = as_game_tables(games)
     _check_pattern(pattern, tables)
     steps = _count(steps, "steps", 0)
@@ -179,47 +178,28 @@ def _check_run(
             f"{steps} steps from steps_taken={initial.steps_taken} would pass "
             f"t_max={initial.t_max}"
         )
-    return tables, steps
+    return [tables[letter] for letter in pattern], steps
 
 
-def run_sequence(
-    initial: WalkState,
-    games,
-    pattern: str,
-    steps: int,
-    snapshot_at: Iterable[int] = (),
-) -> Trajectory:
+def run_sequence(initial: WalkState, games, pattern: str, steps: int) -> Trajectory:
     """Evolve ``initial`` for ``steps`` tosses, cycling through ``pattern``.
 
     The pattern is read left to right and repeats: step ``t`` (0-based) uses
     the table named by ``pattern[t % len(pattern)]``, so ``"AABB"`` plays A
-    twice, then B twice, then A again.  Means and standard deviations are
-    recorded after every step; full distributions only at the steps listed in
-    ``snapshot_at``, which must be integers in ``[0, steps]``.  The input
-    state is not modified.
+    twice, then B twice, then A again.  Means, standard deviations and norm
+    drift are recorded after every step; :func:`final_distribution` gives the
+    position distribution after the last.  The input state is not modified.
     """
-    tables, steps = _check_run(initial, games, pattern, steps)
-    try:
-        # Only integers here; the range is checked next, with its own message.
-        wanted = {_count(s, "snapshot step", -np.inf) for s in snapshot_at}
-    except ValueError as exc:
-        raise ValueError(f"snapshot steps must be integers: {exc}") from None
-    out_of_range = {s for s in wanted if not 0 <= s <= steps}
-    if out_of_range:
-        raise ValueError(f"snapshot steps {sorted(out_of_range)} outside [0, {steps}]")
-    positions = initial.positions
-    grid = _grid_positions(positions)
+    schedule, steps = _check_run(initial, games, pattern, steps)
+    grid = _grid_positions(initial.positions)
     means, stds, drift = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
-    snapshots: dict[int, ProbabilityDistribution] = {}
-    with _Kernel(initial, [tables[letter] for letter in pattern]) as kernel:
+    with _Kernel(initial, schedule) as kernel:
         for t in range(steps + 1):
             if t:
                 kernel.step()
             first_row, stride, p = kernel.probabilities()
             means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], grid, t)
-            if t in wanted:
-                snapshots[t] = _distribution(first_row, stride, p[0], positions)
-    return Trajectory(means, stds, snapshots, drift)
+    return Trajectory(means, stds, drift)
 
 
 def final_distribution(
@@ -227,15 +207,16 @@ def final_distribution(
 ) -> ProbabilityDistribution:
     """Position distribution after ``steps`` tosses of ``initial``, cycling through ``pattern``.
 
-    It equals ``run_sequence(initial, games, pattern, steps,
-    snapshot_at=[steps]).snapshots[steps]`` bit for bit, and the arguments
-    are checked as there, but the band is read out only once, after the last
-    step.  The norm is checked at the start and after every step, by one sum
-    over the band, and a lost norm raises :func:`run_sequence`'s message,
-    which names the step.  The input state is not modified.
+    The pattern is played and the arguments are checked as in
+    :func:`run_sequence`, but the band is read out only once, after the last
+    step.  Its probabilities equal :func:`~histwalk.state.position_distribution`
+    of the final state bit for bit.  The norm is checked at the start and
+    after every step, by one sum over the band, and a lost norm raises
+    :func:`run_sequence`'s message, which names the step.  The input state is
+    not modified.
     """
-    tables, steps = _check_run(initial, games, pattern, steps)
-    with _Kernel(initial, [tables[letter] for letter in pattern]) as kernel:
+    schedule, steps = _check_run(initial, games, pattern, steps)
+    with _Kernel(initial, schedule) as kernel:
         for step in range(steps + 1):
             if step:
                 kernel.step()
@@ -304,31 +285,17 @@ def _check_sweep_size(points: int) -> None:
     _check_fits(points * _RESULT_BYTES, f"a sweep of {points} grid values", "for its results")
 
 
-def _final_probabilities(
-    initial: WalkState, schedules: Iterable[Sequence[HistoryRhoTable]], steps: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Band probabilities after the last step of every schedule played from ``initial``.
+def _batch_start(num_coins, kind, steps: int) -> WalkState:
+    """The start of a scan or sweep, on a grid that ``steps`` tosses cannot leave.
 
-    Schedules are stepped a chunk at a time on one batched kernel whose
-    buffers hold about :data:`_CHUNK_BYTES` each, and each chunk yields
-    :meth:`_Kernel.probabilities` after its last step.  Every entry's norm is
-    checked at the start and after every step, on the rule of
-    :func:`_readout`; an error names the step and the entry's index among
-    all schedules.
+    The horizon is ``steps`` plus the start's largest |x|, and at least 1, so
+    an origin start gets ``max(steps, 1)``.
     """
-    chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
-    schedules = iter(schedules)
-    offset = 0
-    while batch := list(islice(schedules, chunk)):
-        with _Kernel(initial, *batch) as kernel:
-            for step in range(steps + 1):
-                if step:
-                    kernel.step()
-                norms = np.sqrt(kernel.norms())
-                worst = int(np.argmax(np.abs(norms - 1.0)))
-                _check_norm(norms[worst], step, offset + worst)
-        yield kernel.probabilities()
-        offset += len(batch)
+    reach = 0
+    if not isinstance(kind, str):
+        kind = list(kind)
+        reach = max((abs(_count(x, "position", -np.inf)) for x, _, _ in kind), default=0)
+    return build_initial_state(num_coins, kind, t_max=max(steps + reach, 1))
 
 
 def _final_moments(
@@ -336,13 +303,27 @@ def _final_moments(
 ) -> list[tuple[float, float]]:
     """Final-step mean and std of every schedule played from ``initial``.
 
-    The schedules run through :func:`_final_probabilities`, and each entry
-    is read out with :func:`_readout`, so the moments equal those of
-    :func:`run_sequence` bit for bit.
+    Schedules are stepped a chunk at a time on one batched kernel whose
+    buffers hold about :data:`_CHUNK_BYTES` each.  Every entry's norm is
+    checked at the start and after every step, on the rule of
+    :func:`_readout`; an error names the step and the entry's index among
+    all schedules.  After a chunk's last step each entry is read out with
+    :func:`_readout`, so the moments equal those of :func:`run_sequence`
+    bit for bit.
     """
     grid = _grid_positions(initial.positions)
+    chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
+    schedules = iter(schedules)
     results: list[tuple[float, float]] = []
-    for first_row, stride, p in _final_probabilities(initial, schedules, steps):
+    while batch := list(islice(schedules, chunk)):
+        with _Kernel(initial, *batch) as kernel:
+            for step in range(steps + 1):
+                if step:
+                    kernel.step()
+                norms = np.sqrt(kernel.norms())
+                worst = int(np.argmax(np.abs(norms - 1.0)))
+                _check_norm(norms[worst], step, len(results) + worst)
+        first_row, stride, p = kernel.probabilities()
         for entry in p:
             results.append(_readout(first_row, stride, entry, grid, steps)[:2])
     return results
@@ -357,8 +338,9 @@ def scan_sequences(
     in lexicographic order over the sorted game alphabet.  A pattern that
     repeats a shorter one (``ABAB`` repeats ``AB``) plays the same schedule,
     so only primitive patterns are stepped and each repeat gets its root's
-    mean.  A scan whose results cannot fit in physical memory raises
-    MemoryLimitError before any pattern is built.
+    mean.  The grid is wide enough for a start off the origin.  A scan whose
+    results cannot fit in physical memory raises MemoryLimitError before any
+    pattern is built.
     """
     tables = as_game_tables(games)
     max_len = _count(max_len, "max_len", 1)
@@ -377,7 +359,7 @@ def scan_sequences(
     # The shortest prefix that repeats to the whole pattern.
     roots = {pattern: pattern[: (pattern * 2).find(pattern, 1)] for pattern in patterns}
     primitive = [pattern for pattern in patterns if roots[pattern] == pattern]
-    initial = build_initial_state(num_coins, kind, t_max=max(steps, 1))
+    initial = _batch_start(num_coins, kind, steps)
     schedules = ([tables[letter] for letter in pattern] for pattern in primitive)
     moments = _final_moments(initial, schedules, steps)
     means = {pattern: mean for pattern, (mean, _) in zip(primitive, moments)}
@@ -394,13 +376,16 @@ def sweep_parameter(
     """Final-step moments of a single-game walk as one history entry varies.
 
     Returns ``(rho, Moments)`` pairs in grid order; every run starts from the
-    same initial state and plays the adjusted table for all ``steps`` tosses.
-    A grid whose results cannot fit in physical memory raises MemoryLimitError
-    before any run.
+    same initial state, on a grid wide enough for a start off the origin, and
+    plays the adjusted table for all ``steps`` tosses.  An unknown
+    ``history_key`` raises ValueError before anything else, and a grid whose
+    results cannot fit in physical memory raises MemoryLimitError before any
+    run.
     """
+    _history_index(history_key, base.num_coins)
     steps = _count(steps, "steps", 0)
     _check_sweep_size(len(grid))
-    initial = build_initial_state(base.num_coins, kind, t_max=max(steps, 1))
+    initial = _batch_start(base.num_coins, kind, steps)
     schedules = ([base.replaced(history_key, float(rho))] for rho in grid)
     moments = _final_moments(initial, schedules, steps)
     return [(float(rho), Moments(mean, std)) for rho, (mean, std) in zip(grid, moments)]

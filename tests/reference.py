@@ -99,6 +99,11 @@ def history_states(num_coins: int) -> list[str]:
     return ["".join(s) for s in product("LR", repeat=num_coins)]
 
 
+def complement(coins: str) -> str:
+    """Swap L and R throughout a register or history string; other letters raise KeyError."""
+    return "".join({"L": "R", "R": "L"}[letter] for letter in coins)
+
+
 def history_walk_transition(table) -> np.ndarray:
     """Row-stochastic transition matrix of the walk's classical limit, by string enumeration.
 

@@ -18,7 +18,7 @@ from histwalk.analysis import analyze_peaks
 from histwalk.cli import main
 from histwalk.operators import HistoryRhoTable
 from histwalk.output import format_value, read_csv_columns, write_csv
-from histwalk.walker import build_initial_state, run_sequence
+from histwalk.walker import build_initial_state, final_distribution, run_sequence
 
 SINGLE_COIN = "M = 1\nT = {steps}\npattern = A\ngames.A.rho.default = 0.5\n"
 BIASED_THREE = (
@@ -113,14 +113,8 @@ class TestWalkDist:
         )
         assert code == 0
         table = HistoryRhoTable.uniform(1, 0.5)
-        trajectory = run_sequence(
-            build_initial_state(1, "antisymmetric", 20),
-            {"A": table},
-            "A",
-            20,
-            snapshot_at=[20],
-        )
-        report = analyze_peaks(trajectory.snapshots[20], window=5, prominence=0.1)
+        dist = final_distribution(build_initial_state(1, "antisymmetric", 20), {"A": table}, "A", 20)
+        report = analyze_peaks(dist, window=5, prominence=0.1)
         expected = ["position,height"] + [
             f"{x},{format_value(h)}" for x, h in report.peaks
         ]
@@ -135,9 +129,7 @@ class TestWalkDist:
             "A": HistoryRhoTable.uniform(3, 0.5),
             "B": HistoryRhoTable.with_overrides(3, 0.5, {"RR": 0.55}),
         }
-        dist = run_sequence(
-            build_initial_state(3, "antisymmetric", 100), games, "AAB", 100, snapshot_at=[100]
-        ).snapshots[100]
+        dist = final_distribution(build_initial_state(3, "antisymmetric", 100), games, "AAB", 100)
         written = {}
         for flags, window, prominence in (
             ([], 3, 0.1),

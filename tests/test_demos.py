@@ -1,4 +1,8 @@
-"""The demos and README's quick start run, and the package exports only what they use.
+"""The demos and README's quick start run, and the package exports what its callers use.
+
+The exports are the public names that the CLI, the demos, README, the
+benchmark and the acceptance checks use, plus the exceptions public calls
+raise, and nothing else.
 
 Each demo runs as a script in a fresh working directory, as a reader would
 run it, so a name it imports that the package no longer has fails here.
@@ -81,11 +85,16 @@ def names_used_from_histwalk(source: str) -> set[str]:
     return used
 
 
-def test_every_export_is_used_by_a_caller_or_is_a_raised_exception():
+def names_callers_use() -> set[str]:
+    """Names the CLI, the acceptance checks, the demos, the benchmark and README use."""
     sources = [ROOT / "src" / "histwalk" / "cli.py", ROOT / "tests" / "test_acceptance.py"]
     sources += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     texts = [path.read_text(encoding="utf-8") for path in sources] + readme_python_blocks()
-    used = set().union(*map(names_used_from_histwalk, texts))
+    return set().union(*map(names_used_from_histwalk, texts))
+
+
+def test_every_export_is_used_by_a_caller_or_is_a_raised_exception():
+    used = names_callers_use()
     exceptions = {
         name
         for name in histwalk.__all__
@@ -94,3 +103,8 @@ def test_every_export_is_used_by_a_caller_or_is_a_raised_exception():
     }
     assert sorted(set(histwalk.__all__) - used - exceptions) == []
     assert len(set(histwalk.__all__)) == len(histwalk.__all__)
+
+
+def test_every_public_name_a_caller_uses_is_exported():
+    public = {name for name in names_callers_use() if not name.startswith("_")}
+    assert sorted(public - set(histwalk.__all__)) == []

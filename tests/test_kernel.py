@@ -8,8 +8,10 @@ within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Over a
 full rotation cycle its amplitudes equal those of :func:`toss` bit for bit.
 Scans and sweeps step walks on the kernel's batch axis, and
 :func:`final_distribution` steps one walk in a loop of its own; both read
-the band out only after the last step, and their results equal those of
-:func:`run_sequence` bit for bit, as do ``walk dist``'s files.  The step's
+the band out only after the last step.  Scan and sweep results equal those
+of :func:`run_sequence` bit for bit, and :func:`final_distribution` equals
+:func:`position_distribution` of the :func:`toss` loop's state bit for bit,
+as do ``walk dist``'s files.  The step's
 small ufunc buffers change no result, allocate little and are not seen
 outside the step.
 The band's readout and :func:`position_distribution` sum with one helper, so
@@ -46,7 +48,6 @@ from histwalk.state import (
     _readout,
     _register_probabilities,
     _walk_bytes,
-    complement,
     index_to_coins,
     moments,
     new_state,
@@ -66,12 +67,13 @@ from histwalk.walker import (
 )
 
 from reference import (
+    complement,
     dense_evolve,
     dense_step_matrix,
     register_probabilities_by_modulus,
     register_probabilities_exact,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 MOMENT_TOL = 1e-10
@@ -143,21 +145,21 @@ def walks(draw, max_coins=6, max_horizon=8):
 class TestAgainstTheTossLoop:
     @given(walks())
     @settings(deadline=None, max_examples=60)
-    def test_run_sequence_matches_moments_snapshots_and_horizon(self, walk):
+    def test_run_sequence_and_final_distribution_match_every_step_and_horizon(self, walk):
         initial, tables, pattern, steps = walk
         states, raised_at = spec_walk(initial, tables, pattern, steps)
-        snapshot_at = range(steps + 1)
         if raised_at is not None:
-            with pytest.raises(HorizonError):
-                run_sequence(initial, tables, pattern, steps, snapshot_at)
+            for call in (run_sequence, final_distribution):
+                with pytest.raises(HorizonError):
+                    call(initial, tables, pattern, steps)
             return
-        trajectory = run_sequence(initial, tables, pattern, steps, snapshot_at)
+        trajectory = run_sequence(initial, tables, pattern, steps)
         dists = [position_distribution(state) for state in states]
         stats = [moments(dist) for dist in dists]
         assert np.max(np.abs(trajectory.means - [s.mean for s in stats])) <= MOMENT_TOL
         assert np.max(np.abs(trajectory.stds - [s.std for s in stats])) <= MOMENT_TOL
         for t, dist in enumerate(dists):
-            got = trajectory.snapshots[t]
+            got = final_distribution(initial, tables, pattern, t)
             assert np.array_equal(got.positions, dist.positions)
             assert np.max(np.abs(got.probabilities - dist.probabilities)) <= AMPLITUDE_TOL
         assert trajectory.norm_drift.shape == (steps + 1,)
@@ -386,7 +388,10 @@ class TestWorkingBytes:
     @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000), (10, 100)])
     @pytest.mark.parametrize(
         "call",
-        ["run", "run with a final snapshot", "evolve", "both parities", "evolve both parities"],
+        [
+            "run", "final distribution", "evolve",
+            "run both parities", "final distribution both parities", "evolve both parities",
+        ],
     )
     def test_the_traced_peak_stays_within_working_bytes(self, num_coins, steps, call):
         games = random_tables(num_coins, "AB", 7)
@@ -396,17 +401,16 @@ class TestWorkingBytes:
                 # Sites 0 and 1 reach the grid edge at step t_max, so stop one short.
                 entries = [(0, "L" * num_coins, 0.6), (1, "R" * num_coins, 0.8)]
                 initial = build_initial_state(num_coins, entries, steps)
-                if call == "evolve both parities":
-                    evolve(initial, games["B"], steps - 1)
-                else:
-                    run_sequence(initial, games, "AAB", steps - 1, [steps - 1])
+                taken = steps - 1
             else:
                 initial = build_initial_state(num_coins, ANTISYMMETRIC, steps)
-                if call == "evolve":
-                    evolve(initial, games["B"], steps)
-                else:
-                    snapshot_at = [steps] if "snapshot" in call else []
-                    run_sequence(initial, games, "AAB", steps, snapshot_at)
+                taken = steps
+            if call.startswith("evolve"):
+                evolve(initial, games["B"], taken)
+            elif call.startswith("final distribution"):
+                final_distribution(initial, games, "AAB", taken)
+            else:
+                run_sequence(initial, games, "AAB", taken)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -433,8 +437,7 @@ class TestCliOutputIsUnchanged:
     """The CLI's output bytes equal those written from the specification loop.
 
     ``walk dist`` reads its walk out through :func:`final_distribution`; its
-    CSV, peak CSV and plot also equal those written from the
-    :func:`run_sequence` snapshot it replaced.
+    CSV, peak CSV and plot also equal those written from that call.
     """
 
     CONFIG = (
@@ -496,9 +499,9 @@ class TestCliOutputIsUnchanged:
         dist = position_distribution(states[-1])
         rows = zip(dist.positions, dist.probabilities)
         assert (cli / "dist.csv").read_bytes() == spec_csv(tmp_path / "spec.csv", ("x", "p"), rows)
-        # The files the command wrote before it called final_distribution.
+        # The files written from the library's final_distribution.
         config = parse_config((tmp_path / "run.cfg").read_text(encoding="utf-8"))
-        dist = run_sequence(states[0], tables, "AAB", steps, [steps]).snapshots[steps]
+        dist = final_distribution(states[0], tables, "AAB", steps)
         write_csv(("x", "p"), zip(dist.positions, dist.probabilities), want / "dist.csv")
         if "peaks.csv" in names:
             report = analyze_peaks(dist, config.window, config.prominence)
@@ -566,6 +569,27 @@ class TestBatchedScansAndSweeps:
             trajectory = run_sequence(initial, {"X": table.replaced("RL", rho)}, "X", 25)
             assert got_rho == rho
             assert (stat.mean, stat.std) == (trajectory.means[-1], trajectory.stds[-1])
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [(1, "RLL", 1.0)],
+            [(-2, "LRR", 0.6), (-2, "RRL", 0.8j)],
+            [(1, "LLL", 0.6), (-2, "RRR", -0.8)],
+        ],
+    )
+    def test_scans_and_sweeps_from_off_origin_starts_equal_single_walks(self, start):
+        tables = random_tables(3, "AB", 4)
+        steps = 12
+        # The grid scans and sweeps size: the steps plus the start's largest |x|.
+        initial = build_initial_state(3, start, t_max=steps + max(abs(x) for x, _, _ in start))
+        scan = scan_sequences(tables, 3, 3, steps, start)
+        assert scan == {p: run_sequence(initial, tables, p, steps).means[-1] for p in scan}
+        grid = [0.0, 0.3, 1.0]
+        sweep = sweep_parameter(tables["B"], "RL", grid, steps, start)
+        for rho, (got_rho, stat) in zip(grid, sweep):
+            trajectory = run_sequence(initial, {"X": tables["B"].replaced("RL", rho)}, "X", steps)
+            assert (got_rho, stat.mean, stat.std) == (rho, trajectory.means[-1], trajectory.stds[-1])
 
     def test_batched_final_amplitudes_match_dense_steps(self):
         tables = random_tables(3, "AB", 9)
@@ -672,15 +696,18 @@ class TestFinalDistribution:
     """One walk in a loop of its own, read out once, after the last step."""
 
     @given(walks(max_horizon=30))
+    @example(
+        walk=(build_initial_state(1, ANTISYMMETRIC, 5), {"A": HistoryRhoTable.uniform(1)}, "A", 0)
+    )
     @settings(deadline=None, max_examples=60)
-    def test_equals_the_run_sequence_snapshot_bit_for_bit(self, walk):
+    def test_equals_the_toss_loop_distribution_bit_for_bit(self, walk):
         initial, tables, pattern, steps = walk
-        try:
-            want = run_sequence(initial, tables, pattern, steps, [steps]).snapshots[steps]
-        except HorizonError:
+        states, raised_at = spec_walk(initial, tables, pattern, steps)
+        if raised_at is not None:
             with pytest.raises(HorizonError):
                 final_distribution(initial, tables, pattern, steps)
             return
+        want = position_distribution(states[-1])
         got = final_distribution(initial, tables, pattern, steps)
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.probabilities, want.probabilities)

@@ -16,10 +16,10 @@ from histwalk.operators import (
     apply_shift,
     toss,
 )
-from histwalk.state import HorizonError, complement, new_state
+from histwalk.state import HorizonError, new_state
 from histwalk.walker import evolve_brun
 
-from reference import coin_unitary, dense_evolve
+from reference import coin_unitary, complement, dense_evolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -14,7 +14,6 @@ from histwalk.state import (
     ProbabilityDistribution,
     WalkState,
     coins_to_index,
-    complement,
     index_to_coins,
     moments,
     new_state,
@@ -25,7 +24,7 @@ from histwalk.state import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import fidelity
+from reference import complement, fidelity
 
 
 class TestRegisterEncoding:

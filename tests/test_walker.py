@@ -11,7 +11,6 @@ from histwalk.operators import HistoryRhoTable, all_histories
 from histwalk.state import (
     HorizonError,
     NormalizationError,
-    complement,
     index_to_coins,
     new_state,
     position_distribution,
@@ -30,7 +29,7 @@ from histwalk.walker import (
     sweep_parameter,
 )
 
-from reference import dense_step_matrix
+from reference import complement, dense_step_matrix
 
 UNBIASED_3 = HistoryRhoTable.uniform(3, 0.5)
 
@@ -95,6 +94,16 @@ class TestInitialStates:
         with pytest.raises(ValueError, match=r"^position must be an integer, got"):
             build_initial_state(1, [(x, "R", 1.0)], t_max=3)
 
+    @pytest.mark.parametrize("x", [True, np.True_, 1.0, 0.5, np.float64(1), "1"])
+    @pytest.mark.parametrize("call", ["scan_sequences", "sweep_parameter"])
+    def test_scans_and_sweeps_refuse_non_integer_positions_by_name(self, call, x):
+        start = [(0, "LR", 0.6), (x, "RR", 0.8)]
+        with pytest.raises(ValueError, match=r"^position must be an integer, got"):
+            if call == "scan_sequences":
+                scan_sequences({"A": HistoryRhoTable.uniform(2)}, 2, 2, 3, start)
+            else:
+                sweep_parameter(HistoryRhoTable.uniform(2), "R", [0.5], 3, start)
+
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown initial state"):
             build_initial_state(1, "sideways", t_max=1)
@@ -146,26 +155,6 @@ class TestRunSequence:
         assert trajectory.means.tolist() == [0.0]
         assert trajectory.stds.tolist() == [0.0]
 
-    def test_snapshots_only_at_requested_steps(self):
-        initial = build_initial_state(1, ANTISYMMETRIC, t_max=5)
-        trajectory = run_sequence(
-            initial, {"A": HistoryRhoTable.uniform(1)}, "A", 5, snapshot_at=[0, 3]
-        )
-        assert sorted(trajectory.snapshots) == [0, 3]
-        assert trajectory.snapshots[0].probability(0) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("step", [2.5, 2.0, np.float64(3.0), "3"])
-    def test_rejects_a_snapshot_step_that_is_not_an_integer(self, step):
-        initial = build_initial_state(1, ANTISYMMETRIC, t_max=5)
-        with pytest.raises(ValueError, match="snapshot steps must be integers"):
-            run_sequence(initial, {"A": HistoryRhoTable.uniform(1)}, "A", 5, [0, step])
-
-    @pytest.mark.parametrize("step", [-1, 6])
-    def test_rejects_a_snapshot_step_outside_the_walk(self, step):
-        initial = build_initial_state(1, ANTISYMMETRIC, t_max=5)
-        with pytest.raises(ValueError, match=rf"snapshot steps \[{step}\] outside \[0, 5\]"):
-            run_sequence(initial, {"A": HistoryRhoTable.uniform(1)}, "A", 5, [0, step])
-
     def test_is_pure_and_deterministic(self):
         initial = build_initial_state(2, ANTISYMMETRIC, t_max=20)
         games = {"A": HistoryRhoTable.uniform(2, 0.5), "B": HistoryRhoTable.uniform(2, 0.7)}
@@ -213,15 +202,11 @@ class TestMirrorSymmetry:
     def test_complemented_table_reverses_the_distribution(self):
         table = HistoryRhoTable.with_overrides(3, 0.5, {"LL": 0.2, "LR": 0.7, "RL": 0.9})
         steps = 40
-        forward = run_sequence(
-            build_initial_state(3, ANTISYMMETRIC, t_max=steps),
-            {"A": table}, "A", steps, snapshot_at=[steps],
-        )
-        mirrored = run_sequence(
-            build_initial_state(3, ANTISYMMETRIC, t_max=steps),
-            {"A": table.mirrored()}, "A", steps, snapshot_at=[steps],
-        )
-        p, q = forward.snapshots[steps], mirrored.snapshots[steps]
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=steps)
+        forward = run_sequence(initial, {"A": table}, "A", steps)
+        mirrored = run_sequence(initial, {"A": table.mirrored()}, "A", steps)
+        p = final_distribution(initial, {"A": table}, "A", steps)
+        q = final_distribution(initial, {"A": table.mirrored()}, "A", steps)
         worst = max(abs(p.probability(x) - q.probability(-x)) for x in range(-steps, steps + 1))
         assert worst < 1e-10
         assert mirrored.means[steps] == pytest.approx(-forward.means[steps], abs=1e-10)
@@ -230,11 +215,9 @@ class TestMirrorSymmetry:
     def test_self_complementary_table_gives_symmetric_distribution(self):
         table = HistoryRhoTable.with_overrides(3, 0.5, {"LR": 0.8, "RL": 0.8, "LL": 0.3, "RR": 0.3})
         steps = 30
-        trajectory = run_sequence(
-            build_initial_state(3, ANTISYMMETRIC, t_max=steps),
-            {"A": table}, "A", steps, snapshot_at=[steps],
+        dist = final_distribution(
+            build_initial_state(3, ANTISYMMETRIC, t_max=steps), {"A": table}, "A", steps
         )
-        dist = trajectory.snapshots[steps]
         worst = max(abs(dist.probability(x) - dist.probability(-x)) for x in range(0, steps + 1))
         assert worst < 1e-12
 
@@ -449,9 +432,12 @@ class TestSweepParameter:
             assert stat_ll.mean == pytest.approx(-stat_rr.mean, abs=1e-10)
             assert stat_ll.std == pytest.approx(stat_rr.std, abs=1e-10)
 
-    def test_rejects_unknown_history_key(self):
+    @pytest.mark.parametrize("grid", [[0.5], []])
+    def test_rejects_unknown_history_key(self, monkeypatch, grid):
+        for name in ("_check_fits", "_new_state", "_Kernel"):
+            monkeypatch.setattr(histwalk.walker, name, not_reached)
         with pytest.raises(ValueError, match="unknown history"):
-            sweep_parameter(UNBIASED_3, "RRR", [0.5], 10)
+            sweep_parameter(UNBIASED_3, "RRR", grid, 10)
 
 
 def not_reached(*args, **kwargs):
@@ -462,8 +448,8 @@ UNBIASED_2 = HistoryRhoTable.uniform(2, 0.5)
 
 
 class TestCountArguments:
-    """Step counts, ``max_len`` and snapshot steps are integers: floats, bools and
-    negatives are refused by name, before any size guard, grid or kernel."""
+    """Step counts and ``max_len`` are integers: floats, bools and negatives
+    are refused by name, before any size guard, grid or kernel."""
 
     RUNS = {
         "run_sequence": lambda start, steps: run_sequence(start, {"A": UNBIASED_2}, "A", steps),
@@ -499,22 +485,11 @@ class TestCountArguments:
         with pytest.raises(ValueError, match=r"^max_len must be an integer, got"):
             scan_sequences({"A": UNBIASED_2}, max_len, 2, 3)
 
-    @pytest.mark.parametrize("snapshot", [True, False, np.True_])
-    def test_bool_snapshot_steps_are_refused(self, start, snapshot):
-        with pytest.raises(ValueError, match="snapshot steps must be integers"):
-            run_sequence(start, {"A": UNBIASED_2}, "A", 3, [snapshot])
-
     @pytest.mark.parametrize("call", sorted(RUNS))
     def test_numpy_integers_run_as_their_value(self, call):
         start = build_initial_state(2, ANTISYMMETRIC, t_max=5)
         want, got = self.RUNS[call](start, 4), self.RUNS[call](start, np.int32(4))
         assert pickle.dumps(got) == pickle.dumps(want)
-
-    def test_numpy_snapshot_steps_are_taken_as_their_value(self):
-        start = build_initial_state(2, ANTISYMMETRIC, t_max=5)
-        trajectory = run_sequence(start, {"A": UNBIASED_2}, "A", 4, [np.int64(1), 3])
-        assert sorted(trajectory.snapshots) == [1, 3]
-        assert all(type(step) is int for step in trajectory.snapshots)
 
 
 class TestRegisterCounts:

@@ -20,7 +20,9 @@ file it writes itself, and digests its stderr too.  A run whose ``start``
 is a list of ``(x, register, amplitude)`` entries begins there, on a grid
 three sites wider than its step count: the process replaces
 ``histwalk.cli.build_initial_state`` before it calls ``histwalk.cli.main``,
-because no config key names such a start.
+because no config key names such a start.  Last it runs the Python block
+under "Library quick start" in the tree's own README as ``python -c`` in a
+new temporary directory and digests its exit code, stdout and stderr.
 
 The script prints one table, a row per item and a column per tree, and
 exits 1 if any tree's digest of an item differs from the first tree's or is
@@ -108,7 +110,7 @@ def _worked_examples() -> tuple[dict[str, str], list[list[str]]]:
 
 
 def measure(tree: str) -> dict[str, str]:
-    """Digest of every workload payload, demo output and worked example of ``tree``.
+    """Digest of every workload payload, demo output, worked example and quick start of ``tree``.
 
     ``histwalk`` must already import from ``<tree>/src``.
     """
@@ -155,6 +157,16 @@ def measure(tree: str) -> dict[str, str]:
             digests[f"walk dist {label}"] = _folder_digest(
                 Path(temporary), f"exit {done.returncode}\n{done.stdout}\0{done.stderr}"
             )
+    readme = Path(tree, "README.md").read_text(encoding="utf-8")
+    quick_start = re.search(r"## Library quick start\n.*?```python\n(.*?)```", readme, re.S)
+    with tempfile.TemporaryDirectory() as temporary:
+        done = subprocess.run(
+            [sys.executable, "-c", quick_start.group(1)], cwd=temporary, env=env,
+            capture_output=True, text=True,
+        )
+        digests["README quick start"] = _folder_digest(
+            Path(temporary), f"exit {done.returncode}\n{done.stdout}\0{done.stderr}"
+        )
     return digests
 
 
