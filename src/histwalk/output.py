@@ -67,6 +67,14 @@ def read_csv_columns(path) -> tuple[list[str], list[float], list[float]]:
     return header, xs, ys
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` as entities.
+
+    A local rule, since ``xml.sax.saxutils`` would import ``urllib.request``.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _PALETTE = (
     "#1b6ca8",
     "#c8401f",
@@ -94,7 +102,8 @@ def emit_svg_plot(csv_paths: Sequence, out_path, style: str = "line") -> None:
     """Render two-column CSV files as one static SVG chart.
 
     Each file contributes one series named after its file stem; axis labels
-    come from the first file's header.  ``style`` is ``"line"`` or
+    come from the first file's header.  Both are written as XML text, with
+    ``&``, ``<`` and ``>`` escaped.  ``style`` is ``"line"`` or
     ``"scatter"``.  Nothing is written if any input is malformed.
     """
     if style not in ("line", "scatter"):
@@ -140,7 +149,7 @@ def emit_svg_plot(csv_paths: Sequence, out_path, style: str = "line") -> None:
             f'<text x="{_LEFT - 8}" y="{ypix + 4:.2f}" font-family="monospace" '
             f'font-size="11" text-anchor="end">{yv:.6g}</text>\n'
         )
-    x_label, y_label = series[0][1][0], series[0][1][1]
+    x_label, y_label = _escape(series[0][1][0]), _escape(series[0][1][1])
     parts.append(
         f'<text x="{_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 14}" font-family="monospace" '
         f'font-size="12" text-anchor="middle">{x_label}</text>\n'
@@ -166,7 +175,7 @@ def emit_svg_plot(csv_paths: Sequence, out_path, style: str = "line") -> None:
             f'<rect x="{_WIDTH - _RIGHT + 12}" y="{ly - 9}" width="14" height="10" '
             f'fill="{color}"/>\n'
             f'<text x="{_WIDTH - _RIGHT + 32}" y="{ly}" font-family="monospace" '
-            f'font-size="11">{name}</text>\n'
+            f'font-size="11">{_escape(name)}</text>\n'
         )
     parts.append("</svg>\n")
     Path(out_path).write_text("".join(parts), encoding="utf-8", newline="\n")

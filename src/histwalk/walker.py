@@ -47,8 +47,14 @@ ALL_R = "allR"
 POSITIVE_MEAN_THRESHOLD = 1e-9
 
 # Scans and sweeps step their patterns or grid points in chunks whose
-# amplitude buffers hold about this many bytes each.
-_CHUNK_BYTES = 256 * 1024
+# amplitude buffers hold about this many bytes each.  At small M a step is
+# mostly fixed NumPy call cost, paid once per chunk, so fewer chunks pay
+# until the kernel's two buffers outgrow the L2 cache.  On a 2-core x86-64
+# host with 2 MiB of L2 per core (NumPy 2.4), five scans at M=3, 5 and 8
+# and T=60-1000 took 10-25% longer at 256 KiB than at 512 KiB, which was
+# within 9% of the fastest budget tried at each; 2 MiB was slower again
+# (ROADMAP, "Measured limits").
+_CHUNK_BYTES = 512 * 1024
 
 # Bytes a scan pattern or sweep point holds in its results: key or grid
 # value, result objects and container slots (tracemalloc measures 120-230).

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,14 @@ class TestPlotting:
         assert main(base + ["--emit-plot", str(svg_b)]) == 0
         assert svg_a.read_bytes() == svg_b.read_bytes()
         assert svg_a.read_text().startswith("<svg")
+
+    def test_emit_plot_escapes_an_out_stem_with_markup(self, tmp_path):
+        cfg = config_file(tmp_path, SINGLE_COIN.format(steps=5))
+        svg = tmp_path / "run.svg"
+        out = tmp_path / "r&d<1>.csv"
+        assert main(["walk", "run", "--config", cfg, "--out", str(out), "--emit-plot", str(svg)]) == 0
+        texts = [node.text for node in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "r&d<1>" in texts
 
     def test_plot_command_overlays_files(self, tmp_path):
         first = tmp_path / "one.csv"

@@ -19,7 +19,6 @@ their probabilities agree bit for bit; both lie within a stated tolerance of
 exact sums, and the readout makes no temporary of the band's size.
 """
 
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -638,15 +637,25 @@ class TestStepCount:
         monkeypatch.setattr(_Kernel, "step", counting_step)
         return calls
 
-    def test_a_scan_steps_once_per_chunk_and_step(self, counted):
+    def test_a_scan_steps_once_per_chunk_and_step(self, counted, monkeypatch):
         # 62 patterns, of which 52 are primitive: the 10 repeats of one letter
         # and ABAB, BABA are not stepped.
+        chunked(monkeypatch, 3, 60, 20)
         scan_sequences(random_tables(3, "AB", 2), 5, 3, 60)
-        per_chunk = max(1, histwalk.walker._CHUNK_BYTES // entry_bytes(3, 60))
-        chunks = math.ceil(52 / per_chunk)
-        assert 1 < chunks < 52
-        assert len(counted) == 60 * chunks
+        assert len(counted) == 3 * 60
         assert sum(counted) == 60 * 52
+
+    def test_the_default_budget_steps_a_five_letter_scan_in_one_chunk(self, counted):
+        # The 52 primitive patterns of 7,936 B each fit in 512 KiB.
+        scan_sequences(random_tables(3, "AB", 2), 5, 3, 60)
+        assert counted == [52] * 60
+
+    def test_the_default_budget_steps_a_long_sweep_in_six_chunks(self, counted):
+        # At M=3, T=1000 an entry holds 128,256 B, so 4 fit in 512 KiB and 21
+        # grid points take ceil(21 / 4) = 6 chunks.
+        table = random_tables(3, "B", 2)["B"]
+        sweep_parameter(table, "RL", np.linspace(0.0, 1.0, 21), 1000)
+        assert counted == [4] * (5 * 1000) + [1] * 1000
 
     def test_a_single_walk_steps_once_per_step(self, counted):
         initial = build_initial_state(3, ANTISYMMETRIC, t_max=60)

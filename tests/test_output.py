@@ -1,5 +1,6 @@
 """CSV and SVG writers: formatting, byte layout, and determinism."""
 
+import xml.etree.ElementTree as ET
 from decimal import Decimal
 
 import numpy as np
@@ -111,6 +112,14 @@ class TestSvgPlot:
             emit_svg_plot([csv_file], tmp_path / "x.svg", style="bars")
         with pytest.raises(ValueError, match="at least one"):
             emit_svg_plot([], tmp_path / "x.svg")
+
+    def test_markup_in_names_and_headers_is_escaped(self, tmp_path):
+        path = tmp_path / "a&b<c>.csv"
+        path.write_text("x<1,p&q\n0,0.0\n1,0.5\n", encoding="utf-8")
+        out = tmp_path / "chart.svg"
+        emit_svg_plot([path], out)
+        texts = [node.text for node in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert {"x<1", "p&q", "a&b<c>"} <= set(texts)
 
     def test_constant_series_still_renders(self, tmp_path):
         path = tmp_path / "flat.csv"

@@ -22,7 +22,10 @@ pattern ``AAB``):
 * ``run_sequence``: the whole call, with no timers inside;
 
 at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
-letters) ``scan_sequences``: the whole call; and at the size of
+letters) ``scan_sequences``: the whole call; ``sweep_parameter``: the whole
+call at ``SWEEP`` (M=3, T=1000, game B's table with history ``RL`` set to
+each of 21 points over [0, 1]), which no benchmark workload runs, so that a
+change to the batch loop shows on sweeps too; and at the size of
 ``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config file):
 
 * ``step_m3``, ``probabilities_m3`` and ``readout_m3``: the time one
@@ -100,6 +103,7 @@ from workloads import (  # noqa: E402
 ROUNDS = 10
 OPS = 5
 SEED = 7
+SWEEP = {"M": 3, "T": 1000, "key": "RL", "points": 21}
 
 
 def _layered(run, targets, samples: dict[str, list[float]]) -> None:
@@ -169,6 +173,8 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
         walker.run_sequence(initial, trajectory_games, TRAJECTORY["pattern"], TRAJECTORY["T"])
 
     scan_games = walk_games(hw, SEED, SCAN["M"])
+    sweep_table = walk_games(hw, SEED, SWEEP["M"])["B"]
+    sweep_grid = np.linspace(0.0, 1.0, SWEEP["points"])
     dist_games = walk_games(hw, SEED, CLI["M"])
     dist_initial = walker.build_initial_state(CLI["M"], walker.ANTISYMMETRIC, CLI["T"])
 
@@ -223,6 +229,11 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
             lambda: _whole(
                 lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
                 "scan_sequences",
+                samples,
+            ),
+            lambda: _whole(
+                lambda: walker.sweep_parameter(sweep_table, SWEEP["key"], sweep_grid, SWEEP["T"]),
+                "sweep_parameter",
                 samples,
             ),
             lambda: _layered(
@@ -292,7 +303,8 @@ def main(argv=None) -> int:
         },
         "settings": {
             "rounds": ROUNDS, "ops_per_process": OPS, "seed": SEED,
-            "trajectory": TRAJECTORY, "scan": SCAN, "dist": CLI, "classical": CLASSICAL,
+            "trajectory": TRAJECTORY, "scan": SCAN, "sweep": SWEEP, "dist": CLI,
+            "classical": CLASSICAL,
             "unit": "s per op",
         },
         "trees": {
