@@ -24,14 +24,6 @@ def _check_single_parity(dist: ProbabilityDistribution) -> None:
         raise ValueError("distribution must be supported on a single parity class")
 
 
-def _check_window(window) -> int:
-    """Return ``window`` as an ``int``, or raise ValueError unless it is an odd positive integer."""
-    window = _count(window, "window", -np.inf)
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be an odd positive integer, got {window}")
-    return window
-
-
 def smooth_distribution(dist: ProbabilityDistribution, window: int) -> ProbabilityDistribution:
     """Moving average over neighboring support points, renormalized to sum 1.
 
@@ -39,7 +31,9 @@ def smooth_distribution(dist: ProbabilityDistribution, window: int) -> Probabili
     every point stays centered in its own average (the first and last points
     are left as they are).  ``window=1`` returns the input unchanged.
     """
-    window = _check_window(window)
+    window = _count(window, "window", -np.inf)
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be an odd positive integer, got {window}")
     _check_single_parity(dist)
     if window == 1:
         return ProbabilityDistribution(dist.positions.copy(), dist.probabilities.copy())
@@ -59,34 +53,24 @@ def smooth_distribution(dist: ProbabilityDistribution, window: int) -> Probabili
 
 @dataclass(frozen=True)
 class PeakReport:
-    """Detected peaks sorted by position, plus the settings that produced them."""
+    """Detected peaks as ``(position, height)`` pairs, sorted by position."""
 
     peaks: tuple[tuple[int, float], ...]
-    window: int
-    prominence: float
 
     @property
     def positions(self) -> list[int]:
         return [x for x, _ in self.peaks]
 
-    @property
-    def heights(self) -> list[float]:
-        return [h for _, h in self.peaks]
 
-
-def find_peaks(
-    dist: ProbabilityDistribution, prominence_fraction: float, window: int = 1
-) -> PeakReport:
+def find_peaks(dist: ProbabilityDistribution, prominence_fraction: float) -> PeakReport:
     """Local maxima at least ``prominence_fraction`` of the global maximum.
 
     A support point counts when it is strictly higher than both neighbors on
     the support grid; a flat run higher than its surroundings counts once, at
     its leftmost point, and runs touching an edge need only fall off on the
-    inner side.  ``window``, an odd positive integer, is recorded in the
-    report as an ``int`` for provenance, it is not applied here;
-    :func:`analyze_peaks` runs the smooth-then-detect pipeline.
+    inner side.  Nothing is smoothed here; :func:`analyze_peaks` runs the
+    smooth-then-detect pipeline.
     """
-    window = _check_window(window)
     if not 0.0 < prominence_fraction < 1.0:
         raise ValueError(
             f"prominence_fraction must be in (0, 1), got {prominence_fraction}"
@@ -109,14 +93,14 @@ def find_peaks(
         if rises_left and falls_right and p[i] >= floor:
             peaks.append((int(dist.positions[i]), float(p[i])))
         i = j + 1
-    return PeakReport(tuple(peaks), window, float(prominence_fraction))
+    return PeakReport(tuple(peaks))
 
 
 def analyze_peaks(
     dist: ProbabilityDistribution, window: int = 5, prominence: float = 0.1
 ) -> PeakReport:
     """Smooth with ``window``, then report peaks above ``prominence`` of the max."""
-    return find_peaks(smooth_distribution(dist, window), prominence, window=window)
+    return find_peaks(smooth_distribution(dist, window), prominence)
 
 
 def symmetry_deviation(dist: ProbabilityDistribution) -> float:

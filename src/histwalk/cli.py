@@ -26,7 +26,6 @@ from .classical import (
     monte_carlo_trajectory,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .operators import _history_index
 from .output import emit_svg_plot, write_csv
 from .state import MemoryLimitError
 from .walker import (
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     path = Path(args.config)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     overrides = {}
@@ -177,21 +176,18 @@ def _cmd_walk_sweep(args) -> None:
     if len(config.pattern) != 1:
         raise ConfigError("walk sweep needs a single-letter pattern naming the base game")
     table = config.games[config.pattern]
-    key = args.param
     try:
-        _history_index(key, config.num_coins)
-    except ValueError:
+        for bound in (args.sweep_from, args.sweep_to):
+            table.replaced(args.param, bound)
+    except ValueError as exc:
         raise ConfigError(
-            f"--param {key!r} is not a history of length M-1 = {config.num_coins - 1}"
+            f"--param {args.param!r} --from {args.sweep_from} --to {args.sweep_to}: {exc}"
         ) from None
     if args.grid_points < 1:
         raise ConfigError("--steps must be >= 1")
-    for bound in (args.sweep_from, args.sweep_to):
-        if not 0.0 <= bound <= 1.0:
-            raise ConfigError(f"sweep bound {bound} must lie in [0, 1]")
     _check_sweep_size(args.grid_points)
     grid = np.linspace(args.sweep_from, args.sweep_to, args.grid_points)
-    results = sweep_parameter(table, key, grid, config.steps, config.initial)
+    results = sweep_parameter(table, args.param, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
     write_csv(("rho", "mean", "std"), rows, config.out)
     _maybe_plot(args, config)

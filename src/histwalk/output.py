@@ -67,11 +67,17 @@ def read_csv_columns(path) -> tuple[list[str], list[float], list[float]]:
     return header, xs, ys
 
 
+# Characters that XML 1.0 allows nowhere in a document, as translate() keys.
+_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+
+
 def _escape(text: str) -> str:
     """``text`` as SVG character data: ``&``, ``<`` and ``>`` as entities.
 
-    A local rule, since ``xml.sax.saxutils`` would import ``urllib.request``.
+    Characters that XML 1.0 forbids become U+FFFD.  A local rule, since
+    ``xml.sax.saxutils`` would import ``urllib.request``.
     """
+    text = text.translate(_NOT_XML)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

@@ -136,11 +136,8 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
     entries = list(kind)
     if not entries:
         raise ValueError("custom initial state needs at least one entry")
-    try:
-        parities = len({x % 2 for x, _, _ in entries})
-    except TypeError:  # a position that is not a number, which set_amplitude refuses
-        parities = 2
-    state = _new_state(num_coins, t_max, 1 if parities == 1 else 2)
+    parities = {_count(x, "position", -np.inf) % 2 for x, _, _ in entries}
+    state = _new_state(num_coins, t_max, len(parities))
     for x, coins, amplitude in entries:
         state.set_amplitude(x, coins, amplitude)
     total = state.norm()
@@ -163,9 +160,6 @@ class Trajectory:
     stds: np.ndarray
     norm_drift: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.means)
-
 
 def _check_run(
     initial: WalkState, games, pattern: str, steps
@@ -174,11 +168,6 @@ def _check_run(
     tables = as_game_tables(games)
     _check_pattern(pattern, tables)
     steps = _count(steps, "steps", 0)
-    first = next(iter(tables.values()))
-    if first.num_coins != initial.num_coins:
-        raise ValueError(
-            f"games are for {first.num_coins} coins, state has {initial.num_coins}"
-        )
     if initial.steps_taken + steps > initial.t_max:
         raise HorizonError(
             f"{steps} steps from steps_taken={initial.steps_taken} would pass "

@@ -134,7 +134,7 @@ def test_a03_single_coin_walk_is_centered_with_the_known_envelope():
     odd_mass = float(np.max(np.abs(odd_rows)))
 
     smoothed = smooth_distribution(dist, 5)
-    peaks = find_peaks(smoothed, 0.1, window=5).peaks
+    peaks = find_peaks(smoothed, 0.1).peaks
     top_two = sorted(sorted(peaks, key=lambda p: -p[1])[:2])
     spots = [x for x, _ in top_two]
     pair_ok = (

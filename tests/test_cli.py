@@ -63,6 +63,16 @@ class TestWalkRun:
         assert main(["walk", "run", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes() == b"t,mean,std\n0,0.000000000000,0.000000000000\n"
 
+    def test_a_config_led_by_a_utf8_bom_writes_the_same_bytes(self, tmp_path):
+        text = b"M = 3\nT = 10\npattern = B\ngames.B.rho.default = 0.5\n"
+        written = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_bytes(data)
+            assert main(["walk", "run", "--config", str(cfg), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_writes_to_stdout_without_out(self, tmp_path, capsys):
         cfg = config_file(tmp_path, SINGLE_COIN.format(steps=0))
         assert main(["walk", "run", "--config", cfg]) == 0
@@ -182,6 +192,29 @@ class TestWalkSweep:
         multi = config_file(tmp_path, BIASED_THREE.format(steps=10, pattern="AB"))
         assert main(["walk", "sweep", "--config", multi, "--param", "RR",
                      "--from", "0", "--to", "1", "--steps", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, named, reason",
+        [
+            (["--param", "RRR", "--from", "0", "--to", "1"], "--param 'RRR'",
+             "unknown history key 'RRR'"),
+            (["--param", "RR", "--from", "1.5", "--to", "1"], "--from 1.5",
+             "rho['RR'] = 1.5 must lie in [0, 1]"),
+            (["--param", "RR", "--from", "0", "--to", "nan"], "--to nan",
+             "rho['RR'] = nan must lie in [0, 1]"),
+        ],
+        ids=["unknown key", "from above one", "to not a number"],
+    )
+    def test_refusals_name_the_flags_and_give_the_table_reason(
+        self, tmp_path, capsys, flags, named, reason
+    ):
+        cfg = config_file(tmp_path, BIASED_THREE.format(steps=10, pattern="B"))
+        out = tmp_path / "sweep.csv"
+        args = ["walk", "sweep", "--config", cfg, "--out", str(out), *flags, "--steps", "2"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert named in err and reason in err
+        assert not out.exists()
 
 
 class TestWalkScan:
@@ -331,6 +364,19 @@ class TestPlotting:
         assert main(["walk", "run", "--config", cfg, "--out", str(out), "--emit-plot", str(svg)]) == 0
         texts = [node.text for node in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
         assert "r&d<1>" in texts
+
+    def test_control_characters_in_a_header_or_an_out_stem_still_parse(self, tmp_path):
+        source = tmp_path / "ctl.csv"
+        source.write_text("t\x01x,mean\n0,1\n1,2\n", encoding="utf-8")
+        plotted = tmp_path / "plot.svg"
+        assert main(["plot", str(source), "--out", str(plotted)]) == 0
+        cfg = config_file(tmp_path, SINGLE_COIN.format(steps=5))
+        emitted = tmp_path / "run.svg"
+        out = tmp_path / "r\x01n.csv"
+        assert main(["walk", "run", "--config", cfg, "--out", str(out), "--emit-plot", str(emitted)]) == 0
+        for svg, label in ((plotted, "t\ufffdx"), (emitted, "r\ufffdn")):
+            texts = [node.text for node in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+            assert label in texts
 
     def test_plot_command_overlays_files(self, tmp_path):
         first = tmp_path / "one.csv"

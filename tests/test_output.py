@@ -121,6 +121,16 @@ class TestSvgPlot:
         texts = [node.text for node in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
         assert {"x<1", "p&q", "a&b<c>"} <= set(texts)
 
+    def test_characters_xml_forbids_become_replacement_characters(self, tmp_path):
+        path = tmp_path / "r\x01n.csv"
+        path.write_text("t\x01x,p\u00e9\ufffe\n0,0.0\n1,0.5\n", encoding="utf-8")
+        out = tmp_path / "chart.svg"
+        emit_svg_plot([path], out)
+        texts = [node.text for node in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert {"t\ufffdx", "p\u00e9\ufffd", "r\ufffdn"} <= set(texts)
+        # Allowed characters, non-ASCII ones included, keep their bytes.
+        assert "p\u00e9".encode() in out.read_bytes()
+
     def test_constant_series_still_renders(self, tmp_path):
         path = tmp_path / "flat.csv"
         write_csv(("t", "mean"), [(0, 1.0), (1, 1.0)], path)

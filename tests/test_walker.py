@@ -94,6 +94,13 @@ class TestInitialStates:
         with pytest.raises(ValueError, match=r"^position must be an integer, got"):
             build_initial_state(1, [(x, "R", 1.0)], t_max=3)
 
+    @pytest.mark.parametrize("x", [2.5, True])
+    def test_custom_positions_are_refused_before_the_memory_guard(self, monkeypatch, x):
+        # No grid fits in one byte, yet the position is named first.
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 1)
+        with pytest.raises(ValueError, match=r"^position must be an integer, got"):
+            build_initial_state(1, [(0, "L", 0.6), (x, "R", 0.8)], t_max=3)
+
     @pytest.mark.parametrize("x", [True, np.True_, 1.0, 0.5, np.float64(1), "1"])
     @pytest.mark.parametrize("call", ["scan_sequences", "sweep_parameter"])
     def test_scans_and_sweeps_refuse_non_integer_positions_by_name(self, call, x):
@@ -132,7 +139,7 @@ class TestRunSequence:
     def test_unbiased_single_coin_stays_centered(self):
         initial = build_initial_state(1, ANTISYMMETRIC, t_max=100)
         trajectory = run_sequence(initial, {"A": HistoryRhoTable.uniform(1, 0.5)}, "A", 100)
-        assert len(trajectory) == 101
+        assert len(trajectory.means) == 101
         assert abs(trajectory.means[100]) < 1e-10
 
     def test_unbiased_three_coin_stays_centered(self):

@@ -15,14 +15,15 @@ Last it runs each command of README's "Worked examples" (this checkout's
 README) as ``python -m histwalk`` in a new temporary directory that holds
 the two config files those commands name, and digests its exit code and
 stdout together with the name and bytes of every file in the directory.
-Then it runs each ``walk dist`` of ``DIST_RUNS`` the same way, from a config
-file it writes itself, and digests its stderr too.  A run whose ``start``
-is a list of ``(x, register, amplitude)`` entries begins there, on a grid
-three sites wider than its step count: the process replaces
-``histwalk.cli.build_initial_state`` before it calls ``histwalk.cli.main``,
-because no config key names such a start.  Last it runs the Python block
-under "Library quick start" in the tree's own README as ``python -c`` in a
-new temporary directory and digests its exit code, stdout and stderr.
+Then it runs each ``walk dist`` and ``walk sweep`` of ``CONFIG_RUNS`` the
+same way, from a config file it writes itself, and digests its stderr too.
+A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
+begins there, on a grid three sites wider than its step count: the process
+replaces ``histwalk.cli.build_initial_state`` before it calls
+``histwalk.cli.main``, because no config key names such a start.  Last it
+runs the Python block under "Library quick start" in the tree's own README
+as ``python -c`` in a new temporary directory and digests its exit code,
+stdout and stderr.
 
 The script prints one table, a row per item and a column per tree, and
 exits 1 if any tree's digest of an item differs from the first tree's or is
@@ -54,25 +55,36 @@ _DIST_CONFIG = (
     "games.A.rho.default = 0.5\ngames.B.rho.default = 0.45\n{override}"
 )
 
-#: ``walk dist`` runs: label, config text, arguments after ``--config
-#: dist.cfg``, and a custom start or None.  A distribution on both parities
-#: has no peak report, so that run writes none.
-DIST_RUNS = [
+_SWEEP_CONFIG = (
+    "M = {m}\nT = 150\npattern = B\ninitial = allR\n"
+    "games.B.rho.default = 0.45\n"
+)
+
+#: ``walk dist`` and ``walk sweep`` runs: label, config text, subcommand and
+#: arguments after ``--config run.cfg``, and a custom start or None.  A
+#: distribution on both parities has no peak report, so that run writes none.
+CONFIG_RUNS = [
     ("M=1", _DIST_CONFIG.format(m=1, steps=200, override=""),
-     ["--peaks", "peaks.csv"], None),
+     ["dist", "--peaks", "peaks.csv"], None),
     ("M=5, start on both parities",
      _DIST_CONFIG.format(m=5, steps=120, override="games.B.rho.RRRR = 0.62\n"),
-     ["--out", "dist.csv", "--emit-plot", "dist.svg"],
+     ["dist", "--out", "dist.csv", "--emit-plot", "dist.svg"],
      [(-3, "LRLRL", 0.6), (0, "RRLLR", 0.5j), (2, "RRRRR", -0.8 + 0.1j)]),
     ("T=0", _DIST_CONFIG.format(m=3, steps=0, override="games.B.rho.RR = 0.62\n"),
-     ["--out", "dist.csv", "--peaks", "peaks.csv", "--emit-plot", "dist.svg"], None),
+     ["dist", "--out", "dist.csv", "--peaks", "peaks.csv", "--emit-plot", "dist.svg"], None),
     ("--window 3 --prominence 0.05",
      _DIST_CONFIG.format(m=3, steps=300, override="games.B.rho.RR = 0.62\n"),
-     ["--out", "dist.csv", "--window", "3", "--prominence", "0.05",
+     ["dist", "--out", "dist.csv", "--window", "3", "--prominence", "0.05",
       "--peaks", "peaks.csv", "--emit-plot", "dist.svg"], None),
+    ("M=4, descending grid", _SWEEP_CONFIG.format(m=4),
+     ["sweep", "--param", "RLR", "--from", "0.9", "--to", "0.1", "--steps", "9",
+      "--out", "sweep.csv", "--emit-plot", "sweep.svg"], None),
+    ("M=1, empty history", _SWEEP_CONFIG.format(m=1),
+     ["sweep", "--param", "", "--from", "0", "--to", "1", "--steps", "5",
+      "--out", "sweep.csv"], None),
 ]
 
-_DIST_MAIN = """
+_START_MAIN = """
 import ast, sys
 import histwalk.cli as cli
 start, build = ast.literal_eval(sys.argv[1]), cli.build_initial_state
@@ -146,15 +158,15 @@ def measure(tree: str) -> dict[str, str]:
             digests[f"cli {' '.join(words)}"] = _folder_digest(
                 Path(temporary), f"exit {done.returncode}\n{done.stdout}"
             )
-    for label, config, words, start in DIST_RUNS:
+    for label, config, (command, *words), start in CONFIG_RUNS:
         with tempfile.TemporaryDirectory() as temporary:
-            Path(temporary, "dist.cfg").write_text(config, encoding="utf-8")
+            Path(temporary, "run.cfg").write_text(config, encoding="utf-8")
             done = subprocess.run(
-                [sys.executable, "-c", _DIST_MAIN, repr(start),
-                 "walk", "dist", "--config", "dist.cfg", *words],
+                [sys.executable, "-c", _START_MAIN, repr(start),
+                 "walk", command, "--config", "run.cfg", *words],
                 cwd=temporary, env=env, capture_output=True, text=True,
             )
-            digests[f"walk dist {label}"] = _folder_digest(
+            digests[f"walk {command} {label}"] = _folder_digest(
                 Path(temporary), f"exit {done.returncode}\n{done.stdout}\0{done.stderr}"
             )
     readme = Path(tree, "README.md").read_text(encoding="utf-8")
