@@ -47,6 +47,10 @@ __all__ = [
 # measures a peak of 49 bytes per trajectory at 10**4 to 2 * 10**5.
 _TRAJECTORY_BYTES = 64
 
+# Bytes charged per state of the walk's chain, for it and the loop buffers
+# sized by it: tracemalloc measures 160-177 exact and 76 sampled at M = 12-18.
+_EXACT_STATE_BYTES, _SAMPLED_STATE_BYTES = 192, 96
+
 # Steps between repeat checks of an exact run, rounded up to whole pattern
 # periods.  A check costs about half a 12-state step, so checking this seldom
 # adds about 5% to a run that never repeats (checking every period added
@@ -102,8 +106,17 @@ def classical_mean_trajectory(table: HistoryRhoTable, steps: int, initial=None) 
     means uniform.  The distribution is propagated exactly and the mean
     accumulates each step's expected increment, so there is no sampling error.
     """
+    steps = _count(steps, "steps", 0)
+    _check_chain_fits(table, _EXACT_STATE_BYTES)
     chains, starts = _chains(table, None, (HistoryRhoTable,), "walk")
     return _exact_means(chains, starts, steps, initial, "chain states")
+
+
+def _check_chain_fits(spec, state_bytes: int) -> None:
+    """Raise MemoryLimitError if a walk table's chain, ``state_bytes`` per state, cannot fit."""
+    if isinstance(spec, HistoryRhoTable):
+        what = f"the classical chain of M = {spec.num_coins}"
+        _check_fits(state_bytes << spec.num_coins, what, "for its states")
 
 
 @dataclass(frozen=True)
@@ -308,6 +321,7 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     steps = _count(steps, "steps", 0)
     needed = _TRAJECTORY_BYTES * n + 16 * (steps + 1)
     _check_fits(needed, f"{n} trajectories of {steps} steps", "for their states")
+    _check_chain_fits(spec, _SAMPLED_STATE_BYTES)
     kinds = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
     chains, starts = _chains(spec, pattern, kinds, "sampled")
     # Trajectory codes are twice the chain state, so code + branch indexes

@@ -10,6 +10,7 @@ rendered without any plotting dependency.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -129,6 +130,20 @@ def _load_config(args) -> RunConfig:
     config = parse_config(text, overrides)
     if getattr(args, "emit_plot", None) and not config.out:
         raise ConfigError("--emit-plot needs --out; the plot renders the written CSV")
+    # No output may overwrite the config or another output: refused before anything runs.
+    files = (
+        ("--config", args.config),
+        ("out", config.out),
+        ("--emit-plot", getattr(args, "emit_plot", None)),
+        ("--peaks", getattr(args, "peaks", None)),
+    )
+    named = {}
+    for label, path in files:
+        if path:
+            real = os.path.realpath(path)
+            if real in named:
+                raise ConfigError(f"{named[real]} and {label} both name the file {path}")
+            named[real] = label
     return config
 
 
@@ -148,7 +163,7 @@ def _maybe_plot(args, config: RunConfig) -> None:
 def _cmd_walk_run(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = build_initial_state(config.num_coins, config.initial, max(config.steps, 1))
+    initial = build_initial_state(config.num_coins, config.initial, config.steps)
     trajectory = run_sequence(initial, config.games, config.pattern, config.steps)
     rows = [
         (t, mean, std)
@@ -161,7 +176,7 @@ def _cmd_walk_run(args) -> None:
 def _cmd_walk_dist(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    initial = build_initial_state(config.num_coins, config.initial, max(config.steps, 1))
+    initial = build_initial_state(config.num_coins, config.initial, config.steps)
     dist = final_distribution(initial, config.games, config.pattern, config.steps)
     write_csv(("x", "p"), zip(dist.positions, dist.probabilities), config.out)
     if args.peaks:
@@ -260,6 +275,8 @@ def _cmd_classical_run(args) -> None:
 
 
 def _cmd_plot(args) -> None:
+    if os.path.realpath(args.out) in map(os.path.realpath, args.inputs):
+        raise ConfigError(f"--out {args.out} is one of the inputs; the plot would overwrite it")
     emit_svg_plot(args.inputs, args.out, style=args.style)
 
 

@@ -5,7 +5,7 @@ comment, blank lines are ignored.  Dotted keys express nested tables, for
 example ``games.B.rho.RR = 0.55``.  Unknown keys are rejected so a typo can
 never silently change a run; syntax errors report line numbers and range
 errors name the offending key.  Whether a walk grid (``M`` with its
-``max(T, 1)`` positions on each side) fits in memory is checked where the
+``T`` positions on each side) fits in memory is checked where the
 grid is allocated, not here: the classical ``rho-walk`` engine reads ``M``
 but allocates no grid.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,6 +33,8 @@ from .state import (
     R,
     HorizonError,
     WalkState,
+    _check_fits,
+    _check_norm,
     _count,
     _register_probabilities,
     coins_to_index,
@@ -95,7 +97,8 @@ class HistoryRhoTable:
 
     def __init__(self, num_coins: int, rho: Mapping[str, float]) -> None:
         num_coins = _count(num_coins, "num_coins", 1)
-        expected = all_histories(num_coins)
+        # A short mapping misses one of its first len(rho) + 1 histories; list no more.
+        expected = list(islice(map("".join, product((L, R), repeat=num_coins - 1)), len(rho) + 1))
         for key in expected:
             if key not in rho:
                 raise ValueError(f"missing rho for history {key!r}")
@@ -134,6 +137,8 @@ class HistoryRhoTable:
     ) -> "HistoryRhoTable":
         """A uniform table with selected histories overridden."""
         num_coins = _count(num_coins, "num_coins", 1)
+        # Values, their stored copy and range masks: 19 bytes per history by tracemalloc.
+        _check_fits(24 << (num_coins - 1), f"a retention table for M = {num_coins}", "to fill")
         values = np.full(1 << (num_coins - 1), _check_probability(default, "rho"))
         for key, value in (overrides or {}).items():
             values[_history_index(key, num_coins)] = value
@@ -282,8 +287,9 @@ class _Kernel:
       ``0 .. t_max + 1``, and the compact rows with no grid row behind them
       catch amplitude that leaves the grid.
     * Only the occupied band of grid rows ``[lo, hi)`` is touched.  It starts
-      at the initial state's occupied rows and grows by one row on each side
-      per step, clipped to the grid; :class:`HorizonError` is raised exactly
+      at the initial state's occupied rows, so a start with none is refused
+      with the norm error of step 0, and grows by one row on each side per
+      step, clipped to the grid; :class:`HorizonError` is raised exactly
       when :func:`apply_shift` would raise it for some entry.
     * Flip, shift and rotation are one write into a second buffer, and the
       two buffers swap roles each step.  Compact rows outside the band stay
@@ -374,7 +380,7 @@ class _Kernel:
         # number of sublattices: one if every occupied row has parity e.
         occupied = np.flatnonzero(np.any(amplitudes, axis=1))
         if not occupied.size:
-            return 0, 0, 0, 1
+            _check_norm(0.0, 0)
         odd = occupied & 1
         mixed = bool(np.any(odd != odd[0]))
         return int(occupied[0]), int(occupied[-1]) + 1, 0 if mixed else int(odd[0]), 1 + mixed
@@ -388,8 +394,6 @@ class _Kernel:
     def _band(self) -> tuple[int, int]:
         # Compact rows [a, b) that hold the grid band of either sublattice:
         # grid row g of the sublattice it belongs to is compact row (g + e + 1) // 2.
-        if self.lo == self.hi:
-            return 0, 0
         return (self.lo + self.parity + 1) // 2, (self.hi + self.parity) // 2 + 1
 
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -411,34 +415,33 @@ class _Kernel:
         """Play every entry's next table: retoss, move, rotate."""
         keep, flip = self._coefficients()
         e = self.parity
-        if self.lo < self.hi:
-            a, b = self.band
-            src, dst = self.views[0], self.spare_views[1]
-            old_l, old_r = src[:, :, 0, a:b], src[:, :, 1, a:b]
-            # The L half moves down e rows, the R half up 1 - e rows.
-            new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
-            tmp = self.scratch[: old_l.size].reshape(old_l.shape)
-            np.multiply(keep, old_l, out=new_l)
-            np.multiply(flip, old_r, out=tmp)
-            np.add(new_l, tmp, out=new_l)
-            np.multiply(flip, old_l, out=new_r)
-            np.multiply(keep, old_r, out=tmp)
-            np.add(new_r, tmp, out=new_r)
-            # Grid rows -1 and 2 t_max + 1 at the next step are compact rows
-            # 0 and t_max + 1 of sublattice e.
-            sublattices = self.psi.shape[1]
-            if e < sublattices and (self.lo == 0 or self.hi == self.rows):
-                edge = dst[e::sublattices]
-                if (self.lo == 0 and edge[:, 0, :, 0].any()) or (
-                    self.hi == self.rows and edge[:, 1, :, -1].any()
-                ):
-                    raise HorizonError(_HORIZON_MESSAGE)
-            # The one row of each half inside the new band that was not written.
-            dst[:, 0, :, b - e] = 0
-            dst[:, 1, :, a - e] = 0
-            self.lo, self.hi = max(self.lo - 1, 0), min(self.hi + 1, self.rows)
-            self.psi, self.spare = self.spare, self.psi
-            self.views, self.spare_views = self.spare_views, self.views
+        a, b = self.band
+        src, dst = self.views[0], self.spare_views[1]
+        old_l, old_r = src[:, :, 0, a:b], src[:, :, 1, a:b]
+        # The L half moves down e rows, the R half up 1 - e rows.
+        new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
+        tmp = self.scratch[: old_l.size].reshape(old_l.shape)
+        np.multiply(keep, old_l, out=new_l)
+        np.multiply(flip, old_r, out=tmp)
+        np.add(new_l, tmp, out=new_l)
+        np.multiply(flip, old_l, out=new_r)
+        np.multiply(keep, old_r, out=tmp)
+        np.add(new_r, tmp, out=new_r)
+        # Grid rows -1 and 2 t_max + 1 at the next step are compact rows
+        # 0 and t_max + 1 of sublattice e.
+        sublattices = self.psi.shape[1]
+        if e < sublattices and (self.lo == 0 or self.hi == self.rows):
+            edge = dst[e::sublattices]
+            if (self.lo == 0 and edge[:, 0, :, 0].any()) or (
+                self.hi == self.rows and edge[:, 1, :, -1].any()
+            ):
+                raise HorizonError(_HORIZON_MESSAGE)
+        # The one row of each half inside the new band that was not written.
+        dst[:, 0, :, b - e] = 0
+        dst[:, 1, :, a - e] = 0
+        self.lo, self.hi = max(self.lo - 1, 0), min(self.hi + 1, self.rows)
+        self.psi, self.spare = self.spare, self.psi
+        self.views, self.spare_views = self.spare_views, self.views
         self.parity = 1 - e
         self.steps += 1
         self.band = self._band()

@@ -148,8 +148,7 @@ def working_bytes(num_coins: int, t_max: int) -> int:
     the input state and the returned state.
     Positions, their squares, the per-step series and the readout's arrays of
     one number per position are charged as sixteen 8-byte values per grid
-    row, and the readout's positions and squares of each grid-row parity as
-    two more.  A start whose entries share one parity needs one sublattice;
+    row.  A start whose entries share one parity needs one sublattice;
     :func:`~histwalk.walker.build_initial_state` charges it that, and
     :func:`new_state` charges two.
     """
@@ -161,7 +160,7 @@ def _walk_bytes(num_coins: int, t_max: int, sublattices: int) -> int:
     rows = 2 * t_max + 1
     columns = (1 << num_coins) * np.dtype(np.complex128).itemsize
     buffer = sublattices * (t_max + 2) * columns
-    return 2 * rows * columns + 4 * buffer + 18 * 8 * rows
+    return 2 * rows * columns + 4 * buffer + 16 * 8 * rows
 
 
 def physical_memory_bytes() -> int | None:
@@ -210,7 +209,7 @@ def new_state(num_coins: int, t_max: int) -> WalkState:
 def _new_state(num_coins: int, t_max: int, sublattices: int) -> WalkState:
     """:func:`new_state`, charged for a kernel that stores ``sublattices`` parity sublattices."""
     num_coins = _count(num_coins, "num_coins", 1)
-    t_max = _count(t_max, "t_max", 1)
+    t_max = _count(t_max, "t_max", 0)
     _check_fits(
         _walk_bytes(num_coins, t_max, sublattices),
         f"M = {num_coins} with horizon {t_max}",
@@ -322,7 +321,7 @@ def position_distribution(state: WalkState) -> ProbabilityDistribution:
     _check_norm(state.norm())
     # complex128, so that the float view pairs each real part with its imaginary part.
     columns = np.ascontiguousarray(state.amplitudes.T, dtype=complex)
-    return _distribution(0, 1, _register_probabilities(columns.view(float)), state.positions)
+    return _distribution(0, 1, _register_probabilities(columns.view(float)), state.t_max)
 
 
 def _support(first_row: int, stride: int, p: np.ndarray) -> tuple[slice, slice]:
@@ -344,53 +343,39 @@ def _support(first_row: int, stride: int, p: np.ndarray) -> tuple[slice, slice]:
     return slice(lo, hi, step), rows
 
 
-def _distribution(first_row: int, stride: int, p: np.ndarray, positions) -> ProbabilityDistribution:
+def _distribution(first_row: int, stride: int, p: np.ndarray, t_max) -> ProbabilityDistribution:
     """``p`` on rows ``first_row + stride * i``, as :func:`position_distribution` reports it."""
     run, rows = _support(first_row, stride, p)
-    return ProbabilityDistribution(positions[rows].copy(), p[run].copy())
+    positions = np.arange(rows.start - t_max, rows.stop - t_max, rows.step)
+    return ProbabilityDistribution(positions, p[run].copy())
 
 
 def _mean_std(p: np.ndarray, x: np.ndarray, x2: np.ndarray) -> tuple[float, float]:
     """Mean and standard deviation of probabilities ``p`` on positions ``x`` with squares ``x2``."""
-    mean = float(np.dot(p, x))
-    var = float(np.dot(p, x2) - mean * mean)
-    if var < -1e-10:
+    mean, square = float(np.dot(p, x)), float(np.dot(p, x2))
+    var = square - mean * mean
+    # A total of 1 + d, |d| <= 2e-9 by the norm rule, moves var by about -d mean**2.
+    if var < -(1e-10 + 3e-9 * square):
         raise ValueError(f"variance {var} is negative beyond rounding tolerance")
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def _grid_positions(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid positions as floats, with their squares, for :func:`_readout`.
-
-    Each of the three arrays holds positions in row 0 and their squares in
-    row 1: of every grid row, of the even grid rows and of the odd ones.
-    Each is contiguous, so the readout slices its operands from them, on
-    either stride, without a copy.  A walk builds them once.
-    """
-    x = positions.astype(float)
-    every = np.stack([x, x * x])
-    return every, np.ascontiguousarray(every[:, 0::2]), np.ascontiguousarray(every[:, 1::2])
-
-
 def _readout(
-    first_row: int, stride: int, p: np.ndarray, grid: tuple[np.ndarray, ...], step: int
+    first_row: int, stride: int, p: np.ndarray, t_max: int, step: int
 ) -> tuple[float, float, float]:
     """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
 
-    ``grid`` comes from :func:`_grid_positions`; ``step`` locates a norm
-    error.  ``p`` comes from :meth:`_Kernel.probabilities`.  The support,
-    norm and moment rules are those of :func:`position_distribution` and
+    Grid row ``g`` is position ``g - t_max``; ``step`` locates a norm error.
+    ``p`` comes from :meth:`_Kernel.probabilities`.  The support, norm and
+    moment rules are those of :func:`position_distribution` and
     :func:`moments`, and the operands are contiguous and hold the same
     values as theirs, so the results equal theirs bit for bit.
     """
     total = float(p.sum())
     _check_norm(np.sqrt(total), step)
     run, rows = _support(first_row, stride, p)
-    if rows.step == 1:
-        x, x2 = grid[0][:, rows]
-    else:  # row g of one parity is entry g // 2 of that parity's array
-        x, x2 = grid[1 + (rows.start & 1)][:, rows.start >> 1 : (rows.stop + 1) >> 1]
-    mean, std = _mean_std(np.ascontiguousarray(p[run]), x, x2)
+    x = np.arange(rows.start - t_max, rows.stop - t_max, rows.step, dtype=float)
+    mean, std = _mean_std(np.ascontiguousarray(p[run]), x, x * x)
     return mean, std, abs(total - 1.0)
 
 

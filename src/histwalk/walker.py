@@ -19,7 +19,6 @@ from .state import (
     _check_norm,
     _count,
     _distribution,
-    _grid_positions,
     _new_state,
     _readout,
 )
@@ -186,14 +185,13 @@ def run_sequence(initial: WalkState, games, pattern: str, steps: int) -> Traject
     position distribution after the last.  The input state is not modified.
     """
     schedule, steps = _check_run(initial, games, pattern, steps)
-    grid = _grid_positions(initial.positions)
     means, stds, drift = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
     with _Kernel(initial, schedule) as kernel:
         for t in range(steps + 1):
             if t:
                 kernel.step()
             first_row, stride, p = kernel.probabilities()
-            means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], grid, t)
+            means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], initial.t_max, t)
     return Trajectory(means, stds, drift)
 
 
@@ -217,7 +215,7 @@ def final_distribution(
                 kernel.step()
             _check_norm(math.sqrt(kernel.norms()[0]), step)
     first_row, stride, p = kernel.probabilities()
-    return _distribution(first_row, stride, p[0], initial.positions)
+    return _distribution(first_row, stride, p[0], initial.t_max)
 
 
 def evolve(initial: WalkState, table: HistoryRhoTable, steps: int) -> WalkState:
@@ -283,14 +281,13 @@ def _check_sweep_size(points: int) -> None:
 def _batch_start(num_coins, kind, steps: int) -> WalkState:
     """The start of a scan or sweep, on a grid that ``steps`` tosses cannot leave.
 
-    The horizon is ``steps`` plus the start's largest |x|, and at least 1, so
-    an origin start gets ``max(steps, 1)``.
+    The horizon is ``steps`` plus the start's largest |x|.
     """
     reach = 0
     if not isinstance(kind, str):
         kind = list(kind)
         reach = max((abs(_count(x, "position", -np.inf)) for x, _, _ in kind), default=0)
-    return build_initial_state(num_coins, kind, t_max=max(steps + reach, 1))
+    return build_initial_state(num_coins, kind, t_max=steps + reach)
 
 
 def _final_moments(
@@ -306,7 +303,6 @@ def _final_moments(
     :func:`_readout`, so the moments equal those of :func:`run_sequence`
     bit for bit.
     """
-    grid = _grid_positions(initial.positions)
     chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
     schedules = iter(schedules)
     results: list[tuple[float, float]] = []
@@ -320,7 +316,7 @@ def _final_moments(
                 _check_norm(norms[worst], step, len(results) + worst)
         first_row, stride, p = kernel.probabilities()
         for entry in p:
-            results.append(_readout(first_row, stride, entry, grid, steps)[:2])
+            results.append(_readout(first_row, stride, entry, initial.t_max, steps)[:2])
     return results
 
 

@@ -156,6 +156,11 @@ class TestStationaryDistribution:
 
 
 class TestCapitalGames:
+    def test_a_list_of_games_is_refused(self):
+        message = "^games must be a non-empty letter mapping or a single spec$"
+        with pytest.raises(TypeError, match=message):
+            capital_game_trajectory([COIN], "A", 3)
+
     def test_fair_coin_stays_at_zero(self):
         means = capital_game_trajectory(BiasedCoin(0.5), None, 50)
         assert np.max(np.abs(means)) < 1e-13
@@ -681,6 +686,21 @@ class TestMemoryGuard:
         monkeypatch.setattr(np, "zeros", never_called)
         with pytest.raises(ValueError, match="1000000000000 steps .* physical memory"):
             run(10**12)
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda table: classical_mean_trajectory(table, 5),
+         lambda table: monte_carlo_trajectory(table, None, 5, 10, seed=1)],
+        ids=["exact", "sampled"],
+    )
+    def test_a_walk_chain_too_large_for_memory_is_refused_before_it_is_built(
+        self, monkeypatch, run
+    ):
+        table = HistoryRhoTable.uniform(16, 0.5)
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(histwalk.classical, "_walk_chain", never_called)
+        with pytest.raises(histwalk.state.MemoryLimitError, match="^the classical chain of M = 16"):
+            run(table)
 
     def test_runs_that_fit_are_not_refused(self):
         assert monte_carlo_trajectory(COIN, None, 2, 10**3, seed=1)[0].shape == (3,)

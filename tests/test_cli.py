@@ -399,6 +399,47 @@ class TestPlotting:
         assert not out.exists()
 
 
+class TestOutputPaths:
+    """No output of a command may overwrite another, or an input of ``plot``.
+
+    Each refusal exits 1 before anything runs or is written.
+    """
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("run", ["--out", "r.csv", "--emit-plot", "r.csv"], "out and --emit-plot"),
+            ("dist", ["--out", "d.csv", "--peaks", "d.csv"], "out and --peaks"),
+            ("dist", ["--out", "d.csv", "--peaks", "p.csv", "--emit-plot", "p.csv"],
+             "--emit-plot and --peaks"),
+            ("run", ["--emit-plot", "./sub/../r.csv"], "out and --emit-plot"),
+            ("dist", ["--out", "d.csv", "--peaks", "run.cfg"], "--config and --peaks"),
+        ],
+        ids=["run csv and plot", "dist csv and peaks", "dist peaks and plot", "config out",
+             "peaks over the config"],
+    )
+    def test_two_outputs_that_name_one_file_are_refused(
+        self, tmp_path, monkeypatch, capsys, command, flags, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        text = SINGLE_COIN.format(steps=4) + ("out = r.csv\n" if "--out" not in flags else "")
+        cfg = config_file(tmp_path, text)
+        assert main(["walk", command, "--config", cfg, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {named} both name the file" in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "sub"]
+
+    def test_a_plot_is_not_written_over_one_of_its_inputs(self, tmp_path, capsys):
+        source = tmp_path / "r.csv"
+        write_csv(("t", "mean"), [(0, 0.0), (1, 1.0)], source)
+        before = source.read_bytes()
+        assert main(["plot", str(source), "--out", str(source)]) == 1
+        assert "is one of the inputs" in capsys.readouterr().err
+        assert source.read_bytes() == before
+
+
 class TestExitCodes:
     def test_usage_errors_return_one(self, tmp_path):
         assert main(["walk", "run"]) == 1  # missing --config
@@ -447,6 +488,36 @@ class TestExitCodes:
             "T = 5\npattern = A\nclassical.A.kind = biased\nclassical.A.p = 0.5\n",
         )
         assert main(["walk", "run", "--config", cfg]) == 1
+
+    CLASSICAL_A = "T = 5\npattern = A\nclassical.A.kind = biased\nclassical.A.p = 0.5\n"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (["walk", "run"], "M = 2\n" + CLASSICAL_A,
+             "pattern letters ['A'] have no games.* definition"),
+            (["classical", "run"], SINGLE_COIN.format(steps=5) + "classical.engine = capital\n",
+             "pattern letter 'A' has no classical.* definition"),
+            (["classical", "run"], CLASSICAL_A + "classical.engine = rho-walk\n",
+             "M is required for the rho-walk engine"),
+            (["classical", "run", "--monte-carlo", "0", "--seed", "1"],
+             CAPITAL_PAIR.format(steps=5), "--monte-carlo must be >= 1"),
+        ],
+        ids=["walk letter only classical", "classical letter only a walk game",
+             "rho-walk without M", "no trajectories"],
+    )
+    def test_runs_without_what_they_need_exit_one(self, tmp_path, capsys, command, text, message):
+        cfg = config_file(tmp_path, text)
+        assert main([*command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_plot_of_a_one_cell_row_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        source = tmp_path / "short.csv"
+        source.write_text("t,mean\n0\n", encoding="utf-8")
+        out = tmp_path / "short.svg"
+        assert main(["plot", str(source), "--out", str(out)]) == 2
+        assert "line 2: need at least two columns" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_walk_too_large_for_memory_exits_one_before_allocating(
         self, tmp_path, capsys, monkeypatch

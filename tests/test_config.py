@@ -190,6 +190,21 @@ class TestValueErrors:
         with pytest.raises(ConfigError, match="window = 4 must be odd"):
             parse_config(GAME_RUN + "window = 4\n")
 
+    def test_an_m20_table_short_of_histories_is_refused_without_listing_them(self):
+        text = "M = 20\nT = 5\npattern = B\ngames.B.rho." + "R" * 19 + " = 0.5\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^games.B: missing rho for history 'L{19}'$"):
+                parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_prominence_must_be_a_number(self):
+        with pytest.raises(ConfigError, match=r"^prominence = 'abc' is not a number \(line 7\)$"):
+            parse_config(GAME_RUN + "prominence = abc\n")
+
     def test_prominence_must_be_a_fraction(self):
         with pytest.raises(ConfigError, match="prominence = 1.2"):
             parse_config(GAME_RUN + "prominence = 1.2\n")
@@ -226,6 +241,13 @@ class TestClassicalValidation:
             parse_config(
                 "T = 1\npattern = A\nclassical.A.kind = biased\n"
                 "classical.A.p = 0.5\nclassical.A.p3 = 0.5\n"
+            )
+
+    def test_unknown_classical_parameters_are_rejected(self):
+        with pytest.raises(ConfigError, match=r"^unknown key 'classical\.A\.q' \(line 4\)$"):
+            parse_config(
+                "T = 1\npattern = A\nclassical.A.kind = biased\n"
+                "classical.A.q = 0.5\n"
             )
 
     def test_classical_probabilities_are_range_checked(self):

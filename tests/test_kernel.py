@@ -43,7 +43,6 @@ from histwalk.state import (
     MemoryLimitError,
     NormalizationError,
     _distribution,
-    _grid_positions,
     _readout,
     _register_probabilities,
     _walk_bytes,
@@ -1025,7 +1024,7 @@ class TestReadout:
         first, stride, p = kernel.probabilities()
         assert stride == (1 if both_parities else 2)
         for entry in range(entries):
-            got = _distribution(first, stride, p[entry], initial.positions)
+            got = _distribution(first, stride, p[entry], initial.t_max)
             want = position_distribution(kernel.state(entry))
             assert got.positions.tolist() == want.positions.tolist()
             assert got.probabilities.tobytes() == want.probabilities.tobytes()
@@ -1059,19 +1058,18 @@ class TestReadout:
             for column in rng.choice(1 << num_coins, min(3, 1 << num_coins), replace=False)
         ]
         initial = build_initial_state(num_coins, start, t_max=steps + 2)
-        grid = _grid_positions(initial.positions)
         with _Kernel(initial, [table]) as kernel:
             for t in range(steps + 1):
                 if t:
                     kernel.step()
                 first, stride, p = kernel.probabilities()
                 assert stride == (1 if both_parities else 2)
-                mean, std, drift = _readout(first, stride, p[0], grid, t)
+                mean, std, drift = _readout(first, stride, p[0], initial.t_max, t)
                 dist = position_distribution(kernel.state())
                 want = moments(dist)
                 assert (mean.hex(), std.hex()) == (want.mean.hex(), want.std.hex())
                 assert drift == abs(float(p[0].sum()) - 1.0)
-                got = _distribution(first, stride, p[0], initial.positions)
+                got = _distribution(first, stride, p[0], initial.t_max)
                 assert got.positions.tolist() == dist.positions.tolist()
                 assert got.probabilities.tobytes() == dist.probabilities.tobytes()
 
@@ -1083,7 +1081,6 @@ class TestReadout:
         for rho in (0.0, 1.0):
             table = HistoryRhoTable.uniform(num_coins, rho)
             initial = build_initial_state(num_coins, ALL_R, t_max=30)
-            grid = _grid_positions(initial.positions)
             trajectory = run_sequence(initial, {"A": table}, "A", 30)
             with _Kernel(initial, [table]) as kernel:
                 for t in range(31):
@@ -1093,19 +1090,18 @@ class TestReadout:
                     zero_ends += not (p[0, 0] and p[0, -1])
                     dist = position_distribution(kernel.state())
                     want = moments(dist)
-                    got = _readout(first, stride, p[0], grid, t)[:2]
+                    got = _readout(first, stride, p[0], initial.t_max, t)[:2]
                     assert [v.hex() for v in got] == [want.mean.hex(), want.std.hex()]
                     assert (trajectory.means[t], trajectory.stds[t]) == got
-                    support = _distribution(first, stride, p[0], initial.positions).positions
+                    support = _distribution(first, stride, p[0], initial.t_max).positions
                     assert support.tolist() == dist.positions.tolist()
         assert zero_ends >= 30
 
     @pytest.mark.parametrize("p", [np.zeros(0), np.zeros(1), np.zeros(5)], ids=len)
     @pytest.mark.parametrize("stride", [1, 2])
     def test_a_zero_band_raises_the_norm_error_before_any_support_is_taken(self, p, stride):
-        grid = _grid_positions(np.arange(-5, 6))
         with pytest.raises(NormalizationError, match="state norm is 0, .* at step 4$"):
-            _readout(1, stride, p, grid, 4)
+            _readout(1, stride, p, 5, 4)
 
     @pytest.mark.parametrize("modulus", [0.0, 1e-200])
     def test_a_start_with_zero_norm_is_refused_at_step_0(self, modulus):
@@ -1117,6 +1113,11 @@ class TestReadout:
         for call in (run_sequence, final_distribution):
             with pytest.raises(NormalizationError, match="state norm is 0, .* at step 0"):
                 call(initial, games, "A", 3)
+
+    def test_the_kernel_refuses_an_all_zero_start_with_the_step_0_message(self):
+        message = "^state norm is 0, expected 1 within 1e-9 at step 0$"
+        with pytest.raises(NormalizationError, match=message):
+            _Kernel(new_state(3, 5), [HistoryRhoTable.uniform(3, 0.5)])
 
     @pytest.mark.parametrize("num_coins", range(1, 9))
     def test_both_formulas_lie_within_the_stated_tolerance_of_exact_sums(self, num_coins):

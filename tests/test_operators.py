@@ -3,11 +3,13 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import histwalk.operators
+import histwalk.state
 from histwalk.operators import (
     HistoryRhoTable,
     all_histories,
@@ -16,7 +18,7 @@ from histwalk.operators import (
     apply_shift,
     toss,
 )
-from histwalk.state import HorizonError, new_state
+from histwalk.state import HorizonError, MemoryLimitError, new_state
 from histwalk.walker import evolve_brun
 
 from reference import coin_unitary, complement, dense_evolve
@@ -28,6 +30,10 @@ def _origin_state(num_coins: int, t_max: int, coins: str, amplitude=1.0):
     state = new_state(num_coins, t_max)
     state.set_amplitude(0, coins, amplitude)
     return state
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the size guard should have refused the table first")
 
 
 def cycled_toss(state, coins, step):
@@ -69,6 +75,48 @@ class TestHistoryRhoTable:
     def test_rejects_unknown_histories(self):
         with pytest.raises(ValueError, match="unexpected history"):
             HistoryRhoTable(2, {"L": 0.5, "R": 0.5, "LL": 0.5})
+
+    def test_a_mapping_short_of_histories_is_refused_without_listing_them(self):
+        # Listing all 2**19 histories first took 38.5 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^missing rho for history 'L{18}R'$"):
+                HistoryRhoTable(20, {"L" * 19: 0.5})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ({"LL": 0.5, "XY": 0.5}, r"^missing rho for history 'LR'$"),
+            ({"LR": 0.5, "RL": 0.5, "RR": 0.5}, r"^missing rho for history 'LL'$"),
+            ({h: 0.5 for h in ("LL", "LR", "RL", "RR", "XY")},
+             r"^unexpected history keys \['XY'\] for num_coins=3$"),
+        ],
+        ids=["short, with an unknown key", "short by one", "one key too many"],
+    )
+    def test_short_and_long_mappings_name_the_first_missing_or_the_extra_keys(
+        self, rho, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            HistoryRhoTable(3, rho)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: HistoryRhoTable.uniform(18, 0.5),
+         lambda: HistoryRhoTable.with_overrides(18, 0.5, {"R" * 17: 0.6})],
+        ids=["uniform", "with_overrides"],
+    )
+    def test_a_table_too_large_for_memory_is_refused_before_it_is_filled(
+        self, monkeypatch, build
+    ):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(np, "full", _never_called)
+        message = "^a retention table for M = 18 needs .* GiB to fill, more than"
+        with pytest.raises(MemoryLimitError, match=message):
+            build()
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError, match="must lie in"):

@@ -71,10 +71,10 @@ class TestWalkState:
 
     def test_working_bytes_count_grids_compact_buffers_and_per_row_arrays(self):
         # Two full grids, four buffers of two sublattices of t_max + 2
-        # rows, and eighteen 8-byte values per grid row.
-        assert working_bytes(3, 10) == 2 * 21 * 8 * 16 + 4 * 2 * 12 * 8 * 16 + 144 * 21
+        # rows, and sixteen 8-byte values per grid row.
+        assert working_bytes(3, 10) == 2 * 21 * 8 * 16 + 4 * 2 * 12 * 8 * 16 + 128 * 21
         assert working_bytes(20, 1000) == (
-            2 * 2001 * 2**20 * 16 + 4 * 2 * 1002 * 2**20 * 16 + 144 * 2001
+            2 * 2001 * 2**20 * 16 + 4 * 2 * 1002 * 2**20 * 16 + 128 * 2001
         )
 
     def test_physical_memory_comes_from_sysconf(self):
@@ -131,11 +131,16 @@ class TestWalkState:
         other.set_amplitude(0, "L", 0.0)
         assert state.amplitude(0, "L") == 1.0
 
+    def test_a_zero_horizon_is_a_grid_of_one_row(self):
+        state = new_state(2, 0)
+        assert state.amplitudes.shape == (1, 4)
+        assert state.positions.tolist() == [0]
+
     def test_validation_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             new_state(0, 5)
         with pytest.raises(ValueError):
-            new_state(1, 0)
+            new_state(1, -1)
 
     def test_fidelity_ignores_global_phase(self):
         a = new_state(1, 2)
@@ -188,6 +193,10 @@ class TestProbabilityDistribution:
     def test_integer_positions_are_taken_without_a_copy(self):
         positions = np.array([-1, 1])
         assert ProbabilityDistribution(positions, [0.5, 0.5]).positions is positions
+
+    def test_rejects_lengths_that_do_not_match(self):
+        with pytest.raises(ValueError, match="^positions and probabilities must be matching"):
+            ProbabilityDistribution([0, 1], [1.0])
 
     def test_rejects_unsorted_positions(self):
         with pytest.raises(ValueError):
@@ -285,8 +294,13 @@ class TestMoments:
         # Squares that are not those of the positions, as no caller passes them.
         mean_std = histwalk.state._mean_std
         assert mean_std(np.array([1.0]), np.array([2.0]), np.array([4.0 - 1e-11])) == (2.0, 0.0)
-        with pytest.raises(ValueError, match="^variance -1.*e-09 is negative"):
-            mean_std(np.array([1.0]), np.array([2.0]), np.array([4.0 - 1e-9]))
+        with pytest.raises(ValueError, match="^variance -1.0 is negative"):
+            mean_std(np.array([1.0]), np.array([2.0]), np.array([3.0]))
+
+    def test_a_far_out_point_mass_that_passes_the_norm_rule_has_zero_std(self):
+        # Its variance rounds to -2.3e-10, which an absolute bound of 1e-10 refused.
+        stat = moments(ProbabilityDistribution([1000], [1 + 2**-52]))
+        assert (stat.mean, stat.std) == (pytest.approx(1000.0), 0.0)
 
     def test_a_nan_sum_is_not_normalized(self):
         # Build past the constructor's check, to reach the one in moments.

@@ -35,6 +35,22 @@ UNBIASED_3 = HistoryRhoTable.uniform(3, 0.5)
 
 
 class TestInitialStates:
+    def test_an_empty_custom_start_is_refused(self):
+        with pytest.raises(ValueError, match="^custom initial state needs at least one entry$"):
+            build_initial_state(2, [], 3)
+
+    def test_a_zero_horizon_walks_zero_steps_and_no_more(self):
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=0)
+        games = {"A": HistoryRhoTable.uniform(3, 0.3)}
+        trajectory = run_sequence(initial, games, "A", 0)
+        assert (trajectory.means.tolist(), trajectory.stds.tolist()) == ([0.0], [0.0])
+        assert final_distribution(initial, games, "A", 0).as_dict() == {0: pytest.approx(1.0)}
+        for walk in (run_sequence, final_distribution):
+            with pytest.raises(HorizonError):
+                walk(initial, games, "A", 1)
+        with pytest.raises(HorizonError):
+            evolve(initial, games["A"], 1)
+
     def test_single_coin_antisymmetric_state(self):
         state = build_initial_state(1, ANTISYMMETRIC, t_max=1)
         root_half = np.sqrt(0.5)
@@ -136,6 +152,14 @@ class TestGameTables:
 
 
 class TestRunSequence:
+    def test_a_ballistic_walk_of_2000_steps_reads_out_a_zero_std_at_every_step(self):
+        # Far from the origin the variance's rounding error grows with x**2;
+        # here it is below -1e-10 from about step 1000 on.
+        initial = build_initial_state(3, [(0, "RRR", (1 + 1j) / np.sqrt(2))], 2000)
+        trajectory = run_sequence(initial, {"A": HistoryRhoTable.uniform(3, 1.0)}, "A", 2000)
+        assert np.allclose(trajectory.means, np.arange(2001), rtol=0, atol=1e-9)
+        assert not trajectory.stds.any()
+
     def test_unbiased_single_coin_stays_centered(self):
         initial = build_initial_state(1, ANTISYMMETRIC, t_max=100)
         trajectory = run_sequence(initial, {"A": HistoryRhoTable.uniform(1, 0.5)}, "A", 100)
@@ -544,9 +568,9 @@ class TestRegisterCounts:
             self.T_MAX[call](value)
 
     @pytest.mark.parametrize("call", sorted(T_MAX))
-    def test_a_zero_horizon_is_refused(self, call):
-        with pytest.raises(ValueError, match=r"^t_max must be >= 1, got 0$"):
-            self.T_MAX[call](0)
+    def test_a_negative_horizon_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"^t_max must be >= 0, got -1$"):
+            self.T_MAX[call](-1)
 
     def test_numpy_integers_are_stored_as_ints(self, monkeypatch):
         monkeypatch.setattr(histwalk.state, "_check_fits", lambda *args: None)

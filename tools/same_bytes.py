@@ -15,8 +15,8 @@ Last it runs each command of README's "Worked examples" (this checkout's
 README) as ``python -m histwalk`` in a new temporary directory that holds
 the two config files those commands name, and digests its exit code and
 stdout together with the name and bytes of every file in the directory.
-Then it runs each ``walk dist`` and ``walk sweep`` of ``CONFIG_RUNS`` the
-same way, from a config file it writes itself, and digests its stderr too.
+Then it runs each ``walk`` command of ``CONFIG_RUNS`` the same way, from a
+config file it writes itself, and digests its stderr too.
 A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
 begins there, on a grid three sites wider than its step count: the process
 replaces ``histwalk.cli.build_initial_state`` before it calls
@@ -56,13 +56,14 @@ _DIST_CONFIG = (
 )
 
 _SWEEP_CONFIG = (
-    "M = {m}\nT = 150\npattern = B\ninitial = allR\n"
+    "M = {m}\nT = {steps}\npattern = B\ninitial = allR\n"
     "games.B.rho.default = 0.45\n"
 )
 
-#: ``walk dist`` and ``walk sweep`` runs: label, config text, subcommand and
-#: arguments after ``--config run.cfg``, and a custom start or None.  A
-#: distribution on both parities has no peak report, so that run writes none.
+#: ``walk`` runs: label, config text, subcommand and arguments after
+#: ``--config run.cfg``, and a custom start or None.  A distribution on both
+#: parities has no peak report, so that run writes none.  The T=0 runs walk
+#: on a grid of one row.
 CONFIG_RUNS = [
     ("M=1", _DIST_CONFIG.format(m=1, steps=200, override=""),
      ["dist", "--peaks", "peaks.csv"], None),
@@ -76,12 +77,19 @@ CONFIG_RUNS = [
      _DIST_CONFIG.format(m=3, steps=300, override="games.B.rho.RR = 0.62\n"),
      ["dist", "--out", "dist.csv", "--window", "3", "--prominence", "0.05",
       "--peaks", "peaks.csv", "--emit-plot", "dist.svg"], None),
-    ("M=4, descending grid", _SWEEP_CONFIG.format(m=4),
+    ("M=4, descending grid", _SWEEP_CONFIG.format(m=4, steps=150),
      ["sweep", "--param", "RLR", "--from", "0.9", "--to", "0.1", "--steps", "9",
       "--out", "sweep.csv", "--emit-plot", "sweep.svg"], None),
-    ("M=1, empty history", _SWEEP_CONFIG.format(m=1),
+    ("M=1, empty history", _SWEEP_CONFIG.format(m=1, steps=150),
      ["sweep", "--param", "", "--from", "0", "--to", "1", "--steps", "5",
       "--out", "sweep.csv"], None),
+    ("T=0", _DIST_CONFIG.format(m=3, steps=0, override="games.B.rho.RR = 0.62\n"),
+     ["run", "--out", "run.csv", "--emit-plot", "run.svg"], None),
+    ("T=0", _DIST_CONFIG.format(m=3, steps=0, override="games.B.rho.RR = 0.62\n"),
+     ["scan", "--max-len", "2", "--out", "scan.csv"], None),
+    ("T=0", _SWEEP_CONFIG.format(m=3, steps=0),
+     ["sweep", "--param", "RL", "--from", "0.2", "--to", "0.8", "--steps", "4",
+      "--out", "sweep.csv", "--emit-plot", "sweep.svg"], None),
 ]
 
 _START_MAIN = """
