@@ -41,10 +41,11 @@ __all__ = [
     "monte_carlo_trajectory",
 ]
 
-# Bytes charged per sampled trajectory: its state code and position, the
-# step's draw, branch, pick and deviation buffers (41 bytes), and one array
-# gathered at a time, odds, increments or next codes (8 bytes); tracemalloc
-# measures a peak of 49 bytes per trajectory at 10**4 to 2 * 10**5.
+# Bytes charged per sampled trajectory: its state code and float64 position,
+# the step's draw, branch, pick and deviation buffers (41 bytes), and one
+# array gathered at a time, odds (where they vary by state), increments or
+# next codes (8 bytes); tracemalloc measures a peak of 49 bytes per
+# trajectory at 10**4 to 2 * 10**5, with constant odds or varying ones.
 _TRAJECTORY_BYTES = 64
 
 # Bytes charged per state of the walk's chain, for it and the loop buffers
@@ -309,13 +310,18 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     start states and takes branch 0 when its draw ``u < first[state]``.
     Returns ``(means, standard_errors)`` arrays of length ``steps + 1``.
 
-    The loop steps in buffers allocated once, on doubled state codes, and
-    takes each mean from one integer sum.  It draws the same numbers as one
+    The loop steps in buffers allocated once, on doubled state codes.  A
+    game whose states all have the same branch-0 probability, such as a
+    :class:`BiasedCoin` or a walk table with a single rho, is compared
+    against that one number instead of a per-trajectory gather.  Positions
+    are integers held in float64, and each mean is their float sum over
+    ``n_trajectories``: that sum is ``position.mean()``'s while
+    ``n_trajectories * steps < 2**53``, since every partial sum is then an
+    exact integer.  The loop draws the same numbers as one
     ``rng.random(n_trajectories)`` per step and runs the operations of
-    ``position.mean()`` and ``position.std(ddof=1)``, so every output bit is
-    theirs while ``n_trajectories * steps < 2**53``; past that bound, which
-    no run that fits in memory reaches in practice, the integer sum is the
-    exact one.
+    ``position.std(ddof=1)``, so every output bit is that of ``mean()`` and
+    ``std(ddof=1)`` on integer positions within the bound, which no run that
+    fits in memory passes in practice.
     """
     n = _count(n_trajectories, "n_trajectories", 1)
     steps = _count(steps, "steps", 0)
@@ -325,12 +331,13 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     kinds = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
     chains, starts = _chains(spec, pattern, kinds, "sampled")
     # Trajectory codes are twice the chain state, so code + branch indexes
-    # the raveled (state, branch) tables; odds repeat per branch to match.
-    plays = [(np.repeat(c.first, 2), 2 * c.next.ravel(), c.step.ravel()) for c in chains]
+    # the raveled (state, branch) tables; odds that vary repeat per branch.
+    plays = [(_sampled_odds(c.first), 2 * c.next.ravel(), c.step.ravel().astype(float))
+             for c in chains]
     rng = np.random.default_rng(seed)
     code = rng.integers(starts, size=n)
     code <<= 1
-    position = np.zeros(n, dtype=np.int64)
+    position = np.zeros(n)
     draws = np.empty(n)
     branch = np.empty(n, dtype=bool)
     pick = np.empty(n, dtype=np.intp)
@@ -338,16 +345,17 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     means = np.zeros(steps + 1)
     errors = np.zeros(steps + 1)
     for t in range(steps):
-        first, moves, increments = plays[t % len(plays)]
+        odds, moves, increments = plays[t % len(plays)]
         rng.random(out=draws)
-        np.greater_equal(draws, first[code], out=branch)
+        np.greater_equal(draws, odds if odds.ndim == 0 else odds[code], out=branch)
         np.add(code, branch, out=pick)
         position += increments[pick]
         code = moves[pick]
-        # Each partial sum that position.mean() adds in float64 is an exact
-        # integer while n * steps < 2**53, so it equals the integer sum, and
-        # one correctly rounded division gives the same double.
-        mean = int(position.sum()) / n
+        # Positions are integers held exactly in float64.  Each partial sum
+        # that position.mean() adds is an exact integer while n * steps <
+        # 2**53, so this sum, in whatever order, equals it, and one
+        # correctly rounded division gives the same double.
+        mean = float(position.sum()) / n
         means[t + 1] = mean
         if n > 1:
             # np.std(ddof=1)'s own operations: deviations, squares, their
@@ -356,3 +364,10 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
             np.multiply(deviation, deviation, out=deviation)
             errors[t + 1] = np.sqrt(deviation.sum() / (n - 1)) / np.sqrt(n)
     return means, errors
+
+
+def _sampled_odds(first: np.ndarray) -> np.ndarray:
+    """A chain's branch-0 odds per doubled state code, or one 0-d value if all are equal."""
+    if np.all(first == first[0]):
+        return np.asarray(first[0])
+    return np.repeat(first, 2)

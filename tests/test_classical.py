@@ -603,6 +603,12 @@ class TestRepeatedDistribution:
 SAMPLED_KINDS = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
 
 
+def random_walk_table(num_coins, seed):
+    """A walk table whose retention differs from history to history."""
+    rng = np.random.default_rng(seed)
+    return HistoryRhoTable(num_coins, {h: rng.uniform() for h in all_histories(num_coins)})
+
+
 @st.composite
 def sampled_runs(draw):
     """A capital, history or walk-chain spec, its pattern, T, a trajectory count and a seed."""
@@ -635,6 +641,29 @@ class TestBufferedSampler:
         spec, pattern, steps, n, seed = run
         means, errors = monte_carlo_trajectory(spec, pattern, steps, n, seed)
         chains, starts = histwalk.classical._chains(spec, pattern, SAMPLED_KINDS, "sampled")
+        want_means, want_errors = sampled_means_allocating(chains, starts, steps, n, seed)
+        assert means.tobytes() == want_means.tobytes()
+        assert errors.tobytes() == want_errors.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, pattern, constant",
+        [
+            ({"A": COIN, "B": MOD3}, "AB", [True, False]),
+            (HistoryRhoTable.uniform(4, 0.3), None, [True]),
+            (random_walk_table(4, seed=12), None, [False]),
+        ],
+        ids=["capital", "walk-chain-one-rho", "walk-chain-random"],
+    )
+    def test_runs_at_the_benchmark_size_equal_the_allocating_loop_byte_for_byte(
+        self, spec, pattern, constant
+    ):
+        # The classical_games workload's size, past what the strategy draws,
+        # on games whose odds are one number and on games whose odds vary.
+        steps, n, seed = 100, 5 * 10**4, 1
+        chains, starts = histwalk.classical._chains(spec, pattern, SAMPLED_KINDS, "sampled")
+        odds = [histwalk.classical._sampled_odds(chain.first) for chain in chains]
+        assert [o.ndim == 0 for o in odds] == constant
+        means, errors = monte_carlo_trajectory(spec, pattern, steps, n, seed)
         want_means, want_errors = sampled_means_allocating(chains, starts, steps, n, seed)
         assert means.tobytes() == want_means.tobytes()
         assert errors.tobytes() == want_errors.tobytes()

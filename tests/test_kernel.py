@@ -460,7 +460,7 @@ class TestCliOutputIsUnchanged:
             "B": HistoryRhoTable.with_overrides(num_coins, 0.45, {key: 0.62} if key else {}),
         }
         if initial is None:
-            initial = build_initial_state(num_coins, ANTISYMMETRIC, max(steps, 1))
+            initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
         states, raised_at = spec_walk(initial, tables, "AAB", steps)
         assert raised_at is None
         return str(cfg), tables, states
@@ -515,13 +515,15 @@ def entry_bytes(num_coins, steps):
 
     Origin starts occupy one sublattice of ``t_max + 2`` compact rows.
     """
-    return (1 << num_coins) * (max(steps, 1) + 2) * 16
+    return (1 << num_coins) * (steps + 2) * 16
 
 
 def chunked(monkeypatch, num_coins, steps, per_chunk):
     """Make scans and sweeps step ``per_chunk`` entries at a time."""
     budget = per_chunk * entry_bytes(num_coins, steps) + entry_bytes(num_coins, steps) // 2
     monkeypatch.setattr(histwalk.walker, "_CHUNK_BYTES", budget)
+    initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
+    assert histwalk.walker._CHUNK_BYTES // _Kernel.entry_bytes(initial) == per_chunk
 
 
 def random_tables(num_coins, letters, seed):
@@ -543,6 +545,8 @@ class TestBatchedScansAndSweeps:
         per_chunk=st.integers(1, 7),
         seed=st.integers(0, 2**32 - 1),
     )
+    # T = 0: two compact rows per entry, where three would fit two entries per chunk.
+    @example(num_coins=2, letters="AB", max_len=2, steps=0, per_chunk=1, seed=0)
     @settings(deadline=None, max_examples=25)
     def test_scan_means_equal_single_walks_bit_for_bit(
         self, num_coins, letters, max_len, steps, per_chunk, seed
@@ -551,7 +555,7 @@ class TestBatchedScansAndSweeps:
         with pytest.MonkeyPatch.context() as patch:
             chunked(patch, num_coins, steps, per_chunk)
             got = scan_sequences(tables, max_len, num_coins, steps)
-        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=max(steps, 1))
+        initial = build_initial_state(num_coins, ANTISYMMETRIC, t_max=steps)
         want = {p: run_sequence(initial, tables, p, steps).means[-1] for p in got}
         assert len(got) == sum(len(letters) ** k for k in range(1, max_len + 1))
         assert got == want

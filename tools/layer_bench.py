@@ -51,7 +51,10 @@ M=8 game B as the chain's table):
 * ``capital_never_repeats``: the exact capital call at the same T with two
   coins that always win, whose distribution never repeats one pattern period
   later, so the exact loop steps every time;
-* ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span.
+* ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span, whose
+  game A has the same odds in every state;
+* ``mc_chain``: the sampler on the M=8 chain table at the same T and
+  trajectory count, whose odds differ from state to state.
 
 Where the walk loops set NumPy's ufunc buffer size once per loop (the
 kernel's ``with`` block), ``step`` and ``step_m3`` leave that cost out;
@@ -216,6 +219,9 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
                 lambda: classical.capital_game_trajectory(always, "AB", CLASSICAL["capital_T"]),
             "mc": lambda: classical.monte_carlo_trajectory(
                 games.capital_games, "AB", CLASSICAL["mc_T"], CLASSICAL["mc_N"], games.mc_seed
+            ),
+            "mc_chain": lambda: classical.monte_carlo_trajectory(
+                games.chain_table, None, CLASSICAL["mc_T"], CLASSICAL["mc_N"], games.mc_seed
             ),
         }
         timings = [
