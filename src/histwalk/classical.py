@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .operators import HistoryRhoTable, _check_pattern, _check_probability
-from .state import _check_fits, _count
+from .state import _check_fits, _count, _shifted
 
 __all__ = [
     "classical_mean_trajectory",
@@ -117,7 +117,7 @@ def _check_chain_fits(spec, state_bytes: int) -> None:
     """Raise MemoryLimitError if a walk table's chain, ``state_bytes`` per state, cannot fit."""
     if isinstance(spec, HistoryRhoTable):
         what = f"the classical chain of M = {spec.num_coins}"
-        _check_fits(state_bytes << spec.num_coins, what, "for its states")
+        _check_fits(_shifted(state_bytes, spec.num_coins), what, "for its states")
 
 
 @dataclass(frozen=True)

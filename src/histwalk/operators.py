@@ -37,6 +37,7 @@ from .state import (
     _check_norm,
     _count,
     _register_probabilities,
+    _shifted,
     coins_to_index,
     index_to_coins,
 )
@@ -138,7 +139,8 @@ class HistoryRhoTable:
         """A uniform table with selected histories overridden."""
         num_coins = _count(num_coins, "num_coins", 1)
         # Values, their stored copy and range masks: 19 bytes per history by tracemalloc.
-        _check_fits(24 << (num_coins - 1), f"a retention table for M = {num_coins}", "to fill")
+        what = f"a retention table for M = {num_coins}"
+        _check_fits(_shifted(24, num_coins - 1), what, "to fill")
         values = np.full(1 << (num_coins - 1), _check_probability(default, "rho"))
         for key, value in (overrides or {}).items():
             values[_history_index(key, num_coins)] = value

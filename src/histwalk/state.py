@@ -120,9 +120,9 @@ class WalkState:
     def set_amplitude(self, x: int, coins: str, value: complex) -> None:
         """Overwrite one basis amplitude.
 
-        The norm is not checked here: ``run_sequence``, ``evolve`` and
-        ``evolve_brun`` raise NormalizationError for a start whose norm is
-        not 1 within 1e-9.
+        The norm is not checked here: every walk, ``evolve`` and
+        ``evolve_brun`` included, raises NormalizationError when the norm is
+        not 1 within 1e-9 at the start or after any step.
         """
         _check_register(coins, self.num_coins)
         self.amplitudes[self._row(x), coins_to_index(coins)] = value
@@ -150,7 +150,8 @@ def working_bytes(num_coins: int, t_max: int) -> int:
     one number per position are charged as sixteen 8-byte values per grid
     row.  A start whose entries share one parity needs one sublattice;
     :func:`~histwalk.walker.build_initial_state` charges it that, and
-    :func:`new_state` charges two.
+    :func:`new_state` charges two.  A register of over 64 coins is charged
+    as one of 64, which no memory holds either (see :func:`_shifted`).
     """
     return _walk_bytes(num_coins, t_max, 2)
 
@@ -158,7 +159,7 @@ def working_bytes(num_coins: int, t_max: int) -> int:
 def _walk_bytes(num_coins: int, t_max: int, sublattices: int) -> int:
     """:func:`working_bytes` for a kernel that stores ``sublattices`` parity sublattices."""
     rows = 2 * t_max + 1
-    columns = (1 << num_coins) * np.dtype(np.complex128).itemsize
+    columns = _shifted(np.dtype(np.complex128).itemsize, num_coins)
     buffer = sublattices * (t_max + 2) * columns
     return 2 * rows * columns + 4 * buffer + 16 * 8 * rows
 
@@ -184,6 +185,27 @@ def _count(value, name: str, least: float) -> int:
     return number
 
 
+def _shifted(size: int, bits: int) -> int:
+    """``size << bits``, with the shift stopped at 64: a size guard's charge for ``bits`` coins.
+
+    From 64 bits on the charge is past 2**64 bytes, which no memory holds,
+    and a wider shift is not worth computing: ``1 << 100000`` has 30,103
+    digits, and ``1 << 10**22`` cannot be computed at all.
+    """
+    return size << min(bits, 64)
+
+
+def _gib(size: int) -> str:
+    """``size`` bytes in GiB to one decimal, in integer arithmetic; past 2**64 bytes, a bound.
+
+    A float quotient overflows from about 1e308 * 2**30 bytes.
+    """
+    if size > 2**64:
+        return "over 2**64 bytes"
+    tenths = (10 * size + 2**29) >> 30
+    return f"{tenths // 10}.{tenths % 10} GiB"
+
+
 def _check_fits(needed: int, what: str, use: str) -> None:
     """Raise MemoryLimitError if ``needed`` bytes exceed physical memory.
 
@@ -192,8 +214,8 @@ def _check_fits(needed: int, what: str, use: str) -> None:
     available = physical_memory_bytes()
     if available is not None and needed > available:
         raise MemoryLimitError(
-            f"{what} needs {needed / 2**30:.1f} GiB {use}, more than the "
-            f"{available / 2**30:.1f} GiB of physical memory"
+            f"{what} needs {_gib(needed)} {use}, more than the "
+            f"{_gib(available)} of physical memory"
         )
 
 
@@ -388,9 +410,12 @@ class Moments:
 
 
 def moments(dist: ProbabilityDistribution) -> Moments:
-    """First two moments of a normalized distribution."""
+    """First two moments of a distribution whose norm, the root of its sum, is 1 within 1e-9.
+
+    That is the state's rule, so what a walk reads out passes it here too.
+    """
     total = dist.total()
-    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-        raise NormalizationError(f"distribution sums to {total:.12g}, expected 1 within 1e-9")
+    if not abs(np.sqrt(total) - 1.0) <= 1e-9:  # NaN fails too
+        raise NormalizationError(f"distribution sums to {total:.12g}, expected norm 1 within 1e-9")
     x = dist.positions.astype(float)
     return Moments(*_mean_std(dist.probabilities, x, x * x))

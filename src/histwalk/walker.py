@@ -202,28 +202,21 @@ def final_distribution(
 
     The pattern is played and the arguments are checked as in
     :func:`run_sequence`, but the band is read out only once, after the last
-    step.  Its probabilities equal :func:`~histwalk.state.position_distribution`
-    of the final state bit for bit.  The norm is checked at the start and
-    after every step, by one sum over the band, and a lost norm raises
-    :func:`run_sequence`'s message, which names the step.  The input state is
-    not modified.
+    step, and the norm is checked as :func:`_stepped` checks it.  Its
+    probabilities equal :func:`~histwalk.state.position_distribution` of the
+    final state bit for bit.  The input state is not modified.
     """
     schedule, steps = _check_run(initial, games, pattern, steps)
-    with _Kernel(initial, schedule) as kernel:
-        for step in range(steps + 1):
-            if step:
-                kernel.step()
-            _check_norm(math.sqrt(kernel.norms()[0]), step)
-    first_row, stride, p = kernel.probabilities()
+    first_row, stride, p = _stepped(initial, [schedule], steps).probabilities()
     return _distribution(first_row, stride, p[0], initial.t_max)
 
 
 def evolve(initial: WalkState, table: HistoryRhoTable, steps: int) -> WalkState:
     """Apply ``steps`` tosses with one fixed table; returns the final state.
 
-    Raises NormalizationError unless the start's norm is 1 within 1e-9.
+    The norm is checked as :func:`_stepped` checks it.
     """
-    return _evolve(initial, [table], steps)
+    return _stepped(initial, [[table]], _count(steps, "steps", 0)).state()
 
 
 def evolve_brun(initial: WalkState, coins: Sequence[float], steps: int) -> WalkState:
@@ -231,22 +224,34 @@ def evolve_brun(initial: WalkState, coins: Sequence[float], steps: int) -> WalkS
 
     ``coins`` holds one retention parameter per register slot.  Each cycle
     entry is a uniform table, so this plays one uniform table per step,
-    starting from entry ``initial.steps_taken % len(coins)``.  Raises
-    NormalizationError unless the start's norm is 1 within 1e-9.
+    starting from entry ``initial.steps_taken % len(coins)``.  The norm is
+    checked as :func:`_stepped` checks it.
     """
     rhos = _coin_cycle(coins, initial.num_coins)
     cycle = [HistoryRhoTable.uniform(initial.num_coins, rho) for rho in rhos]
     offset = initial.steps_taken % len(cycle)
-    return _evolve(initial, cycle[offset:] + cycle[:offset], steps)
+    return _stepped(initial, [cycle[offset:] + cycle[:offset]], _count(steps, "steps", 0)).state()
 
 
-def _evolve(initial: WalkState, schedule: Sequence[HistoryRhoTable], steps) -> WalkState:
-    steps = _count(steps, "steps", 0)
-    _check_norm(initial.norm())
-    with _Kernel(initial, schedule) as kernel:
-        for _ in range(steps):
-            kernel.step()
-    return kernel.state()
+def _stepped(initial: WalkState, schedules, steps: int, first_entry: int | None = None) -> _Kernel:
+    """The kernel of ``schedules`` from ``initial`` after ``steps`` steps: walks read out once.
+
+    Every entry's norm must be 1 within 1e-9 at the start and after every
+    step, by one sum over the band.  A single walk (``first_entry`` None)
+    raises :func:`run_sequence`'s message, which names the step; a batch
+    also names the entry by its index ``first_entry + b`` among all schedules.
+    """
+    with _Kernel(initial, *schedules) as kernel:
+        for step in range(steps + 1):
+            if step:
+                kernel.step()
+            if first_entry is None:
+                _check_norm(math.sqrt(kernel.norms()[0]), step)
+            else:
+                norms = np.sqrt(kernel.norms())
+                worst = int(np.argmax(np.abs(norms - 1.0)))
+                _check_norm(norms[worst], step, first_entry + worst)
+    return kernel
 
 
 def _check_scan_size(letters: int, max_len: int) -> None:
@@ -295,26 +300,16 @@ def _final_moments(
 ) -> list[tuple[float, float]]:
     """Final-step mean and std of every schedule played from ``initial``.
 
-    Schedules are stepped a chunk at a time on one batched kernel whose
-    buffers hold about :data:`_CHUNK_BYTES` each.  Every entry's norm is
-    checked at the start and after every step, on the rule of
-    :func:`_readout`; an error names the step and the entry's index among
-    all schedules.  After a chunk's last step each entry is read out with
-    :func:`_readout`, so the moments equal those of :func:`run_sequence`
-    bit for bit.
+    Schedules are stepped a chunk at a time by :func:`_stepped`, on one
+    batched kernel whose buffers hold about :data:`_CHUNK_BYTES` each.
+    After a chunk's last step each entry is read out with :func:`_readout`,
+    so the moments equal those of :func:`run_sequence` bit for bit.
     """
     chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
     schedules = iter(schedules)
     results: list[tuple[float, float]] = []
     while batch := list(islice(schedules, chunk)):
-        with _Kernel(initial, *batch) as kernel:
-            for step in range(steps + 1):
-                if step:
-                    kernel.step()
-                norms = np.sqrt(kernel.norms())
-                worst = int(np.argmax(np.abs(norms - 1.0)))
-                _check_norm(norms[worst], step, len(results) + worst)
-        first_row, stride, p = kernel.probabilities()
+        first_row, stride, p = _stepped(initial, batch, steps, len(results)).probabilities()
         for entry in p:
             results.append(_readout(first_row, stride, entry, initial.t_max, steps)[:2])
     return results

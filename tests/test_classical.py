@@ -731,6 +731,23 @@ class TestMemoryGuard:
         with pytest.raises(histwalk.state.MemoryLimitError, match="^the classical chain of M = 16"):
             run(table)
 
+    @pytest.mark.parametrize(
+        "run",
+        [lambda table: classical_mean_trajectory(table, 5),
+         lambda table: monte_carlo_trajectory(table, None, 5, 10, seed=1)],
+        ids=["exact", "sampled"],
+    )
+    def test_a_chain_of_a_register_past_any_memory_is_refused_without_an_overflow(
+        self, monkeypatch, run
+    ):
+        # No such table can be built, so the count is set on a bare one.
+        table = object.__new__(HistoryRhoTable)
+        object.__setattr__(table, "num_coins", 10**22)
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        message = f"^the classical chain of M = {10**22} needs over 2\\*\\*64 bytes for its states"
+        with pytest.raises(histwalk.state.MemoryLimitError, match=message):
+            run(table)
+
     def test_runs_that_fit_are_not_refused(self):
         assert monte_carlo_trajectory(COIN, None, 2, 10**3, seed=1)[0].shape == (3,)
         assert capital_game_trajectory(COIN, None, 2).shape == (3,)

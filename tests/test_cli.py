@@ -1,10 +1,13 @@
 """End-to-end command line runs: CSV payloads, flag handling, and exit codes."""
 
+import contextlib
 import hashlib
 import importlib.metadata
+import io
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -20,6 +23,8 @@ from histwalk.cli import main
 from histwalk.operators import HistoryRhoTable
 from histwalk.output import format_value, read_csv_columns, write_csv
 from histwalk.walker import build_initial_state, final_distribution, run_sequence
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 SINGLE_COIN = "M = 1\nT = {steps}\npattern = A\ngames.A.rho.default = 0.5\n"
 BIASED_THREE = (
@@ -682,3 +687,83 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "usage:" in result.stdout
+
+
+WALK_AB = (
+    "M = {m}\nT = {steps}\npattern = {pattern}\n"
+    "games.A.rho.default = 0.5\ngames.B.rho.default = 0.45\n"
+)
+HUGE = str(10**400)
+
+
+def run_in(folder, text, argv):
+    """Exit code and stderr of ``main(argv)`` run on config ``text``, writing ``out.csv``."""
+    cfg = Path(folder, "run.cfg")
+    cfg.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(cfg), "--out", str(Path(folder, "out.csv"))])
+    return code, err.getvalue()
+
+
+class TestOversizedCounts:
+    """Counts too large to size in memory are refused with exit 1, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (WALK_AB.format(m=100000, steps=5, pattern="AB"), ["walk", "run"]),
+            (WALK_AB.format(m=100000, steps=5, pattern="AB"), ["walk", "dist"]),
+            (WALK_AB.format(m=100000, steps=5, pattern="AB"), ["walk", "scan", "--max-len", "2"]),
+            (WALK_AB.format(m=10**22, steps=5, pattern="AB"), ["walk", "run"]),
+            (WALK_AB.format(m=3, steps=HUGE, pattern="AB"), ["walk", "run"]),
+            (WALK_AB.format(m=3, steps=HUGE, pattern="AB"), ["walk", "scan", "--max-len", "2"]),
+            (CAPITAL_PAIR.format(steps=HUGE), ["classical", "run"]),
+            (CAPITAL_PAIR.format(steps=HUGE) + "seed = 1\n",
+             ["classical", "run", "--monte-carlo", "5"]),
+            (WALK_AB.format(m=2, steps=5, pattern="AB"), ["walk", "scan", "--max-len", HUGE]),
+        ],
+        ids=["M=1e5 run", "M=1e5 dist", "M=1e5 scan", "M=1e22 run", "T=1e400 run",
+             "T=1e400 scan", "T=1e400 classical", "T=1e400 monte carlo", "max-len 1e400"],
+    )
+    def test_exit_one_with_the_size_and_no_file(self, tmp_path, monkeypatch, text, argv):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        code, err = run_in(tmp_path, text, argv)
+        assert code == 1
+        assert " needs over 2**64 bytes " in err and err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
+    @st.composite
+    def count_runs(draw):
+        """A command, its config and flags, each count small enough to run or past any memory."""
+
+        def count(low, high):
+            return draw(st.one_of(st.integers(low, high), st.integers(10**18, 10**400)))
+
+        command = draw(st.sampled_from(["run", "dist", "scan", "sweep", "classical", "sampled"]))
+        steps = count(0, 30)
+        if command in ("classical", "sampled"):
+            text = CAPITAL_PAIR.format(steps=steps) + "seed = 1\n"
+            flags = ["--monte-carlo", str(count(1, 30))] if command == "sampled" else []
+            return text, ["classical", "run", *flags]
+        m = count(1, 4)
+        text = WALK_AB.format(m=m, steps=steps, pattern="B" if command == "sweep" else "AB")
+        flags = {
+            "scan": ["--max-len", str(count(1, 4))],
+            "sweep": ["--param", "R" * (m - 1) if m <= 4 else "RR", "--from", "0", "--to", "1",
+                      "--steps", str(count(1, 5))],
+        }.get(command, [])
+        return text, ["walk", command, *flags]
+
+    # Under 1 s on a 2-core x86-64 host: a small run takes milliseconds,
+    # and a refusal allocates nothing.
+    @settings(max_examples=100, deadline=None)
+    @given(count_runs())
+    def test_every_run_exits_zero_or_one_and_a_refusal_writes_nothing(self, run):
+        text, argv = run
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as folder:
+            patch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+            code, err = run_in(folder, text, argv)
+            assert code in (0, 1), err
+            assert "runtime error" not in err
+            assert Path(folder, "out.csv").exists() == (code == 0)

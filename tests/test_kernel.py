@@ -7,8 +7,9 @@ test here compares it with the readable per-step functions (:func:`toss`,
 within 1e-10, amplitudes within 1e-12, and CLI output byte for byte.  Over a
 full rotation cycle its amplitudes equal those of :func:`toss` bit for bit.
 Scans and sweeps step walks on the kernel's batch axis, and
-:func:`final_distribution` steps one walk in a loop of its own; both read
-the band out only after the last step.  Scan and sweep results equal those
+:func:`final_distribution` and :func:`evolve` step one; all of them share
+one loop, which checks every norm after every step, and read the band out
+only after the last step.  Scan and sweep results equal those
 of :func:`run_sequence` bit for bit, and :func:`final_distribution` equals
 :func:`position_distribution` of the :func:`toss` loop's state bit for bit,
 as do ``walk dist``'s files.  The step's
@@ -41,7 +42,9 @@ from histwalk.output import emit_svg_plot, write_csv
 from histwalk.state import (
     HorizonError,
     MemoryLimitError,
+    Moments,
     NormalizationError,
+    ProbabilityDistribution,
     _distribution,
     _readout,
     _register_probabilities,
@@ -705,7 +708,7 @@ def count_kernel_calls(monkeypatch):
 
 
 class TestFinalDistribution:
-    """One walk in a loop of its own, read out once, after the last step."""
+    """One walk in the read-once loop, read out once, after the last step."""
 
     @given(walks(max_horizon=30))
     @example(
@@ -782,14 +785,20 @@ class TestFinalDistribution:
         if step == 0:
             initial.amplitudes *= 1.001
         tables = random_tables(3, "AB", 4)
+        walks = [
+            lambda: run_sequence(initial, tables, "AAB", 10),
+            lambda: final_distribution(initial, tables, "AAB", 10),
+            lambda: evolve(initial, tables["A"], 10),
+            lambda: evolve_brun(initial, [0.3, 0.6, 0.8], 10),
+        ]
         errors = []
-        for call in (run_sequence, final_distribution):
+        for walk in walks:
             with pytest.raises(NormalizationError) as error:
-                call(initial, tables, "AAB", 10)
+                walk()
             assert taken == list(range(1, step + 1))
             taken.clear()
             errors.append(str(error.value))
-        assert errors[1] == errors[0]
+        assert errors == errors[:1] * len(walks)
         assert errors[0].startswith("state norm is 1.001,")
         assert errors[0].endswith(f"expected 1 within 1e-9 at step {step}")
 
@@ -842,6 +851,51 @@ class TestNormErrorsNameTheStep:
         table = random_tables(3, "B", 5)["B"]
         with pytest.raises(NormalizationError, match=r"at step 7, batch entry 2$"):
             sweep_parameter(table, "RL", np.linspace(0.0, 1.0, 4), 10)
+
+    def test_a_scan_chunk_of_one_entry_still_names_the_batch_entry(self, monkeypatch):
+        # One primitive pattern per chunk: leak the third chunk's, pattern 2.
+        chunked(monkeypatch, 3, 10, 1)
+        step, kernels = _Kernel.step, []
+
+        def leaky_step(kernel):
+            step(kernel)
+            if kernel not in kernels:
+                kernels.append(kernel)
+            if len(kernels) == 3 and kernel.steps == 3:
+                kernel.psi[0] *= 1.001
+
+        monkeypatch.setattr(_Kernel, "step", leaky_step)
+        with pytest.raises(NormalizationError, match=r"at step 3, batch entry 2$"):
+            scan_sequences(random_tables(3, "AB", 1), 3, 3, 10)
+        assert [len(kernel.entries) for kernel in kernels] == [1, 1, 1]
+
+
+class TestOneNormRule:
+    """Walks and :func:`moments` apply one rule: a norm of 1 within 1e-9."""
+
+    @staticmethod
+    def start(norm):
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=20)
+        initial.amplitudes *= norm
+        return initial
+
+    def test_moments_reads_what_a_walk_reads_from_a_start_of_norm_1_plus_9e_10(self):
+        tables = random_tables(3, "AB", 4)
+        dist = final_distribution(self.start(1 + 9e-10), tables, "AAB", 20)
+        assert dist.total() > 1 + 1.7e-9  # beyond 1e-9 of 1: the sum is the norm squared
+        trajectory = run_sequence(self.start(1 + 9e-10), tables, "AAB", 20)
+        assert moments(dist) == Moments(trajectory.means[-1], trajectory.stds[-1])
+
+    def test_moments_refuses_a_norm_of_1_plus_1_1e_9_as_walks_refuse_the_start(self):
+        tables = random_tables(3, "AB", 4)
+        for call in (run_sequence, final_distribution):
+            with pytest.raises(NormalizationError, match="^state norm is 1.0000000011, .* step 0$"):
+                call(self.start(1 + 1.1e-9), tables, "AAB", 20)
+        dist = final_distribution(self.start(1.0), tables, "AAB", 20)
+        scaled = ProbabilityDistribution(dist.positions, dist.probabilities * (1 + 1.1e-9) ** 2)
+        message = "^distribution sums to 1.0000000022, expected norm 1 within 1e-9$"
+        with pytest.raises(NormalizationError, match=message):
+            moments(scaled)
 
 
 # NumPy's ufunc buffer size when nothing has set it, in NumPy 1.x and 2.x.
@@ -904,14 +958,18 @@ WALK_LOOPS = {
         kept(start.num_coins), 2, start.num_coins, steps
     ),
     "evolve": lambda start, steps: evolve(start, kept(start.num_coins)["A"], steps),
+    "evolve_brun": lambda start, steps: evolve_brun(start, [1.0] * start.num_coins, steps),
+    "sweep_parameter": lambda start, steps: sweep_parameter(
+        kept(start.num_coins)["A"], "L" * (start.num_coins - 1), [1.0, 0.5], steps
+    ),
 }
 # How a loop ends: it returns, a step raises HorizonError, or a norm check
-# raises NormalizationError.  A scan starts at the origin, which never
-# reaches the grid edge.
+# raises NormalizationError.  Scans and sweeps start at the origin, on a
+# grid whose edge they never reach.
 ENDINGS = {"returns": None, "horizon": HorizonError, "norm": NormalizationError}
 LOOP_ENDINGS = [
     (loop, ending) for loop in WALK_LOOPS for ending in ENDINGS
-    if (loop, ending) != ("scan_sequences", "horizon")
+    if ending != "horizon" or loop not in ("scan_sequences", "sweep_parameter")
 ]
 
 
@@ -947,8 +1005,6 @@ class TestSmallStepBuffers:
         if ending == "horizon":
             # One coin at the last site, retained as R, leaves the grid at step 1.
             start, steps = build_initial_state(1, [(3, "R", 1.0)], t_max=3), 1
-        elif ending == "norm" and loop == "evolve":
-            start = new_state(3, 8)  # evolve checks only its start's norm
         step = _Kernel.step
         seen = []
 
@@ -969,9 +1025,8 @@ class TestSmallStepBuffers:
             assert np.getbufsize() == size
         finally:
             np.setbufsize(kept_size)
-        # Every step ran with the small buffers; the all-zero start is refused before any.
-        assert seen == [histwalk.operators._STEP_BUFSIZE] * len(seen)
-        assert bool(seen) == ((loop, ending) != ("evolve", "norm"))
+        # Every step ran with the small buffers.
+        assert seen and seen == [histwalk.operators._STEP_BUFSIZE] * len(seen)
 
     @pytest.mark.parametrize("num_coins, steps", [(8, 200), (3, 1000)])
     def test_no_step_allocates_more_than_64_kib(self, num_coins, steps):

@@ -118,6 +118,16 @@ class TestHistoryRhoTable:
         with pytest.raises(MemoryLimitError, match=message):
             build()
 
+    @pytest.mark.parametrize("num_coins", [100000, 10**22], ids=["M=1e5", "M=1e22"])
+    def test_a_register_past_any_memory_is_refused_without_an_overflow(
+        self, monkeypatch, num_coins
+    ):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        message = f"^a retention table for M = {num_coins} needs over 2\\*\\*64 bytes to fill"
+        for build in (HistoryRhoTable.uniform, HistoryRhoTable.with_overrides):
+            with pytest.raises(MemoryLimitError, match=message):
+                build(num_coins, 0.5)
+
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError, match="must lie in"):
             HistoryRhoTable.uniform(2, 1.2)

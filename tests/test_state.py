@@ -9,6 +9,7 @@ import histwalk.state
 
 from histwalk.state import (
     HorizonError,
+    MemoryLimitError,
     Moments,
     NormalizationError,
     ProbabilityDistribution,
@@ -89,6 +90,29 @@ class TestWalkState:
         with pytest.raises(ValueError, match="physical memory"):
             new_state(20, 1000)
         assert new_state(12, 1000).amplitudes.shape == (2001, 4096)
+
+    @pytest.mark.parametrize(
+        "num_coins, t_max", [(100000, 5), (10**22, 1), (3, 10**400)],
+        ids=["M=1e5", "M=1e22", "T=1e400"],
+    )
+    def test_sizes_past_any_memory_are_refused_without_an_overflow(
+        self, monkeypatch, num_coins, t_max
+    ):
+        # A float quotient of these sizes overflowed, and 1 << 10**22 cannot be computed.
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
+        message = "needs over 2\\*\\*64 bytes for the state, .* the 16.0 GiB of physical memory$"
+        with pytest.raises(MemoryLimitError, match=message):
+            new_state(num_coins, t_max)
+
+    def test_sizes_are_reported_in_gib_to_one_decimal(self, monkeypatch):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 2**30)
+        # 1.15 GiB lies between two whole byte counts.
+        sizes = [(2**31 - 1, "2.0"), (2**30 * 23 // 20, "1.1"), (2**30 * 23 // 20 + 1, "1.2"),
+                 (2**64, "17179869184.0")]
+        for needed, shown in sizes:
+            message = f"^x needs {shown} GiB y, more than the 1.0 GiB of physical memory$"
+            with pytest.raises(MemoryLimitError, match=message):
+                histwalk.state._check_fits(needed, "x", "y")
 
     def test_amplitude_round_trip(self):
         state = new_state(2, 5)

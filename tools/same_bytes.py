@@ -16,11 +16,16 @@ README) as ``python -m histwalk`` in a new temporary directory that holds
 the two config files those commands name, and digests its exit code and
 stdout together with the name and bytes of every file in the directory.
 Then it runs each ``walk`` command of ``CONFIG_RUNS`` the same way, from a
-config file it writes itself, and digests its stderr too.
+config file it writes itself, and digests its stderr too; the last three
+are refused as too large for memory, and their message names this host's
+memory size, so compare trees on one host.
 A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
 begins there, on a grid three sites wider than its step count: the process
 replaces ``histwalk.cli.build_initial_state`` before it calls
-``histwalk.cli.main``, because no config key names such a start.  Last it
+``histwalk.cli.main``, because no config key names such a start.  The
+positions and probabilities of ``position_distribution(evolve(...))`` are
+digested for each of ``EVOLVE_RUNS``, in the process that ran the
+workloads.  Last it
 runs the Python block under "Library quick start" in the tree's own README
 as ``python -c`` in a new temporary directory and digests its exit code,
 stdout and stderr.
@@ -90,6 +95,21 @@ CONFIG_RUNS = [
     ("T=0", _SWEEP_CONFIG.format(m=3, steps=0),
      ["sweep", "--param", "RL", "--from", "0.2", "--to", "0.8", "--steps", "4",
       "--out", "sweep.csv", "--emit-plot", "sweep.svg"], None),
+    ("M=100000, refused", _DIST_CONFIG.format(m=100000, steps=10, override=""),
+     ["run", "--out", "run.csv"], None),
+    ("T=10**400, refused", _DIST_CONFIG.format(m=3, steps=10**400, override=""),
+     ["dist", "--out", "dist.csv"], None),
+    ("--max-len 10**400, refused", _DIST_CONFIG.format(m=2, steps=10, override=""),
+     ["scan", "--max-len", str(10**400), "--out", "scan.csv"], None),
+]
+
+#: ``position_distribution(evolve(...))`` runs: label, register size, step
+#: count, and a custom start on both parities or None for the origin start.
+EVOLVE_RUNS = [
+    ("M=3", 3, 100, None),
+    ("M=5", 5, 60, None),
+    ("M=3, start on both parities", 3, 100, [(-3, "LRL", 0.6), (0, "RRL", 0.5j), (2, "RRR", -0.8)]),
+    ("M=5, start on both parities", 5, 60, CONFIG_RUNS[1][3]),
 ]
 
 _START_MAIN = """
@@ -146,6 +166,14 @@ def measure(tree: str) -> dict[str, str]:
                 run = workload(seed, Path(temporary, f"{name}_{seed}"))
                 run.setup()
                 digests[f"{name} seed {seed}"] = digest(run.payload(run.op()))
+    for label, num_coins, steps, start in EVOLVE_RUNS:
+        initial = histwalk.build_initial_state(num_coins, start or "antisymmetric", steps + 3)
+        overrides = {"R" * (num_coins - 1): 0.62}
+        table = histwalk.HistoryRhoTable.with_overrides(num_coins, 0.45, overrides)
+        dist = histwalk.position_distribution(histwalk.evolve(initial, table, steps))
+        hasher = hashlib.sha256(dist.positions.astype("<i8").tobytes())
+        hasher.update(dist.probabilities.tobytes())
+        digests[f"evolve {label}"] = hasher.hexdigest()
     env = {**os.environ, "PYTHONPATH": str(source)}
     for demo in sorted(Path(tree, "demos").resolve().glob("*.py")):
         with tempfile.TemporaryDirectory() as temporary:
