@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .operators import HistoryRhoTable, _check_pattern, _check_probability
-from .state import _check_fits, _count, _shifted
+from .state import _amount, _check_fits, _count, _shifted
 
 __all__ = [
     "classical_mean_trajectory",
@@ -116,7 +116,7 @@ def classical_mean_trajectory(table: HistoryRhoTable, steps: int, initial=None) 
 def _check_chain_fits(spec, state_bytes: int) -> None:
     """Raise MemoryLimitError if a walk table's chain, ``state_bytes`` per state, cannot fit."""
     if isinstance(spec, HistoryRhoTable):
-        what = f"the classical chain of M = {spec.num_coins}"
+        what = f"the classical chain of M = {_amount(spec.num_coins)}"
         _check_fits(_shifted(state_bytes, spec.num_coins), what, "for its states")
 
 
@@ -211,7 +211,7 @@ def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") 
     the same order, so the means are those of stepping every time.
     """
     steps = _count(steps, "steps", 0)
-    _check_fits(8 * (steps + 1), f"an exact run of {steps} steps", "for its means")
+    _check_fits(8 * (steps + 1), f"an exact run of {_amount(steps)} steps", "for its means")
     if initial is None:
         initial = np.full(starts, 1.0 / starts)
     try:
@@ -326,7 +326,8 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     n = _count(n_trajectories, "n_trajectories", 1)
     steps = _count(steps, "steps", 0)
     needed = _TRAJECTORY_BYTES * n + 16 * (steps + 1)
-    _check_fits(needed, f"{n} trajectories of {steps} steps", "for their states")
+    what = f"{_amount(n)} trajectories of {_amount(steps)} steps"
+    _check_fits(needed, what, "for their states")
     _check_chain_fits(spec, _SAMPLED_STATE_BYTES)
     kinds = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
     chains, starts = _chains(spec, pattern, kinds, "sampled")

@@ -33,6 +33,7 @@ from .state import (
     R,
     HorizonError,
     WalkState,
+    _amount,
     _check_fits,
     _check_norm,
     _count,
@@ -139,7 +140,7 @@ class HistoryRhoTable:
         """A uniform table with selected histories overridden."""
         num_coins = _count(num_coins, "num_coins", 1)
         # Values, their stored copy and range masks: 19 bytes per history by tracemalloc.
-        what = f"a retention table for M = {num_coins}"
+        what = f"a retention table for M = {_amount(num_coins)}"
         _check_fits(_shifted(24, num_coins - 1), what, "to fill")
         values = np.full(1 << (num_coins - 1), _check_probability(default, "rho"))
         for key, value in (overrides or {}).items():

@@ -206,6 +206,11 @@ def _gib(size: int) -> str:
     return f"{tenths // 10}.{tenths % 10} GiB"
 
 
+def _amount(count: int) -> str:
+    """``count`` for a refusal's message: past 2**64, which no memory holds, ``over 2**64``."""
+    return str(count) if count <= 2**64 else "over 2**64"
+
+
 def _check_fits(needed: int, what: str, use: str) -> None:
     """Raise MemoryLimitError if ``needed`` bytes exceed physical memory.
 
@@ -234,7 +239,7 @@ def _new_state(num_coins: int, t_max: int, sublattices: int) -> WalkState:
     t_max = _count(t_max, "t_max", 0)
     _check_fits(
         _walk_bytes(num_coins, t_max, sublattices),
-        f"M = {num_coins} with horizon {t_max}",
+        f"M = {_amount(num_coins)} with horizon {_amount(t_max)}",
         "for the state, the evolution buffers and the readout",
     )
     shape = (2 * t_max + 1, 1 << num_coins)
@@ -338,12 +343,13 @@ def position_distribution(state: WalkState) -> ProbabilityDistribution:
     The support is the contiguous run of occupied lattice positions; when all
     occupied positions share one parity (the generic case for walks started at
     the origin) the run is reported on that parity sublattice, interior zeros
-    included.
+    included.  The norm rule is that of :func:`moments`, on their sum.
     """
-    _check_norm(state.norm())
     # complex128, so that the float view pairs each real part with its imaginary part.
     columns = np.ascontiguousarray(state.amplitudes.T, dtype=complex)
-    return _distribution(0, 1, _register_probabilities(columns.view(float)), state.t_max)
+    p = _register_probabilities(columns.view(float))
+    _check_norm(np.sqrt(p.sum()))
+    return _distribution(0, 1, p, state.t_max)
 
 
 def _support(first_row: int, stride: int, p: np.ndarray) -> tuple[slice, slice]:
@@ -382,23 +388,18 @@ def _mean_std(p: np.ndarray, x: np.ndarray, x2: np.ndarray) -> tuple[float, floa
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def _readout(
-    first_row: int, stride: int, p: np.ndarray, t_max: int, step: int
-) -> tuple[float, float, float]:
-    """Mean, std and norm drift from probabilities ``p`` on grid rows ``first_row + stride * i``.
+def _readout(first_row: int, stride: int, p: np.ndarray, t_max: int) -> tuple[float, float]:
+    """Mean and std from probabilities ``p`` on grid rows ``first_row + stride * i``.
 
-    Grid row ``g`` is position ``g - t_max``; ``step`` locates a norm error.
-    ``p`` comes from :meth:`_Kernel.probabilities`.  The support, norm and
-    moment rules are those of :func:`position_distribution` and
+    Grid row ``g`` is position ``g - t_max``.  ``p`` comes from
+    :meth:`_Kernel.probabilities`, and its caller checks its norm.  The
+    support and moment rules are those of :func:`position_distribution` and
     :func:`moments`, and the operands are contiguous and hold the same
     values as theirs, so the results equal theirs bit for bit.
     """
-    total = float(p.sum())
-    _check_norm(np.sqrt(total), step)
     run, rows = _support(first_row, stride, p)
     x = np.arange(rows.start - t_max, rows.stop - t_max, rows.step, dtype=float)
-    mean, std = _mean_std(np.ascontiguousarray(p[run]), x, x * x)
-    return mean, std, abs(total - 1.0)
+    return _mean_std(np.ascontiguousarray(p[run]), x, x * x)
 
 
 @dataclass(frozen=True)

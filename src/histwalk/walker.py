@@ -15,6 +15,7 @@ from .state import (
     Moments,
     ProbabilityDistribution,
     WalkState,
+    _amount,
     _check_fits,
     _check_norm,
     _count,
@@ -182,17 +183,21 @@ def run_sequence(initial: WalkState, games, pattern: str, steps: int) -> Traject
     the table named by ``pattern[t % len(pattern)]``, so ``"AABB"`` plays A
     twice, then B twice, then A again.  Means, standard deviations and norm
     drift are recorded after every step; :func:`final_distribution` gives the
-    position distribution after the last.  The input state is not modified.
+    position distribution after the last.  A norm, the root of the band's
+    sum, not 1 within 1e-9 raises NormalizationError naming the step.  The
+    input state is not modified.
     """
     schedule, steps = _check_run(initial, games, pattern, steps)
-    means, stds, drift = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
+    means, stds, totals = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
     with _Kernel(initial, schedule) as kernel:
         for t in range(steps + 1):
             if t:
                 kernel.step()
             first_row, stride, p = kernel.probabilities()
-            means[t], stds[t], drift[t] = _readout(first_row, stride, p[0], initial.t_max, t)
-    return Trajectory(means, stds, drift)
+            totals[t] = p[0].sum()
+            _check_norm(np.sqrt(totals[t]), t)
+            means[t], stds[t] = _readout(first_row, stride, p[0], initial.t_max)
+    return Trajectory(means, stds, np.abs(totals - 1.0))
 
 
 def final_distribution(
@@ -271,7 +276,7 @@ def _check_scan_size(letters: int, max_len: int) -> None:
             count += power
             if count > 2**64:
                 break
-    what = f"a scan of {count} patterns" if count <= 2**64 else "a scan of over 2**64 patterns"
+    what = f"a scan of {_amount(count)} patterns"
     _check_fits(count * (_RESULT_BYTES + max_len), what, "for its results")
 
 
@@ -280,7 +285,8 @@ def _check_sweep_size(points: int) -> None:
 
     Each grid value is charged :data:`_RESULT_BYTES`.
     """
-    _check_fits(points * _RESULT_BYTES, f"a sweep of {points} grid values", "for its results")
+    what = f"a sweep of {_amount(points)} grid values"
+    _check_fits(points * _RESULT_BYTES, what, "for its results")
 
 
 def _batch_start(num_coins, kind, steps: int) -> WalkState:
@@ -302,8 +308,8 @@ def _final_moments(
 
     Schedules are stepped a chunk at a time by :func:`_stepped`, on one
     batched kernel whose buffers hold about :data:`_CHUNK_BYTES` each.
-    After a chunk's last step each entry is read out with :func:`_readout`,
-    so the moments equal those of :func:`run_sequence` bit for bit.
+    After a chunk's last step, whose norms it checks, each entry is read out
+    with :func:`_readout`: the moments equal :func:`run_sequence`'s bit for bit.
     """
     chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
     schedules = iter(schedules)
@@ -311,7 +317,7 @@ def _final_moments(
     while batch := list(islice(schedules, chunk)):
         first_row, stride, p = _stepped(initial, batch, steps, len(results)).probabilities()
         for entry in p:
-            results.append(_readout(first_row, stride, entry, initial.t_max, steps)[:2])
+            results.append(_readout(first_row, stride, entry, initial.t_max))
     return results
 
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import importlib.metadata
 import io
+import re
 import shutil
 import subprocess
 import sys
@@ -696,6 +697,15 @@ WALK_AB = (
 HUGE = str(10**400)
 
 
+def assert_one_short_refusal(err):
+    """One stderr line under 300 characters, with no count of over 20 digits.
+
+    2**64 has 20 digits; a count past it is named ``over 2**64``.
+    """
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300, err
+    assert re.search(r"\d{21}", err) is None, err
+
+
 def run_in(folder, text, argv):
     """Exit code and stderr of ``main(argv)`` run on config ``text``, writing ``out.csv``."""
     cfg = Path(folder, "run.cfg")
@@ -716,21 +726,34 @@ class TestOversizedCounts:
             (WALK_AB.format(m=100000, steps=5, pattern="AB"), ["walk", "dist"]),
             (WALK_AB.format(m=100000, steps=5, pattern="AB"), ["walk", "scan", "--max-len", "2"]),
             (WALK_AB.format(m=10**22, steps=5, pattern="AB"), ["walk", "run"]),
+            (WALK_AB.format(m=10**22, steps=5, pattern="AB"), ["walk", "dist"]),
             (WALK_AB.format(m=3, steps=HUGE, pattern="AB"), ["walk", "run"]),
+            (WALK_AB.format(m=3, steps=HUGE, pattern="AB"), ["walk", "dist"]),
             (WALK_AB.format(m=3, steps=HUGE, pattern="AB"), ["walk", "scan", "--max-len", "2"]),
             (CAPITAL_PAIR.format(steps=HUGE), ["classical", "run"]),
             (CAPITAL_PAIR.format(steps=HUGE) + "seed = 1\n",
              ["classical", "run", "--monte-carlo", "5"]),
             (WALK_AB.format(m=2, steps=5, pattern="AB"), ["walk", "scan", "--max-len", HUGE]),
+            (WALK_AB.format(m=1, steps=5, pattern="A"), ["walk", "scan", "--max-len", HUGE]),
+            (CAPITAL_PAIR.format(steps=5) + "seed = 1\n",
+             ["classical", "run", "--monte-carlo", str(10**30)]),
+            (f"M = {10**22}\nT = 5\npattern = B\nclassical.engine = rho-walk\n"
+             "games.B.rho.default = 0.5\n", ["classical", "run"]),
+            (WALK_AB.format(m=3, steps=5, pattern="B"),
+             ["walk", "sweep", "--param", "RR", "--from", "0", "--to", "1",
+              "--steps", str(10**30)]),
         ],
-        ids=["M=1e5 run", "M=1e5 dist", "M=1e5 scan", "M=1e22 run", "T=1e400 run",
-             "T=1e400 scan", "T=1e400 classical", "T=1e400 monte carlo", "max-len 1e400"],
+        ids=["M=1e5 run", "M=1e5 dist", "M=1e5 scan", "M=1e22 run", "M=1e22 dist",
+             "T=1e400 run", "T=1e400 dist", "T=1e400 scan", "T=1e400 classical",
+             "T=1e400 monte carlo", "max-len 1e400", "one letter, max-len 1e400",
+             "monte carlo 1e30", "rho-walk M=1e22", "sweep 1e30"],
     )
     def test_exit_one_with_the_size_and_no_file(self, tmp_path, monkeypatch, text, argv):
         monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
         code, err = run_in(tmp_path, text, argv)
         assert code == 1
-        assert " needs over 2**64 bytes " in err and err.startswith("error: ")
+        assert " needs over 2**64 bytes " in err
+        assert_one_short_refusal(err)
         assert not (tmp_path / "out.csv").exists()
 
     @st.composite
@@ -767,3 +790,5 @@ class TestOversizedCounts:
             assert code in (0, 1), err
             assert "runtime error" not in err
             assert Path(folder, "out.csv").exists() == (code == 0)
+            if code:
+                assert_one_short_refusal(err)

@@ -45,6 +45,7 @@ from histwalk.state import (
     Moments,
     NormalizationError,
     ProbabilityDistribution,
+    WalkState,
     _distribution,
     _readout,
     _register_probabilities,
@@ -897,6 +898,34 @@ class TestOneNormRule:
         with pytest.raises(NormalizationError, match=message):
             moments(scaled)
 
+    def test_a_scan_checks_each_chunk_once_per_step_and_no_entry_again(self, monkeypatch):
+        # The 10 primitive patterns of up to 3 letters, in chunks of four:
+        # three chunks, each checked at steps 0 to 10.
+        chunked(monkeypatch, 3, 10, 4)
+        check_norm, checks = histwalk.state._check_norm, []
+
+        def recording_check(norm, step=None, entry=None):
+            checks.append(step)
+            check_norm(norm, step, entry)
+
+        monkeypatch.setattr(histwalk.state, "_check_norm", recording_check)
+        monkeypatch.setattr(histwalk.walker, "_check_norm", recording_check)
+        scan_sequences(random_tables(3, "AB", 1), 3, 3, 10)
+        assert checks == list(range(11)) * 3
+
+    def test_position_distribution_checks_the_sum_it_returns(self, monkeypatch):
+        def no_norm(state):
+            raise AssertionError("position_distribution took a norm pass of its own")
+
+        monkeypatch.setattr(WalkState, "norm", no_norm)
+        state = build_initial_state(3, ALL_R, t_max=4)
+        dist = position_distribution(state)
+        assert dist.positions.tolist() == [0] and dist.probabilities[0] == 1.0
+        state.amplitudes *= 2.0
+        message = "^state norm is 2, expected 1 within 1e-9$"
+        with pytest.raises(NormalizationError, match=message):
+            position_distribution(state)
+
 
 # NumPy's ufunc buffer size when nothing has set it, in NumPy 1.x and 2.x.
 NUMPY_DEFAULT_BUFSIZE = 8192
@@ -1117,17 +1146,20 @@ class TestReadout:
             for column in rng.choice(1 << num_coins, min(3, 1 << num_coins), replace=False)
         ]
         initial = build_initial_state(num_coins, start, t_max=steps + 2)
+        trajectory = run_sequence(initial, {"A": table}, "A", steps)
         with _Kernel(initial, [table]) as kernel:
             for t in range(steps + 1):
                 if t:
                     kernel.step()
                 first, stride, p = kernel.probabilities()
                 assert stride == (1 if both_parities else 2)
-                mean, std, drift = _readout(first, stride, p[0], initial.t_max, t)
+                mean, std = _readout(first, stride, p[0], initial.t_max)
                 dist = position_distribution(kernel.state())
                 want = moments(dist)
                 assert (mean.hex(), std.hex()) == (want.mean.hex(), want.std.hex())
-                assert drift == abs(float(p[0].sum()) - 1.0)
+                assert (trajectory.means[t], trajectory.stds[t]) == (mean, std)
+                # run_sequence's drift comes from the sum its norm check reads.
+                assert trajectory.norm_drift[t] == abs(float(p[0].sum()) - 1.0)
                 got = _distribution(first, stride, p[0], initial.t_max)
                 assert got.positions.tolist() == dist.positions.tolist()
                 assert got.probabilities.tobytes() == dist.probabilities.tobytes()
@@ -1149,18 +1181,39 @@ class TestReadout:
                     zero_ends += not (p[0, 0] and p[0, -1])
                     dist = position_distribution(kernel.state())
                     want = moments(dist)
-                    got = _readout(first, stride, p[0], initial.t_max, t)[:2]
+                    got = _readout(first, stride, p[0], initial.t_max)
                     assert [v.hex() for v in got] == [want.mean.hex(), want.std.hex()]
                     assert (trajectory.means[t], trajectory.stds[t]) == got
                     support = _distribution(first, stride, p[0], initial.t_max).positions
                     assert support.tolist() == dist.positions.tolist()
         assert zero_ends >= 30
 
-    @pytest.mark.parametrize("p", [np.zeros(0), np.zeros(1), np.zeros(5)], ids=len)
+    @pytest.mark.parametrize("num_coins", [1, 3, 6])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_a_zero_band_raises_the_norm_error_before_any_support_is_taken(self, p, stride):
+    def test_a_zero_band_raises_the_norm_error_before_any_support_is_taken(
+        self, monkeypatch, num_coins, stride
+    ):
+        # A start on sites of both parities is read out with stride 1.
+        sites = (0, 1) if stride == 1 else (-1, 1)
+        start = [(x, "R" * num_coins, 0.6 + 0.8j * x) for x in sites]
+        initial = build_initial_state(num_coins, start, t_max=8)
+        step, readout, read = _Kernel.step, histwalk.walker._readout, []
+
+        def zeroing_step(kernel):
+            step(kernel)
+            if kernel.steps == 4:
+                kernel.psi[...] = 0
+
+        def recording_readout(first, band_stride, p, t_max):
+            read.append(band_stride)
+            return readout(first, band_stride, p, t_max)
+
+        monkeypatch.setattr(_Kernel, "step", zeroing_step)
+        monkeypatch.setattr(histwalk.walker, "_readout", recording_readout)
         with pytest.raises(NormalizationError, match="state norm is 0, .* at step 4$"):
-            _readout(1, stride, p, 5, 4)
+            run_sequence(initial, kept(num_coins), "A", 6)
+        # Steps 0 to 3 were read out, and the zero band of step 4 was not.
+        assert read == [stride] * 4
 
     @pytest.mark.parametrize("modulus", [0.0, 1e-200])
     def test_a_start_with_zero_norm_is_refused_at_step_0(self, modulus):

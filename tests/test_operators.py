@@ -118,12 +118,15 @@ class TestHistoryRhoTable:
         with pytest.raises(MemoryLimitError, match=message):
             build()
 
-    @pytest.mark.parametrize("num_coins", [100000, 10**22], ids=["M=1e5", "M=1e22"])
+    @pytest.mark.parametrize(
+        "num_coins, shown", [(100000, "100000"), (10**22, "over 2\\*\\*64")], ids=["M=1e5", "M=1e22"]
+    )
     def test_a_register_past_any_memory_is_refused_without_an_overflow(
-        self, monkeypatch, num_coins
+        self, monkeypatch, num_coins, shown
     ):
+        # A count past 2**64 is named as such, not in its 23 digits.
         monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: 16 * 2**30)
-        message = f"^a retention table for M = {num_coins} needs over 2\\*\\*64 bytes to fill"
+        message = f"^a retention table for M = {shown} needs over 2\\*\\*64 bytes to fill"
         for build in (HistoryRhoTable.uniform, HistoryRhoTable.with_overrides):
             with pytest.raises(MemoryLimitError, match=message):
                 build(num_coins, 0.5)

@@ -61,6 +61,12 @@ kernel's ``with`` block), ``step`` and ``step_m3`` leave that cost out;
 where ``_Kernel.step`` sets it on every call, they include it.  The whole
 calls include it in both.
 
+``readout`` and ``readout_m3`` time ``_readout``, which computes only the
+mean and std: ``run_sequence`` sums each step's band and checks its norm
+outside it, in time that only the whole call counts.  In trees where
+``_readout`` held that sum and check (``BENCH_25.json`` and earlier), the
+two layers timed them too, so do not compare those layers across the split.
+
 The ``import`` reading depends on whether the tree holds cached bytecode:
 without ``__pycache__`` files, as when ``PYTHONDONTWRITEBYTECODE=1`` is set,
 every process compiles the package again.  On a 2-core x86-64 host with

@@ -15,10 +15,12 @@ Last it runs each command of README's "Worked examples" (this checkout's
 README) as ``python -m histwalk`` in a new temporary directory that holds
 the two config files those commands name, and digests its exit code and
 stdout together with the name and bytes of every file in the directory.
-Then it runs each ``walk`` command of ``CONFIG_RUNS`` the same way, from a
-config file it writes itself, and digests its stderr too; the last three
-are refused as too large for memory, and their message names this host's
-memory size, so compare trees on one host.
+Then it runs each command of ``CONFIG_RUNS`` the same way, from a config
+file it writes itself, and digests its stderr too.  All but one are
+``walk`` commands; the last is a Monte Carlo ``classical run`` on the
+``rho-walk`` engine, whose table gives each chain state its own odds.
+Three ``walk`` commands are refused as too large for memory, and their
+message names this host's memory size, so compare trees on one host.
 A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
 begins there, on a grid three sites wider than its step count: the process
 replaces ``histwalk.cli.build_initial_state`` before it calls
@@ -65,42 +67,47 @@ _SWEEP_CONFIG = (
     "games.B.rho.default = 0.45\n"
 )
 
-#: ``walk`` runs: label, config text, subcommand and arguments after
-#: ``--config run.cfg``, and a custom start or None.  A distribution on both
-#: parities has no peak report, so that run writes none.  The T=0 runs walk
-#: on a grid of one row.
+#: Command runs: label, config text, command (``walk`` and a subcommand, or
+#: ``classical run``) and the arguments after ``--config run.cfg``, and a
+#: custom start or None.  A distribution on both parities has no peak report,
+#: so that run writes none.  The T=0 runs walk on a grid of one row.
 CONFIG_RUNS = [
     ("M=1", _DIST_CONFIG.format(m=1, steps=200, override=""),
-     ["dist", "--peaks", "peaks.csv"], None),
+     ["walk", "dist", "--peaks", "peaks.csv"], None),
     ("M=5, start on both parities",
      _DIST_CONFIG.format(m=5, steps=120, override="games.B.rho.RRRR = 0.62\n"),
-     ["dist", "--out", "dist.csv", "--emit-plot", "dist.svg"],
+     ["walk", "dist", "--out", "dist.csv", "--emit-plot", "dist.svg"],
      [(-3, "LRLRL", 0.6), (0, "RRLLR", 0.5j), (2, "RRRRR", -0.8 + 0.1j)]),
     ("T=0", _DIST_CONFIG.format(m=3, steps=0, override="games.B.rho.RR = 0.62\n"),
-     ["dist", "--out", "dist.csv", "--peaks", "peaks.csv", "--emit-plot", "dist.svg"], None),
+     ["walk", "dist", "--out", "dist.csv", "--peaks", "peaks.csv", "--emit-plot", "dist.svg"],
+     None),
     ("--window 3 --prominence 0.05",
      _DIST_CONFIG.format(m=3, steps=300, override="games.B.rho.RR = 0.62\n"),
-     ["dist", "--out", "dist.csv", "--window", "3", "--prominence", "0.05",
+     ["walk", "dist", "--out", "dist.csv", "--window", "3", "--prominence", "0.05",
       "--peaks", "peaks.csv", "--emit-plot", "dist.svg"], None),
     ("M=4, descending grid", _SWEEP_CONFIG.format(m=4, steps=150),
-     ["sweep", "--param", "RLR", "--from", "0.9", "--to", "0.1", "--steps", "9",
+     ["walk", "sweep", "--param", "RLR", "--from", "0.9", "--to", "0.1", "--steps", "9",
       "--out", "sweep.csv", "--emit-plot", "sweep.svg"], None),
     ("M=1, empty history", _SWEEP_CONFIG.format(m=1, steps=150),
-     ["sweep", "--param", "", "--from", "0", "--to", "1", "--steps", "5",
+     ["walk", "sweep", "--param", "", "--from", "0", "--to", "1", "--steps", "5",
       "--out", "sweep.csv"], None),
     ("T=0", _DIST_CONFIG.format(m=3, steps=0, override="games.B.rho.RR = 0.62\n"),
-     ["run", "--out", "run.csv", "--emit-plot", "run.svg"], None),
+     ["walk", "run", "--out", "run.csv", "--emit-plot", "run.svg"], None),
     ("T=0", _DIST_CONFIG.format(m=3, steps=0, override="games.B.rho.RR = 0.62\n"),
-     ["scan", "--max-len", "2", "--out", "scan.csv"], None),
+     ["walk", "scan", "--max-len", "2", "--out", "scan.csv"], None),
     ("T=0", _SWEEP_CONFIG.format(m=3, steps=0),
-     ["sweep", "--param", "RL", "--from", "0.2", "--to", "0.8", "--steps", "4",
+     ["walk", "sweep", "--param", "RL", "--from", "0.2", "--to", "0.8", "--steps", "4",
       "--out", "sweep.csv", "--emit-plot", "sweep.svg"], None),
     ("M=100000, refused", _DIST_CONFIG.format(m=100000, steps=10, override=""),
-     ["run", "--out", "run.csv"], None),
+     ["walk", "run", "--out", "run.csv"], None),
     ("T=10**400, refused", _DIST_CONFIG.format(m=3, steps=10**400, override=""),
-     ["dist", "--out", "dist.csv"], None),
+     ["walk", "dist", "--out", "dist.csv"], None),
     ("--max-len 10**400, refused", _DIST_CONFIG.format(m=2, steps=10, override=""),
-     ["scan", "--max-len", str(10**400), "--out", "scan.csv"], None),
+     ["walk", "scan", "--max-len", str(10**400), "--out", "scan.csv"], None),
+    ("--monte-carlo 2000 --seed 3, rho-walk",
+     "M = 3\nT = 200\npattern = B\nclassical.engine = rho-walk\n"
+     "games.B.rho.default = 0.45\ngames.B.rho.RR = 0.62\ngames.B.rho.LR = 0.3\n",
+     ["classical", "run", "--monte-carlo", "2000", "--seed", "3", "--out", "mc.csv"], None),
 ]
 
 #: ``position_distribution(evolve(...))`` runs: label, register size, step
@@ -194,15 +201,15 @@ def measure(tree: str) -> dict[str, str]:
             digests[f"cli {' '.join(words)}"] = _folder_digest(
                 Path(temporary), f"exit {done.returncode}\n{done.stdout}"
             )
-    for label, config, (command, *words), start in CONFIG_RUNS:
+    for label, config, (group, command, *words), start in CONFIG_RUNS:
         with tempfile.TemporaryDirectory() as temporary:
             Path(temporary, "run.cfg").write_text(config, encoding="utf-8")
             done = subprocess.run(
                 [sys.executable, "-c", _START_MAIN, repr(start),
-                 "walk", command, "--config", "run.cfg", *words],
+                 group, command, "--config", "run.cfg", *words],
                 cwd=temporary, env=env, capture_output=True, text=True,
             )
-            digests[f"walk {command} {label}"] = _folder_digest(
+            digests[f"{group} {command} {label}"] = _folder_digest(
                 Path(temporary), f"exit {done.returncode}\n{done.stdout}\0{done.stderr}"
             )
     readme = Path(tree, "README.md").read_text(encoding="utf-8")
