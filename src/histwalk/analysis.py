@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .state import ProbabilityDistribution, _count
+from .state import ProbabilityDistribution, _amount, _count
 
 __all__ = [
     "PeakReport",
@@ -24,6 +24,21 @@ def _check_single_parity(dist: ProbabilityDistribution) -> None:
         raise ValueError("distribution must be supported on a single parity class")
 
 
+def _check_window(window, name: str = "window") -> int:
+    """``window`` as an odd positive ``int``: the smoothing rule of :func:`smooth_distribution`."""
+    window = _count(window, name, -np.inf)
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"{name} must be an odd positive integer, got {_amount(window)}")
+    return window
+
+
+def _check_prominence(fraction: float, name: str = "prominence_fraction") -> float:
+    """``fraction`` if it lies in (0, 1): the threshold rule of :func:`find_peaks`."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {fraction}")
+    return fraction
+
+
 def smooth_distribution(dist: ProbabilityDistribution, window: int) -> ProbabilityDistribution:
     """Moving average over neighboring support points, renormalized to sum 1.
 
@@ -31,9 +46,7 @@ def smooth_distribution(dist: ProbabilityDistribution, window: int) -> Probabili
     every point stays centered in its own average (the first and last points
     are left as they are).  ``window=1`` returns the input unchanged.
     """
-    window = _count(window, "window", -np.inf)
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be an odd positive integer, got {window}")
+    window = _check_window(window)
     _check_single_parity(dist)
     if window == 1:
         return ProbabilityDistribution(dist.positions.copy(), dist.probabilities.copy())
@@ -71,10 +84,7 @@ def find_peaks(dist: ProbabilityDistribution, prominence_fraction: float) -> Pea
     inner side.  Nothing is smoothed here; :func:`analyze_peaks` runs the
     smooth-then-detect pipeline.
     """
-    if not 0.0 < prominence_fraction < 1.0:
-        raise ValueError(
-            f"prominence_fraction must be in (0, 1), got {prominence_fraction}"
-        )
+    _check_prominence(prominence_fraction)
     _check_single_parity(dist)
     p = dist.probabilities
     n = p.size

@@ -28,7 +28,7 @@ from .classical import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .output import emit_svg_plot, write_csv
-from .state import MemoryLimitError
+from .state import MemoryLimitError, _count, _echo
 from .walker import (
     POSITIVE_MEAN_THRESHOLD,
     _check_sweep_size,
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {_echo(message, 200)}\n")
 
 
 def _add_common(parser, plot_style=None):
@@ -121,7 +121,7 @@ def _load_config(args) -> RunConfig:
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read config {_echo(str(path), 200)}: {exc.strerror}") from None
     overrides = {}
     for key in ("seed", "window", "prominence", "out"):
         value = getattr(args, key, None)
@@ -145,6 +145,14 @@ def _load_config(args) -> RunConfig:
                 raise ConfigError(f"{named[real]} and {label} both name the file {path}")
             named[real] = label
     return config
+
+
+def _flag_count(value: int, flag: str) -> int:
+    """``value`` of a count flag, checked by the library's count rule: at least 1."""
+    try:
+        return _count(value, flag, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _require_quantum(config: RunConfig) -> None:
@@ -196,11 +204,10 @@ def _cmd_walk_sweep(args) -> None:
             table.replaced(args.param, bound)
     except ValueError as exc:
         raise ConfigError(
-            f"--param {args.param!r} --from {args.sweep_from} --to {args.sweep_to}: {exc}"
+            f"--param {_echo(repr(args.param))} --from {args.sweep_from} "
+            f"--to {args.sweep_to}: {exc}"
         ) from None
-    if args.grid_points < 1:
-        raise ConfigError("--steps must be >= 1")
-    _check_sweep_size(args.grid_points)
+    _check_sweep_size(_flag_count(args.grid_points, "--steps"))
     grid = np.linspace(args.sweep_from, args.sweep_to, args.grid_points)
     results = sweep_parameter(table, args.param, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
@@ -211,8 +218,7 @@ def _cmd_walk_sweep(args) -> None:
 def _cmd_walk_scan(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    if args.max_len < 1:
-        raise ConfigError("--max-len must be >= 1")
+    _flag_count(args.max_len, "--max-len")
     results = scan_sequences(
         config.games, args.max_len, config.num_coins, config.steps, config.initial
     )
@@ -254,8 +260,7 @@ def _cmd_classical_run(args) -> None:
         subject = _classical_games(config, (BiasedCoin, HistoryCoins), engine)
 
     if args.monte_carlo is not None:
-        if args.monte_carlo < 1:
-            raise ConfigError("--monte-carlo must be >= 1")
+        _flag_count(args.monte_carlo, "--monte-carlo")
         if config.seed is None:
             raise ConfigError("--monte-carlo needs a seed (flag --seed or config key)")
         means, errors = monte_carlo_trajectory(

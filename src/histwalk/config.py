@@ -3,9 +3,14 @@
 Grammar: UTF-8 text, one ``key = value`` pair per line, ``#`` starts a
 comment, blank lines are ignored.  Dotted keys express nested tables, for
 example ``games.B.rho.RR = 0.55``.  Unknown keys are rejected so a typo can
-never silently change a run; syntax errors report line numbers and range
-errors name the offending key.  Whether a walk grid (``M`` with its
-``T`` positions on each side) fits in memory is checked where the
+never silently change a run; every refusal of a key's value names the key
+and its line.  This module keeps only the grammar: lines, keys, required
+keys, pattern letters, history-key lengths, game kinds and engines.  A
+value's range or choice is checked by the library rule that the run itself
+applies (``state._count`` for counts, ``operators._check_probability``,
+``analysis._check_window`` and ``_check_prominence``,
+``walker._check_start``), in that rule's words.  Whether a walk grid (``M``
+with its ``T`` positions on each side) fits in memory is checked where the
 grid is allocated, not here: the classical ``rho-walk`` engine reads ``M``
 but allocates no grid.
 
@@ -30,11 +35,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
+from .analysis import _check_prominence, _check_window
 from .classical import BiasedCoin, CapitalMod3, HistoryCoins
-from .operators import HistoryRhoTable
-from .walker import ALL_R, ANTISYMMETRIC
+from .operators import HistoryRhoTable, _check_probability
+from .state import _count, _echo
+from .walker import ANTISYMMETRIC, _check_start
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -44,6 +51,10 @@ _CLASSICAL_KEY = re.compile(r"^classical\.([A-Za-z])\.(kind|p|p1|p2|p3|p4)$")
 _CLASSICAL_KINDS = {"biased": BiasedCoin, "mod3": CapitalMod3, "history": HistoryCoins}
 _CLASSICAL_PARAMS = {"biased": ("p",), "mod3": ("p1", "p2"), "history": ("p1", "p2", "p3", "p4")}
 _ENGINES = ("capital", "history", "rho-walk")
+# A decimal integer as ``int`` reads it; ``int`` refuses one of more digits
+# than ``sys.get_int_max_str_digits()`` (4,300 by default).
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+_SPELLED = {int: "an integer", float: "a number"}
 
 
 class ConfigError(ValueError):
@@ -81,32 +92,32 @@ class _Raw:
     def take(self, key: str) -> str | None:
         return self.values.pop(key, None)
 
-    def take_int(self, key: str, minimum: int | None = None) -> int | None:
+    def read(self, key: str, parse: Callable, rule: Callable, *args):
+        """``key``'s text read by ``parse`` and checked by ``rule(value, key, *args)``.
+
+        ``parse`` is ``int``, ``float`` or ``str``; ``rule`` is the library's
+        own check of the value, and its ``ValueError`` becomes a ConfigError
+        with the key's line.  A key or text past 60 characters is shown cut
+        (``state._echo``).  None when the key is absent.
+        """
         text = self.take(key)
         if text is None:
             return None
+        name, where = _echo(key), self.where(key)
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise ConfigError(f"{key} = {text!r} is not an integer{self.where(key)}") from None
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key} = {value} must be >= {minimum}{self.where(key)}")
-        return value
-
-    def take_float(self, key: str) -> float | None:
-        text = self.take(key)
-        if text is None:
-            return None
+            if _INTEGER.fullmatch(text):
+                raise ConfigError(
+                    f"{name} is too long an integer: {len(text)} characters{where}"
+                ) from None
+            raise ConfigError(
+                f"{name} = {_echo(repr(text))} is not {_SPELLED[parse]}{where}"
+            ) from None
         try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{key} = {text!r} is not a number{self.where(key)}") from None
-
-    def take_probability(self, key: str) -> float | None:
-        value = self.take_float(key)
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{key} = {value} must lie in [0, 1]{self.where(key)}")
-        return value
+            return rule(value, name, *args)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}{where}") from None
 
 
 def _scan_lines(text: str, raw: _Raw) -> None:
@@ -115,12 +126,12 @@ def _scan_lines(text: str, raw: _Raw) -> None:
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {_echo(repr(body))}")
         key, value = (part.strip() for part in body.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in raw.values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {_echo(repr(key))}")
         raw.values[key] = value
         raw.lines[key] = lineno
 
@@ -131,9 +142,9 @@ def _build_games(raw: _Raw, num_coins: int | None) -> dict[str, HistoryRhoTable]
     for key in [k for k in raw.values if k.startswith("games.")]:
         match = _GAME_KEY.match(key)
         if match is None:
-            raise ConfigError(f"unknown key {key!r}{raw.where(key)}")
+            raise ConfigError(f"unknown key {_echo(repr(key))}{raw.where(key)}")
         letter, history = match.groups()
-        value = raw.take_probability(key)
+        value = raw.read(key, float, _check_probability)
         if history == "default":
             defaults[letter] = value
         else:
@@ -145,8 +156,9 @@ def _build_games(raw: _Raw, num_coins: int | None) -> dict[str, HistoryRhoTable]
     for letter in letters:
         for history in overrides.get(letter, {}):
             if len(history) != num_coins - 1:
+                key = f"games.{letter}.rho.{history}"
                 raise ConfigError(
-                    f"games.{letter}.rho.{history}: history length must be M-1 = {num_coins - 1}"
+                    f"{_echo(key)}: history length must be M-1 = {num_coins - 1}{raw.where(key)}"
                 )
         try:
             if letter in defaults:
@@ -165,7 +177,7 @@ def _build_classical(raw: _Raw) -> dict:
     for key in [k for k in raw.values if k.startswith("classical.") and k != "classical.engine"]:
         match = _CLASSICAL_KEY.match(key)
         if match is None:
-            raise ConfigError(f"unknown key {key!r}{raw.where(key)}")
+            raise ConfigError(f"unknown key {_echo(repr(key))}{raw.where(key)}")
         letter, param = match.groups()
         by_letter.setdefault(letter, {})[param] = key
     specs: dict = {}
@@ -176,7 +188,7 @@ def _build_classical(raw: _Raw) -> dict:
         kind = raw.take(kind_key)
         if kind not in _CLASSICAL_KINDS:
             raise ConfigError(
-                f"classical.{letter}.kind = {kind!r} must be one of "
+                f"classical.{letter}.kind = {_echo(repr(kind))} must be one of "
                 f"{sorted(_CLASSICAL_KINDS)}{raw.where(kind_key)}"
             )
         wanted = _CLASSICAL_PARAMS[kind]
@@ -189,7 +201,7 @@ def _build_classical(raw: _Raw) -> dict:
         for name in wanted:
             if name not in params:
                 raise ConfigError(f"classical.{letter}.{name} is required for kind {kind!r}")
-            values[name] = raw.take_probability(params[name])
+            values[name] = raw.read(params[name], float, _check_probability)
         specs[letter] = _CLASSICAL_KINDS[kind](**values)
     return specs
 
@@ -206,50 +218,37 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         raw.values[key] = str(value)
         raw.lines.setdefault(key, 0)
 
-    steps = raw.take_int("T", minimum=0)
+    steps = raw.read("T", int, _count, 0)
     if steps is None:
         raise ConfigError("T is required")
     pattern = raw.take("pattern")
     if pattern is None:
         raise ConfigError("pattern is required")
     if not pattern.isalpha():
-        raise ConfigError(f"pattern = {pattern!r} must be letters only")
-
-    num_coins = raw.take_int("M", minimum=1)
-
-    initial = raw.take("initial")
-    if initial is None:
-        initial = ANTISYMMETRIC
-    elif initial not in (ANTISYMMETRIC, ALL_R):
         raise ConfigError(
-            f"initial = {initial!r} must be {ANTISYMMETRIC!r} or {ALL_R!r}"
+            f"pattern = {_echo(repr(pattern))} must be letters only{raw.where('pattern')}"
         )
 
-    window = raw.take_int("window", minimum=1)
-    if window is None:
-        window = 5
-    elif window % 2 == 0:
-        raise ConfigError(f"window = {window} must be odd")
-
-    prominence = raw.take_float("prominence")
-    if prominence is None:
-        prominence = 0.1
-    elif not 0.0 < prominence < 1.0:
-        raise ConfigError(f"prominence = {prominence} must lie in (0, 1)")
-
+    num_coins = raw.read("M", int, _count, 1)
+    initial = raw.read("initial", str, _check_start) or ANTISYMMETRIC
+    window = raw.read("window", int, _check_window) or 5
+    prominence = raw.read("prominence", float, _check_prominence) or 0.1
     out = raw.take("out")
-    seed = raw.take_int("seed", minimum=0)
+    seed = raw.read("seed", int, _count, 0)
 
     engine = raw.take("classical.engine")
     if engine is not None and engine not in _ENGINES:
-        raise ConfigError(f"classical.engine = {engine!r} must be one of {list(_ENGINES)}")
+        raise ConfigError(
+            f"classical.engine = {_echo(repr(engine))} must be one of {list(_ENGINES)}"
+            f"{raw.where('classical.engine')}"
+        )
 
     games = _build_games(raw, num_coins)
     classical_games = _build_classical(raw)
 
     if raw.values:
         key = min(raw.values, key=lambda k: raw.lines.get(k, 0))
-        raise ConfigError(f"unknown key {key!r}{raw.where(key)}")
+        raise ConfigError(f"unknown key {_echo(repr(key))}{raw.where(key)}")
 
     undefined = sorted(set(pattern) - set(games) - set(classical_games))
     if undefined:

@@ -37,6 +37,7 @@ from .state import (
     _check_fits,
     _check_norm,
     _count,
+    _echo,
     _register_probabilities,
     _shifted,
     coins_to_index,
@@ -73,7 +74,7 @@ def _history_index(history: str, num_coins: int) -> int:
             return coins_to_index(history)
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"unknown history key {history!r} for num_coins={num_coins}")
+    raise ValueError(f"unknown history key {_echo(repr(history))} for num_coins={num_coins}")
 
 
 def _check_pattern(pattern: str, games: Mapping[str, object]) -> None:

@@ -175,13 +175,13 @@ def physical_memory_bytes() -> int | None:
 def _count(value, name: str, least: float) -> int:
     """``value`` as an ``int`` of at least ``least``; refuses bools and non-integers."""
     if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_echo(repr(value))}")
     try:
         number = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_echo(repr(value))}") from None
     if number < least:
-        raise ValueError(f"{name} must be >= {least}, got {number}")
+        raise ValueError(f"{name} must be >= {least}, got {_amount(number)}")
     return number
 
 
@@ -207,8 +207,23 @@ def _gib(size: int) -> str:
 
 
 def _amount(count: int) -> str:
-    """``count`` for a refusal's message: past 2**64, which no memory holds, ``over 2**64``."""
-    return str(count) if count <= 2**64 else "over 2**64"
+    """``count`` for a refusal's message, or past ±2**64, ``over 2**64`` or ``under -2**64``.
+
+    No memory holds 2**64 of anything, and a count past it may have any
+    number of digits: ``-10**400`` has 401 characters.
+    """
+    if count > 2**64:
+        return "over 2**64"
+    return str(count) if count >= -(2**64) else "under -2**64"
+
+
+def _echo(text: str, room: int = 60) -> str:
+    """``text`` for a refusal's message; past ``room`` characters, its start and its length.
+
+    A refused value may be a whole file line or a pasted number of any
+    length; its start names it, and the message stays one short line.
+    """
+    return text if len(text) <= room else f"{text[:room]}... ({len(text)} characters)"
 
 
 def _check_fits(needed: int, what: str, use: str) -> None:

@@ -20,6 +20,7 @@ from .state import (
     _check_norm,
     _count,
     _distribution,
+    _echo,
     _new_state,
     _readout,
 )
@@ -81,6 +82,13 @@ def as_game_tables(games: Mapping[str, HistoryRhoTable]) -> dict[str, HistoryRho
     return out
 
 
+def _check_start(kind: str, name: str) -> str:
+    """``kind`` if it names a start of :func:`build_initial_state`."""
+    if kind not in (ANTISYMMETRIC, ALL_R):
+        raise ValueError(f"{name} = {_echo(repr(kind))} must be {ANTISYMMETRIC!r} or {ALL_R!r}")
+    return kind
+
+
 def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkState:
     """Normalized starting state.
 
@@ -115,6 +123,7 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
     instead (+ when coin 1 is L).
     """
     if isinstance(kind, str):
+        _check_start(kind, "kind")
         state = _new_state(num_coins, t_max, 1)  # a start at the origin has one parity
         row = state.t_max
         if kind == ANTISYMMETRIC:
@@ -128,10 +137,8 @@ def build_initial_state(num_coins, kind=ANTISYMMETRIC, t_max: int = 1) -> WalkSt
             else:
                 state.amplitudes[row, : size // 2] = scale
                 state.amplitudes[row, size // 2 :] = -scale
-        elif kind == ALL_R:
-            state.amplitudes[row, (1 << num_coins) - 1] = 1.0
         else:
-            raise ValueError(f"unknown initial state kind {kind!r}")
+            state.amplitudes[row, (1 << num_coins) - 1] = 1.0
         return state
     entries = list(kind)
     if not entries:

@@ -476,8 +476,12 @@ class TestExitCodes:
         assert main(command + ["--config", cfg] + flag) == 1
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
-    def test_unreadable_config_returns_one(self, tmp_path):
-        assert main(["walk", "run", "--config", str(tmp_path / "absent.cfg")]) == 1
+    def test_unreadable_config_returns_one(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["walk", "run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {path}: No such file or directory\n"
+        )
 
     def test_invalid_config_value_returns_one(self, tmp_path):
         cfg = config_file(
@@ -507,7 +511,7 @@ class TestExitCodes:
             (["classical", "run"], CLASSICAL_A + "classical.engine = rho-walk\n",
              "M is required for the rho-walk engine"),
             (["classical", "run", "--monte-carlo", "0", "--seed", "1"],
-             CAPITAL_PAIR.format(steps=5), "--monte-carlo must be >= 1"),
+             CAPITAL_PAIR.format(steps=5), "--monte-carlo must be >= 1, got 0"),
         ],
         ids=["walk letter only classical", "classical letter only a walk game",
              "rho-walk without M", "no trajectories"],
@@ -792,3 +796,56 @@ class TestOversizedCounts:
             assert Path(folder, "out.csv").exists() == (code == 0)
             if code:
                 assert_one_short_refusal(err)
+
+
+class TestRefusedValues:
+    """A refused value names its key and line, or its flag, in one line under 300 characters."""
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (WALK_AB.format(m=3, steps=-(10**400), pattern="AB"), ["walk", "run"],
+             "T must be >= 0, got under -2**64 (line 2)"),
+            (WALK_AB.format(m=3, steps="1" * 5000, pattern="AB"), ["walk", "run"],
+             "T is too long an integer: 5000 characters (line 2)"),
+            (WALK_AB.format(m="-" + "1" * 5000, steps=5, pattern="AB"), ["walk", "dist"],
+             "M is too long an integer: 5001 characters (line 1)"),
+            (CAPITAL_PAIR.format(steps=5) + f"seed = {-(10**400)}\n", ["classical", "run"],
+             "seed must be >= 0, got under -2**64 (line 9)"),
+            (WALK_AB.format(m=2, steps=5, pattern="AB"), ["walk", "scan", "--max-len", "0"],
+             "--max-len must be >= 1, got 0"),
+            (WALK_AB.format(m=2, steps=5, pattern="AB"), ["walk", "scan", "--max-len", "-" + HUGE],
+             "--max-len must be >= 1, got under -2**64"),
+            (WALK_AB.format(m=3, steps=5, pattern="B"),
+             ["walk", "sweep", "--param", "RR", "--from", "0", "--to", "1", "--steps", "0"],
+             "--steps must be >= 1, got 0"),
+            (CAPITAL_PAIR.format(steps=5) + "seed = 1\n",
+             ["classical", "run", "--monte-carlo", "-" + HUGE],
+             "--monte-carlo must be >= 1, got under -2**64"),
+        ],
+        ids=["T=-10**400", "T of 5,000 digits", "M of 5,000 digits", "seed=-10**400",
+             "max-len 0", "max-len -10**400", "sweep steps 0", "monte carlo -10**400"],
+    )
+    def test_exit_one_with_the_rule_and_its_place(self, tmp_path, text, argv, message):
+        code, err = run_in(tmp_path, text, argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert_one_short_refusal(err)
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_a_config_path_of_5000_characters_is_refused_in_one_short_line(self, tmp_path, capsys):
+        assert main(["walk", "run", "--config", str(tmp_path / ("x" * 5000))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config ")
+        assert err.count("\n") == 1 and len(err) < 300, err
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "x" * 5000])
+    def test_a_flag_value_of_5000_characters_is_refused_in_short_lines(
+        self, tmp_path, capsys, value
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALK_AB.format(m=2, steps=5, pattern="AB"), encoding="utf-8")
+        assert main(["walk", "scan", "--config", str(cfg), "--max-len", value]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --max-len: invalid int value: " in err
+        assert max(map(len, err.splitlines())) < 300, err

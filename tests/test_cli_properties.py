@@ -8,7 +8,9 @@ the host.  Sizes stay small: M <= 4 and T <= 30 in every valid run.
 The properties:
 
 * a run exits 0 or 1, never with a runtime error;
-* a run that exits 1 names a key, a line or a flag, and writes no file;
+* a run that exits 1 names a key, a line or a flag, writes no file, and
+  writes each stderr line in under 300 characters, also when a key, a value
+  or a flag value is 5,000 characters long;
 * a run that exits 0 writes the bytes that the library calls write for the
   same config: for a valid run, a config built from the drawn values, not
   parsed from the text;
@@ -64,9 +66,17 @@ COMMANDS = ["walk run", "walk dist", "walk scan", "walk sweep",
 #: Values that some key or flag refuses and another may take.
 ODD_VALUES = ["-1", "0", "-0", "5e-324", "1.5", "nan", "inf", "x", "1e999", "0x10", "4.0",
               "1_0", "٣", "½", "allr", "AB1", "", "L", "RRRRR", "run.cfg", OUT]
+#: Values of 5,000 characters: text, integers too long for ``int``, a float
+#: that reads back, a history and a pattern.  No file path is drawn this
+#: long: the system refuses to open it, a runtime error (exit 2).
+LONG_VALUES = ["x" * 5000, "1" * 5000, "-" + "1" * 4999, "0." + "1" * 4998, "R" * 5000,
+               "AB" * 2500]
 #: Keys that no config needs: unknown, malformed or of the other engine.
 ODD_KEYS = ["typo", "t", "games.A.rho.RRRRRR", "games.A.rho.X", "games.AB.rho.default",
-            "Games.A.rho.default", "classical.A.q", "classical.A.p", "games.C.rho.default"]
+            "Games.A.rho.default", "classical.A.q", "classical.A.p", "games.C.rho.default",
+            "x" * 5000, "games.A.rho." + "R" * 4988, "classical.A." + "p" * 4988]
+#: Config keys and flags that name a file.
+PATHS = ("out", "--out", "--emit-plot", "--peaks")
 
 # A message names a config key, a line of the file or a flag.
 NAMES = re.compile(
@@ -198,6 +208,11 @@ def config_text(draw, lines):
     return "\n".join(text) + draw(st.sampled_from(["\n", ""]))
 
 
+def odd_values(name):
+    """Values that some key or flag refuses, long ones too unless ``name`` names a file."""
+    return st.sampled_from(ODD_VALUES + ([] if name in PATHS else LONG_VALUES))
+
+
 @st.composite
 def one_change(draw, run):
     """``run`` with one change to its config lines or flags."""
@@ -219,14 +234,14 @@ def one_change(draw, run):
     elif change == "empty value":
         lines[index] = (key, "")
     elif change == "odd value":
-        lines[index] = (key, draw(st.sampled_from(ODD_VALUES)))
+        lines[index] = (key, draw(odd_values(key)))
     elif change == "odd key":
         lines.insert(index, (draw(st.sampled_from(ODD_KEYS)), "0.5"))
     elif change == "drop flag":
         del flags[draw(st.integers(0, len(flags) - 1))]
     elif change == "odd flag value":
         at = draw(st.integers(0, len(flags) - 1))
-        flags[at] = (flags[at][0], draw(st.sampled_from(ODD_VALUES)))
+        flags[at] = (flags[at][0], draw(odd_values(flags[at][0])))
     elif change == "unknown flag":
         flags.append(("--bogus", "1"))
     else:
@@ -354,6 +369,7 @@ class TestCliProperties:
                 assert code == 0, stderr
             if code == 1:
                 assert NAMES.search(stderr), stderr
+                assert max(map(len, stderr.splitlines())) < 300, stderr
                 assert files == {}
                 assert stdout == ""
             else:

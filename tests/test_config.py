@@ -156,7 +156,7 @@ class TestValueErrors:
             parse_config("T = ten\npattern = A\n")
 
     def test_pattern_must_be_letters(self):
-        with pytest.raises(ConfigError, match="letters only"):
+        with pytest.raises(ConfigError, match=r"^pattern = 'A2B' must be letters only \(line 2\)"):
             parse_config("T = 1\npattern = A2B\n")
 
     def test_pattern_letters_need_definitions(self):
@@ -168,7 +168,9 @@ class TestValueErrors:
             parse_config("T = 1\npattern = A\ngames.A.rho.default = 0.5\n")
 
     def test_history_override_length_must_match(self):
-        with pytest.raises(ConfigError, match="history length must be M-1 = 2"):
+        with pytest.raises(
+            ConfigError, match=r"^games\.B\.rho\.RRR: history length must be M-1 = 2 \(line 7\)$"
+        ):
             parse_config(GAME_RUN + "games.B.rho.RRR = 0.5\n")
 
     def test_incomplete_table_without_default(self):
@@ -183,11 +185,16 @@ class TestValueErrors:
             parse_config(GAME_RUN + line + "\n")
 
     def test_unknown_initial_state(self):
-        with pytest.raises(ConfigError, match="initial = 'sideways'"):
+        with pytest.raises(
+            ConfigError,
+            match=r"^initial = 'sideways' must be 'antisymmetric' or 'allR' \(line 7\)$",
+        ):
             parse_config(GAME_RUN + "initial = sideways\n")
 
     def test_window_must_be_odd(self):
-        with pytest.raises(ConfigError, match="window = 4 must be odd"):
+        with pytest.raises(
+            ConfigError, match=r"^window must be an odd positive integer, got 4 \(line 7\)$"
+        ):
             parse_config(GAME_RUN + "window = 4\n")
 
     def test_an_m20_table_short_of_histories_is_refused_without_listing_them(self):
@@ -206,21 +213,23 @@ class TestValueErrors:
             parse_config(GAME_RUN + "prominence = abc\n")
 
     def test_prominence_must_be_a_fraction(self):
-        with pytest.raises(ConfigError, match="prominence = 1.2"):
+        with pytest.raises(
+            ConfigError, match=r"^prominence must be in \(0, 1\), got 1\.2 \(line 7\)$"
+        ):
             parse_config(GAME_RUN + "prominence = 1.2\n")
 
     def test_seed_must_be_non_negative(self):
-        with pytest.raises(ConfigError, match="seed = -1 must be >= 0"):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1 \(line 7\)$"):
             parse_config(GAME_RUN + "seed = -1\n")
 
     def test_register_length_must_be_positive(self):
-        with pytest.raises(ConfigError, match="M = 0 must be >= 1"):
+        with pytest.raises(ConfigError, match=r"^M must be >= 1, got 0 \(line 2\)$"):
             parse_config(GAME_RUN.replace("M = 3", "M = 0"))
 
 
 class TestClassicalValidation:
     def test_engine_name_is_checked(self):
-        with pytest.raises(ConfigError, match="classical.engine = 'quantum'"):
+        with pytest.raises(ConfigError, match=r"^classical\.engine = 'quantum' .* \(line 3\)$"):
             parse_config("T = 1\npattern = A\nclassical.engine = quantum\n"
                          "classical.A.kind = biased\nclassical.A.p = 0.5\n")
 

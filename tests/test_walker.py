@@ -128,7 +128,7 @@ class TestInitialStates:
                 sweep_parameter(HistoryRhoTable.uniform(2), "R", [0.5], 3, start)
 
     def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown initial state"):
+        with pytest.raises(ValueError, match=r"^kind = 'sideways' must be 'antisymmetric' or"):
             build_initial_state(1, "sideways", t_max=1)
 
 
@@ -510,6 +510,18 @@ class TestCountArguments:
     def test_negative_steps_are_refused(self, start, call):
         with pytest.raises(ValueError, match=r"^steps must be >= 0, got -3$"):
             self.RUNS[call](start, -3)
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [(-(10**400), "steps must be >= 0, got under -2**64"),
+         ("1" * 5000, "steps must be an integer, got '" + "1" * 59 + "... (5002 characters)")],
+        ids=["-10**400", "5,000 digits"],
+    )
+    @pytest.mark.parametrize("call", sorted(RUNS))
+    def test_a_refused_count_is_echoed_short(self, start, call, steps, message):
+        with pytest.raises(ValueError) as caught:
+            self.RUNS[call](start, steps)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("max_len", [1.5, 2.0, True, "2", None])
     def test_non_integer_length_caps_are_refused_by_name(self, start, max_len):

@@ -17,10 +17,12 @@ the two config files those commands name, and digests its exit code and
 stdout together with the name and bytes of every file in the directory.
 Then it runs each command of ``CONFIG_RUNS`` the same way, from a config
 file it writes itself, and digests its stderr too.  All but one are
-``walk`` commands; the last is a Monte Carlo ``classical run`` on the
+``walk`` commands; one is a Monte Carlo ``classical run`` on the
 ``rho-walk`` engine, whose table gives each chain state its own odds.
 Three ``walk`` commands are refused as too large for memory, and their
 message names this host's memory size, so compare trees on one host.
+Eight more are each refused for one config value, so a change can show
+that it kept every refusal's bytes.
 A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
 begins there, on a grid three sites wider than its step count: the process
 replaces ``histwalk.cli.build_initial_state`` before it calls
@@ -108,6 +110,23 @@ CONFIG_RUNS = [
      "M = 3\nT = 200\npattern = B\nclassical.engine = rho-walk\n"
      "games.B.rho.default = 0.45\ngames.B.rho.RR = 0.62\ngames.B.rho.LR = 0.3\n",
      ["classical", "run", "--monte-carlo", "2000", "--seed", "3", "--out", "mc.csv"], None),
+]
+
+#: Config values refused with exit 1, one in each ``walk dist`` run at M=3, T=10.
+_VALID = _DIST_CONFIG.format(m=3, steps=10, override="")
+CONFIG_RUNS += [
+    (f"{label}, refused", config,
+     ["walk", "dist", "--out", "dist.csv", "--peaks", "peaks.csv"], None)
+    for label, config in [
+        ("M = 0", _VALID.replace("M = 3", "M = 0")),
+        ("T = -5", _VALID.replace("T = 10", "T = -5")),
+        ("seed = -1", _VALID + "seed = -1\n"),
+        ("window = 4", _VALID + "window = 4\n"),
+        ("prominence = 1.5", _VALID + "prominence = 1.5\n"),
+        ("initial = up", _VALID + "initial = up\n"),
+        ("games.B.rho.default = 1.5", _VALID.replace("rho.default = 0.45", "rho.default = 1.5")),
+        ("5,000-character pattern", _VALID.replace("AAB", "A" * 4999 + "2")),
+    ]
 ]
 
 #: ``position_distribution(evolve(...))`` runs: label, register size, step
