@@ -26,7 +26,8 @@ from .classical import (
     history_mix_trajectory,
     monte_carlo_trajectory,
 )
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, _checked, parse_config
+from .operators import HistoryRhoTable, _check_pattern
 from .output import emit_svg_plot, write_csv
 from .state import MemoryLimitError, _count, _echo
 from .walker import (
@@ -76,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist = walk_sub.add_parser("dist", help="final position distribution")
     _add_common(dist, plot_style="scatter")
     dist.add_argument("--peaks", metavar="PATH", help="also write a peak-report CSV")
-    dist.add_argument("--window", type=int, help="override the smoothing window")
-    dist.add_argument("--prominence", type=float, help="override the peak threshold")
+    dist.add_argument("--window", help="override the smoothing window")
+    dist.add_argument("--prominence", help="override the peak threshold")
     dist.set_defaults(handler=_cmd_walk_dist)
 
     sweep = walk_sub.add_parser("sweep", help="final moments as one rho entry varies")
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--monte-carlo", dest="monte_carlo", type=int, metavar="N",
         help="sample N trajectories instead of evolving exactly; adds a stderr column",
     )
-    crun.add_argument("--seed", type=int, help="override the config seed")
+    crun.add_argument("--seed", help="override the config seed")
     crun.set_defaults(handler=_cmd_classical_run)
 
     plot = commands.add_parser("plot", help="render existing CSV files as one SVG")
@@ -122,45 +123,45 @@ def _load_config(args) -> RunConfig:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {_echo(str(path), 200)}: {exc.strerror}") from None
-    overrides = {}
-    for key in ("seed", "window", "prominence", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = str(value)
+    keys = ("seed", "window", "prominence", "out")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     config = parse_config(text, overrides)
     if getattr(args, "emit_plot", None) and not config.out:
         raise ConfigError("--emit-plot needs --out; the plot renders the written CSV")
-    # No output may overwrite the config or another output: refused before anything runs.
-    files = (
-        ("--config", args.config),
-        ("out", config.out),
-        ("--emit-plot", getattr(args, "emit_plot", None)),
-        ("--peaks", getattr(args, "peaks", None)),
+    _check_outputs(
+        [("--config", args.config)],
+        [("out", config.out), ("--emit-plot", getattr(args, "emit_plot", None)),
+         ("--peaks", getattr(args, "peaks", None))],
     )
-    named = {}
-    for label, path in files:
-        if path:
-            real = os.path.realpath(path)
-            if real in named:
-                raise ConfigError(f"{named[real]} and {label} both name the file {path}")
-            named[real] = label
     return config
 
 
-def _flag_count(value: int, flag: str) -> int:
-    """``value`` of a count flag, checked by the library's count rule: at least 1."""
-    try:
-        return _count(value, flag, 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _check_outputs(inputs, outputs) -> None:
+    """Refuse an output that names an input or another output; inputs may repeat."""
+    named = {os.path.realpath(path): label for label, path in inputs}
+    for label, path in outputs:
+        if path:
+            real = os.path.realpath(path)
+            if real in named:
+                raise ConfigError(
+                    f"{named[real]} and {label} both name the file {_echo(path, 200)}"
+                )
+            named[real] = label
 
 
-def _require_quantum(config: RunConfig) -> None:
+def _require_quantum(config: RunConfig, need: str = "walk commands") -> None:
+    """Refuse a walk without ``M`` (required for ``need``) or a letter without a games.* table."""
     if config.num_coins is None:
-        raise ConfigError("M is required for walk commands")
-    missing = sorted(set(config.pattern) - set(config.games))
-    if missing:
-        raise ConfigError(f"pattern letters {missing} have no games.* definition")
+        raise ConfigError(f"M is required for {need}")
+    _checked(_check_pattern, config.pattern, config.games, where=" in games.*")
+
+
+def _one_table(config: RunConfig, command: str, need: str) -> HistoryRhoTable:
+    """The ``games.*`` table that ``command``'s single-letter pattern names."""
+    _require_quantum(config, need)
+    if len(config.pattern) != 1:
+        raise ConfigError(f"{command} needs a single-letter pattern naming a games.* table")
+    return config.games[config.pattern]
 
 
 def _maybe_plot(args, config: RunConfig) -> None:
@@ -195,10 +196,7 @@ def _cmd_walk_dist(args) -> None:
 
 def _cmd_walk_sweep(args) -> None:
     config = _load_config(args)
-    _require_quantum(config)
-    if len(config.pattern) != 1:
-        raise ConfigError("walk sweep needs a single-letter pattern naming the base game")
-    table = config.games[config.pattern]
+    table = _one_table(config, "walk sweep", "walk commands")
     try:
         for bound in (args.sweep_from, args.sweep_to):
             table.replaced(args.param, bound)
@@ -207,7 +205,7 @@ def _cmd_walk_sweep(args) -> None:
             f"--param {_echo(repr(args.param))} --from {args.sweep_from} "
             f"--to {args.sweep_to}: {exc}"
         ) from None
-    _check_sweep_size(_flag_count(args.grid_points, "--steps"))
+    _check_sweep_size(_checked(_count, args.grid_points, "--steps", 1))
     grid = np.linspace(args.sweep_from, args.sweep_to, args.grid_points)
     results = sweep_parameter(table, args.param, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
@@ -218,7 +216,7 @@ def _cmd_walk_sweep(args) -> None:
 def _cmd_walk_scan(args) -> None:
     config = _load_config(args)
     _require_quantum(config)
-    _flag_count(args.max_len, "--max-len")
+    _checked(_count, args.max_len, "--max-len", 1)
     results = scan_sequences(
         config.games, args.max_len, config.num_coins, config.steps, config.initial
     )
@@ -230,16 +228,13 @@ def _cmd_walk_scan(args) -> None:
 
 
 def _classical_games(config: RunConfig, allowed, engine: str):
-    games = {}
-    for letter in sorted(set(config.pattern)):
-        spec = config.classical_games.get(letter)
-        if spec is None:
-            raise ConfigError(f"pattern letter {letter!r} has no classical.* definition")
+    _checked(_check_pattern, config.pattern, config.classical_games, where=" in classical.*")
+    games = {letter: config.classical_games[letter] for letter in sorted(set(config.pattern))}
+    for letter, spec in games.items():
         if not isinstance(spec, allowed):
             raise ConfigError(
                 f"classical.{letter} has a kind unusable with the {engine!r} engine"
             )
-        games[letter] = spec
     return games
 
 
@@ -249,18 +244,14 @@ def _cmd_classical_run(args) -> None:
     if engine is None:
         raise ConfigError("classical.engine is required for classical run")
     if engine == "rho-walk":
-        if config.num_coins is None:
-            raise ConfigError("M is required for the rho-walk engine")
-        if len(config.pattern) != 1 or config.pattern not in config.games:
-            raise ConfigError("rho-walk needs a single-letter pattern naming a games.* table")
-        subject = config.games[config.pattern]
+        subject = _one_table(config, "rho-walk", "the rho-walk engine")
     elif engine == "capital":
         subject = _classical_games(config, (BiasedCoin, CapitalMod3), engine)
     else:
         subject = _classical_games(config, (BiasedCoin, HistoryCoins), engine)
 
     if args.monte_carlo is not None:
-        _flag_count(args.monte_carlo, "--monte-carlo")
+        _checked(_count, args.monte_carlo, "--monte-carlo", 1)
         if config.seed is None:
             raise ConfigError("--monte-carlo needs a seed (flag --seed or config key)")
         means, errors = monte_carlo_trajectory(
@@ -280,8 +271,7 @@ def _cmd_classical_run(args) -> None:
 
 
 def _cmd_plot(args) -> None:
-    if os.path.realpath(args.out) in map(os.path.realpath, args.inputs):
-        raise ConfigError(f"--out {args.out} is one of the inputs; the plot would overwrite it")
+    _check_outputs([("an input", path) for path in args.inputs], [("--out", args.out)])
     emit_svg_plot(args.inputs, args.out, style=args.style)
 
 
@@ -298,7 +288,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {_echo(str(exc), 200)}", file=sys.stderr)
         return 2
 
 

@@ -5,11 +5,11 @@ comment, blank lines are ignored.  Dotted keys express nested tables, for
 example ``games.B.rho.RR = 0.55``.  Unknown keys are rejected so a typo can
 never silently change a run; every refusal of a key's value names the key
 and its line.  This module keeps only the grammar: lines, keys, required
-keys, pattern letters, history-key lengths, game kinds and engines.  A
-value's range or choice is checked by the library rule that the run itself
-applies (``state._count`` for counts, ``operators._check_probability``,
-``analysis._check_window`` and ``_check_prominence``,
-``walker._check_start``), in that rule's words.  Whether a walk grid (``M``
+keys, history-key lengths, game kinds (whose parameters are their dataclass
+fields) and engines.  Each other rule is the library's own, in its words, as
+a ConfigError (:func:`_checked`): ``state._count``; ``_check_probability`` and
+``_check_pattern`` in ``operators``; ``_check_window`` and ``_check_prominence``
+in ``analysis``; ``walker._check_start``.  Whether a walk grid (``M``
 with its ``T`` positions on each side) fits in memory is checked where the
 grid is allocated, not here: the classical ``rho-walk`` engine reads ``M``
 but allocates no grid.
@@ -34,22 +34,22 @@ Recognized keys::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 from .analysis import _check_prominence, _check_window
 from .classical import BiasedCoin, CapitalMod3, HistoryCoins
-from .operators import HistoryRhoTable, _check_probability
+from .operators import HistoryRhoTable, _check_pattern, _check_probability
 from .state import _count, _echo
 from .walker import ANTISYMMETRIC, _check_start
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
-_GAME_KEY = re.compile(r"^games\.([A-Za-z])\.rho\.(default|[LR]+)$")
-_CLASSICAL_KEY = re.compile(r"^classical\.([A-Za-z])\.(kind|p|p1|p2|p3|p4)$")
-
 _CLASSICAL_KINDS = {"biased": BiasedCoin, "mod3": CapitalMod3, "history": HistoryCoins}
-_CLASSICAL_PARAMS = {"biased": ("p",), "mod3": ("p1", "p2"), "history": ("p1", "p2", "p3", "p4")}
+_PARAMS = sorted({param.name for kind in _CLASSICAL_KINDS.values() for param in fields(kind)})
+
+_GAME_KEY = re.compile(r"^games\.([A-Za-z])\.rho\.(default|[LR]+)$")
+_CLASSICAL_KEY = re.compile(rf"^classical\.([A-Za-z])\.(kind|{'|'.join(_PARAMS)})$")
 _ENGINES = ("capital", "history", "rho-walk")
 # A decimal integer as ``int`` reads it; ``int`` refuses one of more digits
 # than ``sys.get_int_max_str_digits()`` (4,300 by default).
@@ -76,6 +76,14 @@ class RunConfig:
     prominence: float = 0.1
     out: str | None = None
     seed: int | None = None
+
+
+def _checked(rule: Callable, *args, where: str = ""):
+    """``rule(*args)``; a ValueError it raises becomes a ConfigError ending in ``where``."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}{where}") from None
 
 
 class _Raw:
@@ -114,10 +122,7 @@ class _Raw:
             raise ConfigError(
                 f"{name} = {_echo(repr(text))} is not {_SPELLED[parse]}{where}"
             ) from None
-        try:
-            return rule(value, name, *args)
-        except ValueError as exc:
-            raise ConfigError(f"{exc}{where}") from None
+        return _checked(rule, value, name, *args, where=where)
 
 
 def _scan_lines(text: str, raw: _Raw) -> None:
@@ -191,7 +196,7 @@ def _build_classical(raw: _Raw) -> dict:
                 f"classical.{letter}.kind = {_echo(repr(kind))} must be one of "
                 f"{sorted(_CLASSICAL_KINDS)}{raw.where(kind_key)}"
             )
-        wanted = _CLASSICAL_PARAMS[kind]
+        wanted = [param.name for param in fields(_CLASSICAL_KINDS[kind])]
         extra = sorted(set(params) - set(wanted))
         if extra:
             raise ConfigError(
@@ -209,14 +214,17 @@ def _build_classical(raw: _Raw) -> dict:
 def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunConfig:
     """Parse and validate configuration text, with optional flag overrides.
 
-    ``overrides`` maps config keys to replacement values (already stringified)
-    and wins over the file, letting command-line flags take precedence.
+    ``overrides`` maps config keys to flag text, read as the key's text in
+    the file would be, and wins over the file, letting command-line flags
+    take precedence.  A flag has no line to name, and no value may be empty.
     """
     raw = _Raw()
     _scan_lines(text, raw)
     for key, value in (overrides or {}).items():
+        if not str(value):
+            raise ConfigError(f"{key}: empty value")
         raw.values[key] = str(value)
-        raw.lines.setdefault(key, 0)
+        raw.lines[key] = 0
 
     steps = raw.read("T", int, _count, 0)
     if steps is None:
@@ -250,9 +258,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         key = min(raw.values, key=lambda k: raw.lines.get(k, 0))
         raise ConfigError(f"unknown key {_echo(repr(key))}{raw.where(key)}")
 
-    undefined = sorted(set(pattern) - set(games) - set(classical_games))
-    if undefined:
-        raise ConfigError(f"pattern letters {undefined} have no game definition")
+    where = f" in games.* or classical.*{raw.where('pattern')}"
+    _checked(_check_pattern, pattern, games.keys() | classical_games.keys(), where=where)
 
     return RunConfig(
         steps=steps,

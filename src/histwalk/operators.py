@@ -78,11 +78,12 @@ def _history_index(history: str, num_coins: int) -> int:
 
 
 def _check_pattern(pattern: str, games: Mapping[str, object]) -> None:
+    """Refuse an empty pattern or one with a letter that ``games`` does not define."""
     if not pattern:
         raise ValueError("pattern must be a non-empty string of game letters")
     unknown = sorted(set(pattern) - set(games))
     if unknown:
-        raise ValueError(f"pattern uses undefined games {unknown}")
+        raise ValueError(f"pattern uses undefined games {_echo(str(unknown))}")
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -6,6 +6,7 @@ import importlib.metadata
 import io
 import re
 import shutil
+import string
 import subprocess
 import sys
 import tempfile
@@ -442,7 +443,8 @@ class TestOutputPaths:
         write_csv(("t", "mean"), [(0, 0.0), (1, 1.0)], source)
         before = source.read_bytes()
         assert main(["plot", str(source), "--out", str(source)]) == 1
-        assert "is one of the inputs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: an input and --out both name the file {source}\n"
         assert source.read_bytes() == before
 
 
@@ -500,21 +502,32 @@ class TestExitCodes:
         assert main(["walk", "run", "--config", cfg]) == 1
 
     CLASSICAL_A = "T = 5\npattern = A\nclassical.A.kind = biased\nclassical.A.p = 0.5\n"
+    SWEEP = ["walk", "sweep", "--param", "RR", "--from", "0", "--to", "1", "--steps", "2"]
 
     @pytest.mark.parametrize(
         "command, text, message",
         [
             (["walk", "run"], "M = 2\n" + CLASSICAL_A,
-             "pattern letters ['A'] have no games.* definition"),
+             "pattern uses undefined games ['A'] in games.*"),
             (["classical", "run"], SINGLE_COIN.format(steps=5) + "classical.engine = capital\n",
-             "pattern letter 'A' has no classical.* definition"),
+             "pattern uses undefined games ['A'] in classical.*"),
             (["classical", "run"], CLASSICAL_A + "classical.engine = rho-walk\n",
              "M is required for the rho-walk engine"),
             (["classical", "run", "--monte-carlo", "0", "--seed", "1"],
              CAPITAL_PAIR.format(steps=5), "--monte-carlo must be >= 1, got 0"),
+            (SWEEP, "T = 5\npattern = A\nclassical.A.kind = biased\nclassical.A.p = 0.5\n",
+             "M is required for walk commands"),
+            (SWEEP, BIASED_THREE.format(steps=5, pattern="AB"),
+             "walk sweep needs a single-letter pattern naming a games.* table"),
+            (["classical", "run"],
+             BIASED_THREE.format(steps=5, pattern="AB") + "classical.engine = rho-walk\n",
+             "rho-walk needs a single-letter pattern naming a games.* table"),
+            (["classical", "run"], "M = 2\n" + CLASSICAL_A + "classical.engine = rho-walk\n",
+             "pattern uses undefined games ['A'] in games.*"),
         ],
         ids=["walk letter only classical", "classical letter only a walk game",
-             "rho-walk without M", "no trajectories"],
+             "rho-walk without M", "no trajectories", "sweep without M", "sweep of two letters",
+             "rho-walk of two letters", "rho-walk letter only classical"],
     )
     def test_runs_without_what_they_need_exit_one(self, tmp_path, capsys, command, text, message):
         cfg = config_file(tmp_path, text)
@@ -699,6 +712,13 @@ WALK_AB = (
     "games.A.rho.default = 0.5\ngames.B.rho.default = 0.45\n"
 )
 HUGE = str(10**400)
+LETTERS = string.ascii_uppercase + string.ascii_lowercase
+ALL = str(sorted(LETTERS))
+# A and B have games; the other 50 letters are listed cut to 60 characters.
+UNDEFINED = (
+    f"pattern uses undefined games {str(sorted(LETTERS[2:]))[:60]}... (250 characters) "
+    "in games.* or classical.* (line 3)"
+)
 
 
 def assert_one_short_refusal(err):
@@ -822,9 +842,33 @@ class TestRefusedValues:
             (CAPITAL_PAIR.format(steps=5) + "seed = 1\n",
              ["classical", "run", "--monte-carlo", "-" + HUGE],
              "--monte-carlo must be >= 1, got under -2**64"),
+            (WALK_AB.format(m=3, steps=5, pattern="AB"), ["walk", "dist", "--window", "4.0"],
+             "window = '4.0' is not an integer"),
+            (WALK_AB.format(m=3, steps=5, pattern="AB"), ["walk", "dist", "--prominence", "x"],
+             "prominence = 'x' is not a number"),
+            (CAPITAL_PAIR.format(steps=5), ["classical", "run", "--seed", "x"],
+             "seed = 'x' is not an integer"),
+            (WALK_AB.format(m=3, steps=5, pattern="AB") + "window = 3\n",
+             ["walk", "dist", "--window", "4"], "window must be an odd positive integer, got 4"),
+            (WALK_AB.format(m=3, steps=5, pattern=LETTERS), ["walk", "run"], UNDEFINED),
+            (WALK_AB.format(m=3, steps=5, pattern=LETTERS), ["walk", "dist"], UNDEFINED),
+            (WALK_AB.format(m=3, steps=5, pattern=LETTERS), ["walk", "scan", "--max-len", "1"],
+             UNDEFINED),
+            (WALK_AB.format(m=3, steps=5, pattern=LETTERS),
+             ["walk", "sweep", "--param", "RR", "--from", "0", "--to", "1", "--steps", "2"],
+             UNDEFINED),
+            (CAPITAL_PAIR.format(steps=5).replace("AABB", LETTERS), ["classical", "run"],
+             UNDEFINED.replace("(line 3)", "(line 2)")),
+            ("M = 1\nT = 5\n" + f"pattern = {LETTERS}\nclassical.engine = capital\n"
+             + "".join(f"games.{x}.rho.default = 0.5\n" for x in LETTERS),
+             ["classical", "run"], f"pattern uses undefined games {ALL[:60]}... "
+             "(260 characters) in classical.*"),
         ],
         ids=["T=-10**400", "T of 5,000 digits", "M of 5,000 digits", "seed=-10**400",
-             "max-len 0", "max-len -10**400", "sweep steps 0", "monte carlo -10**400"],
+             "max-len 0", "max-len -10**400", "sweep steps 0", "monte carlo -10**400",
+             "window 4.0", "prominence x", "seed x", "window flag over the key's line",
+             "52 letters run", "52 letters dist", "52 letters scan", "52 letters sweep",
+             "52 letters classical", "52 walk letters classical"],
     )
     def test_exit_one_with_the_rule_and_its_place(self, tmp_path, text, argv, message):
         code, err = run_in(tmp_path, text, argv)
@@ -838,6 +882,29 @@ class TestRefusedValues:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read config ")
         assert err.count("\n") == 1 and len(err) < 300, err
+
+    @pytest.mark.parametrize("where", ["--out", "out", "--peaks", "--emit-plot"])
+    def test_an_output_path_of_5000_characters_fails_in_one_short_line(
+        self, tmp_path, capsys, where
+    ):
+        long = str(tmp_path / ("x" * 5000))
+        text = WALK_AB.format(m=3, steps=5, pattern="AB")
+        flags = [where, long]
+        if where == "out":
+            text, flags = text + f"out = {long}\n", []
+        elif where == "--emit-plot":
+            flags = ["--out", str(tmp_path / "d.csv"), *flags]
+        assert main(["walk", "dist", "--config", config_file(tmp_path, text), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1 and len(err) < 300, err
+        # The plot renders a CSV that was written first.
+        written = ["d.csv"] if where == "--emit-plot" else []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.cfg", *written])
+
+    def test_an_empty_out_flag_is_refused(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, WALK_AB.format(m=3, steps=5, pattern="AB"))
+        assert main(["walk", "run", "--config", cfg, "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: out: empty value\n"
 
     @pytest.mark.parametrize("value", ["1" * 5000, "x" * 5000])
     def test_a_flag_value_of_5000_characters_is_refused_in_short_lines(

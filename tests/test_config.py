@@ -1,5 +1,6 @@
 """Parsing and fail-closed validation of run configuration text."""
 
+import string
 import tracemalloc
 
 import pytest
@@ -160,8 +161,20 @@ class TestValueErrors:
             parse_config("T = 1\npattern = A2B\n")
 
     def test_pattern_letters_need_definitions(self):
-        with pytest.raises(ConfigError, match=r"pattern letters \['C'\]"):
+        with pytest.raises(ConfigError) as refused:
             parse_config(GAME_RUN.replace("pattern = B", "pattern = BC"))
+        assert str(refused.value) == (
+            "pattern uses undefined games ['C'] in games.* or classical.* (line 4)"
+        )
+
+    def test_52_undefined_letters_are_refused_in_one_short_line(self):
+        with pytest.raises(ConfigError) as refused:
+            parse_config(f"T = 5\npattern = {string.ascii_letters}\n")
+        shown = str(sorted(string.ascii_letters))[:60]
+        assert str(refused.value) == (
+            f"pattern uses undefined games {shown}... (260 characters) "
+            "in games.* or classical.* (line 2)"
+        )
 
     def test_games_require_register_length(self):
         with pytest.raises(ConfigError, match="M is required"):

@@ -1,6 +1,7 @@
 """Initial states, pattern sequencing, scans and parameter sweeps."""
 
 import pickle
+import string
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ class TestRunSequence:
             run_sequence(initial, {"A": HistoryRhoTable.uniform(1)}, "", 2)
         with pytest.raises(ValueError, match=">= 0"):
             run_sequence(initial, {"A": HistoryRhoTable.uniform(1)}, "A", -1)
+
+    def test_undefined_letters_are_shown_in_one_short_line(self):
+        initial = build_initial_state(1, ANTISYMMETRIC, t_max=2)
+        with pytest.raises(ValueError) as refused:
+            run_sequence(initial, {"A": HistoryRhoTable.uniform(1)}, string.ascii_letters, 2)
+        shown = str(sorted(set(string.ascii_letters) - {"A"}))[:60]
+        assert str(refused.value) == f"pattern uses undefined games {shown}... (255 characters)"
 
     def test_rejects_runs_past_the_horizon(self):
         initial = build_initial_state(1, ANTISYMMETRIC, t_max=3)

@@ -22,7 +22,9 @@ file it writes itself, and digests its stderr too.  All but one are
 Three ``walk`` commands are refused as too large for memory, and their
 message names this host's memory size, so compare trees on one host.
 Eight more are each refused for one config value, so a change can show
-that it kept every refusal's bytes.
+that it kept every refusal's bytes.  ``REFUSAL_RUNS`` adds four refusals of
+the front end's shared rules (pattern letters, output files and flag
+values), each run from its whole argument list.
 A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
 begins there, on a grid three sites wider than its step count: the process
 replaces ``histwalk.cli.build_initial_state`` before it calls
@@ -129,6 +131,21 @@ CONFIG_RUNS += [
     ]
 ]
 
+#: Refusals of the front end's shared rules: label, the text of ``run.cfg``
+#: and the whole argument list.
+REFUSAL_RUNS = [
+    ("walk run on a classical.* letter",
+     "M = 2\nT = 5\npattern = A\nclassical.A.kind = biased\nclassical.A.p = 0.5\n",
+     ["walk", "run", "--config", "run.cfg"]),
+    ("classical run (capital) on a games.* letter",
+     "M = 1\nT = 5\npattern = A\nclassical.engine = capital\ngames.A.rho.default = 0.5\n",
+     ["classical", "run", "--config", "run.cfg"]),
+    ("plot --out naming its own input", "t,mean\n0,0\n1,1\n",
+     ["plot", "run.cfg", "--out", "run.cfg"]),
+    ("walk dist --window 4.0", _VALID,
+     ["walk", "dist", "--config", "run.cfg", "--window", "4.0"]),
+]
+
 #: ``position_distribution(evolve(...))`` runs: label, register size, step
 #: count, and a custom start on both parities or None for the origin start.
 EVOLVE_RUNS = [
@@ -220,15 +237,19 @@ def measure(tree: str) -> dict[str, str]:
             digests[f"cli {' '.join(words)}"] = _folder_digest(
                 Path(temporary), f"exit {done.returncode}\n{done.stdout}"
             )
-    for label, config, (group, command, *words), start in CONFIG_RUNS:
+    runs = [
+        (f"{group} {command} {label}", config, [group, command, "--config", "run.cfg", *words],
+         start)
+        for label, config, (group, command, *words), start in CONFIG_RUNS
+    ] + [(f"refused: {label}", config, argv, None) for label, config, argv in REFUSAL_RUNS]
+    for item, config, argv, start in runs:
         with tempfile.TemporaryDirectory() as temporary:
             Path(temporary, "run.cfg").write_text(config, encoding="utf-8")
             done = subprocess.run(
-                [sys.executable, "-c", _START_MAIN, repr(start),
-                 group, command, "--config", "run.cfg", *words],
+                [sys.executable, "-c", _START_MAIN, repr(start), *argv],
                 cwd=temporary, env=env, capture_output=True, text=True,
             )
-            digests[f"{group} {command} {label}"] = _folder_digest(
+            digests[item] = _folder_digest(
                 Path(temporary), f"exit {done.returncode}\n{done.stdout}\0{done.stderr}"
             )
     readme = Path(tree, "README.md").read_text(encoding="utf-8")
