@@ -515,8 +515,7 @@ class TestExitCodes:
              "M is required for the rho-walk engine"),
             (["classical", "run", "--monte-carlo", "0", "--seed", "1"],
              CAPITAL_PAIR.format(steps=5), "--monte-carlo must be >= 1, got 0"),
-            (SWEEP, "T = 5\npattern = A\nclassical.A.kind = biased\nclassical.A.p = 0.5\n",
-             "M is required for walk commands"),
+            (SWEEP, CLASSICAL_A, "M is required for walk commands"),
             (SWEEP, BIASED_THREE.format(steps=5, pattern="AB"),
              "walk sweep needs a single-letter pattern naming a games.* table"),
             (["classical", "run"],
