@@ -137,10 +137,15 @@ def _load_config(args) -> RunConfig:
 
 
 def _check_outputs(inputs, outputs) -> None:
-    """Refuse an output that names an input or another output; inputs may repeat."""
+    """Refuse an empty output path, or one that names an input or another output.
+
+    An output of None is not written; inputs may repeat.
+    """
     named = {os.path.realpath(path): label for label, path in inputs}
     for label, path in outputs:
-        if path:
+        if path == "":
+            raise ConfigError(f"{label}: empty value")
+        if path is not None:
             real = os.path.realpath(path)
             if real in named:
                 raise ConfigError(

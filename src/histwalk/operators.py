@@ -304,9 +304,11 @@ class _Kernel:
       ``sqrt(rho)`` and ``i sqrt(1 - rho)`` are computed once per table, and
       each entry's are gathered by the code of the table it plays.  They
       repeat with ``t`` modulo ``period``, the lcm of the schedule lengths,
-      and are cached per phase, so a single walk gathers only during its
-      first period.  The cache holds at most half a buffer; phases past that
-      are gathered again each time they come round.
+      and are gathered for a block of consecutive phases with one fancy
+      index.  A block holds at most half a buffer (:meth:`_block_phases`),
+      so a single walk, whose period is its pattern's length, gathers once,
+      and a scan's period of many phases is gathered a few blocks at a time,
+      each block again when its phases come round.
     * Each buffer's views are built once: the source axes, the destination
       axes and the float view that :meth:`probabilities` and :meth:`norms`
       sum.  They swap with the buffers, so a step only slices them, and the
@@ -341,11 +343,14 @@ class _Kernel:
         self.keep, self.flip = np.sqrt(rho).astype(complex), 1j * np.sqrt(1.0 - rho)
         self.lengths = np.array([len(schedule) for schedule in schedules])
         self.codes = np.zeros((len(schedules), self.lengths.max()), int)
-        for entry, schedule in enumerate(schedules):
-            self.codes[entry, : len(schedule)] = [code[id(table)] for table in schedule]
+        # The cells before each row's length, in row order, take the schedules' codes.
+        filled = np.arange(self.codes.shape[1]) < self.lengths[:, None]
+        self.codes[filled] = [code[id(table)] for schedule in schedules for table in schedule]
         self.entries = np.arange(len(schedules))
         self.period = math.lcm(*self.lengths.tolist())
-        self.coefficients: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # The gathered block: coefficients of phases [block_start, block_end).
+        self.block: list[tuple[np.ndarray, np.ndarray]] = []
+        self.block_start = self.block_end = 0
         amplitudes = state.amplitudes
         self.rows, size = amplitudes.shape
         self.lo, self.hi, self.parity, sublattices = self._occupancy(amplitudes)
@@ -401,20 +406,25 @@ class _Kernel:
         # grid row g of the sublattice it belongs to is compact row (g + e + 1) // 2.
         return (self.lo + self.parity + 1) // 2, (self.hi + self.parity) // 2 + 1
 
+    def _block_phases(self) -> int:
+        # A phase's coefficients hold 1 / (t_max + 2) of a buffer; a block
+        # holds at most half a buffer, and at least one phase.
+        return (self.t_max + 2) // 2
+
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         # sqrt(rho) and i sqrt(1 - rho) of every entry's table at this step,
         # for each history, shaped (entries * sublattices, histories, 1) like
         # the pair axes of the step's views.
         phase = self.steps % self.period
-        if phase not in self.coefficients:
-            games = self.codes[self.entries, phase % self.lengths]
-            games = np.repeat(games, self.psi.shape[1])
-            coefficients = self.keep[games, :, None], self.flip[games, :, None]
-            # A phase holds 1 / (t_max + 2) of a buffer; cache at most half a buffer.
-            if len(self.coefficients) < (self.t_max + 2) // 2:
-                self.coefficients[phase] = coefficients
-            return coefficients
-        return self.coefficients[phase]
+        if not self.block_start <= phase < self.block_end:
+            # One gather for the block of phases from this one on.
+            phases = np.arange(phase, min(phase + self._block_phases(), self.period))
+            games = self.codes[self.entries, phases[:, None] % self.lengths]
+            games = np.repeat(games, self.psi.shape[1], axis=1)
+            keep, flip = np.take(self.keep, games, axis=0), np.take(self.flip, games, axis=0)
+            self.block = list(zip(keep[..., None], flip[..., None]))
+            self.block_start, self.block_end = phase, phase + len(phases)
+        return self.block[phase - self.block_start]
 
     def step(self) -> None:
         """Play every entry's next table: retoss, move, rotate."""

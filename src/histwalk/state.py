@@ -417,6 +417,22 @@ def _readout(first_row: int, stride: int, p: np.ndarray, t_max: int) -> tuple[fl
     return _mean_std(np.ascontiguousarray(p[run]), x, x * x)
 
 
+def _readouts(first_row: int, stride: int, p: np.ndarray, t_max: int) -> list[tuple[float, float]]:
+    """:func:`_readout` of every row of ``p``, bit for bit, with one position grid when it can.
+
+    A stride-2 band whose end rows are nonzero in every row is every row's
+    support, so one ``x`` and ``x * x`` serve them all and each row takes
+    only :func:`_mean_std`'s two dot products, in the same order.  Any other
+    band is read out row by row by :func:`_readout`.
+    """
+    if not (stride == 2 and p[:, 0].all() and p[:, -1].all()):
+        return [_readout(first_row, stride, entry, t_max) for entry in p]
+    _, rows = _support(first_row, stride, p[0])
+    x = np.arange(rows.start - t_max, rows.stop - t_max, rows.step, dtype=float)
+    x2 = x * x
+    return [_mean_std(entry, x, x2) for entry in np.ascontiguousarray(p)]
+
+
 @dataclass(frozen=True)
 class Moments:
     """Mean and standard deviation of a position distribution."""

@@ -23,6 +23,7 @@ from .state import (
     _echo,
     _new_state,
     _readout,
+    _readouts,
 )
 
 __all__ = [
@@ -315,16 +316,16 @@ def _final_moments(
 
     Schedules are stepped a chunk at a time by :func:`_stepped`, on one
     batched kernel whose buffers hold about :data:`_CHUNK_BYTES` each.
-    After a chunk's last step, whose norms it checks, each entry is read out
-    with :func:`_readout`: the moments equal :func:`run_sequence`'s bit for bit.
+    After a chunk's last step, whose norms it checks, the chunk is read out
+    by :func:`_readouts`, on one position grid when every entry's band ends
+    on nonzero rows: the moments equal :func:`run_sequence`'s bit for bit.
     """
     chunk = max(1, _CHUNK_BYTES // _Kernel.entry_bytes(initial))
     schedules = iter(schedules)
     results: list[tuple[float, float]] = []
     while batch := list(islice(schedules, chunk)):
         first_row, stride, p = _stepped(initial, batch, steps, len(results)).probabilities()
-        for entry in p:
-            results.append(_readout(first_row, stride, entry, initial.t_max))
+        results += _readouts(first_row, stride, p, initial.t_max)
     return results
 
 

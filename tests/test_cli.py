@@ -447,6 +447,32 @@ class TestOutputPaths:
         assert err == f"error: an input and --out both name the file {source}\n"
         assert source.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["walk", "dist", "--out", "d.csv", "--peaks", ""], "--peaks"),
+            (["walk", "dist", "--out", "d.csv", "--emit-plot", ""], "--emit-plot"),
+            (["walk", "dist", "--out", "d.csv", "--peaks", "", "--emit-plot", ""], "--emit-plot"),
+            (["walk", "run", "--emit-plot", ""], "--emit-plot"),
+        ],
+        ids=["dist peaks", "dist plot", "dist both", "run plot without out"],
+    )
+    def test_an_empty_output_flag_is_refused(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # An empty path was taken for no flag: the run exited 0 and left only d.csv.
+        monkeypatch.chdir(tmp_path)
+        cfg = config_file(tmp_path, SINGLE_COIN.format(steps=4))
+        assert main([*argv[:2], "--config", cfg, *argv[2:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag}: empty value\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_a_plot_to_an_empty_out_is_refused(self, tmp_path, monkeypatch, capsys):
+        # It was a runtime error, exit 2: "[Errno 21] Is a directory: '.'".
+        monkeypatch.chdir(tmp_path)
+        write_csv(("t", "mean"), [(0, 0.0), (1, 1.0)], tmp_path / "r.csv")
+        assert main(["plot", "r.csv", "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --out: empty value\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
+
 
 class TestExitCodes:
     def test_usage_errors_return_one(self, tmp_path):

@@ -28,6 +28,7 @@ import pytest
 
 import histwalk.cli
 import histwalk.operators
+import histwalk.state
 import histwalk.walker
 from histwalk.analysis import analyze_peaks
 from histwalk.cli import main
@@ -48,6 +49,7 @@ from histwalk.state import (
     WalkState,
     _distribution,
     _readout,
+    _readouts,
     _register_probabilities,
     _walk_bytes,
     index_to_coins,
@@ -596,6 +598,79 @@ class TestBatchedScansAndSweeps:
         for rho, (got_rho, stat) in zip(grid, sweep):
             trajectory = run_sequence(initial, {"X": tables["B"].replaced("RL", rho)}, "X", steps)
             assert (got_rho, stat.mean, stat.std) == (rho, trajectory.means[-1], trajectory.stds[-1])
+
+    @pytest.mark.parametrize("phases", [1, 2, 7])
+    @pytest.mark.parametrize("per_chunk", [2, 5, 100])
+    def test_scans_gathered_in_blocks_shorter_than_the_period_equal_single_walks(
+        self, monkeypatch, phases, per_chunk
+    ):
+        # Patterns of up to 4 letters have periods up to lcm(1..4) = 12 per chunk.
+        tables = random_tables(3, "AB", 8)
+        periods = []
+
+        def short_block(kernel):
+            periods.append(kernel.period)
+            return phases
+
+        monkeypatch.setattr(_Kernel, "_block_phases", short_block)
+        chunked(monkeypatch, 3, 30, per_chunk)
+        got = scan_sequences(tables, 4, 3, 30)
+        initial = build_initial_state(3, ANTISYMMETRIC, t_max=30)
+        assert got == {p: run_sequence(initial, tables, p, 30).means[-1] for p in got}
+        # Some chunk's period is longer than a block, so its blocks came round.
+        assert max(periods) > phases
+
+    @pytest.mark.parametrize(
+        "kind, patterns, left, right",
+        [
+            (ANTISYMMETRIC, ["A", "AC", "CA", "C"], True, True),
+            (ANTISYMMETRIC, ["A", "B", "AC"], False, False),
+            (ALL_R, ["C", "A", "CA"], False, True),
+            ([(0, "LLL", 1.0)], ["C", "A", "CA"], True, False),
+        ],
+        ids=["every end row nonzero", "both end rows of B zero", "left end row of A zero",
+             "right end row of A zero"],
+    )
+    def test_the_chunk_readout_equals_readout_of_each_entry_bit_for_bit(
+        self, monkeypatch, kind, patterns, left, right
+    ):
+        # Always keeping (rho = 1), a register moves one way for good, so from
+        # the antisymmetric start the all-L and all-R registers reach both end
+        # rows, and from all R (or all L) the walk keeps to the right (left)
+        # end.  Always flipping (rho = 0), no register reaches either end.
+        tables = random_tables(3, "C", 3)
+        tables.update(A=HistoryRhoTable.uniform(3, 1.0), B=HistoryRhoTable.uniform(3, 0.0))
+        initial = build_initial_state(3, kind, t_max=20)
+        kernel = _Kernel(initial, *[[tables[letter] for letter in p] for p in patterns])
+        for _ in range(20):
+            kernel.step()
+        first, stride, p = kernel.probabilities()
+        assert (stride, bool(p[:, 0].all()), bool(p[:, -1].all())) == (2, left, right)
+        one_by_one = []
+        monkeypatch.setattr(
+            histwalk.state, "_readout",
+            lambda *args: one_by_one.append(args) or _readout(*args),
+        )
+        got = _readouts(first, stride, p, initial.t_max)
+        assert len(one_by_one) == (0 if left and right else len(patterns))
+        assert got == [_readout(first, stride, entry, initial.t_max) for entry in p]
+
+    def test_the_chunk_readout_takes_stride_1_rows_one_by_one(self):
+        # Nonzero end rows make a stride-2 band every row's support, but not
+        # stride-1 rows: the first row's support is the sites of one parity.
+        p = np.array([[0.2, 0.0, 0.3, 0.0, 0.5], [0.1, 0.2, 0.3, 0.2, 0.2]])
+        assert _readouts(4, 1, p, 6) == [_readout(4, 1, entry, 6) for entry in p]
+
+    def test_a_scan_with_exactly_zero_end_rows_equals_single_walks(self):
+        # A chunk that holds "B" (always flip) takes the entry-by-entry readout.
+        tables = {"A": HistoryRhoTable.uniform(3, 1.0), "B": HistoryRhoTable.uniform(3, 0.0)}
+        tables.update(random_tables(3, "C", 6))
+        for kind in (ANTISYMMETRIC, ALL_R):
+            got = scan_sequences(tables, 3, 3, 15, kind)
+            initial = build_initial_state(3, kind, t_max=15)
+            for pattern, mean in got.items():
+                trajectory = run_sequence(initial, tables, pattern, 15)
+                assert mean == trajectory.means[-1], pattern
 
     def test_batched_final_amplitudes_match_dense_steps(self):
         tables = random_tables(3, "AB", 9)

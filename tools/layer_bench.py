@@ -22,10 +22,20 @@ pattern ``AAB``):
 * ``run_sequence``: the whole call, with no timers inside;
 
 at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
-letters) ``scan_sequences``: the whole call; ``sweep_parameter``: the whole
-call at ``SWEEP`` (M=3, T=1000, game B's table with history ``RL`` set to
-each of 21 points over [0, 1]), which no benchmark workload runs, so that a
-change to the batch loop shows on sweeps too; and at the size of
+letters):
+
+* ``scan_coefficients``: the time one ``scan_sequences`` spends in
+  ``_Kernel._coefficients``, summed over its steps;
+* ``scan_readout``: the time it spends reading its chunks out, in
+  ``_readouts`` (defined in ``state``, timed where ``walker`` looks it up), or
+  in ``_readout``, summed over the entries, in trees that read each entry
+  out on its own (before ``BENCH_31.json``);
+* ``scan_sequences``: the whole call, with no timers inside;
+
+``sweep_parameter``: the whole call at ``SWEEP`` (M=3, T=1000, game B's
+table with history ``RL`` set to each of 21 points over [0, 1]), which no
+benchmark workload runs, so that a change to the batch loop shows on sweeps
+too; and at the size of
 ``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config file):
 
 * ``step_m3``, ``probabilities_m3`` and ``readout_m3``: the time one
@@ -182,6 +192,11 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
         walker.run_sequence(initial, trajectory_games, TRAJECTORY["pattern"], TRAJECTORY["T"])
 
     scan_games = walk_games(hw, SEED, SCAN["M"])
+
+    def scan():
+        walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"])
+
+    chunk_readout = "_readouts" if hasattr(walker, "_readouts") else "_readout"
     sweep_table = walk_games(hw, SEED, SWEEP["M"])["B"]
     sweep_grid = np.linspace(0.0, 1.0, SWEEP["points"])
     dist_games = walk_games(hw, SEED, CLI["M"])
@@ -238,11 +253,13 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
                 samples,
             ),
             lambda: _whole(trajectory, "run_sequence", samples),
-            lambda: _whole(
-                lambda: walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"]),
-                "scan_sequences",
+            lambda: _layered(
+                scan,
+                [(kernel, "_coefficients", "scan_coefficients"),
+                 (walker, chunk_readout, "scan_readout")],
                 samples,
             ),
+            lambda: _whole(scan, "scan_sequences", samples),
             lambda: _whole(
                 lambda: walker.sweep_parameter(sweep_table, SWEEP["key"], sweep_grid, SWEEP["T"]),
                 "sweep_parameter",

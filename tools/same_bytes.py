@@ -22,9 +22,9 @@ file it writes itself, and digests its stderr too.  All but one are
 Three ``walk`` commands are refused as too large for memory, and their
 message names this host's memory size, so compare trees on one host.
 Eight more are each refused for one config value, so a change can show
-that it kept every refusal's bytes.  ``REFUSAL_RUNS`` adds four refusals of
-the front end's shared rules (pattern letters, output files and flag
-values), each run from its whole argument list.
+that it kept every refusal's bytes.  ``REFUSAL_RUNS`` adds six refusals of
+the front end's shared rules (pattern letters, output files, empty output
+paths and flag values), each run from its whole argument list.
 A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
 begins there, on a grid three sites wider than its step count: the process
 replaces ``histwalk.cli.build_initial_state`` before it calls
@@ -144,6 +144,9 @@ REFUSAL_RUNS = [
      ["plot", "run.cfg", "--out", "run.cfg"]),
     ("walk dist --window 4.0", _VALID,
      ["walk", "dist", "--config", "run.cfg", "--window", "4.0"]),
+    ("walk dist --peaks '' --emit-plot ''", _VALID,
+     ["walk", "dist", "--config", "run.cfg", "--out", "dist.csv", "--peaks", "", "--emit-plot", ""]),
+    ("plot --out ''", "t,mean\n0,0\n1,1\n", ["plot", "run.cfg", "--out", ""]),
 ]
 
 #: ``position_distribution(evolve(...))`` runs: label, register size, step
