@@ -24,6 +24,9 @@ def _check_single_parity(dist: ProbabilityDistribution) -> None:
         raise ValueError("distribution must be supported on a single parity class")
 
 
+_WINDOW, _PROMINENCE = 5, 0.1  # the peak report's defaults
+
+
 def _check_window(window, name: str = "window") -> int:
     """``window`` as an odd positive ``int``: the smoothing rule of :func:`smooth_distribution`."""
     window = _count(window, name, -np.inf)
@@ -107,7 +110,7 @@ def find_peaks(dist: ProbabilityDistribution, prominence_fraction: float) -> Pea
 
 
 def analyze_peaks(
-    dist: ProbabilityDistribution, window: int = 5, prominence: float = 0.1
+    dist: ProbabilityDistribution, window: int = _WINDOW, prominence: float = _PROMINENCE
 ) -> PeakReport:
     """Smooth with ``window``, then report peaks above ``prominence`` of the max."""
     return find_peaks(smooth_distribution(dist, window), prominence)

@@ -22,7 +22,7 @@ again, which gives the same means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle, islice
 from typing import Mapping
 
@@ -120,18 +120,23 @@ def _check_chain_fits(spec, state_bytes: int) -> None:
         _check_fits(_shifted(state_bytes, spec.num_coins), what, "for its states")
 
 
+class _Odds:
+    """Base of the capital-game specs: each field, in order, must lie in [0, 1]."""
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            _check_probability(getattr(self, spec.name), spec.name)
+
+
 @dataclass(frozen=True)
-class BiasedCoin:
+class BiasedCoin(_Odds):
     """Win with probability ``p``; capital moves +1 on a win, -1 on a loss."""
 
     p: float
 
-    def __post_init__(self) -> None:
-        _check_probability(self.p, "p")
-
 
 @dataclass(frozen=True)
-class CapitalMod3:
+class CapitalMod3(_Odds):
     """Coin keyed on capital: ``p1`` when capital is a multiple of 3, else ``p2``.
 
     The residue is the mathematical one, so capital -1 uses ``p2`` (residue 2).
@@ -140,13 +145,9 @@ class CapitalMod3:
     p1: float
     p2: float
 
-    def __post_init__(self) -> None:
-        _check_probability(self.p1, "p1")
-        _check_probability(self.p2, "p2")
-
 
 @dataclass(frozen=True)
-class HistoryCoins:
+class HistoryCoins(_Odds):
     """Coin keyed on the results of the last two plays, oldest first.
 
     ``p1`` plays after (lost, lost), ``p2`` after (lost, won), ``p3`` after
@@ -157,10 +158,6 @@ class HistoryCoins:
     p2: float
     p3: float
     p4: float
-
-    def __post_init__(self) -> None:
-        for label in ("p1", "p2", "p3", "p4"):
-            _check_probability(getattr(self, label), label)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3, self.p4])
@@ -281,7 +278,7 @@ def capital_game_trajectory(games, pattern: str | None, steps: int) -> np.ndarra
     so the chain over residues is evolved, in O(steps) time and memory, and
     results carry no sampling error.
     """
-    chains, starts = _chains(games, pattern, (BiasedCoin, CapitalMod3), "capital")
+    chains, starts = _chains(games, pattern, _ENGINES["capital"][0], "capital")
     return _exact_means(chains, starts, steps)
 
 
@@ -294,8 +291,15 @@ def history_mix_trajectory(games, pattern: str | None, steps: int, initial=None)
     not feed back into the odds, so only that four-state distribution and the
     accumulated mean are needed.
     """
-    chains, starts = _chains(games, pattern, (BiasedCoin, HistoryCoins), "history")
+    chains, starts = _chains(games, pattern, _ENGINES["history"][0], "history")
     return _exact_means(chains, starts, steps, initial, "4 result pairs")
+
+
+# The exact capital-game engines of ``classical run``: the kinds each plays, and its run.
+_ENGINES = {
+    "capital": ((BiasedCoin, CapitalMod3), capital_game_trajectory),
+    "history": ((BiasedCoin, HistoryCoins), history_mix_trajectory),
+}
 
 
 def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):

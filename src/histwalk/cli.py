@@ -17,18 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import analyze_peaks
-from .classical import (
-    BiasedCoin,
-    CapitalMod3,
-    HistoryCoins,
-    capital_game_trajectory,
-    classical_mean_trajectory,
-    history_mix_trajectory,
-    monte_carlo_trajectory,
-)
+from .classical import _ENGINES, classical_mean_trajectory, monte_carlo_trajectory
 from .config import ConfigError, RunConfig, _checked, parse_config
 from .operators import HistoryRhoTable, _check_pattern
-from .output import emit_svg_plot, write_csv
+from .output import _STYLES, emit_svg_plot, write_csv
 from .state import MemoryLimitError, _count, _echo
 from .walker import (
     POSITIVE_MEAN_THRESHOLD,
@@ -111,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot = commands.add_parser("plot", help="render existing CSV files as one SVG")
     plot.add_argument("inputs", nargs="+", help="two-column CSV files")
     plot.add_argument("--out", required=True, help="SVG output path")
-    plot.add_argument("--style", choices=("line", "scatter"), default="line")
+    plot.add_argument("--style", choices=_STYLES, default="line")
     plot.set_defaults(handler=_cmd_plot)
 
     return parser
@@ -250,10 +242,12 @@ def _cmd_classical_run(args) -> None:
         raise ConfigError("classical.engine is required for classical run")
     if engine == "rho-walk":
         subject = _one_table(config, "rho-walk", "the rho-walk engine")
-    elif engine == "capital":
-        subject = _classical_games(config, (BiasedCoin, CapitalMod3), engine)
+
+        def exact(table, pattern, steps):  # the walk's chain plays no pattern
+            return classical_mean_trajectory(table, steps)
     else:
-        subject = _classical_games(config, (BiasedCoin, HistoryCoins), engine)
+        kinds, exact = _ENGINES[engine]
+        subject = _classical_games(config, kinds, engine)
 
     if args.monte_carlo is not None:
         _checked(_count, args.monte_carlo, "--monte-carlo", 1)
@@ -265,12 +259,7 @@ def _cmd_classical_run(args) -> None:
         rows = [(t, m, e) for t, (m, e) in enumerate(zip(means, errors))]
         write_csv(("t", "mean", "stderr"), rows, config.out)
     else:
-        if engine == "rho-walk":
-            means = classical_mean_trajectory(subject, config.steps)
-        elif engine == "capital":
-            means = capital_game_trajectory(subject, config.pattern, config.steps)
-        else:
-            means = history_mix_trajectory(subject, config.pattern, config.steps)
+        means = exact(subject, config.pattern, config.steps)
         write_csv(("t", "mean"), list(enumerate(means)), config.out)
     _maybe_plot(args, config)
 

@@ -37,8 +37,8 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
-from .analysis import _check_prominence, _check_window
-from .classical import BiasedCoin, CapitalMod3, HistoryCoins
+from .analysis import _PROMINENCE, _WINDOW, _check_prominence, _check_window
+from .classical import _ENGINES as _EXACT_ENGINES, BiasedCoin, CapitalMod3, HistoryCoins
 from .operators import HistoryRhoTable, _check_pattern, _check_probability
 from .state import _count, _echo
 from .walker import ANTISYMMETRIC, _check_start
@@ -50,7 +50,7 @@ _PARAMS = sorted({param.name for kind in _CLASSICAL_KINDS.values() for param in 
 
 _GAME_KEY = re.compile(r"^games\.([A-Za-z])\.rho\.(default|[LR]+)$")
 _CLASSICAL_KEY = re.compile(rf"^classical\.([A-Za-z])\.(kind|{'|'.join(_PARAMS)})$")
-_ENGINES = ("capital", "history", "rho-walk")
+_ENGINES = (*_EXACT_ENGINES, "rho-walk")
 # A decimal integer as ``int`` reads it; ``int`` refuses one of more digits
 # than ``sys.get_int_max_str_digits()`` (4,300 by default).
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
@@ -72,8 +72,8 @@ class RunConfig:
     games: dict[str, HistoryRhoTable] = field(default_factory=dict)
     classical_engine: str | None = None
     classical_games: dict = field(default_factory=dict)
-    window: int = 5
-    prominence: float = 0.1
+    window: int = _WINDOW
+    prominence: float = _PROMINENCE
     out: str | None = None
     seed: int | None = None
 
@@ -239,8 +239,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
 
     num_coins = raw.read("M", int, _count, 1)
     initial = raw.read("initial", str, _check_start) or ANTISYMMETRIC
-    window = raw.read("window", int, _check_window) or 5
-    prominence = raw.read("prominence", float, _check_prominence) or 0.1
+    window = raw.read("window", int, _check_window) or _WINDOW
+    prominence = raw.read("prominence", float, _check_prominence) or _PROMINENCE
     out = raw.take("out")
     seed = raw.read("seed", int, _count, 0)
 

@@ -92,6 +92,7 @@ _PALETTE = (
     "#555555",
 )
 
+_STYLES = ("line", "scatter")
 _WIDTH, _HEIGHT = 720, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 168, 28, 52
 
@@ -112,8 +113,8 @@ def emit_svg_plot(csv_paths: Sequence, out_path, style: str = "line") -> None:
     ``&``, ``<`` and ``>`` escaped.  ``style`` is ``"line"`` or
     ``"scatter"``.  Nothing is written if any input is malformed.
     """
-    if style not in ("line", "scatter"):
-        raise ValueError(f"style must be 'line' or 'scatter', got {style!r}")
+    if style not in _STYLES:
+        raise ValueError(f"style must be {' or '.join(map(repr, _STYLES))}, got {style!r}")
     if not csv_paths:
         raise ValueError("need at least one CSV input")
     series = []

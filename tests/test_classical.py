@@ -1,7 +1,7 @@
 """Classical-limit chain, capital games, and Monte-Carlo cross-checks."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 
 import numpy as np
@@ -257,6 +257,47 @@ class TestHistoryKeyedGames:
         with pytest.raises(ValueError) as game:
             capital_game_trajectory({"A": COIN}, pattern, 5)
         assert str(game.value) == str(walk.value)
+
+
+class TestEngineKinds:
+    """Each exact engine plays the kinds its table entry names and refuses the others."""
+
+    KINDS = {"biased": COIN, "mod3": MOD3, "history": HIST}
+    PLAYS = {
+        "capital": (capital_game_trajectory, {"biased", "mod3"}),
+        "history": (history_mix_trajectory, {"biased", "history"}),
+    }
+
+    def test_the_table_names_each_engine_its_kinds_and_run(self):
+        table = histwalk.classical._ENGINES
+        assert list(table) == ["capital", "history"]
+        for engine, (run, kinds) in self.PLAYS.items():
+            accepted, exact = table[engine]
+            played = {name for name, spec in self.KINDS.items() if isinstance(spec, accepted)}
+            assert (played, exact) == (kinds, run)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("engine", sorted(PLAYS))
+    def test_a_kind_off_the_table_is_refused(self, engine, kind):
+        run, kinds = self.PLAYS[engine]
+        games = {"B": self.KINDS[kind]}
+        if kind in kinds:
+            assert run(games, "B", 5).shape == (6,)
+        else:
+            with pytest.raises(TypeError, match=f"^game 'B' is not usable in a {engine} sequence$"):
+                run(games, "B", 5)
+
+
+class TestSpecRanges:
+    @pytest.mark.parametrize("kind", [BiasedCoin, CapitalMod3, HistoryCoins])
+    def test_each_field_is_checked_in_order(self, kind):
+        names = [spec.name for spec in fields(kind)]
+        for bad, name in enumerate(names):
+            values = [0.5] * bad + [1.5] + [-0.5] * (len(names) - bad - 1)
+            with pytest.raises(ValueError, match=rf"^{name} = 1.5 must lie in \[0, 1\]$"):
+                kind(*values)
+        for edge in (0.0, 1.0):
+            assert kind(*[edge] * len(names)) == kind(**dict.fromkeys(names, edge))
 
 
 class TestMonteCarlo:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import importlib.metadata
 import io
+import os
 import re
 import shutil
 import string
@@ -40,8 +41,13 @@ CAPITAL_PAIR = (
     "classical.B.kind = mod3\nclassical.B.p1 = 0.095\nclassical.B.p2 = 0.745\n"
 )
 
+#: The game kinds each exact capital-game engine plays, and each kind's parameters.
+ENGINE_KINDS = {"capital": {"biased", "mod3"}, "history": {"biased", "history"}}
+KIND_PARAMS = {"biased": ["p"], "mod3": ["p1", "p2"], "history": ["p1", "p2", "p3", "p4"]}
+
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 def installed_as_distribution() -> bool:
@@ -313,14 +319,23 @@ class TestClassicalRun:
         )
         assert main(["classical", "run", "--config", cfg]) == 1
 
-    def test_engine_and_kind_must_be_compatible(self, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    @pytest.mark.parametrize("engine", sorted(ENGINE_KINDS))
+    def test_engine_and_kind_must_be_compatible(self, tmp_path, capsys, engine, kind):
+        params = "".join(f"classical.B.{name} = 0.5\n" for name in KIND_PARAMS[kind])
         cfg = config_file(
             tmp_path,
-            "T = 10\npattern = B\nclassical.engine = capital\n"
-            "classical.B.kind = history\nclassical.B.p1 = 0.9\n"
-            "classical.B.p2 = 0.25\nclassical.B.p3 = 0.25\nclassical.B.p4 = 0.7\n",
+            f"T = 10\npattern = B\nclassical.engine = {engine}\nclassical.B.kind = {kind}\n"
+            + params,
         )
-        assert main(["classical", "run", "--config", cfg]) == 1
+        code = main(["classical", "run", "--config", cfg, "--out", str(tmp_path / "run.csv")])
+        err = capsys.readouterr().err
+        if kind in ENGINE_KINDS[engine]:
+            assert (code, err) == (0, "")
+        else:
+            message = f"error: classical.B has a kind unusable with the {engine!r} engine\n"
+            assert (code, err) == (1, message)
+            assert not (tmp_path / "run.csv").exists()
 
     def test_rho_walk_needs_one_game_letter(self, tmp_path):
         cfg = config_file(
@@ -724,9 +739,11 @@ class TestExitCodes:
             f"import sys; from {module} import {function}; "
             f"sys.argv[0] = 'histwalk'; sys.exit({function}())"
         )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-c", launcher, "--help"],
-            capture_output=True, text=True, check=False,
+            capture_output=True, text=True, check=False, env=env,
         )
         assert result.returncode == 0
         assert "usage:" in result.stdout

@@ -9,49 +9,46 @@ Each of ``ROUNDS`` rounds starts one fresh process per tree, in the order
 given on even rounds and reversed on odd rounds, so host drift hits every
 tree alike.  A process imports ``histwalk`` from ``<tree>/src``, timing that
 first import as the layer ``import`` (one sample per process, taken after
-NumPy is loaded), and then times ``OPS`` ops of each kind.  Sizes, games and
-the ``walk dist`` config file are those of the benchmark's workloads
-(``perfbench/workloads.py``; game A uniform at rho = 0.5, game B drawn from
-``SEED`` in [0.3, 0.7]).  At the size of ``trajectory_m8`` (M=8, T=200,
-pattern ``AAB``):
+NumPy is loaded), and then times ``OPS`` ops of each kind.  It sets up each of
+the benchmark's workloads (``perfbench/workloads.py``) at ``SEED`` and times
+their ops, or calls on the inputs they built (game A uniform at rho = 0.5,
+game B drawn from the seed in [0.3, 0.7]).  With ``trajectory_m8``'s op
+(M=8, T=200, pattern ``AAB``):
 
 * ``step``, ``probabilities`` and ``readout``: the time one ``run_sequence``
   spends in ``_Kernel.step``, ``_Kernel.probabilities`` and ``_readout``
   (defined in ``state``, timed where ``walker`` looks it up), summed over its
   steps, with a timer around each call;
-* ``run_sequence``: the whole call, with no timers inside;
+* ``run_sequence``: the whole op, with no timers inside;
 
-at the size of ``pattern_scan_m3`` (M=3, T=60, every pattern of up to 5
-letters):
+with ``pattern_scan_m3``'s op (M=3, T=60, every pattern of up to 5 letters):
 
 * ``scan_coefficients``: the time one ``scan_sequences`` spends in
   ``_Kernel._coefficients``, summed over its steps;
 * ``scan_readout``: the time it spends reading its chunks out, in
-  ``_readouts`` (defined in ``state``, timed where ``walker`` looks it up), or
-  in ``_readout``, summed over the entries, in trees that read each entry
-  out on its own (before ``BENCH_31.json``);
-* ``scan_sequences``: the whole call, with no timers inside;
+  ``_readouts`` (defined in ``state``, timed where ``walker`` looks it up);
+* ``scan_sequences``: the whole op, with no timers inside;
 
-``sweep_parameter``: the whole call at ``SWEEP`` (M=3, T=1000, game B's
-table with history ``RL`` set to each of 21 points over [0, 1]), which no
+``sweep_parameter``: the whole call at ``SWEEP`` (T=1000, the scan's game B
+with history ``RL`` set to each of 21 points over [0, 1]), which no
 benchmark workload runs, so that a change to the batch loop shows on sweeps
-too; and at the size of
-``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config file):
+too; and with ``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config
+file), whose walk is read from that file as ``walk dist`` reads it:
 
 * ``step_m3``, ``probabilities_m3`` and ``readout_m3``: the time one
-  ``run_sequence`` spends in ``_Kernel.step``, ``_Kernel.probabilities`` and
-  ``_readout``, timed like ``step``;
+  ``run_sequence`` of that walk spends in ``_Kernel.step``,
+  ``_Kernel.probabilities`` and ``_readout``, timed like ``step``;
 * ``run_sequence_m3``: the whole ``run_sequence`` call, with no timers
   inside;
 * ``final_distribution_m3``: the whole ``final_distribution`` call, the
   walk ``walk dist`` reads out, with no timers inside;
 * ``smooth``: the time one ``walk dist`` op spends in
   ``analysis.smooth_distribution``;
-* ``walk_dist``: the whole ``cli.main`` call for ``walk dist`` with
-  ``--peaks`` and ``--emit-plot``, writing into a temporary directory, with
-  no timers inside;
+* ``walk_dist``: the whole op, ``cli.main`` for ``walk dist`` with
+  ``--peaks`` and ``--emit-plot`` writing into a temporary directory, with
+  no timers inside; it raises if the command exits nonzero;
 
-and with the inputs ``ClassicalGames`` builds for ``classical_games`` (sizes
+and with the inputs ``classical_games`` builds (sizes
 ``CLASSICAL``, Parrondo's games ``COIN_P``, ``MOD3`` and ``HISTORY``, and the
 M=8 game B as the chain's table):
 
@@ -66,16 +63,9 @@ M=8 game B as the chain's table):
 * ``mc_chain``: the sampler on the M=8 chain table at the same T and
   trajectory count, whose odds differ from state to state.
 
-Where the walk loops set NumPy's ufunc buffer size once per loop (the
-kernel's ``with`` block), ``step`` and ``step_m3`` leave that cost out;
-where ``_Kernel.step`` sets it on every call, they include it.  The whole
-calls include it in both.
-
 ``readout`` and ``readout_m3`` time ``_readout``, which computes only the
 mean and std: ``run_sequence`` sums each step's band and checks its norm
-outside it, in time that only the whole call counts.  In trees where
-``_readout`` held that sum and check (``BENCH_25.json`` and earlier), the
-two layers timed them too, so do not compare those layers across the split.
+outside it, in time that only the whole call counts.
 
 The ``import`` reading depends on whether the tree holds cached bytecode:
 without ``__pycache__`` files, as when ``PYTHONDONTWRITEBYTECODE=1`` is set,
@@ -99,12 +89,10 @@ trusted on a noisy host.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -115,14 +103,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import (  # noqa: E402
-    CLASSICAL, CLI, SCAN, TRAJECTORY, ClassicalGames, config_text, walk_games,
-)
+from same_bytes import run_child, tree_parser  # noqa: E402
+from workloads import CLASSICAL, CLI, SCAN, TRAJECTORY, WORKLOADS  # noqa: E402
 
 ROUNDS = 10
 OPS = 5
 SEED = 7
-SWEEP = {"M": 3, "T": 1000, "key": "RL", "points": 21}
+SWEEP = {"T": 1000, "key": "RL", "points": 21}
 
 
 def _layered(run, targets, samples: dict[str, list[float]]) -> None:
@@ -176,53 +163,38 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
     always follows the same ones.
     """
     start = time.perf_counter()
-    import histwalk as hw
+    import histwalk  # noqa: F401
 
     samples: dict[str, list[float]] = {"import": [time.perf_counter() - start]}
     import histwalk.analysis as analysis
-    import histwalk.cli as cli
     import histwalk.operators as operators
     import histwalk.walker as walker
+    from histwalk.config import parse_config
 
     kernel = operators._Kernel
-    trajectory_games = walk_games(hw, SEED, TRAJECTORY["M"])
-    initial = walker.build_initial_state(TRAJECTORY["M"], walker.ANTISYMMETRIC, TRAJECTORY["T"])
-
-    def trajectory():
-        walker.run_sequence(initial, trajectory_games, TRAJECTORY["pattern"], TRAJECTORY["T"])
-
-    scan_games = walk_games(hw, SEED, SCAN["M"])
-
-    def scan():
-        walker.scan_sequences(scan_games, SCAN["max_len"], SCAN["M"], SCAN["T"])
-
-    chunk_readout = "_readouts" if hasattr(walker, "_readouts") else "_readout"
-    sweep_table = walk_games(hw, SEED, SWEEP["M"])["B"]
-    sweep_grid = np.linspace(0.0, 1.0, SWEEP["points"])
-    dist_games = walk_games(hw, SEED, CLI["M"])
-    dist_initial = walker.build_initial_state(CLI["M"], walker.ANTISYMMETRIC, CLI["T"])
-
-    def dist_walk():
-        walker.run_sequence(dist_initial, dist_games, CLI["pattern"], CLI["T"])
-
-    def dist_final():
-        walker.final_distribution(dist_initial, dist_games, CLI["pattern"], CLI["T"])
-
     with tempfile.TemporaryDirectory() as temporary:
-        folder = Path(temporary)
-        config = folder / "dist.cfg"
-        config.write_text(config_text(SEED), encoding="utf-8")
-        argv = [
-            "walk", "dist", "--config", str(config), "--out", str(folder / "dist.csv"),
-            "--peaks", str(folder / "peaks.csv"), "--emit-plot", str(folder / "dist.svg"),
-        ]
+        ops = {name: workload(SEED, Path(temporary, name)) for name, workload in WORKLOADS.items()}
+        for workload in ops.values():
+            workload.setup()
+        trajectory, scan = ops["trajectory_m8"].op, ops["pattern_scan_m3"].op
+        games, cli_dist = ops["classical_games"], ops["cli_dist_m3"]
 
         def dist():
-            if cli.main(argv) != 0:
+            if cli_dist.op() != 0:
                 raise RuntimeError("walk dist failed")
 
-        games = ClassicalGames(SEED, folder)
-        games.setup()
+        # The walk that ``walk dist`` reads out, from the workload's config file.
+        config = parse_config(cli_dist.config.read_text(encoding="utf-8"))
+        dist_initial = walker.build_initial_state(config.num_coins, config.initial, config.steps)
+
+        def dist_walk():
+            walker.run_sequence(dist_initial, config.games, config.pattern, config.steps)
+
+        def dist_final():
+            walker.final_distribution(dist_initial, config.games, config.pattern, config.steps)
+
+        sweep_table = ops["pattern_scan_m3"].games["B"]
+        sweep_grid = np.linspace(0.0, 1.0, SWEEP["points"])
         classical = games.classical
         always = {"A": classical.BiasedCoin(1.0), "B": classical.BiasedCoin(1.0)}
         runs = {
@@ -256,7 +228,7 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
             lambda: _layered(
                 scan,
                 [(kernel, "_coefficients", "scan_coefficients"),
-                 (walker, chunk_readout, "scan_readout")],
+                 (walker, "_readouts", "scan_readout")],
                 samples,
             ),
             lambda: _whole(scan, "scan_sequences", samples),
@@ -284,42 +256,27 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
     return samples
 
 
-def _child(tree: str, round_: int) -> dict[str, list[float]]:
-    code = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2]);"
-        "import layer_bench;"
-        "print(json.dumps(layer_bench.measure(int(sys.argv[3]))))"
-    )
-    source = str(Path(tree, "src").resolve())
-    command = [sys.executable, "-c", code, str(Path(__file__).resolve().parent), source,
-               str(round_)]
-    threads = str(len(os.sched_getaffinity(0)))
-    env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
-    env.pop("PYTHONPATH", None)
-    done = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
 def summary(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"p25": q1, "p50": median, "p75": q3, "n": len(values)}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tree", action="append", required=True, metavar="LABEL=PATH",
-        help="a source tree to time (repeat; the first is the base of the ratios)",
+    parser = tree_parser(
+        __doc__, "a source tree to time (repeat; the first is the base of the ratios)"
     )
     parser.add_argument("--out", help="write the result here as JSON (default: stdout only)")
     args = parser.parse_args(argv)
-    trees = dict(item.split("=", 1) for item in args.tree)
+    trees = dict(args.tree)
+    threads = str(len(os.sched_getaffinity(0)))
     # rounds[label][name] holds one list of op times per round.
     rounds: dict[str, dict[str, list[list[float]]]] = {label: {} for label in trees}
     for round_ in range(ROUNDS):
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
         for label in order:
-            for name, values in _child(trees[label], round_).items():
+            timed = run_child("layer_bench", trees[label], round_,
+                              OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            for name, values in timed.items():
                 rounds[label].setdefault(name, []).append(values)
     base = next(iter(trees))
     result = {

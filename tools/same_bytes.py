@@ -268,29 +268,50 @@ def measure(tree: str) -> dict[str, str]:
     return digests
 
 
-def _child(tree: str) -> dict[str, str]:
+def run_child(tool: str, tree: str, arg, **env: str):
+    """``<tool>.measure(arg)`` in a fresh process that imports ``histwalk`` from ``<tree>/src``.
+
+    ``tool`` names a module of this folder.  ``arg`` and the result pass as
+    JSON.  The child's environment is this one with ``env`` added and
+    ``PYTHONPATH`` removed.
+    """
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2]);"
-        "import same_bytes;"
-        "print(json.dumps(same_bytes.measure(sys.argv[3])))"
+        f"import {tool};"
+        f"print(json.dumps({tool}.measure(json.loads(sys.argv[3]))))"
     )
     source = str(Path(tree, "src").resolve())
-    command = [sys.executable, "-c", code, str(Path(__file__).resolve().parent), source, tree]
-    env = dict(os.environ)
+    command = [sys.executable, "-c", code, str(Path(__file__).resolve().parent), source,
+               json.dumps(arg)]
+    env = {**os.environ, **env}
     env.pop("PYTHONPATH", None)
     done = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def _labelled(item: str) -> tuple[str, str]:
+    label, equals, path = item.partition("=")
+    if not equals:
+        raise argparse.ArgumentTypeError(f"expected LABEL=PATH, got {item!r}")
+    return label, path
+
+
+def tree_parser(doc: str, tree_help: str) -> argparse.ArgumentParser:
+    """A parser titled by ``doc``'s first line; ``--tree LABEL=PATH`` gives (label, path) pairs."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument(
-        "--tree", action="append", required=True, metavar="LABEL=PATH",
-        help="a source tree to digest (repeat; the others are compared to the first)",
+        "--tree", action="append", required=True, metavar="LABEL=PATH", type=_labelled,
+        help=tree_help,
     )
-    args = parser.parse_args(argv)
-    trees = dict(item.split("=", 1) for item in args.tree)
-    digests = {label: _child(path) for label, path in trees.items()}
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = tree_parser(
+        __doc__, "a source tree to digest (repeat; the others are compared to the first)"
+    )
+    trees = dict(parser.parse_args(argv).tree)
+    digests = {label: run_child("same_bytes", path, path) for label, path in trees.items()}
     base = next(iter(trees))
     items = list(digests[base]) + sorted(
         {item for found in digests.values() for item in found} - set(digests[base])
