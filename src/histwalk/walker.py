@@ -271,19 +271,15 @@ def _check_scan_size(letters: int, max_len: int) -> None:
     """Raise MemoryLimitError before enumerating a scan whose results cannot fit in memory.
 
     The pattern count ``sum(letters**k for k in 1..max_len)`` is taken in
-    integer arithmetic, stopping once it passes 2**64, which no memory holds.
-    Each pattern is charged :data:`_RESULT_BYTES` plus one byte per letter of
-    the longest key.
+    integer arithmetic.  Each pattern is charged :data:`_RESULT_BYTES` plus
+    one byte per letter of the longest key.
     """
+    # Two or more letters pass 2**64, which no memory holds, by length 64, so
+    # the exponent stops there and a max_len of 10**400 builds no huge power.
     if letters == 1:
         count = max_len
     else:
-        count, power = 0, 1
-        for _ in range(max_len):
-            power *= letters
-            count += power
-            if count > 2**64:
-                break
+        count = letters * (letters ** min(max_len, 64) - 1) // (letters - 1)
     what = f"a scan of {_amount(count)} patterns"
     _check_fits(count * (_RESULT_BYTES + max_len), what, "for its results")
 

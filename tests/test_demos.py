@@ -1,4 +1,4 @@
-"""The demos and README's quick start run, and the package exports what its callers use.
+"""The demos and README's examples run, and the package exports what its callers use.
 
 The exports are the public names that the CLI, the demos, README, the
 benchmark and the acceptance checks use, plus the exceptions public calls
@@ -9,8 +9,10 @@ run it, so a name it imports that the package no longer has fails here.
 """
 
 import ast
+import csv
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import histwalk
+from histwalk import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(histwalk.__file__).resolve().parent.parent
@@ -59,6 +62,57 @@ def test_readme_quick_start_prints_the_losing_and_winning_means(tmp_path):
     alone, mixed = (float(line) for line in result.stdout.splitlines()[:2])
     assert alone == pytest.approx(-0.714, abs=5e-4)
     assert mixed == pytest.approx(0.228, abs=5e-4)
+
+
+def readme_worked_examples():
+    """README's config files and the ``histwalk`` arguments of its "Worked examples".
+
+    ``winning.cfg`` is README's first config block with ``pattern = B``, and
+    ``capital.cfg`` is its second.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    first, second = re.findall(r"```ini\n(.*?)```", text, re.S)[:2]
+    configs = {
+        "winning.cfg": re.sub(r"(?m)^pattern = \w+", "pattern = B", first),
+        "capital.cfg": second,
+    }
+    section = text.split("### Worked examples", 1)[1]
+    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    lines = (shlex.split(line, comments=True) for line in script.splitlines())
+    return configs, [words[1:] for words in lines if words]
+
+
+def csv_rows(text):
+    return list(csv.DictReader(text.splitlines()))
+
+
+def test_readme_worked_examples_show_the_losing_game_and_the_winning_pattern(
+    tmp_path, monkeypatch, capsys
+):
+    configs, commands = readme_worked_examples()
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    printed = {}
+    for words in commands:
+        assert cli.main(words) == 0, words
+        printed[" ".join(words[:2])] = capsys.readouterr().out
+
+    assert round(float(csv_rows(printed["walk run"])[-1]["mean"]), 3) == -0.714
+    scan = csv_rows(printed["walk scan"])
+    assert all(row["positive"] == str(int(float(row["mean"]) > 1e-9)) for row in scan)
+    assert {row["pattern"]: row["positive"] for row in scan}["AAB"] == "1"
+    assert all((tmp_path / name).stat().st_size for name in ("dist.csv", "peaks.csv", "dist.svg"))
+    exact = csv_rows((tmp_path / "exact.csv").read_text(encoding="utf-8"))[-1]
+    sampled = csv_rows((tmp_path / "sampled.csv").read_text(encoding="utf-8"))[-1]
+    error = float(sampled["mean"]) - float(exact["mean"])
+    assert abs(error) <= 5 * float(sampled["stderr"])
+
+
+def test_python_m_histwalk_prints_its_usage(tmp_path):
+    result = run_python(["-m", "histwalk", "--help"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: histwalk")
 
 
 def names_used_from_histwalk(source: str) -> set[str]:

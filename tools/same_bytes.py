@@ -8,33 +8,22 @@ One fresh process per tree, started in the order given, imports
 ``histwalk`` from ``<tree>/src``.  It runs one op of every workload in
 ``perfbench/workloads.py`` (this checkout's, as in ``tools/layer_bench.py``)
 on each seed in ``SEEDS`` and digests its payload with ``workloads.digest``,
-the digest the benchmark's checks compare.  It then runs each of the tree's
-demos (``<tree>/demos/*.py``) as a script in a new temporary directory and
-digests its stdout together with the name and bytes of every file it wrote.
-Last it runs each command of README's "Worked examples" (this checkout's
-README) as ``python -m histwalk`` in a new temporary directory that holds
-the two config files those commands name, and digests its exit code and
-stdout together with the name and bytes of every file in the directory.
-Then it runs each command of ``CONFIG_RUNS`` the same way, from a config
-file it writes itself, and digests its stderr too.  All but one are
-``walk`` commands; one is a Monte Carlo ``classical run`` on the
-``rho-walk`` engine, whose table gives each chain state its own odds.
-Three ``walk`` commands are refused as too large for memory, and their
-message names this host's memory size, so compare trees on one host.
-Eight more are each refused for one config value, so a change can show
-that it kept every refusal's bytes.  ``REFUSAL_RUNS`` adds six refusals of
-the front end's shared rules (pattern letters, output files, empty output
-paths and flag values), each run from its whole argument list.
-A run whose ``start`` is a list of ``(x, register, amplitude)`` entries
-begins there, on a grid three sites wider than its step count: the process
-replaces ``histwalk.cli.build_initial_state`` before it calls
-``histwalk.cli.main``, because no config key names such a start.  The
-positions and probabilities of ``position_distribution(evolve(...))`` are
-digested for each of ``EVOLVE_RUNS``, in the process that ran the
-workloads.  Last it
-runs the Python block under "Library quick start" in the tree's own README
-as ``python -c`` in a new temporary directory and digests its exit code,
-stdout and stderr.
+the digest the benchmark's checks compare.  It digests the positions and
+probabilities of ``position_distribution(evolve(...))`` for each of
+``EVOLVE_RUNS`` in the same process.
+
+Every other item is a subprocess run, one entry of :func:`_subprocess_items`:
+``(item name, files to write, arguments after the interpreter, what is
+digested)``.  Each runs as ``[sys.executable, *arguments]`` with
+``PYTHONPATH=<tree>/src`` in a new temporary directory holding its files,
+and its digest covers the text named by the last field (a template over the
+exit code, stdout and stderr) and the name and bytes of every file in the
+directory afterwards.  The entries are the tree's demos, each command of
+README's "Worked examples" (this checkout's README) run as ``-m histwalk``,
+``CONFIG_RUNS`` and ``REFUSAL_RUNS`` run through ``_START_MAIN`` and the
+Python block under "Library quick start" in the tree's own README.  Three
+``CONFIG_RUNS`` are refused as too large for memory, and their message
+names this host's memory size, so compare trees on one host.
 
 The script prints one table, a row per item and a column per tree, and
 exits 1 if any tree's digest of an item differs from the first tree's or is
@@ -158,6 +147,9 @@ EVOLVE_RUNS = [
     ("M=5, start on both parities", 5, 60, CONFIG_RUNS[1][3]),
 ]
 
+#: ``histwalk.cli.main`` on ``sys.argv[2:]``.  A run with a custom start (the
+#: repr of its entries in ``sys.argv[1]``) begins there, on a grid three sites
+#: wider than its step count, because no config key names such a start.
 _START_MAIN = """
 import ast, sys
 import histwalk.cli as cli
@@ -168,35 +160,51 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def _folder_digest(folder: Path, stdout: str) -> str:
-    """sha256 of ``stdout`` and of the relative name and bytes of every file under ``folder``."""
-    hasher = hashlib.sha256(stdout.encode())
+def _folder_digest(folder: Path, text: str) -> str:
+    """sha256 of ``text`` and of the relative name and bytes of every file under ``folder``."""
+    hasher = hashlib.sha256(text.encode())
     for path in sorted(p for p in folder.rglob("*") if p.is_file()):
         hasher.update(b"\0" + str(path.relative_to(folder)).encode() + b"\0")
         hasher.update(path.read_bytes())
     return hasher.hexdigest()
 
 
-def _worked_examples() -> tuple[dict[str, str], list[list[str]]]:
-    """The config files and ``histwalk`` arguments of README's "Worked examples".
+def _subprocess_items(tree: str) -> list[tuple[str, dict[str, str], list[str], str]]:
+    """Every subprocess item of ``tree``: name, files, arguments after the interpreter, digest text.
 
-    ``winning.cfg`` is README's first config block with ``pattern = B``, and
-    ``capital.cfg`` is its second.
+    The digest text is a template over ``exit``, ``stdout`` and ``stderr``.
+    The worked examples run in a directory holding ``winning.cfg``, README's
+    first config block with ``pattern = B``, and ``capital.cfg``, its second.
     """
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    first, second = re.findall(r"```ini\n(.*?)```", text, re.S)[:2]
+    checkout = (ROOT / "README.md").read_text(encoding="utf-8")
+    first, second = re.findall(r"```ini\n(.*?)```", checkout, re.S)[:2]
     configs = {
         "winning.cfg": re.sub(r"(?m)^pattern = \w+", "pattern = B", first),
         "capital.cfg": second,
     }
-    section = text.split("### Worked examples", 1)[1]
+    section = checkout.split("### Worked examples", 1)[1]
     script = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
     lines = (shlex.split(line, comments=True) for line in script.splitlines())
-    return configs, [words[1:] for words in lines if words]
+    commands = [words[1:] for words in lines if words]
+    own = Path(tree, "README.md").read_text(encoding="utf-8")
+    quick_start = re.search(r"## Library quick start\n.*?```python\n(.*?)```", own, re.S)
+    everything = "exit {exit}\n{stdout}\0{stderr}"
+    return (
+        [(f"demo {demo.stem}", {}, [str(demo)], "{stdout}")
+         for demo in sorted(Path(tree, "demos").resolve().glob("*.py"))]
+        + [(f"cli {' '.join(words)}", configs, ["-m", "histwalk", *words], "exit {exit}\n{stdout}")
+           for words in commands]
+        + [(f"{group} {command} {label}", {"run.cfg": config},
+            ["-c", _START_MAIN, repr(start), group, command, "--config", "run.cfg", *words],
+            everything) for label, config, (group, command, *words), start in CONFIG_RUNS]
+        + [(f"refused: {label}", {"run.cfg": config}, ["-c", _START_MAIN, "None", *argv],
+            everything) for label, config, argv in REFUSAL_RUNS]
+        + [("README quick start", {}, ["-c", quick_start.group(1)], everything)]
+    )
 
 
 def measure(tree: str) -> dict[str, str]:
-    """Digest of every workload payload, demo output, worked example and quick start of ``tree``.
+    """Digest of every workload payload, ``EVOLVE_RUNS`` entry and subprocess item of ``tree``.
 
     ``histwalk`` must already import from ``<tree>/src``.
     """
@@ -221,50 +229,19 @@ def measure(tree: str) -> dict[str, str]:
         hasher.update(dist.probabilities.tobytes())
         digests[f"evolve {label}"] = hasher.hexdigest()
     env = {**os.environ, "PYTHONPATH": str(source)}
-    for demo in sorted(Path(tree, "demos").resolve().glob("*.py")):
+    for item, files, argv, shown in _subprocess_items(tree):
         with tempfile.TemporaryDirectory() as temporary:
-            done = subprocess.run(
-                [sys.executable, str(demo)], cwd=temporary, env=env,
-                capture_output=True, text=True, check=True,
-            )
-            digests[f"demo {demo.stem}"] = _folder_digest(Path(temporary), done.stdout)
-    configs, commands = _worked_examples()
-    for words in commands:
-        with tempfile.TemporaryDirectory() as temporary:
-            for name, text in configs.items():
+            for name, text in files.items():
                 Path(temporary, name).write_text(text, encoding="utf-8")
             done = subprocess.run(
-                [sys.executable, "-m", "histwalk", *words], cwd=temporary, env=env,
-                capture_output=True, text=True,
+                [sys.executable, *argv], cwd=temporary, env=env, capture_output=True, text=True
             )
-            digests[f"cli {' '.join(words)}"] = _folder_digest(
-                Path(temporary), f"exit {done.returncode}\n{done.stdout}"
-            )
-    runs = [
-        (f"{group} {command} {label}", config, [group, command, "--config", "run.cfg", *words],
-         start)
-        for label, config, (group, command, *words), start in CONFIG_RUNS
-    ] + [(f"refused: {label}", config, argv, None) for label, config, argv in REFUSAL_RUNS]
-    for item, config, argv, start in runs:
-        with tempfile.TemporaryDirectory() as temporary:
-            Path(temporary, "run.cfg").write_text(config, encoding="utf-8")
-            done = subprocess.run(
-                [sys.executable, "-c", _START_MAIN, repr(start), *argv],
-                cwd=temporary, env=env, capture_output=True, text=True,
-            )
+            if "{exit}" not in shown:  # a digest blind to the exit code must not hide a failure
+                done.check_returncode()
             digests[item] = _folder_digest(
-                Path(temporary), f"exit {done.returncode}\n{done.stdout}\0{done.stderr}"
+                Path(temporary),
+                shown.format(exit=done.returncode, stdout=done.stdout, stderr=done.stderr),
             )
-    readme = Path(tree, "README.md").read_text(encoding="utf-8")
-    quick_start = re.search(r"## Library quick start\n.*?```python\n(.*?)```", readme, re.S)
-    with tempfile.TemporaryDirectory() as temporary:
-        done = subprocess.run(
-            [sys.executable, "-c", quick_start.group(1)], cwd=temporary, env=env,
-            capture_output=True, text=True,
-        )
-        digests["README quick start"] = _folder_digest(
-            Path(temporary), f"exit {done.returncode}\n{done.stdout}\0{done.stderr}"
-        )
     return digests
 
 
