@@ -179,7 +179,7 @@ def _build_games(raw: _Raw, num_coins: int | None) -> dict[str, HistoryRhoTable]
 
 def _build_classical(raw: _Raw) -> dict:
     by_letter: dict[str, dict[str, str]] = {}
-    for key in [k for k in raw.values if k.startswith("classical.") and k != "classical.engine"]:
+    for key in [k for k in raw.values if k.startswith("classical.")]:
         match = _CLASSICAL_KEY.match(key)
         if match is None:
             raise ConfigError(f"unknown key {_echo(repr(key))}{raw.where(key)}")

@@ -9,63 +9,16 @@ Each of ``ROUNDS`` rounds starts one fresh process per tree, in the order
 given on even rounds and reversed on odd rounds, so host drift hits every
 tree alike.  A process imports ``histwalk`` from ``<tree>/src``, timing that
 first import as the layer ``import`` (one sample per process, taken after
-NumPy is loaded), and then times ``OPS`` ops of each kind.  It sets up each of
-the benchmark's workloads (``perfbench/workloads.py``) at ``SEED`` and times
-their ops, or calls on the inputs they built (game A uniform at rho = 0.5,
-game B drawn from the seed in [0.3, 0.7]).  With ``trajectory_m8``'s op
-(M=8, T=200, pattern ``AAB``):
-
-* ``step``, ``probabilities`` and ``readout``: the time one ``run_sequence``
-  spends in ``_Kernel.step``, ``_Kernel.probabilities`` and ``_readout``
-  (defined in ``state``, timed where ``walker`` looks it up), summed over its
-  steps, with a timer around each call;
-* ``run_sequence``: the whole op, with no timers inside;
-
-with ``pattern_scan_m3``'s op (M=3, T=60, every pattern of up to 5 letters):
-
-* ``scan_coefficients``: the time one ``scan_sequences`` spends in
-  ``_Kernel._coefficients``, summed over its steps;
-* ``scan_readout``: the time it spends reading its chunks out, in
-  ``_readouts`` (defined in ``state``, timed where ``walker`` looks it up);
-* ``scan_sequences``: the whole op, with no timers inside;
-
-``sweep_parameter``: the whole call at ``SWEEP`` (T=1000, the scan's game B
-with history ``RL`` set to each of 21 points over [0, 1]), which no
-benchmark workload runs, so that a change to the batch loop shows on sweeps
-too; and with ``cli_dist_m3`` (M=3, T=1000, pattern ``AAB``, its config
-file), whose walk is read from that file as ``walk dist`` reads it:
-
-* ``step_m3``, ``probabilities_m3`` and ``readout_m3``: the time one
-  ``run_sequence`` of that walk spends in ``_Kernel.step``,
-  ``_Kernel.probabilities`` and ``_readout``, timed like ``step``;
-* ``run_sequence_m3``: the whole ``run_sequence`` call, with no timers
-  inside;
-* ``final_distribution_m3``: the whole ``final_distribution`` call, the
-  walk ``walk dist`` reads out, with no timers inside;
-* ``smooth``: the time one ``walk dist`` op spends in
-  ``analysis.smooth_distribution``;
-* ``walk_dist``: the whole op, ``cli.main`` for ``walk dist`` with
-  ``--peaks`` and ``--emit-plot`` writing into a temporary directory, with
-  no timers inside; it raises if the command exits nonzero;
-
-and with the inputs ``classical_games`` builds (sizes
-``CLASSICAL``, Parrondo's games ``COIN_P``, ``MOD3`` and ``HISTORY``, and the
-M=8 game B as the chain's table):
-
-* ``classical_games``: the benchmark's whole op, exact calls and Monte Carlo;
-* ``capital``, ``history`` and ``chain``: one whole exact call each, the
-  calls the benchmark's ``classical.capital/history/chain`` spans time;
-* ``capital_never_repeats``: the exact capital call at the same T with two
-  coins that always win, whose distribution never repeats one pattern period
-  later, so the exact loop steps every time;
-* ``mc``: the Monte Carlo call of the op, the ``classical.mc`` span, whose
-  game A has the same odds in every state;
-* ``mc_chain``: the sampler on the M=8 chain table at the same T and
-  trajectory count, whose odds differ from state to state.
-
-``readout`` and ``readout_m3`` time ``_readout``, which computes only the
-mean and std: ``run_sequence`` sums each step's band and checks its norm
-outside it, in time that only the whole call counts.
+NumPy is loaded).  It then sets up each of the benchmark's workloads
+(``perfbench/workloads.py``) at ``SEED`` and runs the entries of one list in
+:func:`measure`, each ``(what runs, what is timed)``.  What runs is a
+workload's op or a call on the inputs its setup built.  What is timed is a
+layer name, which times the whole call with no timers inside, or a dict
+``{layer: (owner, attribute)}``, which sums the time spent in that
+attribute's calls inside the op, with a timer around each call; the
+attribute is patched where the caller looks it up and restored afterwards.
+Every entry runs once to warm caches and then ``OPS`` times, one sample per
+layer per op.
 
 The ``import`` reading depends on whether the tree holds cached bytecode:
 without ``__pycache__`` files, as when ``PYTHONDONTWRITEBYTECODE=1`` is set,
@@ -74,10 +27,10 @@ Python 3.11 and NumPy 2.4, ``import histwalk`` after ``numpy`` took 28-53 ms
 with no ``.pyc`` files and 12-22 ms with them (9 fresh processes for each of
 two trees), so compare trees only in the same state.
 
-A process runs these timings in the order listed, rotated left by its round
-number: round 0 starts with ``step``, round 1 with ``run_sequence``, and so
-on; both trees of a round run the same order.  In a fixed order a layer's
-reading can carry the cost of what always ran before it.
+A process runs the list rotated left by its round number: round 0 starts
+with its first entry, round 1 with its second, and so on; both trees of a
+round run the same order.  In a fixed order a layer's reading can carry the
+cost of what always ran before it.
 
 Times are wall-clock seconds per op.  The output gives each tree's median
 and quartiles over every op of every round.  For each tree after the first
@@ -112,15 +65,18 @@ SEED = 7
 SWEEP = {"T": 1000, "key": "RL", "points": 21}
 
 
-def _layered(run, targets, samples: dict[str, list[float]]) -> None:
-    """Time ``OPS`` calls of ``run``, with a timer around every call of each target.
+def _time(run, timed, samples: dict[str, list[float]]) -> None:
+    """Append to ``samples`` one sample per layer for each of ``OPS`` calls of ``run``.
 
-    ``targets`` holds ``(owner, attribute, layer)`` triples; each op appends
-    its summed seconds per layer to ``samples[layer]``.
+    ``timed`` is a layer name, whose sample is the whole call, or a dict
+    ``{layer: (owner, attribute)}``, whose samples are the seconds spent in
+    each attribute's calls, summed over the call.
     """
-    spent = {layer: 0.0 for _, _, layer in targets}
+    targets = timed if isinstance(timed, dict) else {}
+    spent = dict.fromkeys(targets, 0.0)
+    originals = {layer: getattr(owner, attr) for layer, (owner, attr) in targets.items()}
 
-    def timed(layer, function):
+    def wrapped(layer, function):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             try:
@@ -130,37 +86,30 @@ def _layered(run, targets, samples: dict[str, list[float]]) -> None:
 
         return wrapper
 
-    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in targets]
-    for (owner, attr, function), (_, _, layer) in zip(originals, targets):
-        setattr(owner, attr, timed(layer, function))
+    for layer, (owner, attr) in targets.items():
+        setattr(owner, attr, wrapped(layer, originals[layer]))
     try:
         run()  # warm caches and lazy imports
         for _ in range(OPS):
             spent.update(dict.fromkeys(spent, 0.0))
+            start = time.perf_counter()
             run()
+            if not targets:
+                spent[timed] = time.perf_counter() - start
             for layer, seconds in spent.items():
                 samples.setdefault(layer, []).append(seconds)
     finally:
-        for owner, attr, function in originals:
-            setattr(owner, attr, function)
-
-
-def _whole(run, name: str, samples: dict[str, list[float]]) -> None:
-    """Time ``OPS`` calls of ``run`` with no timers inside."""
-    run()
-    for _ in range(OPS):
-        start = time.perf_counter()
-        run()
-        samples.setdefault(name, []).append(time.perf_counter() - start)
+        for layer, (owner, attr) in targets.items():
+            setattr(owner, attr, originals[layer])
 
 
 def measure(round_: int = 0) -> dict[str, list[float]]:
     """Per-op seconds of every layer and call in the tree ``histwalk`` imports from.
 
     The first ``import histwalk`` is timed before anything else, as
-    ``import``.  The other timings run in the order listed in the module
-    docstring, rotated left by ``round_`` places, so across rounds no layer
-    always follows the same ones.
+    ``import``.  The entries of ``timings`` run in their order rotated left
+    by ``round_`` places, so across rounds no layer always follows the same
+    ones.
     """
     start = time.perf_counter()
     import histwalk  # noqa: F401
@@ -178,6 +127,7 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
             workload.setup()
         trajectory, scan = ops["trajectory_m8"].op, ops["pattern_scan_m3"].op
         games, cli_dist = ops["classical_games"], ops["cli_dist_m3"]
+        classical = games.classical
 
         def dist():
             if cli_dist.op() != 0:
@@ -185,74 +135,59 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
 
         # The walk that ``walk dist`` reads out, from the workload's config file.
         config = parse_config(cli_dist.config.read_text(encoding="utf-8"))
-        dist_initial = walker.build_initial_state(config.num_coins, config.initial, config.steps)
-
-        def dist_walk():
-            walker.run_sequence(dist_initial, config.games, config.pattern, config.steps)
-
-        def dist_final():
-            walker.final_distribution(dist_initial, config.games, config.pattern, config.steps)
-
-        sweep_table = ops["pattern_scan_m3"].games["B"]
-        sweep_grid = np.linspace(0.0, 1.0, SWEEP["points"])
-        classical = games.classical
+        walk = (walker.build_initial_state(config.num_coins, config.initial, config.steps),
+                config.games, config.pattern, config.steps)
+        sweep = (ops["pattern_scan_m3"].games["B"], SWEEP["key"],
+                 np.linspace(0.0, 1.0, SWEEP["points"]), SWEEP["T"])
         always = {"A": classical.BiasedCoin(1.0), "B": classical.BiasedCoin(1.0)}
-        runs = {
-            "classical_games": games.op,
-            "capital": lambda: classical.capital_game_trajectory(
-                games.capital_games, "AB", CLASSICAL["capital_T"]
-            ),
-            "history": lambda: classical.history_mix_trajectory(
-                games.history_games, "AB", CLASSICAL["history_T"]
-            ),
-            "chain": lambda: classical.classical_mean_trajectory(
-                games.chain_table, CLASSICAL["chain_T"]
-            ),
-            "capital_never_repeats":
-                lambda: classical.capital_game_trajectory(always, "AB", CLASSICAL["capital_T"]),
-            "mc": lambda: classical.monte_carlo_trajectory(
-                games.capital_games, "AB", CLASSICAL["mc_T"], CLASSICAL["mc_N"], games.mc_seed
-            ),
-            "mc_chain": lambda: classical.monte_carlo_trajectory(
-                games.chain_table, None, CLASSICAL["mc_T"], CLASSICAL["mc_N"], games.mc_seed
-            ),
-        }
+        mc = (CLASSICAL["mc_T"], CLASSICAL["mc_N"], games.mc_seed)
         timings = [
-            lambda: _layered(
-                trajectory,
-                [(kernel, "step", "step"), (kernel, "probabilities", "probabilities"),
-                 (walker, "_readout", "readout")],
-                samples,
-            ),
-            lambda: _whole(trajectory, "run_sequence", samples),
-            lambda: _layered(
-                scan,
-                [(kernel, "_coefficients", "scan_coefficients"),
-                 (walker, "_readouts", "scan_readout")],
-                samples,
-            ),
-            lambda: _whole(scan, "scan_sequences", samples),
-            lambda: _whole(
-                lambda: walker.sweep_parameter(sweep_table, SWEEP["key"], sweep_grid, SWEEP["T"]),
-                "sweep_parameter",
-                samples,
-            ),
-            lambda: _layered(
-                dist_walk,
-                [(kernel, "step", "step_m3"), (kernel, "probabilities", "probabilities_m3"),
-                 (walker, "_readout", "readout_m3")],
-                samples,
-            ),
-            lambda: _whole(dist_walk, "run_sequence_m3", samples),
-            lambda: _whole(dist_final, "final_distribution_m3", samples),
-            lambda: _layered(dist, [(analysis, "smooth_distribution", "smooth")], samples),
-            lambda: _whole(dist, "walk_dist", samples),
+            # trajectory_m8 (M=8, T=200): ``_readout`` is the mean and std only.
+            (trajectory, {"step": (kernel, "step"), "probabilities": (kernel, "probabilities"),
+                          "readout": (walker, "_readout")}),
+            # trajectory_m8's whole op.
+            (trajectory, "run_sequence"),
+            # pattern_scan_m3 (M=3, T=60): gathers, per-step norm sums, chunk readouts.
+            (scan, {"scan_coefficients": (kernel, "_coefficients"),
+                    "scan_readout": (walker, "_readouts"), "scan_norms": (kernel, "norms")}),
+            # pattern_scan_m3's whole op.
+            (scan, "scan_sequences"),
+            # A sweep (T=1000, 21 points), which no workload runs: batch-loop costs on sweeps.
+            (lambda: walker.sweep_parameter(*sweep), "sweep_parameter"),
+            # The *_m3 walks show M=3's per-step fixed costs at cli_dist_m3's size.
+            (lambda: walker.run_sequence(*walk),
+             {"step_m3": (kernel, "step"), "probabilities_m3": (kernel, "probabilities"),
+              "readout_m3": (walker, "_readout")}),
+            # The same walk, whole.
+            (lambda: walker.run_sequence(*walk), "run_sequence_m3"),
+            # The walk as ``walk dist`` reads it out, once at the end.
+            (lambda: walker.final_distribution(*walk), "final_distribution_m3"),
+            # cli_dist_m3's op (``walk dist --peaks --emit-plot``): its smoothing.
+            (dist, {"smooth": (analysis, "smooth_distribution")}),
+            # cli_dist_m3's whole op.
+            (dist, "walk_dist"),
+            # classical_games' whole op, exact calls and Monte Carlo.
+            (games.op, "classical_games"),
+            # The op's exact capital call, the ``classical.capital`` span.
+            (lambda: classical.capital_game_trajectory(
+                games.capital_games, "AB", CLASSICAL["capital_T"]), "capital"),
+            # The op's exact history call, the ``classical.history`` span.
+            (lambda: classical.history_mix_trajectory(
+                games.history_games, "AB", CLASSICAL["history_T"]), "history"),
+            # The op's exact chain call, the ``classical.chain`` span.
+            (lambda: classical.classical_mean_trajectory(
+                games.chain_table, CLASSICAL["chain_T"]), "chain"),
+            # Coins that always win never repeat a period: prices the repeat check.
+            (lambda: classical.capital_game_trajectory(always, "AB", CLASSICAL["capital_T"]),
+             "capital_never_repeats"),
+            # The op's Monte Carlo call, whose game A has the same odds in every state.
+            (lambda: classical.monte_carlo_trajectory(games.capital_games, "AB", *mc), "mc"),
+            # The sampler on the M=8 chain table, whose odds vary by state.
+            (lambda: classical.monte_carlo_trajectory(games.chain_table, None, *mc), "mc_chain"),
         ]
-        timings += [lambda name=name, run=run: _whole(run, name, samples)
-                    for name, run in runs.items()]
         shift = round_ % len(timings)
-        for timing in timings[shift:] + timings[:shift]:
-            timing()
+        for run, timed in timings[shift:] + timings[:shift]:
+            _time(run, timed, samples)
     return samples
 
 
