@@ -90,22 +90,17 @@ def find_peaks(dist: ProbabilityDistribution, prominence_fraction: float) -> Pea
     _check_prominence(prominence_fraction)
     _check_single_parity(dist)
     p = dist.probabilities
-    n = p.size
     top = float(p.max())
     if top <= 0.0:
         raise ValueError("distribution has no probability mass")
     floor = prominence_fraction * top
-    peaks: list[tuple[int, float]] = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and p[j + 1] == p[i]:
-            j += 1
-        rises_left = i == 0 or p[i - 1] < p[i]
-        falls_right = j == n - 1 or p[j + 1] < p[i]
-        if rises_left and falls_right and p[i] >= floor:
-            peaks.append((int(dist.positions[i]), float(p[i])))
-        i = j + 1
+    # Runs of equal values, each from an index where p changes; a run is a
+    # peak if it is higher than the runs beside it (-inf beyond an edge).
+    starts = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+    heights = p[starts]
+    beside = np.concatenate(([-np.inf], heights, [-np.inf]))
+    peak = (beside[:-2] < heights) & (heights > beside[2:]) & (heights >= floor)
+    peaks = zip(dist.positions[starts[peak]].tolist(), heights[peak].tolist())
     return PeakReport(tuple(peaks))
 
 

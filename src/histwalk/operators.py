@@ -309,10 +309,11 @@ class _Kernel:
       so a single walk, whose period is its pattern's length, gathers once,
       and a scan's period of many phases is gathered a few blocks at a time,
       each block again when its phases come round.
-    * Each buffer's views are built once: the source axes, the destination
-      axes and the float view that :meth:`probabilities` and :meth:`norms`
-      sum.  They swap with the buffers, so a step only slices them, and the
-      band is worked out once per step.
+    * Each buffer's views are built once: its L and R source halves, its L
+      and R destination halves and the float view that :meth:`probabilities`
+      and :meth:`norms` sum.  They swap with the buffers, so a step only
+      slices each half to the band, and the band is worked out once per
+      step.
     * The step's six ufunc calls copy their strided operands through NumPy's
       ufunc buffers.  Used as a context manager, the kernel sets them to
       ``_STEP_BUFSIZE`` elements, which stay in cache, for the whole loop of
@@ -361,21 +362,23 @@ class _Kernel:
             row = (first + self.parity + sigma) // 2
             self.psi[:, sigma, :, row : row + len(rows)] = rows.T
         self.spare = np.zeros_like(self.psi)
-        self.scratch = np.empty(self.psi.size // 2, complex)  # one half, one product
+        # One half, one product.  A step reshapes its front to the band, so
+        # the product is contiguous: over a scan's many short rows the two
+        # ufunc calls on it ran 1.3x faster than on a band slice of a half.
+        self.scratch = np.empty(self.psi.size // 2, complex)
         self.views, self.spare_views = self._views(self.psi), self._views(self.spare)
         self.band = self._band()
 
-    def _views(self, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Source axes: entries and sublattices, history, retossed result,
-        # compact rows.  The destination puts the new result before the
-        # history, which rotates the register.  Then the float view, whose
-        # last axis holds each row's real and imaginary parts.
+    def _views(self, buffer: np.ndarray) -> tuple[np.ndarray, ...]:
+        # The L and R source halves, axes (entries and sublattices, history,
+        # compact rows): the columns whose retossed result is L or R.  The
+        # L and R destination halves, with the same axes: the columns whose
+        # new result is L or R, which sits before the history and so
+        # rotates the register.  Then the float view, whose last axis holds
+        # each row's real and imaginary parts.
         half, rows = 1 << (self.num_coins - 1), self.t_max + 2
-        return (
-            buffer.reshape(-1, half, 2, rows),
-            buffer.reshape(-1, 2, half, rows),
-            buffer.view(float),
-        )
+        src, dst = buffer.reshape(-1, half, 2, rows), buffer.reshape(-1, 2, half, rows)
+        return src[:, :, 0], src[:, :, 1], dst[:, 0], dst[:, 1], buffer.view(float)
 
     def __enter__(self) -> "_Kernel":
         self.caller_bufsize = np.setbufsize(_STEP_BUFSIZE)
@@ -428,13 +431,16 @@ class _Kernel:
 
     def step(self) -> None:
         """Play every entry's next table: retoss, move, rotate."""
+        # tools/layer_bench.py times step, _coefficients and norms by patching
+        # them, so each stays a method that the loops call.
         keep, flip = self._coefficients()
         e = self.parity
         a, b = self.band
-        src, dst = self.views[0], self.spare_views[1]
-        old_l, old_r = src[:, :, 0, a:b], src[:, :, 1, a:b]
+        src_l, src_r, _, _, _ = self.views
+        _, _, dst_l, dst_r, _ = self.spare_views
+        old_l, old_r = src_l[:, :, a:b], src_r[:, :, a:b]
         # The L half moves down e rows, the R half up 1 - e rows.
-        new_l, new_r = dst[:, 0, :, a - e : b - e], dst[:, 1, :, a + 1 - e : b + 1 - e]
+        new_l, new_r = dst_l[:, :, a - e : b - e], dst_r[:, :, a + 1 - e : b + 1 - e]
         tmp = self.scratch[: old_l.size].reshape(old_l.shape)
         np.multiply(keep, old_l, out=new_l)
         np.multiply(flip, old_r, out=tmp)
@@ -446,14 +452,13 @@ class _Kernel:
         # 0 and t_max + 1 of sublattice e.
         sublattices = self.psi.shape[1]
         if e < sublattices and (self.lo == 0 or self.hi == self.rows):
-            edge = dst[e::sublattices]
-            if (self.lo == 0 and edge[:, 0, :, 0].any()) or (
-                self.hi == self.rows and edge[:, 1, :, -1].any()
+            if (self.lo == 0 and dst_l[e::sublattices, :, 0].any()) or (
+                self.hi == self.rows and dst_r[e::sublattices, :, -1].any()
             ):
                 raise HorizonError(_HORIZON_MESSAGE)
         # The one row of each half inside the new band that was not written.
-        dst[:, 0, :, b - e] = 0
-        dst[:, 1, :, a - e] = 0
+        dst_l[:, :, b - e] = 0
+        dst_r[:, :, a - e] = 0
         self.lo, self.hi = max(self.lo - 1, 0), min(self.hi + 1, self.rows)
         self.psi, self.spare = self.spare, self.psi
         self.views, self.spare_views = self.spare_views, self.views
@@ -464,7 +469,7 @@ class _Kernel:
     def norms(self) -> np.ndarray:
         """Squared norm of every entry, summed over the band in no set order."""
         a, b = self.band
-        band = self.views[2][..., 2 * a : 2 * b]
+        band = self.views[4][..., 2 * a : 2 * b]
         return np.einsum("bscr,bscr->b", band, band)
 
     def probabilities(self) -> tuple[int, int, np.ndarray]:
@@ -479,7 +484,7 @@ class _Kernel:
         its value for the full-grid :meth:`state` bit for bit.
         """
         a, b = self.band
-        p = _register_probabilities(self.views[2][..., 2 * a : 2 * b])
+        p = _register_probabilities(self.views[4][..., 2 * a : 2 * b])
         first = 2 * a - self.parity  # grid row of sublattice 0's compact row a
         if p.shape[1] == 1:
             return first, 2, p[:, 0]

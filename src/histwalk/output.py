@@ -20,21 +20,34 @@ __all__ = ["format_value", "write_csv", "read_csv_columns", "emit_svg_plot"]
 
 
 def format_value(value) -> str:
-    """Render one CSV cell: strings pass through, integers stay integers."""
-    if isinstance(value, str):
+    """Render one CSV cell: strings pass through, integers and booleans stay integers.
+
+    Anything else is a number in fixed point with 12 decimals; anything that
+    rounds to zero is written ``0.000000000000``.
+    """
+    if isinstance(value, float):  # np.float64 too; the common cells come first
+        text = f"{value:.12f}"
+    elif type(value) is int:  # not a bool
+        return str(value)
+    elif isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    elif isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
-    text = f"{float(value):.12f}"
+    else:
+        text = f"{float(value):.12f}"
     if text == "-0.000000000000":
-        return text[1:]  # anything rounding to zero gets one spelling
+        return text[1:]
     return text
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], path=None) -> None:
-    """Write one header row plus data rows; LF endings, UTF-8, stdout if no path."""
+    """Write one header row plus data rows; LF endings, UTF-8, stdout if no path.
+
+    Cells of Python ``int`` and ``float`` (``.tolist()`` columns) are the
+    fastest to format.  ``perfbench/tracer.py`` binds ``path`` by name.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(format_value, row)) for row in rows)
     payload = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(payload)
@@ -112,6 +125,7 @@ def emit_svg_plot(csv_paths: Sequence, out_path, style: str = "line") -> None:
     come from the first file's header.  Both are written as XML text, with
     ``&``, ``<`` and ``>`` escaped.  ``style`` is ``"line"`` or
     ``"scatter"``.  Nothing is written if any input is malformed.
+    ``perfbench/tracer.py`` binds ``out_path`` by name.
     """
     if style not in _STYLES:
         raise ValueError(f"style must be {' or '.join(map(repr, _STYLES))}, got {style!r}")
@@ -126,12 +140,6 @@ def emit_svg_plot(csv_paths: Sequence, out_path, style: str = "line") -> None:
     y_lo, y_hi = _bounds([y for _, _, _, ys in series for y in ys])
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM
-
-    def sx(x: float) -> float:
-        return _LEFT + (x - x_lo) * plot_w / (x_hi - x_lo)
-
-    def sy(y: float) -> float:
-        return _TOP + (y_hi - y) * plot_h / (y_hi - y_lo)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -166,17 +174,25 @@ def emit_svg_plot(csv_paths: Sequence, out_path, style: str = "line") -> None:
     )
     for idx, (name, _, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
+        # Pixel coordinates, x then y of each point, by the operations of
+        # _LEFT + (x - x_lo) * plot_w / (x_hi - x_lo) and
+        # _TOP + (y_hi - y) * plot_h / (y_hi - y_lo) in that order: the bits
+        # of those formulas on Python floats, inf and nan included, unwarned.
+        with np.errstate(all="ignore"):
+            pixels = np.column_stack((
+                _LEFT + (np.array(xs) - x_lo) * plot_w / (x_hi - x_lo),
+                _TOP + (y_hi - np.array(ys)) * plot_h / (y_hi - y_lo),
+            ))
+        coordinates = tuple(pixels.ravel().tolist())
         if style == "line":
-            points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+            points = " ".join(["%.2f,%.2f"] * len(xs)) % coordinates
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{points}"/>\n'
             )
         else:
-            parts.extend(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>\n'
-                for x, y in zip(xs, ys)
-            )
+            circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>\n'
+            parts.append(circle * len(xs) % coordinates)
         ly = _TOP + 14 + 18 * idx
         parts.append(
             f'<rect x="{_WIDTH - _RIGHT + 12}" y="{ly - 9}" width="14" height="10" '

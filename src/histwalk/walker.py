@@ -259,7 +259,9 @@ def _stepped(initial: WalkState, schedules, steps: int, first_entry: int | None 
             if step:
                 kernel.step()
             if first_entry is None:
-                _check_norm(math.sqrt(kernel.norms()[0]), step)
+                norm = math.sqrt(kernel.norms()[0])
+                if not abs(norm - 1.0) <= 1e-9:  # _check_norm's test, inline in the hot loop
+                    _check_norm(norm, step)
             else:
                 norms = np.sqrt(kernel.norms())
                 worst = int(np.argmax(np.abs(norms - 1.0)))

@@ -12,7 +12,9 @@ R = 1).  The two exceptions read the package's chain tables so that their
 outputs can be compared bit for bit: :func:`exact_means_every_step`, the
 exact classical loop without its early stop, and
 :func:`sampled_means_allocating`, the seeded sampler with a fresh array for
-every intermediate.
+every intermediate.  :func:`peaks_by_scan` and :func:`svg_series_by_points`
+are the package's earlier per-run and per-point loops, kept as oracles for
+the array passes that replaced them.
 """
 
 from __future__ import annotations
@@ -309,6 +311,67 @@ def smooth_by_points(probabilities: np.ndarray, window: int) -> np.ndarray:
         k = min(half, i, n - 1 - i)
         out[i] = p[i - k : i + k + 1].mean()
     return out / out.sum()
+
+
+def peaks_by_scan(positions, probabilities, prominence_fraction: float) -> list[tuple[int, float]]:
+    """Peaks of a distribution, found by walking its runs of equal values one by one.
+
+    A run is reported, at its first point, when the points just outside it
+    are lower (or absent, at an edge) and its value is at least
+    ``prominence_fraction`` of the maximum.  This is the peak finder's loop
+    before it became one array pass; ``find_peaks`` must return these pairs,
+    with these Python types.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    n = p.size
+    floor = prominence_fraction * float(p.max())
+    peaks: list[tuple[int, float]] = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and p[j + 1] == p[i]:
+            j += 1
+        rises_left = i == 0 or p[i - 1] < p[i]
+        falls_right = j == n - 1 or p[j + 1] < p[i]
+        if rises_left and falls_right and p[i] >= floor:
+            peaks.append((int(positions[i]), float(p[i])))
+        i = j + 1
+    return peaks
+
+
+def svg_bounds(values: list[float]) -> tuple[float, float]:
+    """A plot axis's range: the values' extremes, padded apart when they are equal."""
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        pad = abs(lo) * 0.5 + 1.0
+        return lo - pad, hi + pad
+    return lo, hi
+
+
+def svg_series_by_points(xs, ys, x_range, y_range, box, style: str, color: str) -> str:
+    """One series' SVG markup, each point scaled and formatted on its own.
+
+    ``box`` is the plot area's ``(left, top, width, height)`` in pixels and
+    the ranges are the axes' ``(lo, hi)``.  A ``"line"`` series is one
+    polyline, a ``"scatter"`` series one circle per point.  These are the
+    chart writer's per-point formulas and f-strings before it scaled a
+    series at once; its markup must equal this byte for byte.
+    """
+    (x_lo, x_hi), (y_lo, y_hi), (left, top, plot_w, plot_h) = x_range, y_range, box
+
+    def sx(x: float) -> float:
+        return left + (x - x_lo) * plot_w / (x_hi - x_lo)
+
+    def sy(y: float) -> float:
+        return top + (y_hi - y) * plot_h / (y_hi - y_lo)
+
+    if style == "line":
+        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'
+    return "".join(
+        f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>\n'
+        for x, y in zip(xs, ys)
+    )
 
 
 def exact_means_every_step(chains, starts: int, steps: int, initial=None) -> np.ndarray:

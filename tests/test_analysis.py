@@ -13,7 +13,7 @@ from histwalk.state import ProbabilityDistribution
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import smooth_by_points
+from reference import peaks_by_scan, smooth_by_points
 
 
 def dist_of(mapping) -> ProbabilityDistribution:
@@ -132,6 +132,52 @@ class TestFindPeaks:
             find_peaks(dist_of({0: 0.0, 2: 0.0}), 0.1)
         with pytest.raises(ValueError, match="parity"):
             find_peaks(dist_of({0: 0.5, 1: 0.5}), 0.1)
+
+
+class TestPeaksAgainstTheScan:
+    """``find_peaks`` returns the pairs of the run-by-run loop in ``reference``, with its types."""
+
+    @staticmethod
+    def check(values, fraction):
+        dist = ProbabilityDistribution(np.arange(len(values)) * 2 - 4, values)
+        peaks = find_peaks(dist, fraction).peaks
+        expected = peaks_by_scan(dist.positions, dist.probabilities, fraction)
+        assert list(peaks) == expected
+        assert [tuple(map(type, pair)) for pair in peaks] == [(int, float)] * len(expected)
+        return peaks
+
+    @pytest.mark.parametrize(
+        "values, fraction, positions",
+        [
+            ([0.1, 0.3, 0.3, 0.3, 0.1], 0.1, [-2]),  # an interior plateau
+            ([0.4, 0.4, 0.2, 0.1], 0.1, [-4]),  # a plateau at the left edge
+            ([0.1, 0.2, 0.4, 0.4], 0.1, [0]),  # a plateau at the right edge
+            ([0.7], 0.5, [-4]),  # a single point
+            ([0.25, 0.25, 0.25, 0.25], 0.9, [-4]),  # all values equal: one run
+            ([0.1, 0.5, 0.1, 0.3, 0.1], 0.5, [-2, 2]),  # floor 0.25, below both peaks
+            ([0.1, 0.5, 0.1, 0.3, 0.1], 0.7, [-2]),  # floor 0.35, between the peaks: one
+            ([0.1, 0.5, 0.1, 0.25, 0.1], 0.5, [-2, 2]),  # a peak exactly at the floor
+            ([0.2, 0.1, 0.2, 0.1, 0.2], 0.5, [-4, 0, 4]),  # both edges and the middle
+        ],
+    )
+    def test_cases(self, values, fraction, positions):
+        assert [x for x, _ in self.check(values, fraction)] == positions
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.5]), min_size=1, max_size=40),
+        st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_plateaus_and_floors(self, levels, fraction):
+        if max(levels) > 0.0:
+            self.check(levels, fraction)
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+        st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_any_values(self, values, fraction):
+        if max(values) > 0.0:
+            self.check(values, fraction)
 
 
 class TestAnalyzePeaks:

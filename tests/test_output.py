@@ -6,9 +6,12 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from histwalk import output
 from histwalk.output import emit_svg_plot, format_value, read_csv_columns, write_csv
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from reference import svg_bounds, svg_series_by_points
 
 
 class TestFormatValue:
@@ -28,6 +31,27 @@ class TestFormatValue:
         assert format_value(-0.0) == "0.000000000000"
         assert format_value(-2.0e-16) == "0.000000000000"
         assert format_value(2.0e-16) == "0.000000000000"
+
+    @staticmethod
+    def generic(value) -> str:
+        # The rule for any number: its float, fixed point, one spelling of zero.
+        text = f"{float(value):.12f}"
+        return text[1:] if text == "-0.000000000000" else text
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.1, np.float64(0.1), np.float32(0.1), -0.0, -1e-13, 1e-13, 1e17,
+         float("nan"), float("inf"), -float("inf"), np.float64(-0.0), np.float64(-1e-13)],
+    )
+    def test_floats_format_as_any_number_does(self, value):
+        assert format_value(value) == self.generic(value)
+
+    @given(st.floats())
+    def test_python_and_numpy_floats_format_alike(self, value):
+        assert format_value(value) == format_value(np.float64(value)) == self.generic(value)
+
+    def test_booleans_are_written_as_integers(self):
+        assert [format_value(v) for v in (True, False, np.True_, np.False_)] == ["1", "0", "1", "0"]
 
 
 class TestWriteCsv:
@@ -137,6 +161,69 @@ class TestSvgPlot:
         out = tmp_path / "flat.svg"
         emit_svg_plot([path], out)
         assert out.read_text().endswith("</svg>\n")
+
+
+class TestSvgCoordinates:
+    """Each series' markup equals the per-point formulas of ``reference`` byte for byte."""
+
+    @staticmethod
+    def check(tmp_path, series, style):
+        paths = []
+        for idx, points in enumerate(series):
+            path = tmp_path / f"s{idx}.csv"
+            path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in points))
+            paths.append(path)
+        out = tmp_path / "chart.svg"
+        emit_svg_plot(paths, out, style=style)
+        x_range = svg_bounds([x for points in series for x, _ in points])
+        y_range = svg_bounds([y for points in series for _, y in points])
+        box = (output._LEFT, output._TOP, output._WIDTH - output._LEFT - output._RIGHT,
+               output._HEIGHT - output._TOP - output._BOTTOM)
+        remainder = out.read_text()
+        for idx, points in enumerate(series):
+            xs, ys = [x for x, _ in points], [y for _, y in points]
+            color = output._PALETTE[idx % len(output._PALETTE)]
+            markup = svg_series_by_points(xs, ys, x_range, y_range, box, style, color)
+            assert remainder.count(markup) == 1
+            remainder = remainder.replace(markup, "")
+        assert "<polyline" not in remainder and "<circle" not in remainder
+
+    CASES = {
+        "constant y, padded": [[(0.0, 0.25), (1.0, 0.25), (2.0, 0.25)]],
+        "one point, both axes padded": [[(-3.0, -2.5)]],
+        "negative values": [[(-4.0, -0.5), (-2.0, 0.125), (0.0, -1e-3), (2.0, -7.25)]],
+        # Each point lands on a half of the last printed digit, where the
+        # same operations in another order round the other way.
+        "pixels on a rounding edge": [[
+            (-3.0, -0.7), (-2.779427083333333, 0.53621875), (-2.6809895833333335, 0.51996875),
+            (-2.6627604166666665, 0.51590625), (4.0, 0.6),
+        ]],
+        # The span overflows to inf, so the formulas give nan on Python floats.
+        "a range past the largest float": [[(-1e308, 0.0), (1e308, 1.0)]],
+        "three series": [
+            [(0.0, 0.1), (1.0, 0.7), (2.0, 0.3)],
+            [(-1.5, -0.2), (0.5, 0.4)],
+            [(3.0, 1.0 / 3.0), (4.0, 2.0 / 3.0), (5.0, 0.0), (6.0, -1.0 / 7.0)],
+        ],
+    }
+
+    @pytest.mark.filterwarnings("error")  # the writer warns of nothing, as on Python floats
+    @pytest.mark.parametrize("style", output._STYLES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_cases(self, tmp_path, case, style):
+        self.check(tmp_path, self.CASES[case], style)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1,
+                     max_size=12),
+            min_size=1, max_size=3,
+        ),
+        st.sampled_from(output._STYLES),
+    )
+    def test_any_series(self, tmp_path_factory, series, style):
+        self.check(tmp_path_factory.mktemp("svg"), series, style)
 
 
 class TestFormattingProperties:

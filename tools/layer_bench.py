@@ -116,6 +116,7 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
 
     samples: dict[str, list[float]] = {"import": [time.perf_counter() - start]}
     import histwalk.analysis as analysis
+    import histwalk.cli as cli
     import histwalk.operators as operators
     import histwalk.walker as walker
     from histwalk.config import parse_config
@@ -162,8 +163,10 @@ def measure(round_: int = 0) -> dict[str, list[float]]:
             (lambda: walker.run_sequence(*walk), "run_sequence_m3"),
             # The walk as ``walk dist`` reads it out, once at the end.
             (lambda: walker.final_distribution(*walk), "final_distribution_m3"),
-            # cli_dist_m3's op (``walk dist --peaks --emit-plot``): its smoothing.
-            (dist, {"smooth": (analysis, "smooth_distribution")}),
+            # cli_dist_m3's op (``walk dist --peaks --emit-plot``): its smoothing, its
+            # three CSV writes, its peak report (smoothing included) and its chart.
+            (dist, {"smooth": (analysis, "smooth_distribution"), "csv": (cli, "write_csv"),
+                    "peaks": (cli, "analyze_peaks"), "svg": (cli, "emit_svg_plot")}),
             # cli_dist_m3's whole op.
             (dist, "walk_dist"),
             # classical_games' whole op, exact calls and Monte Carlo.
