@@ -10,6 +10,7 @@ rendered without any plotting dependency.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -56,6 +57,7 @@ def _add_common(parser, plot_style=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every command; :func:`main` keeps one of its own."""
     parser = _Parser(prog="histwalk", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -107,6 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     plot.set_defaults(handler=_cmd_plot)
 
     return parser
+
+
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """:func:`main`'s parser, built on its first call, not at import.
+
+    Parsing leaves a parser as it was, so one serves every call; no caller is handed it.
+    """
+    return build_parser()
 
 
 def _load_config(args) -> RunConfig:
@@ -171,11 +182,9 @@ def _cmd_walk_run(args) -> None:
     _require_quantum(config)
     initial = build_initial_state(config.num_coins, config.initial, config.steps)
     trajectory = run_sequence(initial, config.games, config.pattern, config.steps)
-    rows = [
-        (t, mean, std)
-        for t, (mean, std) in enumerate(zip(trajectory.means, trajectory.stds))
-    ]
-    write_csv(("t", "mean", "std"), rows, config.out)
+    # Python ints and floats, the cells that write_csv formats fastest.
+    means, stds = trajectory.means.tolist(), trajectory.stds.tolist()
+    write_csv(("t", "mean", "std"), zip(range(len(means)), means, stds), config.out)
     _maybe_plot(args, config)
 
 
@@ -258,11 +267,11 @@ def _cmd_classical_run(args) -> None:
         means, errors = monte_carlo_trajectory(
             subject, config.pattern, config.steps, args.monte_carlo, config.seed
         )
-        rows = [(t, m, e) for t, (m, e) in enumerate(zip(means, errors))]
-        write_csv(("t", "mean", "stderr"), rows, config.out)
+        means, errors = means.tolist(), errors.tolist()
+        write_csv(("t", "mean", "stderr"), zip(range(len(means)), means, errors), config.out)
     else:
         means = exact(subject, config.pattern, config.steps)
-        write_csv(("t", "mean"), list(enumerate(means)), config.out)
+        write_csv(("t", "mean"), enumerate(means.tolist()), config.out)
     _maybe_plot(args, config)
 
 
@@ -272,9 +281,8 @@ def _cmd_plot(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

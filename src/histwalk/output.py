@@ -40,14 +40,34 @@ def format_value(value) -> str:
     return text
 
 
+def _format_column(column: tuple) -> list[str]:
+    """:func:`format_value` of each cell; one pass when every cell is a float or an exact int."""
+    kinds = set(map(type, column))
+    if kinds <= {float, np.float64}:
+        # A minus sign only leads a cell, so "-0.000000000000" is always a
+        # whole cell: one that rounds to zero from below.
+        text = ("%.12f\n" * len(column))[:-1] % column
+        return text.replace("-0.000000000000", "0.000000000000").split("\n")
+    if kinds == {int}:  # not bools
+        return list(map(str, column))
+    return list(map(format_value, column))
+
+
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], path=None) -> None:
     """Write one header row plus data rows; LF endings, UTF-8, stdout if no path.
 
-    Cells of Python ``int`` and ``float`` (``.tolist()`` columns) are the
-    fastest to format.  ``perfbench/tracer.py`` binds ``path`` by name.
+    ``rows`` may be any iterable of iterables, such as a generator.  Rows of
+    one width are formatted a column at a time, any others cell by cell, with
+    the same text.  Columns of Python ``int`` or ``float`` (``.tolist()``
+    columns) are the fastest to format.
+    ``perfbench/tracer.py`` binds ``path`` by name.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(format_value, row)) for row in rows)
+    rows = list(map(tuple, rows))
+    if len(set(map(len, rows))) == 1 and rows[0]:
+        cells = zip(*map(_format_column, zip(*rows)))
+    else:  # no rows, empty rows or rows of different widths
+        cells = (map(format_value, row) for row in rows)
+    lines = [",".join(header), *map(",".join, cells)]
     payload = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(payload)

@@ -12,9 +12,9 @@ R = 1).  The two exceptions read the package's chain tables so that their
 outputs can be compared bit for bit: :func:`exact_means_every_step`, the
 exact classical loop without its early stop, and
 :func:`sampled_means_allocating`, the seeded sampler with a fresh array for
-every intermediate.  :func:`peaks_by_scan` and :func:`svg_series_by_points`
-are the package's earlier per-run and per-point loops, kept as oracles for
-the array passes that replaced them.
+every intermediate.  :func:`peaks_by_scan`, :func:`svg_series_by_points` and
+:func:`csv_by_rows` are the package's earlier per-run, per-point and per-cell
+loops, kept as oracles for the array and column passes that replaced them.
 """
 
 from __future__ import annotations
@@ -372,6 +372,29 @@ def svg_series_by_points(xs, ys, x_range, y_range, box, style: str, color: str) 
         f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>\n'
         for x, y in zip(xs, ys)
     )
+
+
+def csv_by_rows(header, rows) -> str:
+    """A CSV payload written row by row, each cell formatted on its own.
+
+    Strings pass through, integers and booleans (NumPy's too) are written as
+    integers, and any other number as its float in fixed point with 12
+    decimals, anything that rounds to zero as ``0.000000000000``.  This is the
+    CSV writer's loop before it formatted a column at a time; ``write_csv``
+    must write this text.
+    """
+
+    def cell(value) -> str:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer, np.bool_)):
+            return str(int(value))
+        text = f"{float(value):.12f}"
+        return text[1:] if text == "-0.000000000000" else text
+
+    lines = [",".join(header)]
+    lines.extend(",".join(map(cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def exact_means_every_step(chains, starts: int, steps: int, initial=None) -> np.ndarray:

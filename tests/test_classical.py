@@ -243,6 +243,13 @@ class TestHistoryKeyedGames:
             with pytest.raises(ValueError, match="probability vector over 4 result pairs"):
                 history_mix_trajectory({"B": HIST}, "B", 5, initial=bad)
 
+    def test_a_start_vector_may_miss_a_total_of_one_by_1e_12(self):
+        near = [0.25, 0.25, 0.25, 0.25 + 5e-13]
+        assert history_mix_trajectory({"B": HIST}, "B", 5, initial=near).shape == (6,)
+        too_far = [0.25, 0.25, 0.25, 0.25 + 5e-12]
+        with pytest.raises(ValueError, match="probability vector over 4 result pairs"):
+            history_mix_trajectory({"B": HIST}, "B", 5, initial=too_far)
+
     def test_pattern_validation(self):
         with pytest.raises(ValueError, match="undefined games"):
             history_mix_trajectory({"A": BiasedCoin(0.5)}, "AB", 5)

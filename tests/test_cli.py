@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import histwalk.cli
 import histwalk.operators
 import histwalk.state
 import histwalk.walker
 from histwalk.analysis import analyze_peaks
-from histwalk.cli import main
+from histwalk.cli import build_parser, main
 from histwalk.operators import HistoryRhoTable
 from histwalk.output import format_value, read_csv_columns, write_csv
 from histwalk.walker import build_initial_state, final_distribution, run_sequence
@@ -250,6 +251,19 @@ class TestWalkScan:
     def test_rejects_non_positive_length(self, tmp_path):
         cfg = config_file(tmp_path, BIASED_THREE.format(steps=10, pattern="B"))
         assert main(["walk", "scan", "--config", cfg, "--max-len", "0"]) == 1
+
+    def test_a_pattern_is_positive_only_above_a_mean_of_1e_9(self, tmp_path, monkeypatch):
+        means = {"A": 5e-9, "AB": 1e-9, "B": 2e-6}
+        monkeypatch.setattr(histwalk.cli, "scan_sequences", lambda *args: means)
+        cfg = config_file(tmp_path, BIASED_THREE.format(steps=4, pattern="AB"))
+        out = tmp_path / "scan.csv"
+        assert main(["walk", "scan", "--config", cfg, "--out", str(out), "--max-len", "2"]) == 0
+        assert rows_of(out) == [
+            "pattern,mean,positive",
+            "A,0.000000005000,1",
+            "AB,0.000000001000,0",
+            "B,0.000002000000,1",
+        ]
 
 
 class TestClassicalRun:
@@ -747,6 +761,63 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "usage:" in result.stdout
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; every call reads as in a fresh process."""
+
+    DIST = ["walk", "dist", "--config", "dist.cfg", "--out", "dist.csv", "--peaks", "peaks.csv",
+            "--emit-plot", "dist.svg"]
+    CALLS = [
+        ["walk", "spin"],
+        ["--help"],
+        DIST,
+        ["classical", "run", "--config", "capital.cfg", "--out", "capital.csv",
+         "--monte-carlo", "200", "--seed", "5"],
+        ["plot", "dist.csv", "capital.csv", "--out", "both.svg"],
+        DIST,
+    ]
+
+    @staticmethod
+    def folder(path):
+        path.mkdir()
+        (path / "dist.cfg").write_text(BIASED_THREE.format(steps=40, pattern="AB"))
+        (path / "capital.cfg").write_text(CAPITAL_PAIR.format(steps=30))
+        return path
+
+    @staticmethod
+    def files(path):
+        return {entry.name: entry.read_bytes() for entry in sorted(path.iterdir())}
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "100")  # help text wraps to the terminal's width
+        fresh, shared = self.folder(tmp_path / "fresh"), self.folder(tmp_path / "shared")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        expected = []
+        for argv in self.CALLS:
+            result = subprocess.run(
+                [sys.executable, "-m", "histwalk", *argv],
+                cwd=fresh, env=env, capture_output=True, text=True, check=False,
+            )
+            expected.append((result.returncode, result.stdout, result.stderr, self.files(fresh)))
+
+        monkeypatch.chdir(shared)
+        histwalk.cli._main_parser.cache_clear()
+        got = []
+        for argv in self.CALLS:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            got.append((code, out, err, self.files(shared)))
+
+        assert [call[0] for call in got] == [1, 0, 0, 0, 0, 0]
+        assert got == expected
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        first, second = build_parser(), build_parser()
+        assert first is not second
+        assert histwalk.cli._main_parser() is histwalk.cli._main_parser()
+        assert histwalk.cli._main_parser() not in (first, second)
 
 
 WALK_AB = (

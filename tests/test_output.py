@@ -1,5 +1,7 @@
 """CSV and SVG writers: formatting, byte layout, and determinism."""
 
+import contextlib
+import io
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 
@@ -11,7 +13,7 @@ from histwalk.output import emit_svg_plot, format_value, read_csv_columns, write
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import svg_bounds, svg_series_by_points
+from reference import csv_by_rows, svg_bounds, svg_series_by_points
 
 
 class TestFormatValue:
@@ -71,6 +73,90 @@ class TestWriteCsv:
         assert header == ["rho", "mean"]
         assert xs == pytest.approx([0.3, 0.55], abs=1e-12)
         assert ys == pytest.approx([2.465461937, -0.714015085], abs=1e-12)
+
+
+def written(header, rows) -> str:
+    """What ``write_csv`` writes to stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        write_csv(header, rows)
+    return out.getvalue()
+
+
+# One strategy per cell type, so a column can hold one type or several.
+CELLS = {
+    "float": st.floats(),
+    "np.float64": st.floats().map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(-(10**30), 10**30),
+    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "str": st.text(max_size=8),
+}
+
+
+@st.composite
+def tables(draw):
+    """Rows of one width; each column holds one cell type, or any mix of them."""
+    kinds = draw(st.lists(st.sampled_from([*CELLS, "mixed"]), min_size=1, max_size=4))
+    columns = [CELLS[kind] if kind != "mixed" else st.one_of(*CELLS.values()) for kind in kinds]
+    return draw(st.lists(st.tuples(*columns), max_size=20))
+
+
+class TestCsvColumns:
+    """``write_csv`` formats a column at a time and writes the per-cell loop's text."""
+
+    EDGES = [-0.0, 0.0, -4e-13, 4e-13, -1e-13, 1e-13, -1e-12, -10.0, 1e17, -1e17,
+             float("nan"), float("inf"), -float("inf"), 0.5]
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_float_edges(self, tmp_path, kind):
+        rows = [(i, kind(value)) for i, value in enumerate(self.EDGES)]
+        path = tmp_path / "edges.csv"
+        write_csv(("i", "value"), rows, path)
+        expected = csv_by_rows(("i", "value"), rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+        cells = [line.split(",")[1] for line in expected.splitlines()[1:]]
+        assert cells[:8] == ["0.000000000000"] * 6 + ["-0.000000000001", "-10.000000000000"]
+        assert cells[8:] == ["100000000000000000.000000000000", "-100000000000000000.000000000000",
+                             "nan", "inf", "-inf", "0.500000000000"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 0.5), (2,), (3, -0.0, "x"), ()],
+            [(), ()],
+            [("only",), (-4e-13,), (np.True_,)],
+            [],
+        ],
+        ids=["ragged", "empty rows", "one mixed column", "no rows"],
+    )
+    def test_rows_of_any_width(self, rows):
+        assert written(("a", "b"), rows) == csv_by_rows(("a", "b"), rows)
+
+    def test_rows_from_a_generator_of_iterators(self):
+        def rows():
+            for t in range(3):
+                yield iter((t, t / 3))
+
+        expected = csv_by_rows(("t", "x"), [(0, 0.0), (1, 1 / 3), (2, 2 / 3)])
+        assert written(("t", "x"), rows()) == expected
+
+    def test_no_rows_write_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(("x", "p"), iter(()), path)
+        assert path.read_bytes() == b"x,p\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_any_table(self, rows):
+        header = [f"c{i}" for i in range(len(rows[0]))] if rows else ["c0"]
+        assert written(header, rows) == csv_by_rows(header, rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.one_of(*CELLS.values()), max_size=4), max_size=8))
+    def test_any_rows_of_any_width(self, rows):
+        assert written(["h"], rows) == csv_by_rows(["h"], rows)
 
 
 class TestReadCsvColumns:

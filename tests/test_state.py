@@ -321,6 +321,13 @@ class TestMoments:
         with pytest.raises(ValueError, match="^variance -1.0 is negative"):
             mean_std(np.array([1.0]), np.array([2.0]), np.array([3.0]))
 
+    def test_the_negative_variance_guard_sits_at_3e_9_of_the_square(self):
+        # With a square of order 1, -2e-9 of it is rounding and -4e-9 of it is not.
+        mean_std, one = histwalk.state._mean_std, np.array([1.0])
+        assert mean_std(one, one, np.array([1.0 - 2e-9])) == (1.0, 0.0)
+        with pytest.raises(ValueError, match="is negative beyond rounding tolerance"):
+            mean_std(one, one, np.array([1.0 - 4e-9]))
+
     def test_a_far_out_point_mass_that_passes_the_norm_rule_has_zero_std(self):
         # Its variance rounds to -2.3e-10, which an absolute bound of 1e-10 refused.
         stat = moments(ProbabilityDistribution([1000], [1 + 2**-52]))

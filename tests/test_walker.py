@@ -436,6 +436,22 @@ class TestScanAndSweepSizeGuard:
         with pytest.raises(ValueError, match="2046 patterns"):
             histwalk.walker._check_scan_size(2, 10)
 
+    @pytest.mark.parametrize(
+        "check, needed",
+        [
+            # 3 + 9 + 27 + 81 = 120 patterns, each charged 256 bytes plus 4 for its key.
+            (lambda: histwalk.walker._check_scan_size(3, 4), 120 * (256 + 4)),
+            (lambda: histwalk.walker._check_sweep_size(1000), 1000 * 256),
+        ],
+        ids=["scan", "sweep"],
+    )
+    def test_each_result_is_charged_256_bytes(self, monkeypatch, check, needed):
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: needed)
+        check()
+        monkeypatch.setattr(histwalk.state, "physical_memory_bytes", lambda: needed - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            check()
+
     def test_scans_and_sweeps_that_fit_run(self):
         assert len(scan_sequences({"A": UNBIASED_3, "B": UNBIASED_3}, 2, 3, 4)) == 6
         assert len(sweep_parameter(UNBIASED_3, "RR", [0.2, 0.4], 4)) == 2
