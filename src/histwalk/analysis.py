@@ -9,14 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .state import ProbabilityDistribution, _amount, _count
 
-__all__ = [
-    "PeakReport",
-    "smooth_distribution",
-    "find_peaks",
-    "analyze_peaks",
-    "symmetry_deviation",
-]
-
 
 def _check_single_parity(dist: ProbabilityDistribution) -> None:
     positions = dist.positions

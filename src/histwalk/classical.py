@@ -31,16 +31,6 @@ import numpy as np
 from .operators import HistoryRhoTable, _check_pattern, _check_probability
 from .state import _amount, _check_fits, _count, _shifted
 
-__all__ = [
-    "classical_mean_trajectory",
-    "BiasedCoin",
-    "CapitalMod3",
-    "HistoryCoins",
-    "capital_game_trajectory",
-    "history_mix_trajectory",
-    "monte_carlo_trajectory",
-]
-
 # Bytes charged per sampled trajectory: its state code and float64 position,
 # the step's draw, branch, pick and deviation buffers (41 bytes), and one
 # array gathered at a time, odds (where they vary by state), increments or
@@ -121,11 +111,12 @@ def _check_chain_fits(spec, state_bytes: int) -> None:
 
 
 class _Odds:
-    """Base of the capital-game specs: each field, in order, must lie in [0, 1]."""
+    """Base of the capital-game specs: each field, in order, becomes a float in [0, 1]."""
 
     def __post_init__(self) -> None:
         for spec in fields(self):
-            _check_probability(getattr(self, spec.name), spec.name)
+            value = _check_probability(getattr(self, spec.name), spec.name)
+            object.__setattr__(self, spec.name, value)
 
 
 @dataclass(frozen=True)
@@ -329,6 +320,7 @@ def monte_carlo_trajectory(spec, pattern, steps, n_trajectories, seed):
     """
     n = _count(n_trajectories, "n_trajectories", 1)
     steps = _count(steps, "steps", 0)
+    seed = _count(seed, "seed", 0)
     needed = _TRAJECTORY_BYTES * n + 16 * (steps + 1)
     what = f"{_amount(n)} trajectories of {_amount(steps)} steps"
     _check_fits(needed, what, "for their states")

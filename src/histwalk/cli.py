@@ -33,8 +33,6 @@ from .walker import (
     sweep_parameter,
 )
 
-__all__ = ["main", "build_parser"]
-
 
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage failures exit with code 1 (validation error)."""

@@ -43,8 +43,6 @@ from .operators import HistoryRhoTable, _check_pattern, _check_probability
 from .state import _count, _echo
 from .walker import ANTISYMMETRIC, _check_start
 
-__all__ = ["ConfigError", "RunConfig", "parse_config"]
-
 _CLASSICAL_KINDS = {"biased": BiasedCoin, "mod3": CapitalMod3, "history": HistoryCoins}
 _PARAMS = sorted({param.name for kind in _CLASSICAL_KINDS.values() for param in fields(kind)})
 

@@ -44,15 +44,6 @@ from .state import (
     index_to_coins,
 )
 
-__all__ = [
-    "all_histories",
-    "HistoryRhoTable",
-    "apply_conditional_flip",
-    "apply_shift",
-    "apply_reorder",
-    "toss",
-]
-
 
 def _check_probability(value: float, label: str) -> float:
     value = float(value)

@@ -16,28 +16,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["format_value", "write_csv", "read_csv_columns", "emit_svg_plot"]
-
 
 def format_value(value) -> str:
     """Render one CSV cell: strings pass through, integers and booleans stay integers.
 
-    Anything else is a number in fixed point with 12 decimals; anything that
-    rounds to zero is written ``0.000000000000``.
+    Anything else is a number: its ``float`` in fixed point with 12 decimals,
+    or ``0.000000000000`` if it rounds to zero, as :func:`_format_column` spells it.
     """
-    if isinstance(value, float):  # np.float64 too; the common cells come first
-        text = f"{value:.12f}"
-    elif type(value) is int:  # not a bool
-        return str(value)
-    elif isinstance(value, str):
+    if isinstance(value, str):
         return value
-    elif isinstance(value, (int, np.integer, np.bool_)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
-    else:
-        text = f"{float(value):.12f}"
-    if text == "-0.000000000000":
-        return text[1:]
-    return text
+    return _format_column((float(value),))[0]
 
 
 def _format_column(column: tuple) -> list[str]:

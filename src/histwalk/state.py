@@ -17,24 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "L",
-    "R",
-    "HorizonError",
-    "NormalizationError",
-    "coins_to_index",
-    "index_to_coins",
-    "WalkState",
-    "working_bytes",
-    "physical_memory_bytes",
-    "MemoryLimitError",
-    "new_state",
-    "ProbabilityDistribution",
-    "position_distribution",
-    "Moments",
-    "moments",
-]
-
 L = "L"
 R = "R"
 

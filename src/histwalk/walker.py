@@ -26,21 +26,6 @@ from .state import (
     _readouts,
 )
 
-__all__ = [
-    "ANTISYMMETRIC",
-    "ALL_R",
-    "Trajectory",
-    "build_initial_state",
-    "as_game_tables",
-    "run_sequence",
-    "final_distribution",
-    "evolve",
-    "evolve_brun",
-    "scan_sequences",
-    "sweep_parameter",
-    "POSITIVE_MEAN_THRESHOLD",
-]
-
 ANTISYMMETRIC = "antisymmetric"
 ALL_R = "allR"
 
@@ -259,9 +244,7 @@ def _stepped(initial: WalkState, schedules, steps: int, first_entry: int | None 
             if step:
                 kernel.step()
             if first_entry is None:
-                norm = math.sqrt(kernel.norms()[0])
-                if not abs(norm - 1.0) <= 1e-9:  # _check_norm's test, inline in the hot loop
-                    _check_norm(norm, step)
+                _check_norm(math.sqrt(kernel.norms()[0]), step)
             else:
                 norms = np.sqrt(kernel.norms())
                 worst = int(np.argmax(np.abs(norms - 1.0)))

@@ -1,5 +1,6 @@
 """Classical-limit chain, capital games, and Monte-Carlo cross-checks."""
 
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
@@ -305,6 +306,26 @@ class TestSpecRanges:
                 kind(*values)
         for edge in (0.0, 1.0):
             assert kind(*[edge] * len(names)) == kind(**dict.fromkeys(names, edge))
+
+    VALUES = {BiasedCoin: (0.45,), CapitalMod3: (0.1, 0.75), HistoryCoins: (0.9, 0.25, 0.25, 0.7)}
+
+    @pytest.mark.parametrize(
+        "spell", [str, np.float32, lambda value: True], ids=["str", "float32", "True"]
+    )
+    @pytest.mark.parametrize("kind", [BiasedCoin, CapitalMod3, HistoryCoins])
+    def test_each_field_keeps_the_float_it_was_checked_as(self, kind, spell):
+        given = [spell(value) for value in self.VALUES[kind]]
+        spec, want = kind(*given), kind(*map(float, given))
+        assert [type(getattr(spec, field.name)) for field in fields(kind)] == [float] * len(given)
+        assert spec == want
+        if kind is HistoryCoins:
+            assert spec.as_array().tobytes() == want.as_array().tobytes()
+        for kinds, run in histwalk.classical._ENGINES.values():
+            if kind in kinds:
+                assert run(spec, None, 30).tobytes() == run(want, None, 30).tobytes()
+        got = monte_carlo_trajectory(spec, None, 30, 200, seed=3)
+        sampled = monte_carlo_trajectory(want, None, 30, 200, seed=3)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in sampled]
 
 
 class TestMonteCarlo:
@@ -834,5 +855,25 @@ class TestCountArguments:
     def test_numpy_trajectory_counts_run_as_their_value(self):
         got = monte_carlo_trajectory(COIN, None, 10, np.int64(33), seed=4)
         want = monte_carlo_trajectory(COIN, None, 10, 33, seed=4)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, "seed must be an integer, got True"),
+            (2.5, "seed must be an integer, got 2.5"),
+            ("3", "seed must be an integer, got '3'"),
+            (None, "seed must be an integer, got None"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_seeds_that_are_not_counts_are_refused_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monte_carlo_trajectory(COIN, None, 10, 5, seed=seed)
+
+    def test_numpy_seeds_run_as_their_value(self):
+        got = monte_carlo_trajectory(COIN, None, 10, 33, seed=np.int64(7))
+        want = monte_carlo_trajectory(COIN, None, 10, 33, seed=7)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()

@@ -162,3 +162,23 @@ def test_every_export_is_used_by_a_caller_or_is_a_raised_exception():
 def test_every_public_name_a_caller_uses_is_exported():
     public = {name for name in names_callers_use() if not name.startswith("_")}
     assert sorted(public - set(histwalk.__all__)) == []
+
+
+def assigns_all(path: Path) -> bool:
+    """Whether the module at ``path`` assigns ``__all__`` anywhere, augmented or annotated too."""
+    targets = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    names = (node for target in targets for node in ast.walk(target))
+    return any(isinstance(node, ast.Name) and node.id == "__all__" for node in names)
+
+
+def test_the_package_holds_the_only_export_list():
+    package = Path(histwalk.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert [path.relative_to(package).as_posix() for path in modules if assigns_all(path)] == [
+        "__init__.py"
+    ]

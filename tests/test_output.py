@@ -4,6 +4,7 @@ import contextlib
 import io
 import xml.etree.ElementTree as ET
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ class TestFormatValue:
     @pytest.mark.parametrize(
         "value",
         [0.1, np.float64(0.1), np.float32(0.1), -0.0, -1e-13, 1e-13, 1e17,
-         float("nan"), float("inf"), -float("inf"), np.float64(-0.0), np.float64(-1e-13)],
+         float("nan"), float("inf"), -float("inf"), np.float64(-0.0), np.float64(-1e-13),
+         Decimal("-4e-13"), Fraction(1, 3), np.float16(0.1), np.longdouble(1) / 3],
     )
     def test_floats_format_as_any_number_does(self, value):
         assert format_value(value) == self.generic(value)
