@@ -97,6 +97,8 @@ def classical_mean_trajectory(table: HistoryRhoTable, steps: int, initial=None) 
     means uniform.  The distribution is propagated exactly and the mean
     accumulates each step's expected increment, so there is no sampling error.
     """
+    if not isinstance(table, HistoryRhoTable):
+        raise TypeError(f"table must be a HistoryRhoTable, got {type(table).__name__}")
     steps = _count(steps, "steps", 0)
     _check_chain_fits(table, _EXACT_STATE_BYTES)
     chains, starts = _chains(table, None, (HistoryRhoTable,), "walk")

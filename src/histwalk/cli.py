@@ -42,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {_echo(message, 200)}\n")
 
 
-def _add_common(parser, plot_style=None):
+def _add_common(parser, body, plot_style=None):
+    parser.set_defaults(handler=_run, body=body)
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     if plot_style is not None:
@@ -63,18 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     walk_sub = walk.add_subparsers(dest="subcommand", required=True)
 
     run = walk_sub.add_parser("run", help="trajectory of mean and spread per step")
-    _add_common(run, plot_style="line")
-    run.set_defaults(handler=_cmd_walk_run)
+    _add_common(run, _cmd_walk_run, plot_style="line")
 
     dist = walk_sub.add_parser("dist", help="final position distribution")
-    _add_common(dist, plot_style="scatter")
+    _add_common(dist, _cmd_walk_dist, plot_style="scatter")
     dist.add_argument("--peaks", metavar="PATH", help="also write a peak-report CSV")
     dist.add_argument("--window", help="override the smoothing window")
     dist.add_argument("--prominence", help="override the peak threshold")
-    dist.set_defaults(handler=_cmd_walk_dist)
 
     sweep = walk_sub.add_parser("sweep", help="final moments as one rho entry varies")
-    _add_common(sweep, plot_style="line")
+    _add_common(sweep, _cmd_walk_sweep, plot_style="line")
     sweep.add_argument("--param", required=True, help="history key to vary, e.g. RR")
     sweep.add_argument("--from", dest="sweep_from", type=float, required=True)
     sweep.add_argument("--to", dest="sweep_to", type=float, required=True)
@@ -82,23 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", dest="grid_points", type=int, required=True,
         help="number of grid points, endpoints included",
     )
-    sweep.set_defaults(handler=_cmd_walk_sweep)
 
     scan = walk_sub.add_parser("scan", help="final mean for every pattern up to a length")
-    _add_common(scan)
+    _add_common(scan, _cmd_walk_scan)
     scan.add_argument("--max-len", dest="max_len", type=int, required=True)
-    scan.set_defaults(handler=_cmd_walk_scan)
 
     classical = commands.add_parser("classical", help="classical baseline games")
     classical_sub = classical.add_subparsers(dest="subcommand", required=True)
     crun = classical_sub.add_parser("run", help="mean capital or position per step")
-    _add_common(crun, plot_style="line")
+    _add_common(crun, _cmd_classical_run, plot_style="line")
     crun.add_argument(
         "--monte-carlo", dest="monte_carlo", type=int, metavar="N",
         help="sample N trajectories instead of evolving exactly; adds a stderr column",
     )
     crun.add_argument("--seed", help="override the config seed")
-    crun.set_defaults(handler=_cmd_classical_run)
 
     plot = commands.add_parser("plot", help="render existing CSV files as one SVG")
     plot.add_argument("inputs", nargs="+", help="two-column CSV files")
@@ -120,10 +116,13 @@ def _main_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     path = Path(args.config)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
+    try:  # decoded whole, BOM and all, so a bad byte's offset is the file's
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read config {_echo(str(path), 200)}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        why = f"not UTF-8 (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        raise ConfigError(f"cannot read config {_echo(str(path), 200)}: {why}") from None
     keys = ("seed", "window", "prominence", "out")
     overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     config = parse_config(text, overrides)
@@ -135,6 +134,14 @@ def _load_config(args) -> RunConfig:
          ("--peaks", getattr(args, "peaks", None))],
     )
     return config
+
+
+def _run(args) -> None:
+    """Run a config command: load the config, run ``args.body``, then chart the CSV it wrote."""
+    config = _load_config(args)
+    args.body(args, config)
+    if getattr(args, "emit_plot", None):
+        emit_svg_plot([config.out], args.emit_plot, style=args.plot_style)
 
 
 def _check_outputs(inputs, outputs) -> None:
@@ -170,24 +177,16 @@ def _one_table(config: RunConfig, command: str, need: str) -> HistoryRhoTable:
     return config.games[config.pattern]
 
 
-def _maybe_plot(args, config: RunConfig) -> None:
-    if getattr(args, "emit_plot", None):
-        emit_svg_plot([config.out], args.emit_plot, style=args.plot_style)
-
-
-def _cmd_walk_run(args) -> None:
-    config = _load_config(args)
+def _cmd_walk_run(args, config: RunConfig) -> None:
     _require_quantum(config)
     initial = build_initial_state(config.num_coins, config.initial, config.steps)
     trajectory = run_sequence(initial, config.games, config.pattern, config.steps)
     # Python ints and floats, the cells that write_csv formats fastest.
     means, stds = trajectory.means.tolist(), trajectory.stds.tolist()
     write_csv(("t", "mean", "std"), zip(range(len(means)), means, stds), config.out)
-    _maybe_plot(args, config)
 
 
-def _cmd_walk_dist(args) -> None:
-    config = _load_config(args)
+def _cmd_walk_dist(args, config: RunConfig) -> None:
     _require_quantum(config)
     initial = build_initial_state(config.num_coins, config.initial, config.steps)
     dist = final_distribution(initial, config.games, config.pattern, config.steps)
@@ -197,11 +196,9 @@ def _cmd_walk_dist(args) -> None:
     if args.peaks:
         report = analyze_peaks(dist, config.window, config.prominence)
         write_csv(("position", "height"), report.peaks, args.peaks)
-    _maybe_plot(args, config)
 
 
-def _cmd_walk_sweep(args) -> None:
-    config = _load_config(args)
+def _cmd_walk_sweep(args, config: RunConfig) -> None:
     table = _one_table(config, "walk sweep", "walk commands")
     try:
         for bound in (args.sweep_from, args.sweep_to):
@@ -216,11 +213,9 @@ def _cmd_walk_sweep(args) -> None:
     results = sweep_parameter(table, args.param, grid, config.steps, config.initial)
     rows = [(rho, stat.mean, stat.std) for rho, stat in results]
     write_csv(("rho", "mean", "std"), rows, config.out)
-    _maybe_plot(args, config)
 
 
-def _cmd_walk_scan(args) -> None:
-    config = _load_config(args)
+def _cmd_walk_scan(args, config: RunConfig) -> None:
     _require_quantum(config)
     _checked(_count, args.max_len, "--max-len", 1)
     results = scan_sequences(
@@ -244,8 +239,7 @@ def _classical_games(config: RunConfig, allowed, engine: str):
     return games
 
 
-def _cmd_classical_run(args) -> None:
-    config = _load_config(args)
+def _cmd_classical_run(args, config: RunConfig) -> None:
     engine = config.classical_engine
     if engine is None:
         raise ConfigError("classical.engine is required for classical run")
@@ -270,7 +264,6 @@ def _cmd_classical_run(args) -> None:
     else:
         means = exact(subject, config.pattern, config.steps)
         write_csv(("t", "mean"), enumerate(means.tolist()), config.out)
-    _maybe_plot(args, config)
 
 
 def _cmd_plot(args) -> None:
@@ -292,7 +285,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"runtime error: {_echo(str(exc), 200)}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -112,6 +112,16 @@ class TestHistoryWalkChain:
         with pytest.raises(ValueError, match="probability vector over chain states"):
             classical_mean_trajectory(table, 5, initial={"LR": 1.0})
 
+    @pytest.mark.parametrize(
+        "table, kind",
+        [({"A": HistoryRhoTable(2, {"L": 0.3, "R": 0.8})}, "dict"), (COIN, "BiasedCoin")],
+        ids=["a dict of tables", "a capital-game spec"],
+    )
+    def test_a_non_table_is_refused_in_its_own_words(self, table, kind):
+        with pytest.raises(TypeError) as info:
+            classical_mean_trajectory(table, 5)
+        assert str(info.value) == f"table must be a HistoryRhoTable, got {kind}"
+
     def test_rejects_bad_initial_distributions(self):
         table = HistoryRhoTable(2, {"L": 0.5, "R": 0.5})
         with pytest.raises(ValueError, match="probability vector"):

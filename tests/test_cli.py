@@ -467,6 +467,29 @@ class TestOutputPaths:
         assert f"error: {named} both name the file" in captured.err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "sub"]
 
+    @pytest.mark.parametrize(
+        "peaks, svg, written",
+        [
+            ("folder", "d.svg", ["dist.csv"]),
+            ("p.csv", "missing/d.svg", ["dist.csv", "p.csv"]),
+        ],
+        ids=["peaks fail", "chart fails"],
+    )
+    def test_outputs_are_written_csv_then_peaks_then_chart(
+        self, tmp_path, monkeypatch, capsys, peaks, svg, written
+    ):
+        # A failed write stops the run and leaves the outputs written before it.
+        monkeypatch.chdir(tmp_path)
+        cfg = config_file(tmp_path, SINGLE_COIN.format(steps=4))
+        assert main(["walk", "dist", "--config", cfg, "--out", "want.csv"]) == 0
+        (tmp_path / "folder").mkdir()
+        argv = ["--out", "dist.csv", "--peaks", peaks, "--emit-plot", svg]
+        assert main(["walk", "dist", "--config", cfg, *argv]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == sorted(["folder", "run.cfg", "want.csv", *written])
+        assert Path("dist.csv").read_bytes() == Path("want.csv").read_bytes()
+
     def test_a_plot_is_not_written_over_one_of_its_inputs(self, tmp_path, capsys):
         source = tmp_path / "r.csv"
         write_csv(("t", "mean"), [(0, 0.0), (1, 1.0)], source)
@@ -539,6 +562,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: cannot read config {path}: No such file or directory\n"
         )
+
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"M = 3\nT = 10\npattern = A\ngames.A.rho.default = 0.5\n# caf\xe9\n", 56),
+            (b"M = 3\nT = 10\npattern = A\ngames.A.rho.default = 0.5\xe9\n", 50),
+            (b"\xef\xbb\xbfM = 3\nT = 10\npattern = A\ngames.A.rho.default = 0.5\n# caf\xe9\n", 59),
+        ],
+        ids=["in a comment", "in a value", "after a utf8 bom"],
+    )
+    def test_a_config_that_is_not_utf8_is_refused_in_one_line(
+        self, tmp_path, monkeypatch, capsys, data, offset
+    ):
+        # It was a runtime error, exit 2: "'utf-8' codec can't decode byte 0xe9 ...".
+        # The offset counts the file's bytes, a leading BOM included.
+        monkeypatch.chdir(tmp_path)
+        Path("latin1.cfg").write_bytes(data)
+        assert main(["walk", "run", "--config", "latin1.cfg", "--out", "run.csv"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot read config latin1.cfg: not UTF-8 (byte 0xe9 at offset {offset})\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["latin1.cfg"]
 
     def test_invalid_config_value_returns_one(self, tmp_path):
         cfg = config_file(

@@ -12,7 +12,6 @@ import ast
 import csv
 import os
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -64,24 +63,6 @@ def test_readme_quick_start_prints_the_losing_and_winning_means(tmp_path):
     assert mixed == pytest.approx(0.228, abs=5e-4)
 
 
-def readme_worked_examples():
-    """README's config files and the ``histwalk`` arguments of its "Worked examples".
-
-    ``winning.cfg`` is README's first config block with ``pattern = B``, and
-    ``capital.cfg`` is its second.
-    """
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    first, second = re.findall(r"```ini\n(.*?)```", text, re.S)[:2]
-    configs = {
-        "winning.cfg": re.sub(r"(?m)^pattern = \w+", "pattern = B", first),
-        "capital.cfg": second,
-    }
-    section = text.split("### Worked examples", 1)[1]
-    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
-    lines = (shlex.split(line, comments=True) for line in script.splitlines())
-    return configs, [words[1:] for words in lines if words]
-
-
 def csv_rows(text):
     return list(csv.DictReader(text.splitlines()))
 
@@ -89,6 +70,10 @@ def csv_rows(text):
 def test_readme_worked_examples_show_the_losing_game_and_the_winning_pattern(
     tmp_path, monkeypatch, capsys
 ):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from same_bytes import readme_worked_examples
+
     configs, commands = readme_worked_examples()
     for name, text in configs.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -169,23 +169,32 @@ def _folder_digest(folder: Path, text: str) -> str:
     return hasher.hexdigest()
 
 
-def _subprocess_items(tree: str) -> list[tuple[str, dict[str, str], list[str], str]]:
-    """Every subprocess item of ``tree``: name, files, arguments after the interpreter, digest text.
+def readme_worked_examples() -> tuple[dict[str, str], list[list[str]]]:
+    """This checkout's README "Worked examples": its config files and ``histwalk`` arguments.
 
-    The digest text is a template over ``exit``, ``stdout`` and ``stderr``.
-    The worked examples run in a directory holding ``winning.cfg``, README's
-    first config block with ``pattern = B``, and ``capital.cfg``, its second.
+    ``winning.cfg`` is README's first config block with ``pattern = B``, and
+    ``capital.cfg`` is its second.
     """
-    checkout = (ROOT / "README.md").read_text(encoding="utf-8")
-    first, second = re.findall(r"```ini\n(.*?)```", checkout, re.S)[:2]
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    first, second = re.findall(r"```ini\n(.*?)```", text, re.S)[:2]
     configs = {
         "winning.cfg": re.sub(r"(?m)^pattern = \w+", "pattern = B", first),
         "capital.cfg": second,
     }
-    section = checkout.split("### Worked examples", 1)[1]
+    section = text.split("### Worked examples", 1)[1]
     script = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
     lines = (shlex.split(line, comments=True) for line in script.splitlines())
-    commands = [words[1:] for words in lines if words]
+    return configs, [words[1:] for words in lines if words]
+
+
+def _subprocess_items(tree: str) -> list[tuple[str, dict[str, str], list[str], str]]:
+    """Every subprocess item of ``tree``: name, files, arguments after the interpreter, digest text.
+
+    The digest text is a template over ``exit``, ``stdout`` and ``stderr``.
+    The worked examples run in a directory holding the files of
+    :func:`readme_worked_examples`.
+    """
+    configs, commands = readme_worked_examples()
     own = Path(tree, "README.md").read_text(encoding="utf-8")
     quick_start = re.search(r"## Library quick start\n.*?```python\n(.*?)```", own, re.S)
     everything = "exit {exit}\n{stdout}\0{stderr}"
