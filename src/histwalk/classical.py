@@ -13,17 +13,20 @@ Each is a small Markov chain whose states have two branches, each a +1 or -1
 step.  The walk's chain has ``2 ** num_coins`` history states; the capital
 games share 12, capital mod 3 times the last two results, since their odds
 depend on nothing else.  One exact loop propagates the state distribution
-and adds up each step's expected increment, so results carry no sampling
+and records each step's expected increment, so results carry no sampling
 error and capital games cost O(steps); a seeded sampler over the same states
 is the cross-check.  Once the rounded distribution repeats bit for bit, the
-loop stops stepping it and adds up the increments of the last pattern period
-again, which gives the same means.
+loop stops stepping it and repeats the increments of the last pattern
+period, which are the ones stepping would give.  The means are the
+increments' prefix sums, taken block by block as whole-array cascaded sums
+(a running sum plus the running sum of its exact rounding errors), so they
+depend only on the increments and are as accurate as a sum in twice the
+distribution's precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import cycle, islice
 from typing import Mapping
 
 import numpy as np
@@ -47,6 +50,15 @@ _EXACT_STATE_BYTES, _SAMPLED_STATE_BYTES = 192, 96
 # adds about 5% to a run that never repeats (checking every period added
 # 33-57%), and a run that repeats steps at most this plus one period more.
 _REPEAT_CHECK_STEPS = 32
+
+# Increments summed per block by the exact loop, and the bytes charged per
+# step of a block: at most eight long-double arrays of a block live at once
+# (increments, their tiling, the two running sums and TwoSum temporaries),
+# and tracemalloc measures 96-128 bytes per step at 10**4 to 10**6 steps.
+# A block's ten array operations cost next to nothing once it holds a few
+# thousand steps.
+_SUM_BLOCK_STEPS = 2**14
+_SUM_STEP_BYTES = 144
 
 
 @dataclass(frozen=True)
@@ -194,14 +206,21 @@ def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") 
     (uniform when omitted).  The distribution is kept in ``np.longdouble`` (a
     64-bit mantissa on x86, plain double where nothing wider exists), so means
     written to 12 decimals round as the exact ones do even next to a rounding
-    tie.  Each step's expected increment, read off the branch flows, is added
-    with compensated (Kahan) summation, so rounding does not build up.  The
-    increments come from :func:`_increments`, which stops stepping the
-    distribution once it repeats; the sum runs over the same increments in
-    the same order, so the means are those of stepping every time.
+    tie.  Each mean is the cascaded sum of the step increments before it
+    (Ogita, Rump and Oishi's Sum2): the running sum ``s``, the exact rounding
+    error of each of its additions by TwoSum, their running sum ``c``, and
+    ``s + c``.  That is as accurate as summing in twice the working precision,
+    so a mean is the increments' exact sum rounded to double unless the sum
+    cancels to far below its terms.  The sums run as whole-array operations
+    over blocks of :data:`_SUM_BLOCK_STEPS` increments, carrying ``s`` and
+    ``c`` from block to block, with the bits of the same rule applied one step
+    at a time.  The increments come from :func:`_increments`; the means
+    depend on nothing else, so they are those of stepping every time.
     """
     steps = _count(steps, "steps", 0)
-    _check_fits(8 * (steps + 1), f"an exact run of {_amount(steps)} steps", "for its means")
+    size = min(steps, max(_SUM_BLOCK_STEPS, len(chains)))
+    needed = 8 * (steps + 1) + _SUM_STEP_BYTES * size
+    _check_fits(needed, f"an exact run of {_amount(steps)} steps", "for its means and sums")
     if initial is None:
         initial = np.full(starts, 1.0 / starts)
     try:
@@ -218,49 +237,74 @@ def _exact_means(chains, starts: int, steps: int, initial=None, over: str = "") 
     pi = np.zeros(chains[0].first.size, dtype=np.longdouble)
     pi[:starts] = start
     means = np.zeros(steps + 1)
-    total = carry = pi.dtype.type(0)
-    for t, increment in enumerate(_increments(chains, pi, steps), 1):
-        gain = increment - carry
-        updated = total + gain
-        carry = (updated - total) - gain
-        total = updated
-        means[t] = total
+    # Slot 0 of each buffer holds the sum carried in from the blocks before.
+    sums = np.zeros(size + 1, dtype=pi.dtype)
+    errors = np.zeros(size + 1, dtype=pi.dtype)
+    t = 0
+    for block in _increments(chains, pi, steps, size):
+        n = block.size
+        s, c = sums[: n + 1], errors[: n + 1]
+        s[1:] = block
+        np.cumsum(s, out=s)
+        # TwoSum: the exact rounding error of each addition s[k] + block[k].
+        virtual = s[1:] - s[:-1]
+        c[1:] = (s[:-1] - (s[1:] - virtual)) + (block - virtual)
+        np.cumsum(c, out=c)
+        means[t + 1 : t + n + 1] = s[1:] + c[1:]
+        sums[0], errors[0] = s[n], c[n]
+        t += n
     return means
 
 
-def _increments(chains, pi: np.ndarray, steps: int):
-    """Yield the expected increment of each step of the chains played cyclically from ``pi``.
+def _increments(chains, pi: np.ndarray, steps: int, size: int):
+    """Yield the expected increments of the chains played cyclically from ``pi``.
 
-    ``pi`` is overwritten as it is stepped.  The rounded map over one period is
-    deterministic, so when ``pi`` at the start of a period equals, bit for
-    bit, its value one period earlier, every later increment repeats with the
-    pattern's period.  From there the increments of the last period are
-    yielded again and ``pi`` is no longer stepped.  The check runs every
-    :data:`_REPEAT_CHECK_STEPS` steps, rounded up to whole periods, against
-    the value kept one period before in a second buffer.
+    They come in order, in long-double blocks of at most ``size`` steps, and
+    ``size`` must hold a pattern period; a block is valid only until the next
+    is asked for.  ``pi`` is overwritten as it is stepped.  The rounded map
+    over one period is deterministic, so when ``pi`` at the start of a period
+    equals, bit for bit, its value one period earlier, every later increment
+    repeats with the pattern's period.  From there ``pi`` is no longer
+    stepped, and the remaining blocks are slices of the last period's
+    increments tiled.  The check runs every :data:`_REPEAT_CHECK_STEPS`
+    steps, rounded up to whole periods, against the value kept one period
+    before in a second buffer.
     """
+    if not steps:
+        return
     period = len(chains)
     stride = -(-_REPEAT_CHECK_STEPS // period) * period
     plays = [(c.first, c.next.T.ravel(), c.step.T.ravel().astype(pi.dtype)) for c in chains]
     previous = np.zeros_like(pi)
     flow = np.zeros(2 * pi.size, dtype=pi.dtype)
     won, lost = flow[: pi.size], flow[pi.size :]
-    recent = [pi.dtype.type(0)] * period
+    # A ring of the latest increments; it holds a whole period, which a
+    # repeat, found only after one, reads back.
+    block = np.empty(size, dtype=pi.dtype)
+    stepped = steps
     for t in range(steps):
-        phase, lap = t % period, t % stride
+        phase, lap, slot = t % period, t % stride, t % size
         if lap == 0 and t and np.array_equal(pi, previous):
-            yield from islice(cycle(recent), steps - t)
-            return
+            stepped = t
+            break
         first, moves, increments = plays[phase]
         np.multiply(pi, first, out=won)
         np.subtract(pi, won, out=lost)
-        recent[phase] = increment = flow @ increments
-        yield increment
+        block[slot] = flow @ increments
+        if slot == size - 1:
+            yield block
         if lap == stride - period:
             # Keep this period's start for the next check; step into the other buffer.
             pi, previous = previous, pi
         pi.fill(0)
         np.add.at(pi, moves, flow)
+    if stepped % size:
+        yield block[: stepped % size]
+    if stepped < steps:
+        tiled = np.tile(block[np.arange(stepped - period, stepped) % size], -(-size // period) + 1)
+        for start in range(stepped, steps, size):
+            lag = (start - stepped) % period
+            yield tiled[lag : lag + min(size, steps - start)]
 
 
 def capital_game_trajectory(games, pattern: str | None, steps: int) -> np.ndarray:

@@ -145,15 +145,20 @@ def _run(args) -> None:
 
 
 def _check_outputs(inputs, outputs) -> None:
-    """Refuse an empty output path, or one that names an input or another output.
+    """Refuse an output path that is empty, names a directory, sits in no folder or is taken.
 
-    An output of None is not written; inputs may repeat.
+    Taken means it names an input or another output.  An output of None is
+    not written; inputs may repeat.
     """
     named = {os.path.realpath(path): label for label, path in inputs}
     for label, path in outputs:
         if path == "":
             raise ConfigError(f"{label}: empty value")
         if path is not None:
+            if os.path.isdir(path):
+                raise ConfigError(f"{label}: {_echo(path, 200)} is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"{label}: the folder of {_echo(path, 200)} does not exist")
             real = os.path.realpath(path)
             if real in named:
                 raise ConfigError(

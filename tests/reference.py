@@ -404,8 +404,11 @@ def exact_means_every_step(chains, starts: int, steps: int, initial=None) -> np.
     ``first``, ``next`` and ``step`` arrays, and ``initial`` a probability
     vector over the ``starts`` start states (uniform when omitted).  This is
     the package's exact loop without its stop at a repeated distribution: the
-    same ``np.longdouble`` distribution, branch flows and Kahan sum, in the
-    same order, so the package's means must equal these bit for bit.
+    same ``np.longdouble`` distribution and branch flows, in the same order,
+    and the same cascaded sum applied one step at a time, with no blocks:
+    the running sum ``s``, the TwoSum error of that addition, the running sum
+    ``c`` of those errors, and ``s + c`` as the mean.  The package's means
+    must equal these bit for bit.
     """
     start = np.full(starts, 1.0 / starts) if initial is None else np.asarray(initial, dtype=float)
     pi = np.zeros(chains[0].first.size, dtype=np.longdouble)
@@ -414,16 +417,17 @@ def exact_means_every_step(chains, starts: int, steps: int, initial=None) -> np.
     flow = np.zeros(2 * pi.size, dtype=pi.dtype)
     won, lost = flow[: pi.size], flow[pi.size :]
     means = np.zeros(steps + 1)
-    total = carry = pi.dtype.type(0)
+    total = error = pi.dtype.type(0)
     for t in range(steps):
         first, moves, increments = plays[t % len(plays)]
         np.multiply(pi, first, out=won)
         np.subtract(pi, won, out=lost)
-        gain = flow @ increments - carry
-        updated = total + gain
-        carry = (updated - total) - gain
+        increment = flow @ increments
+        updated = total + increment
+        virtual = updated - total
+        error += (total - (updated - virtual)) + (increment - virtual)
         total = updated
-        means[t + 1] = total
+        means[t + 1] = total + error
         pi.fill(0)
         np.add.at(pi, moves, flow)
     return means

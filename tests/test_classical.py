@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -679,6 +680,103 @@ class TestRepeatedDistribution:
         assert stepped <= histwalk.classical._REPEAT_CHECK_STEPS
 
 
+def exact_increments(spec, pattern, kinds, steps, initial=None):
+    """The package's long-double step increments of an exact run, in order."""
+    chains, starts = histwalk.classical._chains(spec, pattern, kinds, "exact")
+    pi = np.zeros(chains[0].first.size, dtype=np.longdouble)
+    pi[:starts] = np.full(starts, 1.0 / starts) if initial is None else initial
+    size = max(steps, len(chains))
+    blocks = [block.copy() for block in histwalk.classical._increments(chains, pi, steps, size)]
+    return np.concatenate([np.zeros(0, dtype=np.longdouble), *blocks])
+
+
+def exact_sums(increments):
+    """Each prefix sum of long-double increments as an exact fraction, and of their magnitudes."""
+    total = magnitude = Fraction(0)
+    sums, magnitudes = [total], [magnitude]
+    for increment in increments:
+        term = Fraction(*increment.as_integer_ratio())
+        total += term
+        magnitude += abs(term)
+        sums.append(total)
+        magnitudes.append(magnitude)
+    return sums, magnitudes
+
+
+# Unit roundoffs of the written means and of the long-double sums.
+DOUBLE_ROUNDOFF = Fraction(2) ** -53
+WIDE_ROUNDOFF = Fraction(*(np.finfo(np.longdouble).eps / 2).as_integer_ratio())
+WIDE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+BLOCK = histwalk.classical._SUM_BLOCK_STEPS
+ALWAYS_WIN = {"A": BiasedCoin(1.0), "B": BiasedCoin(1.0)}
+
+
+class TestCascadedSum:
+    """Each mean is the cascaded (Sum2) prefix sum of the increments, block by block."""
+
+    def test_a_cancelling_sum_is_the_exact_sum_rounded(self):
+        # Compensated (Kahan) summation wrote 4.999999980020986e-13 at t = 7,
+        # 2.0e-21 from the exact sum of these increments.
+        games = {"A": HistoryCoins(1, 1, 0, 0)}
+        start = [0.49999999999975, 0.49999999999975, 4.9999999999975e-13, 0.0]
+        means = history_mix_trajectory(games, "A", 7, start)
+        sums, _ = exact_sums(exact_increments(games, "A", HISTORY_KINDS, 7, start))
+        assert means[7] == float(sums[7])
+        if WIDE:
+            assert means[7] == 4.999999960044472e-13
+
+    @given(exact_runs())
+    @settings(deadline=None, max_examples=40)
+    def test_means_are_within_the_cascaded_sum_bound_of_the_exact_sums(self, run):
+        # Sum2 in roundoff u gives |s + c - S| <= u |S| + gamma_{t-1}**2 sum |x|
+        # with gamma_k = k u / (1 - k u); writing it as a double adds a
+        # double roundoff of |S|.  The bound is that, with doubled terms.
+        spec, pattern, kinds, steps, start = run
+        means = exact_run(*run)[0]
+        sums, magnitudes = exact_sums(exact_increments(spec, pattern, kinds, steps, start))
+        for t, (mean, exact, magnitude) in enumerate(zip(means, sums, magnitudes)):
+            bound = (DOUBLE_ROUNDOFF + 2 * WIDE_ROUNDOFF) * abs(exact)
+            bound += 2 * (t * WIDE_ROUNDOFF) ** 2 * magnitude
+            assert abs(Fraction(mean) - exact) <= bound
+
+    def test_no_steps_give_one_zero_mean(self):
+        for kind in sorted(WORKLOAD_GAMES):
+            games, kinds = WORKLOAD_GAMES[kind]
+            got, want, stepped = exact_run(games, "AB", kinds, 0)
+            assert got.tolist() == want.tolist() == [0.0]
+            assert stepped == 0
+
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK + 1])
+    @pytest.mark.parametrize("repeats", [False, True], ids=["always win", "parrondo"])
+    def test_a_horizon_either_side_of_a_block_boundary(self, repeats, steps):
+        games, kinds = WORKLOAD_GAMES["capital"] if repeats else (ALWAYS_WIN, CAPITAL_KINDS)
+        got, want, stepped = exact_run(games, "AB", kinds, steps)
+        assert np.array_equal(got, want)
+        assert (stepped < steps) == repeats
+
+    @pytest.mark.parametrize("block", [16, 48, 127])
+    @pytest.mark.parametrize("kind", sorted(WORKLOAD_GAMES))
+    def test_a_repeat_found_inside_the_last_block(self, monkeypatch, kind, block):
+        # The mixes repeat after 128 and 160 steps, at a block's first slot
+        # (16), inside a block (48) and, for the capital mix, one step into
+        # one (127), where the last period straddles the ring's end.
+        monkeypatch.setattr(histwalk.classical, "_SUM_BLOCK_STEPS", block)
+        games, kinds = WORKLOAD_GAMES[kind]
+        stop = exact_run(games, "AB", kinds, 4000)[2]
+        assert stop > block
+        for steps in (stop + 1, stop + block - 1, 4000):
+            got, want, _ = exact_run(games, "AB", kinds, steps)
+            assert np.array_equal(got, want)
+
+    @given(exact_runs(), st.sampled_from([1, 2, 3, 5, 16, 33]))
+    @settings(deadline=None, max_examples=60)
+    def test_blocks_of_any_size_give_the_same_bits(self, run, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(histwalk.classical, "_SUM_BLOCK_STEPS", block)
+            got, want, _ = exact_run(*run)
+        assert np.array_equal(got, want)
+
+
 SAMPLED_KINDS = (HistoryRhoTable, BiasedCoin, CapitalMod3, HistoryCoins)
 
 
@@ -826,6 +924,24 @@ class TestMemoryGuard:
         message = "^the classical chain of M = over 2\\*\\*64 needs over 2\\*\\*64 bytes for its states"
         with pytest.raises(histwalk.state.MemoryLimitError, match=message):
             run(table)
+
+    @pytest.mark.parametrize(
+        "games, steps",
+        [(WORKLOAD_GAMES["capital"][0], 10**4), (WORKLOAD_GAMES["capital"][0], 10**6),
+         (ALWAYS_WIN, 2 * 10**4)],
+        ids=["mix-1e4", "mix-1e6", "never-repeats-2e4"],
+    )
+    def test_the_exact_loops_traced_peak_stays_within_its_charge(self, games, steps):
+        # Beyond the float64 means, the sums hold one block however long the run.
+        capital_game_trajectory(games, "AB", 2)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            capital_game_trajectory(games, "AB", steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = histwalk.classical._SUM_STEP_BYTES * min(steps, BLOCK)
+        assert 8 * (steps + 1) < peak <= 8 * (steps + 1) + block
 
     def test_runs_that_fit_are_not_refused(self):
         assert monte_carlo_trajectory(COIN, None, 2, 10**3, seed=1)[0].shape == (3,)

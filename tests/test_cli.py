@@ -468,27 +468,73 @@ class TestOutputPaths:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "sub"]
 
     @pytest.mark.parametrize(
-        "peaks, svg, written",
-        [
-            ("folder", "d.svg", ["dist.csv"]),
-            ("p.csv", "missing/d.svg", ["dist.csv", "p.csv"]),
-        ],
+        "failing, written",
+        [("p.csv", ["dist.csv"]), ("d.svg", ["dist.csv", "p.csv"])],
         ids=["peaks fail", "chart fails"],
     )
     def test_outputs_are_written_csv_then_peaks_then_chart(
-        self, tmp_path, monkeypatch, capsys, peaks, svg, written
+        self, tmp_path, monkeypatch, capsys, failing, written
     ):
         # A failed write stops the run and leaves the outputs written before it.
         monkeypatch.chdir(tmp_path)
         cfg = config_file(tmp_path, SINGLE_COIN.format(steps=4))
         assert main(["walk", "dist", "--config", cfg, "--out", "want.csv"]) == 0
-        (tmp_path / "folder").mkdir()
-        argv = ["--out", "dist.csv", "--peaks", peaks, "--emit-plot", svg]
+        write_text = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if path.name == failing:
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        argv = ["--out", "dist.csv", "--peaks", "p.csv", "--emit-plot", "d.svg"]
         assert main(["walk", "dist", "--config", cfg, *argv]) == 2
-        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert capsys.readouterr().err == "runtime error: [Errno 28] No space left on device\n"
         names = sorted(path.name for path in tmp_path.iterdir())
-        assert names == sorted(["folder", "run.cfg", "want.csv", *written])
+        assert names == sorted(["run.cfg", "want.csv", *written])
         assert Path("dist.csv").read_bytes() == Path("want.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["walk", "dist", "--out", "folder"], "out: folder is a directory"),
+            (["walk", "dist", "--out", "missing/d.csv"],
+             "out: the folder of missing/d.csv does not exist"),
+            (["walk", "dist", "--out", "d.csv", "--peaks", "folder"],
+             "--peaks: folder is a directory"),
+            (["walk", "dist", "--out", "d.csv", "--peaks", "missing/p.csv"],
+             "--peaks: the folder of missing/p.csv does not exist"),
+            (["walk", "run", "--out", "r.csv", "--emit-plot", "folder"],
+             "--emit-plot: folder is a directory"),
+            (["walk", "run", "--out", "r.csv", "--emit-plot", "missing/r.svg"],
+             "--emit-plot: the folder of missing/r.svg does not exist"),
+            (["walk", "run"], "out: folder is a directory"),
+            (["plot", "want.csv", "--out", "folder"], "--out: folder is a directory"),
+            (["plot", "want.csv", "--out", "missing/p.svg"],
+             "--out: the folder of missing/p.svg does not exist"),
+        ],
+        ids=["out folder", "out missing", "peaks folder", "peaks missing", "emit-plot folder",
+             "emit-plot missing", "out key folder", "plot out folder", "plot out missing"],
+    )
+    def test_an_output_that_cannot_be_written_is_refused_before_the_run(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        # Such a path failed only when written, after the run and the outputs before it.
+        monkeypatch.chdir(tmp_path)
+        cfg = config_file(tmp_path, SINGLE_COIN.format(steps=4) + "out = folder\n")
+        write_csv(("t", "mean"), [(0, 0.0), (1, 1.0)], "want.csv")
+        (tmp_path / "folder").mkdir()
+
+        def never_called(*args, **kwargs):
+            raise AssertionError("the output check should have refused the run first")
+
+        for name in ("final_distribution", "run_sequence", "emit_svg_plot"):
+            monkeypatch.setattr(histwalk.cli, name, never_called)
+        command = argv if argv[0] == "plot" else [*argv[:2], "--config", cfg, *argv[2:]]
+        assert main(command) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["folder", "run.cfg", "want.csv"]
+        assert not any((tmp_path / "folder").iterdir())
 
     def test_a_plot_is_not_written_over_one_of_its_inputs(self, tmp_path, capsys):
         source = tmp_path / "r.csv"
@@ -769,9 +815,14 @@ class TestExitCodes:
     def _never_called(*args, **kwargs):
         raise AssertionError("the size guard should have refused the run first")
 
-    def test_write_failures_return_two(self, tmp_path):
+    def test_write_failures_return_two(self, tmp_path, monkeypatch):
         cfg = config_file(tmp_path, SINGLE_COIN.format(steps=0))
-        assert main(["walk", "run", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+        def full_disk(path, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert main(["walk", "run", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
 
     @pytest.mark.skipif(
         not installed_as_distribution(),

@@ -101,6 +101,19 @@ CONFIG_RUNS = [
      "M = 3\nT = 200\npattern = B\nclassical.engine = rho-walk\n"
      "games.B.rho.default = 0.45\ngames.B.rho.RR = 0.62\ngames.B.rho.LR = 0.3\n",
      ["classical", "run", "--monte-carlo", "2000", "--seed", "3", "--out", "mc.csv"], None),
+    ("T=10**5, capital AB",
+     "T = 100000\npattern = AB\nclassical.engine = capital\n"
+     "classical.A.kind = biased\nclassical.A.p = 0.495\n"
+     "classical.B.kind = mod3\nclassical.B.p1 = 0.095\nclassical.B.p2 = 0.745\n",
+     ["classical", "run", "--out", "capital.csv"], None),
+    ("M=8, T=10**4, rho-walk",
+     "M = 8\nT = 10000\npattern = B\nclassical.engine = rho-walk\n"
+     "games.B.rho.default = 0.45\ngames.B.rho.RRRRRRR = 0.62\ngames.B.rho.LRLRLRL = 0.3\n",
+     ["classical", "run", "--out", "chain.csv"], None),
+    ("T=4000, coins that always win, never repeating",
+     "T = 4000\npattern = AB\nclassical.engine = capital\n"
+     "classical.A.kind = biased\nclassical.A.p = 1\nclassical.B.kind = biased\nclassical.B.p = 1\n",
+     ["classical", "run", "--out", "always.csv"], None),
 ]
 
 #: Config values refused with exit 1, one in each ``walk dist`` run at M=3, T=10.
